@@ -47,8 +47,19 @@
 //! folded straight from its input slice instead of materialising a
 //! temporary buffer, and delivered buffers return to the pool.
 //!
+//! Exact payloads are held **span-packed** ([`ExactVec`]): per
+//! element a `(lo, len)` span header and the occupied limbs, back to
+//! back — the wire encoding laid out in memory. Their in-memory size
+//! therefore follows the priced wire bytes (~16 B per element for
+//! benchmark-range data, against ~26 B on the wire) rather than a
+//! dense 576-byte accumulator per element, and a fold streams both
+//! operands once through a single stack accumulator.
+//!
 //! The cheap shuffle-based path in [`crate::allreduce()`](crate::allreduce::allreduce) remains as a
 //! fallback for experiments that don't need a network model.
+//!
+//! [`ExactAccumulator::wire_len`]: fpna_summation::exact::ExactAccumulator::wire_len
+//! [`ExactAccumulator::WIRE_BYTES`]: fpna_summation::exact::ExactAccumulator::WIRE_BYTES
 
 use crate::allreduce::{Algorithm, Ordering};
 use fpna_net::{
@@ -57,7 +68,7 @@ use fpna_net::{
 };
 use fpna_obs::counters::{self, Counter};
 use fpna_obs::trace;
-use fpna_summation::exact::ExactAccumulator;
+use fpna_summation::exact::ExactVec;
 
 /// Fabric-behaviour knobs shared by every ordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,12 +216,12 @@ fn collect_link_stats(sim: &NetSim<'_>, config: &NetConfig) -> Option<Vec<LinkSt
         .then(|| (0..sim.topology().num_links()).map(|l| sim.link_stats(l)).collect())
 }
 
-/// Reduction state: plain floats, or exact accumulators for the
+/// Reduction state: plain floats, or span-packed exact values for the
 /// reproducible ordering.
 #[derive(Debug, Clone)]
 enum Values {
     Plain(Vec<f64>),
-    Exact(Vec<ExactAccumulator>),
+    Exact(ExactVec),
 }
 
 impl Values {
@@ -228,14 +239,7 @@ impl Values {
                     *x += y;
                 }
             }
-            (Values::Exact(a), Values::Exact(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge(y);
-                    // Restore canonical wire form so the next hop's
-                    // merge stays on the fast path.
-                    x.normalize();
-                }
-            }
+            (Values::Exact(a), Values::Exact(b)) => a.merge(b),
             _ => unreachable!("mixed plain/exact fold"),
         }
     }
@@ -243,9 +247,8 @@ impl Values {
     /// Fold a rank's resident contribution straight from its input
     /// slice: `self[i] = self[i] + xs[i]`, with no temporary buffer.
     /// Bitwise identical to folding a freshly built `Values` over
-    /// `xs`: the exact accumulator's canonical form is a pure function
-    /// of the accumulated value, so `add` + `normalize` lands in the
-    /// same state as merging a one-element accumulator.
+    /// `xs`: an exact element's canonical form is a pure function of
+    /// its accumulated value.
     fn fold_in_slice(&mut self, xs: &[f64]) {
         match self {
             Values::Plain(a) => {
@@ -253,51 +256,44 @@ impl Values {
                     *x += y;
                 }
             }
-            Values::Exact(a) => {
-                for (x, &y) in a.iter_mut().zip(xs) {
-                    x.add(y);
-                    x.normalize();
-                }
-            }
+            Values::Exact(a) => a.add(xs),
         }
     }
 
     fn round(&self) -> Vec<f64> {
         match self {
             Values::Plain(v) => v.clone(),
-            Values::Exact(a) => a.iter().map(|x| x.round()).collect(),
+            Values::Exact(a) => a.round(),
         }
     }
 
-    /// On-wire size of a message carrying this state. Exact
-    /// accumulators are span-encoded ([`ExactAccumulator::wire_len`]:
-    /// a 2-byte `[lo, hi)` header plus the occupied limbs, per
-    /// element), so narrow-dynamic-range payloads cost what they
-    /// actually occupy instead of the dense
-    /// [`ExactAccumulator::WIRE_BYTES`] upper bound. Every travelling
-    /// accumulator is kept canonical (normalized at birth and after
-    /// each fold), which keeps the spans — and therefore the priced
-    /// bytes — tight.
+    /// On-wire size of a message carrying this state. Exact values
+    /// are span-encoded (a 2-byte `[lo, hi)` header plus the occupied
+    /// limbs, per element), so narrow-dynamic-range payloads cost what
+    /// they actually occupy instead of the dense
+    /// [`WIRE_BYTES`](fpna_summation::exact::ExactAccumulator::WIRE_BYTES)
+    /// upper bound. [`ExactVec`] holds every element canonical and in
+    /// that very layout, so the priced bytes are read off its length.
     fn wire_bytes(&self) -> u64 {
         match self {
             Values::Plain(v) => (v.len() * std::mem::size_of::<f64>()) as u64,
-            Values::Exact(a) => a.iter().map(|x| x.wire_len() as u64).sum(),
+            Values::Exact(a) => a.wire_len() as u64,
         }
     }
 }
 
 /// Recycles the backing buffers of retired [`Values`] so steady-state
 /// protocol rounds stop hitting the allocator: a freed buffer keeps
-/// its capacity and the next `from_slice`/`clone_values` reuses it.
+/// its capacity and the next `values_of`/`clone_values` reuses it.
 #[derive(Debug, Default)]
 struct BufferPool {
     plain: Vec<Vec<f64>>,
-    exact: Vec<Vec<ExactAccumulator>>,
+    exact: Vec<ExactVec>,
 }
 
 /// Pop a pooled buffer, tallying the recycle hit/miss counters (a
 /// relaxed-load no-op when counters are disabled).
-fn pooled<T>(stack: &mut Vec<Vec<T>>) -> Vec<T> {
+fn pooled<B: Default>(stack: &mut Vec<B>) -> B {
     match stack.pop() {
         Some(b) => {
             counters::add(Counter::PoolHit, 1);
@@ -305,25 +301,18 @@ fn pooled<T>(stack: &mut Vec<Vec<T>>) -> Vec<T> {
         }
         None => {
             counters::add(Counter::PoolMiss, 1);
-            Vec::new()
+            B::default()
         }
     }
 }
 
 impl BufferPool {
-    /// Build a `Values` over `xs` (exact accumulators canonical from
-    /// birth, so every downstream merge takes the no-clone fast path),
+    /// Build a `Values` over `xs` (exact values canonical from birth),
     /// reusing a pooled buffer when one is free.
     fn values_of(&mut self, xs: &[f64], exact: bool) -> Values {
         if exact {
             let mut a = pooled(&mut self.exact);
-            a.clear();
-            a.extend(xs.iter().map(|&x| {
-                let mut acc = ExactAccumulator::new();
-                acc.add(x);
-                acc.normalize();
-                acc
-            }));
+            a.assign(xs);
             Values::Exact(a)
         } else {
             let mut v = pooled(&mut self.plain);
@@ -681,18 +670,11 @@ fn chunk_bounds(lo: usize, hi: usize, k: usize, c: usize) -> (usize, usize) {
 }
 
 /// Wire size of a raw input slice without building a buffer — the
-/// exact path prices the same canonical one-value accumulators the
+/// exact path prices the same canonical one-value elements the
 /// receiver will fold.
 fn raw_wire_bytes(xs: &[f64], exact: bool) -> u64 {
     if exact {
-        xs.iter()
-            .map(|&x| {
-                let mut acc = ExactAccumulator::new();
-                acc.add(x);
-                acc.normalize();
-                acc.wire_len() as u64
-            })
-            .sum()
+        ExactVec::wire_len_of(xs) as u64
     } else {
         std::mem::size_of_val(xs) as u64
     }

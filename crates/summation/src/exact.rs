@@ -391,16 +391,28 @@ impl ExactAccumulator {
             return;
         }
         let (olo, ohi) = (other.lo as usize, other.hi as usize);
-        for (a, b) in self.limbs[olo..ohi].iter_mut().zip(&other.limbs[olo..ohi]) {
-            *a += *b;
+        self.merge_limbs(olo, &other.limbs[olo..ohi], other.pending);
+    }
+
+    /// The body of [`ExactAccumulator::merge`]: fold the occupied
+    /// limbs `limbs` of an operand whose span starts at `lo` and which
+    /// carries `pending` adds — an `ExactAccumulator`'s own `i64`
+    /// limbs, or an [`ExactVec`] element's canonical `i32` ones.
+    fn merge_limbs<L: Copy + Into<i64>>(&mut self, lo: usize, limbs: &[L], pending: u32) {
+        if limbs.is_empty() {
+            return;
         }
-        self.lo = self.lo.min(other.lo);
-        self.hi = self.hi.max(other.hi);
+        let hi = lo + limbs.len();
+        for (a, &b) in self.limbs[lo..hi].iter_mut().zip(limbs) {
+            *a += b.into();
+        }
+        self.lo = self.lo.min(lo as u32);
+        self.hi = self.hi.max(hi as u32);
         // Each side's limbs are bounded by `pending · 2³² + 2³¹`, so
         // summing the pending counts keeps the bound valid; both
         // operands sit far below `NORMALIZE_EVERY`, so the fold cannot
         // overflow an i64 before the normalize below runs.
-        self.pending = self.pending.saturating_add(other.pending.max(2));
+        self.pending = self.pending.saturating_add(pending.max(2));
         if self.pending >= NORMALIZE_EVERY {
             self.normalize();
         }
@@ -418,7 +430,9 @@ impl ExactAccumulator {
     /// are zero by invariant, and processing a zero limb with zero
     /// carry is the identity), plus however far the final carry
     /// ripples; afterwards the span is tightened to the exact nonzero
-    /// hull.
+    /// hull. The walk is one serial carry chain with no scratch
+    /// arrays, so its cost tracks the span — a handful of limbs for
+    /// the per-element states [`ExactVec`] cycles through.
     ///
     /// Public so producers can canonicalize *before* a hand-off (worker
     /// partials, serialized wire messages), which keeps every limb
@@ -429,80 +443,6 @@ impl ExactAccumulator {
         // adjustment (fold remainders >= 2^31 into the next carry) is a
         // comparison turned into a 0/1 chunk, keeping the whole carry
         // chain branch-free.
-        const BASE: i64 = 1i64 << LIMB_BITS;
-        const HALF: i64 = BASE / 2;
-        const MASK: i64 = BASE - 1;
-        self.pending = 0;
-        if self.lo >= self.hi {
-            self.lo = LIMBS as u32;
-            self.hi = 0;
-            return;
-        }
-        let lo = self.lo as usize;
-        let hi = self.hi as usize;
-        // Pass 1: independent per-limb digit/carry split — `d ∈ [0,
-        // 2³²)` by mask, `c` the floor quotient by arithmetic shift.
-        // No cross-limb dependency, so the wide-integer work runs as
-        // straight-line SIMD lanes over the span.
-        let mut ds = [0i64; LIMBS];
-        let mut cs = [0i64; LIMBS];
-        for i in lo..hi {
-            ds[i] = self.limbs[i] & MASK;
-            cs[i] = self.limbs[i] >> LIMB_BITS;
-        }
-        // Pass 2: the serial carry fold, now over small digits. With
-        // `v = limbs[i] + carry = (c·2³² + d) + carry`, masking gives
-        // `v & MASK = (d + carry) & MASK` and the quotient splits as
-        // `v >> 32 = c + ((d + carry) >> 32)` — so the digit written
-        // and the carry recurrence are those of the one-pass walk
-        // ([`ExactAccumulator::normalize_scalar`]) exactly, but the
-        // loop-carried chain is a short add/mask/compare.
-        let mut carry = 0i64;
-        for i in lo..hi {
-            let x = ds[i] + carry;
-            let r = x & MASK; // in [0, 2^32)
-            let adj = i64::from(r >= HALF);
-            self.limbs[i] = r - (adj << LIMB_BITS);
-            carry = cs[i] + (x >> LIMB_BITS) + adj;
-        }
-        // Carry ripple past the span (pass 1 never touched these
-        // limbs, so this continues the one-pass walk verbatim).
-        let mut i = hi;
-        while carry != 0 && i < LIMBS {
-            let v = self.limbs[i] + carry;
-            let r = v & MASK;
-            let q = v >> LIMB_BITS;
-            let adj = i64::from(r >= HALF);
-            self.limbs[i] = r - (adj << LIMB_BITS);
-            carry = q + adj;
-            i += 1;
-        }
-        debug_assert_eq!(carry, 0, "accumulator overflow");
-        // Tighten to the exact nonzero hull.
-        let mut new_lo = lo;
-        let mut new_hi = i;
-        while new_lo < new_hi && self.limbs[new_lo] == 0 {
-            new_lo += 1;
-        }
-        while new_hi > new_lo && self.limbs[new_hi - 1] == 0 {
-            new_hi -= 1;
-        }
-        if new_lo >= new_hi {
-            self.lo = LIMBS as u32;
-            self.hi = 0;
-        } else {
-            self.lo = new_lo as u32;
-            self.hi = new_hi as u32;
-        }
-    }
-
-    /// The pre-two-pass `normalize`: one serial walk carrying
-    /// digit-split and carry fold together. Kept verbatim as the
-    /// reference the property suite diffs the two-pass
-    /// [`ExactAccumulator::normalize`] against — both must produce the
-    /// identical canonical state from any reachable raw state.
-    #[doc(hidden)]
-    pub fn normalize_scalar(&mut self) {
         const BASE: i64 = 1i64 << LIMB_BITS;
         const HALF: i64 = BASE / 2;
         const MASK: i64 = BASE - 1;
@@ -546,8 +486,7 @@ impl ExactAccumulator {
     /// `true` when the exact value is zero.
     pub fn is_zero(&self) -> bool {
         if self.pending == 0 {
-            // Canonical: the span is tight, so zero ⇔ empty span; the
-            // scan below also covers spans left loose by decoding.
+            // Canonical: the span is tight, so zero ⇔ empty span.
             return self.limbs[self.lo as usize..self.hi.max(self.lo) as usize]
                 .iter()
                 .all(|&l| l == 0);
@@ -635,22 +574,29 @@ impl ExactAccumulator {
     }
 
     /// Decode a [`ExactAccumulator::to_wire_bytes`] message. Returns
-    /// `None` when the header is out of range or the length does not
-    /// match the span (a malformed or truncated message).
+    /// `None` unless the bytes have exactly the form the encoder
+    /// emits: the bare header `[0, 0]` for zero, otherwise a span
+    /// `lo < hi ≤ 70` with a matching length, a nonzero first and last
+    /// limb, and every limb canonical (in `[−2³¹, 2³¹)`). Whatever the
+    /// bytes, a decoded state is one `normalize` leaves unchanged, so
+    /// a corrupted message cannot decode to a value outside the
+    /// accumulator's range or overflow a later carry walk.
     pub fn from_wire_bytes(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 2 {
-            return None;
+        let ([lo, hi], body) = bytes.split_first_chunk::<2>()?;
+        let (lo, hi) = (*lo as usize, *hi as usize);
+        if (lo, hi) == (0, 0) {
+            return body.is_empty().then(ExactAccumulator::new);
         }
-        let (lo, hi) = (bytes[0] as usize, bytes[1] as usize);
-        if hi <= lo {
-            return (bytes.len() == 2).then(ExactAccumulator::new);
-        }
-        if hi > LIMBS || bytes.len() != 2 + 8 * (hi - lo) {
+        if lo >= hi || hi > LIMBS || body.len() != 8 * (hi - lo) {
             return None;
         }
         let mut acc = ExactAccumulator::new();
-        for (i, raw) in bytes[2..].chunks_exact(8).enumerate() {
-            acc.limbs[lo + i] = i64::from_le_bytes(raw.try_into().expect("8-byte chunk"));
+        for (limb, raw) in acc.limbs[lo..hi].iter_mut().zip(body.chunks_exact(8)) {
+            let l = i64::from_le_bytes(raw.try_into().expect("8-byte chunk"));
+            *limb = i64::from(i32::try_from(l).ok()?);
+        }
+        if acc.limbs[lo] == 0 || acc.limbs[hi - 1] == 0 {
+            return None;
         }
         acc.lo = lo as u32;
         acc.hi = hi as u32;
@@ -703,6 +649,251 @@ impl FromIterator<f64> for ExactAccumulator {
             acc.add(x);
         }
         acc
+    }
+}
+
+/// A vector of canonical exact values, **span-packed**: per element a
+/// header word `lo | len << 8` followed by that element's `len`
+/// occupied limbs, all in one contiguous buffer.
+///
+/// This is [`ExactAccumulator::to_wire_bytes`] laid out in memory —
+/// the same span header and occupied limbs, the limbs held as `i32`
+/// because canonical limbs lie in `[−2³¹, 2³¹)` — so a vector of
+/// small-dynamic-range values occupies about what it costs on a wire
+/// (~16 B per element in memory, ~26 B priced) instead of a dense
+/// accumulator's 576 B, and [`ExactVec::wire_len`] is O(1).
+///
+/// Every element-wise operation runs through one stack
+/// [`ExactAccumulator`]: load the element's span, `add` or `merge`,
+/// `normalize`, emit the span, zero it again. Each stored element is
+/// therefore exactly the canonical state the dense accumulator reaches
+/// through the same `add`/`merge` calls followed by a `normalize`.
+///
+/// ```
+/// use fpna_summation::exact::ExactVec;
+///
+/// let mut v = ExactVec::from_slice(&[1e16, 0.5]);
+/// v.add(&[1.0, 0.25]);
+/// v.merge(&ExactVec::from_slice(&[-1e16, 0.25]));
+/// assert_eq!(v.round(), vec![1.0, 1.0]);
+/// ```
+#[derive(Debug, Default)]
+pub struct ExactVec {
+    /// Element headers and limbs, back to back.
+    words: Vec<i32>,
+    /// Element count.
+    len: usize,
+    /// Output buffer of the element-wise updates, swapped with `words`
+    /// after each pass so both capacities are reused.
+    spare: Vec<i32>,
+}
+
+impl Clone for ExactVec {
+    fn clone(&self) -> Self {
+        ExactVec {
+            words: self.words.clone(),
+            len: self.len,
+            spare: Vec::new(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.words.clone_from(&src.words);
+        self.len = src.len;
+    }
+}
+
+impl ExactVec {
+    /// Empty vector.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The exact values of `xs`, one element each.
+    ///
+    /// # Panics
+    ///
+    /// Panics on NaN or infinite input.
+    pub fn from_slice(xs: &[f64]) -> Self {
+        let mut v = Self::new();
+        v.assign(xs);
+        v
+    }
+
+    /// Replace the contents with the exact values of `xs`, reusing the
+    /// buffer's capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics on NaN or infinite input.
+    pub fn assign(&mut self, xs: &[f64]) {
+        self.words.clear();
+        self.len = xs.len();
+        let mut acc = ExactAccumulator::new();
+        for &x in xs {
+            acc.add(x);
+            acc.normalize();
+            acc.emit_span(&mut self.words);
+        }
+    }
+
+    /// Element-wise `self[i] += xs[i]`, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ, or on NaN or infinite input.
+    pub fn add(&mut self, xs: &[f64]) {
+        assert_eq!(xs.len(), self.len, "ExactVec::add: length mismatch");
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        let mut acc = ExactAccumulator::new();
+        for ((lo, limbs), &x) in self.spans().zip(xs) {
+            acc.load_span(lo, limbs);
+            acc.add(x);
+            acc.normalize();
+            acc.emit_span(&mut out);
+        }
+        self.spare = std::mem::replace(&mut self.words, out);
+    }
+
+    /// Element-wise `self[i] += other[i]`, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    pub fn merge(&mut self, other: &ExactVec) {
+        assert_eq!(other.len, self.len, "ExactVec::merge: length mismatch");
+        let mut out = std::mem::take(&mut self.spare);
+        out.clear();
+        let mut acc = ExactAccumulator::new();
+        for ((lo, limbs), (olo, olimbs)) in self.spans().zip(other.spans()) {
+            acc.load_span(lo, limbs);
+            acc.merge_limbs(olo, olimbs, 0);
+            acc.normalize();
+            acc.emit_span(&mut out);
+        }
+        self.spare = std::mem::replace(&mut self.words, out);
+    }
+
+    /// Each element rounded to the nearest `f64`
+    /// ([`ExactAccumulator::round`]).
+    pub fn round(&self) -> Vec<f64> {
+        let mut acc = ExactAccumulator::new();
+        self.spans()
+            .map(|(lo, limbs)| {
+                acc.load_span(lo, limbs);
+                let x = acc.round();
+                acc.clear_span();
+                x
+            })
+            .collect()
+    }
+
+    /// Each element unpacked into a dense (canonical) accumulator.
+    /// Exposed for the property tests, which diff it against dense
+    /// accumulators.
+    #[doc(hidden)]
+    pub fn iter(&self) -> impl Iterator<Item = ExactAccumulator> + '_ {
+        self.spans().map(|(lo, limbs)| {
+            let mut acc = ExactAccumulator::new();
+            acc.load_span(lo, limbs);
+            acc
+        })
+    }
+
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the vector has no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Span-encoded wire size of the whole vector: the sum of every
+    /// element's [`ExactAccumulator::wire_len`] (a 2-byte header plus
+    /// 8 bytes per occupied limb), read off the buffer length.
+    pub fn wire_len(&self) -> usize {
+        2 * self.len + std::mem::size_of::<i64>() * (self.words.len() - self.len)
+    }
+
+    /// [`ExactVec::wire_len`] of `ExactVec::from_slice(xs)`, without
+    /// building it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on NaN or infinite input.
+    pub fn wire_len_of(xs: &[f64]) -> usize {
+        let mut acc = ExactAccumulator::new();
+        xs.iter()
+            .map(|&x| {
+                acc.add(x);
+                acc.normalize();
+                let n = acc.wire_len();
+                acc.clear_span();
+                n
+            })
+            .sum()
+    }
+
+    /// Each element's `(lo, occupied limbs)`, in order.
+    fn spans(&self) -> impl Iterator<Item = (usize, &[i32])> {
+        let mut rest = self.words.as_slice();
+        std::iter::from_fn(move || {
+            let (&header, tail) = rest.split_first()?;
+            let (limbs, tail) = tail.split_at((header >> 8) as usize);
+            rest = tail;
+            Some(((header & 0xff) as usize, limbs))
+        })
+    }
+}
+
+/// The span hand-off between a stack accumulator and [`ExactVec`].
+/// Each cycle starts and ends on the zero state, so one accumulator
+/// (zeroed once) serves a whole element-wise pass.
+impl ExactAccumulator {
+    /// Load a canonical packed span into a zero accumulator.
+    fn load_span(&mut self, lo: usize, limbs: &[i32]) {
+        debug_assert!(
+            self.lo >= self.hi && self.pending == 0,
+            "load needs a zero state"
+        );
+        if limbs.is_empty() {
+            return;
+        }
+        for (a, &b) in self.limbs[lo..lo + limbs.len()].iter_mut().zip(limbs) {
+            *a = b.into();
+        }
+        self.lo = lo as u32;
+        self.hi = (lo + limbs.len()) as u32;
+    }
+
+    /// Append the canonical state as a packed `(lo, len)` header plus
+    /// its occupied limbs, then zero the accumulator.
+    fn emit_span(&mut self, out: &mut Vec<i32>) {
+        debug_assert_eq!(self.pending, 0, "emit needs a normalized state");
+        if self.lo >= self.hi {
+            out.push(0);
+            return;
+        }
+        let (lo, hi) = (self.lo as usize, self.hi as usize);
+        out.push((lo | (hi - lo) << 8) as i32);
+        out.extend(self.limbs[lo..hi].iter().map(|&l| {
+            debug_assert!(i32::try_from(l).is_ok(), "non-canonical limb {l}");
+            l as i32
+        }));
+        self.clear_span();
+    }
+
+    /// Zero the occupied span and reset to the empty state.
+    fn clear_span(&mut self) {
+        if self.lo < self.hi {
+            self.limbs[self.lo as usize..self.hi as usize].fill(0);
+        }
+        self.lo = LIMBS as u32;
+        self.hi = 0;
+        self.pending = 0;
     }
 }
 
@@ -982,6 +1173,83 @@ mod tests {
         let zero = ExactAccumulator::new().to_wire_bytes();
         assert_eq!(zero, vec![0u8, 0u8]);
         assert!(ExactAccumulator::from_wire_bytes(&zero).unwrap().is_zero());
+        // ...and is the only empty-span header the encoder emits
+        assert!(ExactAccumulator::from_wire_bytes(&[5, 3]).is_none());
+        assert!(ExactAccumulator::from_wire_bytes(&[7, 7]).is_none());
+        assert!(ExactAccumulator::from_wire_bytes(&[0, 0, 0]).is_none());
+        // 1.0 with bit 6 of its last byte flipped: the limb becomes
+        // 2⁶² + 1, far outside the canonical digit range
+        let mut one = [1.0]
+            .into_iter()
+            .collect::<ExactAccumulator>()
+            .to_wire_bytes();
+        assert_eq!(one.len(), 10);
+        assert!(ExactAccumulator::from_wire_bytes(&one).is_some());
+        one[9] ^= 1 << 6;
+        assert!(ExactAccumulator::from_wire_bytes(&one).is_none());
+        // a single non-canonical limb of 2⁴⁰ at the top of the range
+        let mut top = vec![69u8, 70u8];
+        top.extend_from_slice(&(1i64 << 40).to_le_bytes());
+        assert!(ExactAccumulator::from_wire_bytes(&top).is_none());
+        // zero first or last limb: a loose span the encoder never emits
+        for limbs in [[0i64, 1], [1, 0]] {
+            let mut loose = vec![33u8, 35u8];
+            for l in limbs {
+                loose.extend_from_slice(&l.to_le_bytes());
+            }
+            assert!(ExactAccumulator::from_wire_bytes(&loose).is_none());
+        }
+    }
+
+    #[test]
+    fn wire_bit_flips_decode_canonical_or_not_at_all() {
+        let mut acc: ExactAccumulator = [1e300, -3.25, 1e-300, 7e10].into_iter().collect();
+        acc.normalize();
+        let valid = acc.to_wire_bytes();
+        let (lo, hi) = acc.span().unwrap();
+        assert!(hi - lo > 3, "want a multi-limb encoding");
+        for bit in 0..8 * valid.len() {
+            let mut bytes = valid.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let Some(decoded) = ExactAccumulator::from_wire_bytes(&bytes) else {
+                continue;
+            };
+            let mut renormalized = decoded.clone();
+            renormalized.normalize();
+            assert!(
+                renormalized.state_eq(&decoded),
+                "bit {bit}: decoded a non-canonical state"
+            );
+            assert_eq!(decoded.to_wire_bytes(), bytes, "bit {bit}");
+        }
+    }
+
+    #[test]
+    fn packed_vec_edge_cases() {
+        let empty = ExactVec::from_slice(&[]);
+        assert!(empty.is_empty());
+        assert_eq!(empty.wire_len(), 0);
+        assert!(empty.round().is_empty());
+        // zeros pack to a bare header, like the wire encoding
+        let mut v = ExactVec::from_slice(&[0.0, -0.0, 1.0]);
+        assert_eq!(v.wire_len(), 2 + 2 + 10);
+        assert_eq!(ExactVec::wire_len_of(&[0.0, -0.0, 1.0]), v.wire_len());
+        v.add(&[2.5, 0.0, -1.0]);
+        assert_eq!(v.round(), vec![2.5, 0.0, 0.0]);
+        v.merge(&ExactVec::from_slice(&[-2.5, 1e300, 1e-300]));
+        assert_eq!(v.round(), vec![0.0, 1e300, 1e-300]);
+        let dense: Vec<Vec<u8>> = v.iter().map(|a| a.to_wire_bytes()).collect();
+        assert_eq!(v.wire_len(), dense.iter().map(Vec::len).sum::<usize>());
+        // a pooled buffer reassigned to a shorter input
+        v.assign(&[4.0]);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v.round(), vec![4.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn packed_vec_rejects_mismatched_lengths() {
+        ExactVec::from_slice(&[1.0, 2.0]).add(&[1.0]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fpna_summation::exact::{exact_sum, ExactAccumulator};
+use fpna_summation::exact::{exact_sum, ExactAccumulator, ExactVec};
 use fpna_summation::{
     kahan_sum, klein_sum, neumaier_sum, pairwise_sum, serial_sum, SumAlgorithm,
 };
@@ -222,12 +222,12 @@ proptest! {
         prop_assert!(lanes.state_eq(&scalar), "lane and scalar canonical states differ");
     }
 
-    /// The two-pass `normalize` (vectorizable digit/carry split + one
-    /// serial carry fold) lands in the identical canonical state as
-    /// the retained one-pass scalar walk, starting from arbitrarily
-    /// messy pre-normalization states.
+    /// `normalize` lands in the identical canonical state whether the
+    /// raw state was built by the binned bulk `add_slice` or by
+    /// per-element `add`, starting from arbitrarily messy
+    /// pre-normalization states.
     #[test]
-    fn two_pass_normalize_matches_scalar_reference(
+    fn interleaved_add_slice_normalizes_like_per_element_adds(
         xs in vec(adversarial(), 0..600),
         cuts in vec(0usize..600, 0..6),
     ) {
@@ -248,9 +248,80 @@ proptest! {
             }
         }
         a.normalize();
-        b.normalize_scalar();
-        prop_assert!(a.state_eq(&b), "two-pass and scalar normalize states differ");
+        b.normalize();
+        prop_assert!(a.state_eq(&b), "bulk and per-element canonical states differ");
         prop_assert_eq!(a.round().to_bits(), b.round().to_bits());
+    }
+
+    /// The span-packed `ExactVec` holds, after each of its element-wise
+    /// operations (build, add a slice, merge a packed vector), exactly
+    /// the canonical states of dense accumulators put through the same
+    /// `add`/`merge` calls and a `normalize`: same limbs and span, same
+    /// rounded bits, and a wire length that is the sum of the dense
+    /// ones. `cancel` makes the merged operand the exact negation of
+    /// the running state, so every element cancels to zero.
+    #[test]
+    fn packed_vec_matches_dense_accumulators(
+        vals in vec(adversarial(), 0..900),
+        cancel in any::<bool>(),
+    ) {
+        fn check(packed: &ExactVec, dense: &[ExactAccumulator]) -> Result<(), TestCaseError> {
+            prop_assert_eq!(packed.len(), dense.len());
+            for (i, (p, d)) in packed.iter().zip(dense).enumerate() {
+                prop_assert!(p.state_eq(d), "element {} differs from the dense state", i);
+            }
+            let rounded: Vec<u64> = packed.round().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> = dense.iter().map(|d| d.round().to_bits()).collect();
+            prop_assert_eq!(rounded, want);
+            let wire: usize = dense.iter().map(ExactAccumulator::wire_len).sum();
+            prop_assert_eq!(packed.wire_len(), wire);
+            Ok(())
+        }
+        fn dense_of(xs: &[f64]) -> Vec<ExactAccumulator> {
+            xs.iter()
+                .map(|&x| {
+                    let mut acc = ExactAccumulator::new();
+                    acc.add(x);
+                    acc.normalize();
+                    acc
+                })
+                .collect()
+        }
+        fn dense_add(dense: &mut [ExactAccumulator], xs: &[f64]) {
+            for (d, &x) in dense.iter_mut().zip(xs) {
+                d.add(x);
+                d.normalize();
+            }
+        }
+        let n = vals.len() / 3;
+        let (xs, ys, zs) = (&vals[..n], &vals[n..2 * n], &vals[2 * n..3 * n]);
+        let neg = |v: &[f64]| v.iter().map(|&x| -x).collect::<Vec<f64>>();
+
+        let mut packed = ExactVec::from_slice(xs);
+        let mut dense = dense_of(xs);
+        check(&packed, &dense)?;
+
+        packed.add(ys);
+        dense_add(&mut dense, ys);
+        check(&packed, &dense)?;
+
+        // A multi-value operand: either zs + xs, or −ys − xs, which
+        // cancels the running state `xs + ys` element by element.
+        let (first, second) = if cancel { (neg(ys), neg(xs)) } else { (zs.to_vec(), xs.to_vec()) };
+        let mut other = ExactVec::from_slice(&first);
+        other.add(&second);
+        let mut dense_other = dense_of(&first);
+        dense_add(&mut dense_other, &second);
+        check(&other, &dense_other)?;
+        packed.merge(&other);
+        for (d, o) in dense.iter_mut().zip(&dense_other) {
+            d.merge(o);
+            d.normalize();
+        }
+        check(&packed, &dense)?;
+        if cancel {
+            prop_assert_eq!(packed.wire_len(), 2 * n, "every element must cancel to zero");
+        }
     }
 
     /// The intra-run parallel reproducible sum is bitwise equal to the
