@@ -1,6 +1,8 @@
 //! [`GpuDevice`]: the façade tying profile, scheduler, kernels and cost
 //! model together — the object experiments talk to.
 
+use std::ops::Range;
+
 use fpna_core::error::FpnaError;
 use fpna_core::executor::RunExecutor;
 use fpna_core::Result;
@@ -134,44 +136,59 @@ impl GpuDevice {
             .collect()
     }
 
-    /// The order in which `n_items` atomic contributions commit on this
-    /// device: items are grouped into warps (lane order preserved),
-    /// warps into blocks of 256 threads, and blocks interleave under
-    /// the wave scheduler. Returns a permutation of `0..n_items`.
+    /// Walk the order in which `n_items` atomic contributions commit on
+    /// this device, one warp at a time: items are grouped into warps
+    /// (lane order preserved), warps into blocks of 256 threads, and
+    /// blocks interleave under the wave scheduler. `f` receives each
+    /// warp's contiguous range of flat item indices in commit order;
+    /// the ranges partition `0..n_items`.
     ///
     /// This is the primitive `fpna-tensor`'s non-deterministic kernels
     /// (`index_add`, `scatter_reduce`, `conv_transpose*`, …) use to
-    /// order their accumulations.
-    pub fn scatter_commit_order(&self, n_items: usize, kind: &ScheduleKind) -> Vec<u32> {
-        assert!(n_items <= u32::MAX as usize, "scatter too large");
+    /// order their accumulations. Streaming the warps lets a kernel
+    /// add each range as contiguous row slices, with no contribution
+    /// list and no permutation of `0..n_items` in memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the launch needs more than `u32::MAX` blocks.
+    pub fn for_each_commit_warp(
+        &self,
+        n_items: usize,
+        kind: &ScheduleKind,
+        mut f: impl FnMut(Range<usize>),
+    ) {
         if n_items == 0 {
-            return Vec::new();
+            return;
         }
         let ww = self.profile.warp_width as usize;
         let threads_per_block = 256usize.max(ww);
         let warps_per_block = threads_per_block / ww;
         let n_warps = n_items.div_ceil(ww);
         let n_blocks = n_warps.div_ceil(warps_per_block);
+        assert!(n_blocks <= u32::MAX as usize, "scatter too large");
         let queues: Vec<u32> = (0..n_blocks)
-            .map(|b| {
-                let first_warp = b * warps_per_block;
-                let warps = warps_per_block.min(n_warps - first_warp);
-                warps as u32
-            })
+            .map(|b| warps_per_block.min(n_warps - b * warps_per_block) as u32)
             .collect();
-        let events = self.scheduler.interleave(&queues, kind);
-        let mut order = Vec::with_capacity(n_items);
-        for (block, warp_in_block) in events {
-            let warp = block as usize * warps_per_block + warp_in_block as usize;
-            let base = warp * ww;
-            for lane in 0..ww {
-                let idx = base + lane;
-                if idx < n_items {
-                    order.push(idx as u32);
-                }
-            }
+        for (block, warp_in_block) in self.scheduler.interleave(&queues, kind) {
+            let start = (block as usize * warps_per_block + warp_in_block as usize) * ww;
+            f(start..(start + ww).min(n_items));
         }
-        debug_assert_eq!(order.len(), n_items);
+    }
+
+    /// The commit order of [`GpuDevice::for_each_commit_warp`] as a
+    /// permutation of `0..n_items`, for kernels that index a per-item
+    /// array (racy writes, integer atomics).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_items > u32::MAX`.
+    pub fn scatter_commit_order(&self, n_items: usize, kind: &ScheduleKind) -> Vec<u32> {
+        assert!(n_items <= u32::MAX as usize, "scatter too large");
+        let mut order = Vec::with_capacity(n_items);
+        self.for_each_commit_warp(n_items, kind, |warp| {
+            order.extend(warp.map(|i| i as u32));
+        });
         order
     }
 
@@ -190,11 +207,11 @@ impl GpuDevice {
         contributions: &[(u32, f64)],
         kind: &ScheduleKind,
     ) {
-        let order = self.scatter_commit_order(contributions.len(), kind);
-        for &i in &order {
-            let (addr, val) = contributions[i as usize];
-            dst[addr as usize] += val;
-        }
+        self.for_each_commit_warp(contributions.len(), kind, |warp| {
+            for &(addr, val) in &contributions[warp] {
+                dst[addr as usize] += val;
+            }
+        });
     }
 }
 

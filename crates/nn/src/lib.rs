@@ -6,11 +6,15 @@
 //!
 //! The network is built directly on `fpna-tensor`'s kernels, and — as
 //! in the paper's implementation — **the only non-deterministic
-//! operation in the model is `index_add`**, used by the mean
-//! aggregation of each SAGE layer in both the forward and the backward
-//! pass. Flipping the kernel choice therefore isolates exactly the
-//! effect the paper studies: identical inputs, identical initial
-//! weights, identical hyperparameters, different atomic commit orders.
+//! operation in the model is `index_add`**, the neighbour scatter of
+//! each SAGE layer's aggregation, run as one fused gather →
+//! `index_add` kernel. It scatters in the forward pass of both layers
+//! and in the backward pass of layer 2; layer 1's input (the node
+//! features) takes no gradient, as in PyTorch, so an ND epoch runs
+//! three scatters, not four. Flipping the kernel choice therefore
+//! isolates exactly the effect the paper studies: identical inputs,
+//! identical initial weights, identical hyperparameters, different
+//! atomic commit orders.
 //!
 //! * [`graph`] — graph representation + the synthetic Cora generator
 //!   (2708 nodes, 1433 features, 7 classes, 5429 undirected edges);

@@ -97,7 +97,9 @@ impl GraphSage {
         loss /= n_train as f64;
 
         let (grads2, dh1) = self.layer2.backward(ctx, &ds.graph, &cache2, &dlogits)?;
-        let (grads1, _) = self.layer1.backward(ctx, &ds.graph, &cache1, &dh1)?;
+        // The features take no gradient (as in PyTorch), so layer 1
+        // stops at its parameters: no input-gradient scatter.
+        let grads1 = self.layer1.param_grads(&cache1, &dh1);
         self.layer2.apply_grads(&grads2, lr);
         self.layer1.apply_grads(&grads1, lr);
         Ok(loss)

@@ -2,17 +2,24 @@
 //!
 //! `h'_v = σ( W_self·h_v + W_neigh·AGG({h_u : u ∈ N(v)}) + b )`
 //!
-//! The aggregation `AGG` (mean, or sum for the ablation) is implemented
-//! with `gather_rows` + `index_add` on the simulated GPU — the same
-//! structure as PyTorch Geometric's SAGEConv, and the paper's single
-//! source of non-determinism. `index_add` appears in **both** the
-//! forward aggregation and the backward scatter of gradients to
-//! neighbours, so non-deterministic training compounds the effect
-//! across epochs (§V-B).
+//! The aggregation `AGG` (mean, or sum for the ablation) is one fused
+//! gather → `index_add` kernel on the simulated GPU
+//! ([`gather_index_add`]): per edge, the source node's row is added
+//! into the destination node's row — the same structure as PyTorch
+//! Geometric's SAGEConv, and the paper's single source of
+//! non-determinism. The scatter appears in **both** the forward
+//! aggregation and the backward scatter of gradients to neighbours, so
+//! non-deterministic training compounds the effect across epochs
+//! (§V-B).
+//!
+//! [`SageConv::backward`] is the composition of a parameter-gradient
+//! half and an input-gradient half. A first layer, whose input (the
+//! node features) takes no gradient, runs only the parameter half and
+//! so skips the backward scatter.
 
 use fpna_core::Result;
 use fpna_tensor::context::GpuContext;
-use fpna_tensor::ops::index::{gather_rows, index_add};
+use fpna_tensor::ops::index::gather_index_add;
 use fpna_tensor::Tensor;
 
 use crate::graph::Graph;
@@ -103,13 +110,12 @@ impl SageConv {
         }
     }
 
-    /// Mean/sum-aggregate neighbour features: `index_add` over the edge
-    /// list — the non-deterministic heart of the layer.
+    /// Mean/sum-aggregate neighbour features: a fused gather →
+    /// `index_add` over the edge list — the non-deterministic heart of
+    /// the layer.
     fn aggregate(&self, ctx: &GpuContext, graph: &Graph, x: &Tensor) -> Result<Tensor> {
-        let d = x.shape()[1];
-        let gathered = gather_rows(x, &graph.edge_src)?;
-        let zeros = Tensor::zeros(vec![graph.num_nodes, d]);
-        let mut summed = index_add(ctx, &zeros, &graph.edge_dst, &gathered)?;
+        let mut summed =
+            gather_index_add(ctx, graph.num_nodes, &graph.edge_dst, x, &graph.edge_src)?;
         if self.aggregation == Aggregation::Mean {
             scale_rows_by_inv_degree(&mut summed, &graph.degree);
         }
@@ -136,9 +142,66 @@ impl SageConv {
         ))
     }
 
-    /// Backward pass: given `dout = ∂L/∂output`, produce parameter
-    /// gradients and `∂L/∂x`. The neighbour-gradient scatter uses
-    /// `index_add` and is therefore non-deterministic in ND mode.
+    /// `∂L/∂pre-activation`: `dout` through the ReLU gate.
+    fn gate(&self, cache: &SageCache, dout: &Tensor) -> Tensor {
+        if self.relu {
+            dout.zip(&cache.pre_activation, |g, p| if p > 0.0 { g } else { 0.0 })
+        } else {
+            dout.clone()
+        }
+    }
+
+    /// Parameter half of the backward pass: given `dout = ∂L/∂output`,
+    /// the gradients of `w_self`, `w_neigh` and `bias`. Dense and
+    /// deterministic in both modes.
+    pub(crate) fn param_grads(&self, cache: &SageCache, dout: &Tensor) -> SageGrads {
+        let out_dim = self.w_self.shape()[1];
+        let dpre = self.gate(cache, dout);
+        let mut dbias = vec![0.0f64; out_dim];
+        for row in dpre.data().chunks(out_dim) {
+            for (b, &g) in dbias.iter_mut().zip(row) {
+                *b += g;
+            }
+        }
+        SageGrads {
+            dw_self: matmul_tn(&cache.x, &dpre),
+            dw_neigh: matmul_tn(&cache.agg, &dpre),
+            dbias,
+        }
+    }
+
+    /// Input half of the backward pass: `∂L/∂x` given `dout`. The
+    /// gradient through the aggregation scatters back to neighbours
+    /// (`dx[src] += dagg[dst]` per edge) with the fused gather →
+    /// `index_add`, and is therefore non-deterministic in ND mode.
+    pub(crate) fn input_grad(
+        &self,
+        ctx: &GpuContext,
+        graph: &Graph,
+        cache: &SageCache,
+        dout: &Tensor,
+    ) -> Result<Tensor> {
+        let dpre = self.gate(cache, dout);
+        let mut dagg = matmul_nt(&dpre, &self.w_neigh); // [n, in]
+        if self.aggregation == Aggregation::Mean {
+            scale_rows_by_inv_degree(&mut dagg, &graph.degree);
+        }
+        let dx_agg = gather_index_add(
+            ctx,
+            graph.num_nodes,
+            &graph.edge_src,
+            &dagg,
+            &graph.edge_dst,
+        )?;
+        let mut dx = matmul_nt(&dpre, &self.w_self);
+        for (a, &b) in dx.data_mut().iter_mut().zip(dx_agg.data()) {
+            *a += b;
+        }
+        Ok(dx)
+    }
+
+    /// Full backward pass: the parameter gradients and `∂L/∂x`
+    /// (`param_grads` then `input_grad`).
     pub fn backward(
         &self,
         ctx: &GpuContext,
@@ -146,41 +209,9 @@ impl SageConv {
         cache: &SageCache,
         dout: &Tensor,
     ) -> Result<(SageGrads, Tensor)> {
-        let out_dim = self.w_self.shape()[1];
-        // ReLU gate.
-        let dpre = if self.relu {
-            dout.zip(&cache.pre_activation, |g, p| if p > 0.0 { g } else { 0.0 })
-        } else {
-            dout.clone()
-        };
-        let dw_self = matmul_tn(&cache.x, &dpre);
-        let dw_neigh = matmul_tn(&cache.agg, &dpre);
-        let mut dbias = vec![0.0f64; out_dim];
-        for row in dpre.data().chunks(out_dim) {
-            for (b, &g) in dbias.iter_mut().zip(row) {
-                *b += g;
-            }
-        }
-        // Gradient through the aggregation.
-        let mut dagg = matmul_nt(&dpre, &self.w_neigh); // [n, in]
-        if self.aggregation == Aggregation::Mean {
-            scale_rows_by_inv_degree(&mut dagg, &graph.degree);
-        }
-        // Scatter back to neighbours: dx[src] += dagg[dst] per edge.
-        let dgathered = gather_rows(&dagg, &graph.edge_dst)?;
-        let zeros = Tensor::zeros(vec![graph.num_nodes, dagg.shape()[1]]);
-        let dx_agg = index_add(ctx, &zeros, &graph.edge_src, &dgathered)?;
-        let mut dx = matmul_nt(&dpre, &self.w_self);
-        for (a, &b) in dx.data_mut().iter_mut().zip(dx_agg.data()) {
-            *a += b;
-        }
         Ok((
-            SageGrads {
-                dw_self,
-                dw_neigh,
-                dbias,
-            },
-            dx,
+            self.param_grads(cache, dout),
+            self.input_grad(ctx, graph, cache, dout)?,
         ))
     }
 

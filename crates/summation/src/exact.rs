@@ -31,6 +31,15 @@ const LIMBS: usize = 70;
 /// Value bits per limb.
 const LIMB_BITS: u32 = 32;
 
+/// Spans ending at or below this limb convert to `f64` unscaled: a
+/// balanced digit (|d| ≤ 2³¹) in limb 64 weighs at most 2¹⁰⁰⁵.
+const UNSCALED_HI: usize = 65;
+
+/// Scale-down, in bits, of [`ExactAccumulator::round`] for spans above
+/// [`UNSCALED_HI`]: five limbs, so a digit in the top limb (69) weighs
+/// at most 2¹⁰⁰⁵.
+const SCALE_BITS: i32 = 5 * LIMB_BITS as i32;
+
 /// Adds allowed between normalisations: each add contributes < 2³²
 /// per limb and limbs hold i64, so 2²⁸ keeps |limb| < 2⁶⁰.
 const NORMALIZE_EVERY: u32 = 1 << 28;
@@ -510,18 +519,37 @@ impl ExactAccumulator {
             };
             &probe
         };
-        // Compensated top-down conversion over the occupied span only
-        // (limbs outside contribute nothing): terms decay by 2^-32 per
-        // limb, so the first three nonzero limbs already determine the
-        // result; Neumaier compensation absorbs the tail exactly.
+        // A span reaching limb `UNSCALED_HI` converts at 2^-SCALE_BITS
+        // and rescales once: that limb alone can convert to 2^1024
+        // (inf) while the value is finite — `f64::MAX` is 2^18 in limb
+        // 65 less 2^29 in limb 63 — and an inf term turns the
+        // compensation into NaN. Scaling by a power of two is exact
+        // for every term that can move the result; the terms it
+        // flushes below 2^-1074 are over 2^2000 times smaller than the
+        // value.
+        let hi = acc.hi.max(acc.lo) as usize;
+        if hi <= UNSCALED_HI {
+            acc.convert::<0>(hi)
+        } else {
+            acc.convert::<SCALE_BITS>(hi) * pow2(SCALE_BITS)
+        }
+    }
+
+    /// Compensated top-down conversion of limbs `lo..hi` to `f64`,
+    /// each term scaled by `2^-SHIFT` (a constant, so the common
+    /// unscaled loop compiles exactly as if the shift were absent).
+    /// Limbs outside the span contribute nothing; terms decay by 2^-32
+    /// per limb, so the first three nonzero limbs already determine the
+    /// result, and Neumaier compensation absorbs the tail exactly.
+    fn convert<const SHIFT: i32>(&self, hi: usize) -> f64 {
         let mut sum = 0.0f64;
         let mut comp = 0.0f64;
-        for i in (acc.lo as usize..acc.hi.max(acc.lo) as usize).rev() {
-            let l = acc.limbs[i];
+        for i in (self.lo as usize..hi).rev() {
+            let l = self.limbs[i];
             if l == 0 {
                 continue;
             }
-            let term = l as f64 * pow2(32 * i as i32 - 1074);
+            let term = l as f64 * pow2(32 * i as i32 - 1074 - SHIFT);
             let t = sum + term;
             if sum.abs() >= term.abs() {
                 comp += (sum - t) + term;
@@ -1044,6 +1072,39 @@ mod tests {
         assert_eq!(exact_sum(&[0.5, 0.25, 0.125]), 0.875);
         // 0.1 alone must round-trip exactly
         assert_eq!(exact_sum(&[0.1]).to_bits(), 0.1f64.to_bits());
+    }
+
+    #[test]
+    fn every_finite_value_round_trips() {
+        // Nonzero values; the empty accumulator is the one zero (+0).
+        let mut xs = vec![
+            f64::MAX,
+            1.5 * pow2(1023),
+            pow2(1023),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            f64::EPSILON,
+            1.0,
+            0.1,
+        ];
+        let mut rng = SplitMix64::new(17);
+        xs.extend(
+            std::iter::repeat_with(|| f64::from_bits(rng.next_u64()))
+                .filter(|x| x.is_finite() && *x != 0.0)
+                .take(4096),
+        );
+        for x in xs.iter().flat_map(|&x| [x, -x]) {
+            let mut acc = ExactAccumulator::new();
+            acc.add(x);
+            assert_eq!(acc.round().to_bits(), x.to_bits(), "{x:e}");
+            assert_eq!(exact_sum(&[x]).to_bits(), x.to_bits(), "{x:e}");
+        }
+        // Past the top of the range the sum overflows to a signed inf.
+        assert_eq!(exact_sum(&[f64::MAX, f64::MAX]), f64::INFINITY);
+        assert_eq!(exact_sum(&[-f64::MAX, -f64::MAX]), f64::NEG_INFINITY);
+        assert_eq!(exact_sum(&[f64::MAX, f64::MAX, -f64::MAX]), f64::MAX);
     }
 
     #[test]

@@ -12,9 +12,14 @@
 //! * every listed operation is implemented here —
 //!   `conv_transpose1d/2d/3d`, `cumsum`, `index_add`, `index_copy`,
 //!   `index_put`, `scatter`, `scatter_reduce` (sum/mean/prod/amax/amin);
-//! * the **non-deterministic** variant builds its list of atomic
-//!   contributions in program order and lets the device's wave
-//!   scheduler decide the commit order
+//! * the **non-deterministic** variant lets the device's wave
+//!   scheduler decide the order its atomic contributions commit in.
+//!   `index_add`, `embedding_bag` and the fused gather → `index_add`
+//!   ([`ops::index::gather_index_add`], GraphSAGE's aggregation) walk
+//!   that order one warp at a time and add each warp's items as
+//!   contiguous row slices
+//!   ([`fpna_gpu_sim::GpuDevice::for_each_commit_warp`]); the other
+//!   kernels commit an explicit `(address, value)` list
 //!   ([`fpna_gpu_sim::GpuDevice::atomic_scatter_add`]);
 //! * the **deterministic** variant (where PyTorch has one) accumulates
 //!   in a fixed order;

@@ -6,7 +6,14 @@
 //!
 //! * `index_add`: `out[index[k], :] += src[k, :]`. Duplicate indices
 //!   make the sum order-sensitive — the non-deterministic kernel
-//!   commits contributions in the device's atomic order.
+//!   commits contributions in the device's atomic order, streamed one
+//!   warp at a time as contiguous row slices (no contribution list,
+//!   no permutation in memory).
+//! * `gather_index_add`: the fused gather → `index_add`,
+//!   `out[dst_index[k], :] += src[src_index[k], :]` into zeros —
+//!   bitwise `index_add` of `gather_rows`, without the gathered
+//!   tensor. GraphSAGE's aggregation and `embedding_bag` run on it;
+//!   both ops share one accumulation loop per mode.
 //! * `index_copy` / `index_put`: racy *writes*; with duplicate indices
 //!   the winner is the last committed write, which the schedule picks.
 //! * `gather`: reads only — deterministic in both modes (present for
@@ -17,6 +24,19 @@ use fpna_core::Result;
 
 use crate::context::GpuContext;
 use crate::tensor::Tensor;
+
+/// `Err(IndexOutOfBounds)` naming the first entry of `index` that is
+/// not below `bound`.
+pub(crate) fn check_index(index: &[u32], bound: usize, context: &'static str) -> Result<()> {
+    match index.iter().find(|&&i| i as usize >= bound) {
+        Some(&i) => Err(FpnaError::IndexOutOfBounds {
+            index: i as usize,
+            bound,
+            context,
+        }),
+        None => Ok(()),
+    }
+}
 
 fn validate_dim0_index(
     dst: &Tensor,
@@ -38,17 +58,51 @@ fn validate_dim0_index(
             src.row_len()
         )));
     }
-    let rows = dst.shape().first().copied().unwrap_or(0);
-    for &i in index {
-        if i as usize >= rows {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: rows,
-                context: op,
-            });
+    check_index(index, dst.shape().first().copied().unwrap_or(0), op)
+}
+
+/// `out[dst_index[k], :] += src[src_row(k), :]` for every `k`, over
+/// rows of width `w` — the one loop behind [`index_add`] (`src_row` is
+/// the identity) and [`gather_index_add`] (`src_row` reads
+/// `src_index`). Indices must be validated by the caller.
+///
+/// Deterministic kernel: whole rows in ascending `k`. Non-deterministic
+/// kernel: the flat items `k·w + j` commit in the device's atomic
+/// order, one warp at a time; each warp's range is added as one
+/// contiguous slice per row it touches, in lane order.
+fn accumulate_rows(
+    ctx: &GpuContext,
+    out: &mut [f64],
+    w: usize,
+    dst_index: &[u32],
+    src: &[f64],
+    src_row: impl Fn(usize) -> usize,
+) {
+    let mut add_slice = |k: usize, j: usize, len: usize| {
+        let o = dst_index[k] as usize * w + j;
+        let s = src_row(k) * w + j;
+        for (o, &v) in out[o..o + len].iter_mut().zip(&src[s..s + len]) {
+            *o += v;
         }
+    };
+    if ctx.deterministic_requested() {
+        for k in 0..dst_index.len() {
+            add_slice(k, 0, w);
+        }
+    } else {
+        ctx.device
+            .for_each_commit_warp(dst_index.len() * w, &ctx.schedule, |warp| {
+                let (mut k, mut j) = (warp.start / w, warp.start % w);
+                let mut left = warp.len();
+                while left > 0 {
+                    let len = left.min(w - j);
+                    add_slice(k, j, len);
+                    left -= len;
+                    k += 1;
+                    j = 0;
+                }
+            });
     }
-    Ok(())
 }
 
 /// `out[index[k], :] += src[k, :]` (PyTorch `index_add_`, dim 0).
@@ -59,27 +113,51 @@ fn validate_dim0_index(
 /// indices carry rounding-sensitive values.
 pub fn index_add(ctx: &GpuContext, dst: &Tensor, index: &[u32], src: &Tensor) -> Result<Tensor> {
     validate_dim0_index(dst, index, src, "index_add")?;
-    let w = dst.row_len();
     let mut out = dst.clone();
-    if ctx.deterministic_requested() {
-        for (k, &row) in index.iter().enumerate() {
-            let s = src.row(k);
-            let orow = &mut out.data_mut()[row as usize * w..(row as usize + 1) * w];
-            for (o, &v) in orow.iter_mut().zip(s) {
-                *o += v;
-            }
-        }
-    } else {
-        let mut contribs = Vec::with_capacity(index.len() * w);
-        for (k, &row) in index.iter().enumerate() {
-            let s = src.row(k);
-            for (j, &v) in s.iter().enumerate() {
-                contribs.push(((row as usize * w + j) as u32, v));
-            }
-        }
-        ctx.device
-            .atomic_scatter_add(out.data_mut(), &contribs, &ctx.schedule);
+    accumulate_rows(ctx, out.data_mut(), dst.row_len(), index, src.data(), |k| k);
+    Ok(out)
+}
+
+/// Fused gather → `index_add`: `out = zeros([rows, w])` with
+/// `out[dst_index[k], :] += src[src_index[k], :]`, where `w` is
+/// `src`'s row length.
+///
+/// Bitwise equal, in both modes, to
+/// `index_add(ctx, &Tensor::zeros(vec![rows, w]), dst_index,
+/// &gather_rows(src, src_index)?)`: the same additions in the same
+/// order, without the gathered `len × w` tensor. This is the shape of
+/// a message-passing aggregation (PyTorch Geometric's SAGEConv:
+/// gather source-node rows per edge, scatter-add into destination
+/// nodes) and of `embedding_bag`.
+///
+/// Errors when the index arrays differ in length or an entry is out
+/// of bounds (`dst_index` against `rows`, `src_index` against `src`'s
+/// rows).
+pub fn gather_index_add(
+    ctx: &GpuContext,
+    rows: usize,
+    dst_index: &[u32],
+    src: &Tensor,
+    src_index: &[u32],
+) -> Result<Tensor> {
+    if dst_index.len() != src_index.len() {
+        return Err(FpnaError::shape(format!(
+            "gather_index_add: {} destination indices vs {} source indices",
+            dst_index.len(),
+            src_index.len()
+        )));
     }
+    check_index(dst_index, rows, "gather_index_add")?;
+    check_index(
+        src_index,
+        src.shape().first().copied().unwrap_or(0),
+        "gather_index_add",
+    )?;
+    let w = src.row_len();
+    let mut out = Tensor::zeros(vec![rows, w]);
+    accumulate_rows(ctx, out.data_mut(), w, dst_index, src.data(), |k| {
+        src_index[k] as usize
+    });
     Ok(out)
 }
 
@@ -117,15 +195,7 @@ pub fn index_put(ctx: &GpuContext, dst: &Tensor, index: &[u32], values: &[f64]) 
             values.len()
         )));
     }
-    for &i in index {
-        if i as usize >= dst.numel() {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: dst.numel(),
-                context: "index_put",
-            });
-        }
-    }
+    check_index(index, dst.numel(), "index_put")?;
     let mut out = dst.clone();
     let write_order: Vec<u32> = if ctx.deterministic_requested() {
         (0..index.len() as u32).collect()
@@ -144,16 +214,11 @@ pub fn index_put(ctx: &GpuContext, dst: &Tensor, index: &[u32], values: &[f64]) 
 /// the intra-run thread budget (bitwise invariant to the thread
 /// count).
 pub fn gather_rows(src: &Tensor, index: &[u32]) -> Result<Tensor> {
-    let rows = src.shape().first().copied().unwrap_or(0);
-    for &i in index {
-        if i as usize >= rows {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: rows,
-                context: "gather_rows",
-            });
-        }
-    }
+    check_index(
+        index,
+        src.shape().first().copied().unwrap_or(0),
+        "gather_rows",
+    )?;
     let w = src.row_len();
     let mut data;
     if index.len() * w >= 1 << 16 {

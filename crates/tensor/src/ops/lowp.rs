@@ -12,19 +12,7 @@ use fpna_core::error::FpnaError;
 use fpna_core::Result;
 
 use crate::context::GpuContext;
-
-fn validate_index(index: &[u32], rows: usize, op: &'static str) -> Result<()> {
-    for &i in index {
-        if i as usize >= rows {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: rows,
-                context: op,
-            });
-        }
-    }
-    Ok(())
-}
+use crate::ops::index::check_index;
 
 /// fp32 `index_add` on 1-D buffers: `out[index[k]] += src[k]`, with
 /// f32 accumulation in the device's commit order (ND) or ascending `k`
@@ -42,7 +30,7 @@ pub fn index_add_f32(
             src.len()
         )));
     }
-    validate_index(index, dst.len(), "index_add_f32")?;
+    check_index(index, dst.len(), "index_add_f32")?;
     let mut out = dst.to_vec();
     if ctx.deterministic_requested() {
         for (k, &row) in index.iter().enumerate() {
@@ -73,7 +61,7 @@ pub fn scatter_reduce_f32(
             src.len()
         )));
     }
-    validate_index(index, dst.len(), "scatter_reduce_f32")?;
+    check_index(index, dst.len(), "scatter_reduce_f32")?;
     if ctx.determinism == Some(true) {
         return Err(FpnaError::NoDeterministicImplementation {
             op: "scatter_reduce",

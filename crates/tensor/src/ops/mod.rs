@@ -27,5 +27,5 @@ pub mod segment;
 
 pub use conv::{conv_transpose1d, conv_transpose2d, conv_transpose3d, ConvParams};
 pub use cumsum::cumsum;
-pub use index::{gather_rows, index_add, index_copy, index_put};
+pub use index::{gather_index_add, gather_rows, index_add, index_copy, index_put};
 pub use scatter::{reference_scatter_reduce, scatter, scatter_reduce, ReduceOp};

@@ -15,6 +15,7 @@ use fpna_core::error::FpnaError;
 use fpna_core::Result;
 
 use crate::context::GpuContext;
+use crate::ops::index::{check_index, gather_index_add};
 use crate::tensor::Tensor;
 
 /// Bag reduction mode for [`embedding_bag`].
@@ -29,8 +30,10 @@ pub enum BagMode {
 /// `embedding_bag`: for each bag `b` (delimited by `offsets`), reduce
 /// the embedding rows selected by `indices[offsets[b]..offsets[b+1]]`.
 ///
-/// The non-deterministic kernel scatters each selected row into its
-/// bag's accumulator in device commit order; the deterministic kernel
+/// A gather → `index_add` ([`gather_index_add`]): the destination row
+/// of position `p` is its bag, the source row is `indices[p]`. The
+/// non-deterministic kernel scatters each selected row into its bag's
+/// accumulator in device commit order; the deterministic kernel
 /// accumulates in index order.
 ///
 /// `offsets` must start at 0, be non-decreasing, and end at
@@ -52,41 +55,13 @@ pub fn embedding_bag(
             "embedding_bag offsets must be monotone from 0 to indices.len()",
         ));
     }
-    for &i in indices {
-        if i as usize >= vocab {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: vocab,
-                context: "embedding_bag",
-            });
-        }
-    }
+    check_index(indices, vocab, "embedding_bag")?;
     let bags = offsets.len() - 1;
-    let mut out = Tensor::zeros(vec![bags, dim]);
-    // contribution list: every (selected row, bag) pair
-    if ctx.deterministic_requested() {
-        for b in 0..bags {
-            for &i in &indices[offsets[b]..offsets[b + 1]] {
-                let w = weight.row(i as usize);
-                let orow = &mut out.data_mut()[b * dim..(b + 1) * dim];
-                for (o, &v) in orow.iter_mut().zip(w) {
-                    *o += v;
-                }
-            }
-        }
-    } else {
-        let mut contribs = Vec::with_capacity(indices.len() * dim);
-        for b in 0..bags {
-            for &i in &indices[offsets[b]..offsets[b + 1]] {
-                let w = weight.row(i as usize);
-                for (j, &v) in w.iter().enumerate() {
-                    contribs.push(((b * dim + j) as u32, v));
-                }
-            }
-        }
-        ctx.device
-            .atomic_scatter_add(out.data_mut(), &contribs, &ctx.schedule);
-    }
+    // Position p of `indices` belongs to the bag whose range holds it.
+    let bag_of: Vec<u32> = (0..bags)
+        .flat_map(|b| std::iter::repeat_n(b as u32, offsets[b + 1] - offsets[b]))
+        .collect();
+    let mut out = gather_index_add(ctx, bags, &bag_of, weight, indices)?;
     if mode == BagMode::Mean {
         for b in 0..bags {
             let count = offsets[b + 1] - offsets[b];

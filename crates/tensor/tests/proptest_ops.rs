@@ -1,16 +1,19 @@
 //! Property tests for the tensor kernels: shape laws, conservation
-//! laws, D/ND value agreement, and order-invariance of the exactly
-//! associative reductions.
+//! laws, D/ND value agreement, order-invariance of the exactly
+//! associative reductions, and the streamed atomic commit order of the
+//! `index_add` family against explicit contribution lists.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fpna_gpu_sim::GpuModel;
+use fpna_core::error::FpnaError;
+use fpna_gpu_sim::{GpuModel, ScheduleKind};
 use fpna_tensor::context::GpuContext;
 use fpna_tensor::ops::conv::{conv_transpose1d, ConvParams};
 use fpna_tensor::ops::cumsum::cumsum;
-use fpna_tensor::ops::index::{gather_rows, index_add};
+use fpna_tensor::ops::index::{gather_index_add, gather_rows, index_add};
 use fpna_tensor::ops::scatter::{reference_scatter_reduce, scatter_reduce, ReduceOp};
+use fpna_tensor::ops::segment::{embedding_bag, BagMode};
 use fpna_tensor::Tensor;
 
 fn det_ctx() -> GpuContext {
@@ -19,6 +22,50 @@ fn det_ctx() -> GpuContext {
 
 fn nd_ctx(seed: u64) -> GpuContext {
     GpuContext::new(GpuModel::H100, seed).with_determinism(Some(false))
+}
+
+/// A context on a 32-lane (H100) or 64-lane (MI250X) device under one
+/// of the four schedule kinds, in either mode.
+fn any_ctx(wide_warps: bool, kind: usize, seed: u64, deterministic: bool) -> GpuContext {
+    let model = if wide_warps {
+        GpuModel::Mi250x
+    } else {
+        GpuModel::H100
+    };
+    let kind = [
+        ScheduleKind::Seeded(seed),
+        ScheduleKind::UniformRandom(seed),
+        ScheduleKind::InOrder,
+        ScheduleKind::Reverse,
+    ][kind];
+    GpuContext::new(model, 0)
+        .with_schedule(kind)
+        .with_determinism(Some(deterministic))
+}
+
+/// Commit an explicit `(address, value)` list onto `base`: in the
+/// context's atomic order (ND) or in list order (D, the in-order
+/// schedule) — the accumulation the tensor kernels are defined by.
+fn commit_list(ctx: &GpuContext, base: &[f64], contribs: &[(u32, f64)]) -> Vec<f64> {
+    let kind = if ctx.deterministic_requested() {
+        ScheduleKind::InOrder
+    } else {
+        ctx.schedule
+    };
+    let mut out = base.to_vec();
+    ctx.device.atomic_scatter_add(&mut out, contribs, &kind);
+    out
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Rows of mixed sign and magnitude, so the addition order shows in
+/// the bits.
+fn messy(shape: Vec<usize>, seed: u64) -> Tensor {
+    let scale = Tensor::rand(shape.clone(), seed ^ 0x5ca1e);
+    Tensor::rand(shape, seed).zip(&scale, |u, s| (u - 0.5) * 10f64.powi((s * 16.0) as i32 - 8))
 }
 
 proptest! {
@@ -158,6 +205,142 @@ proptest! {
                 conv_transpose1d(&det_ctx(), &cin, &w, None, &params).unwrap().bitwise_eq(&conv_ref),
                 "conv threads={}", threads
             );
+        }
+    }
+
+    /// `index_add` adds, bitwise, exactly what committing the explicit
+    /// `(row·w + j, value)` list does: in the device's atomic order
+    /// (ND) or in list order (D). Every schedule kind, 32- and 64-lane
+    /// warps, row widths that are warp multiples and not.
+    #[test]
+    fn index_add_matches_explicit_contribution_list(
+        w in 1usize..131,
+        n in 0usize..48,
+        rows in 1usize..9,
+        kind in 0usize..4,
+        wide_warps in any::<bool>(),
+        deterministic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let ctx = any_ctx(wide_warps, kind, seed, deterministic);
+        let mut rng = fpna_core::rng::SplitMix64::new(seed);
+        let index: Vec<u32> = (0..n).map(|_| rng.next_below(rows as u64) as u32).collect();
+        let dst = messy(vec![rows, w], seed ^ 1);
+        let src = messy(vec![n, w], seed ^ 2);
+        let contribs: Vec<(u32, f64)> = index
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &r)| (0..w).map(move |j| (r * w as u32 + j as u32, k * w + j)))
+            .map(|(addr, i)| (addr, src.data()[i]))
+            .collect();
+        let out = index_add(&ctx, &dst, &index, &src).unwrap();
+        prop_assert_eq!(bits(out.data()), bits(&commit_list(&ctx, dst.data(), &contribs)));
+    }
+
+    /// The fused gather → `index_add` is bitwise the two-step
+    /// `index_add(zeros, dst_index, gather_rows(src, src_index))`, in
+    /// both modes, under every schedule kind and warp width.
+    #[test]
+    fn gather_index_add_matches_gather_then_index_add(
+        w in 1usize..131,
+        n in 0usize..48,
+        src_rows in 1usize..12,
+        rows in 1usize..9,
+        kind in 0usize..4,
+        wide_warps in any::<bool>(),
+        deterministic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let ctx = any_ctx(wide_warps, kind, seed, deterministic);
+        let mut rng = fpna_core::rng::SplitMix64::new(seed);
+        let dst_index: Vec<u32> = (0..n).map(|_| rng.next_below(rows as u64) as u32).collect();
+        let src_index: Vec<u32> = (0..n).map(|_| rng.next_below(src_rows as u64) as u32).collect();
+        let src = messy(vec![src_rows, w], seed ^ 3);
+        let fused = gather_index_add(&ctx, rows, &dst_index, &src, &src_index).unwrap();
+        let zeros = Tensor::zeros(vec![rows, w]);
+        let two_step = index_add(&ctx, &zeros, &dst_index, &gather_rows(&src, &src_index).unwrap()).unwrap();
+        prop_assert!(fused.bitwise_eq(&two_step));
+    }
+
+    /// `embedding_bag` (now a fused gather → `index_add`) equals
+    /// committing its explicit `(bag·dim + j, weight[i][j])` list.
+    #[test]
+    fn embedding_bag_matches_explicit_contribution_list(
+        dim in 1usize..70,
+        vocab in 1usize..12,
+        bag_sizes in vec(0usize..9, 1..6),
+        kind in 0usize..4,
+        wide_warps in any::<bool>(),
+        deterministic in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let ctx = any_ctx(wide_warps, kind, seed, deterministic);
+        let mut offsets = vec![0usize];
+        for b in &bag_sizes {
+            offsets.push(offsets.last().unwrap() + b);
+        }
+        let mut rng = fpna_core::rng::SplitMix64::new(seed);
+        let indices: Vec<u32> = (0..*offsets.last().unwrap())
+            .map(|_| rng.next_below(vocab as u64) as u32)
+            .collect();
+        let weight = messy(vec![vocab, dim], seed ^ 4);
+        let mut contribs = Vec::new();
+        for b in 0..bag_sizes.len() {
+            for &i in &indices[offsets[b]..offsets[b + 1]] {
+                for (j, &v) in weight.row(i as usize).iter().enumerate() {
+                    contribs.push(((b * dim + j) as u32, v));
+                }
+            }
+        }
+        let out = embedding_bag(&ctx, &weight, &indices, &offsets, BagMode::Sum).unwrap();
+        prop_assert_eq!(out.shape(), &[bag_sizes.len(), dim][..]);
+        let zeros = vec![0.0; bag_sizes.len() * dim];
+        prop_assert_eq!(bits(out.data()), bits(&commit_list(&ctx, &zeros, &contribs)));
+    }
+
+    /// Bad indices are an `FpnaError`, never a panic: an out-of-range
+    /// destination or source row, or index arrays of unequal length.
+    #[test]
+    fn gather_index_add_rejects_bad_input(
+        n in 1usize..20,
+        rows in 1usize..6,
+        src_rows in 1usize..6,
+        at in 0usize..20,
+        past in 0u32..3,
+        seed in any::<u64>(),
+    ) {
+        let at = at % n;
+        let src = messy(vec![src_rows, 3], seed);
+        let good_dst = vec![0u32; n];
+        let good_src = vec![0u32; n];
+        let mut bad_dst = good_dst.clone();
+        bad_dst[at] = rows as u32 + past;
+        let mut bad_src = good_src.clone();
+        bad_src[at] = src_rows as u32 + past;
+        for deterministic in [true, false] {
+            let ctx = nd_ctx(seed).with_determinism(Some(deterministic));
+            let is_oob = |r: Result<Tensor, FpnaError>| matches!(r, Err(FpnaError::IndexOutOfBounds { .. }));
+            prop_assert!(is_oob(gather_index_add(&ctx, rows, &bad_dst, &src, &good_src)));
+            prop_assert!(is_oob(gather_index_add(&ctx, rows, &good_dst, &src, &bad_src)));
+            prop_assert!(gather_index_add(&ctx, rows, &good_dst[1..], &src, &good_src).is_err());
+            prop_assert!(gather_index_add(&ctx, rows, &good_dst, &src, &good_src).is_ok());
+        }
+    }
+}
+
+/// An empty index leaves `index_add`'s destination as it was and makes
+/// the fused op all zeros, in both modes.
+#[test]
+fn empty_index_adds_nothing() {
+    for deterministic in [true, false] {
+        for wide_warps in [false, true] {
+            let ctx = any_ctx(wide_warps, 0, 5, deterministic);
+            let dst = messy(vec![3, 33], 6);
+            let out = index_add(&ctx, &dst, &[], &Tensor::zeros(vec![0, 33])).unwrap();
+            assert!(out.bitwise_eq(&dst));
+            let src = messy(vec![4, 33], 7);
+            let fused = gather_index_add(&ctx, 3, &[], &src, &[]).unwrap();
+            assert!(fused.bitwise_eq(&Tensor::zeros(vec![3, 33])));
         }
     }
 }
