@@ -22,6 +22,7 @@
 //! give reproducible applications. Only the exact variant is stable
 //! across all of it.
 
+use crate::netsim::MAX_SEGMENTS;
 use fpna_core::rng::{shuffle, SplitMix64};
 use fpna_summation::exact::ExactAccumulator;
 
@@ -106,21 +107,50 @@ pub enum Ordering {
     Reproducible,
 }
 
-/// Allreduce (sum) over `ranks[r]` vectors of equal length. Returns
-/// the reduced vector (identical on every rank after the broadcast
-/// phase, which involves no arithmetic).
-///
-/// # Panics
-///
-/// Panics on empty input, mismatched lengths, fanout < 2, or a
-/// non-power-of-two rank count for recursive doubling.
-pub fn allreduce(ranks: &[Vec<f64>], algorithm: Algorithm, ordering: Ordering) -> Vec<f64> {
+/// The input checks both allreduce paths share (see [`allreduce`]'s
+/// panics).
+pub(crate) fn validate(ranks: &[Vec<f64>], algorithm: Algorithm) {
     assert!(!ranks.is_empty(), "allreduce needs at least one rank");
     let m = ranks[0].len();
     assert!(
         ranks.iter().all(|v| v.len() == m),
         "all ranks must contribute equally-shaped vectors"
     );
+    match algorithm {
+        Algorithm::KAryTree { fanout } | Algorithm::SegmentedTree { fanout, .. } => {
+            assert!(fanout >= 2, "tree fanout must be at least 2")
+        }
+        Algorithm::Hierarchical { intra, inter } => {
+            assert!(intra >= 2 && inter >= 2, "tree fanout must be at least 2")
+        }
+        Algorithm::RecursiveDoubling => assert!(
+            ranks.len().is_power_of_two(),
+            "recursive doubling needs a power-of-two rank count"
+        ),
+        _ => {}
+    }
+    if let Algorithm::SegmentedRing { segments } | Algorithm::SegmentedTree { segments, .. } =
+        algorithm
+    {
+        assert!(
+            (1..=MAX_SEGMENTS).contains(&segments),
+            "segment count must be in 1..={MAX_SEGMENTS}, got {segments}"
+        );
+    }
+}
+
+/// Allreduce (sum) over `ranks[r]` vectors of equal length. Returns
+/// the reduced vector (identical on every rank after the broadcast
+/// phase, which involves no arithmetic).
+///
+/// # Panics
+///
+/// Panics on empty input, mismatched lengths, fanout < 2, a segment
+/// count of 0 or above [`MAX_SEGMENTS`], or a non-power-of-two rank
+/// count for recursive doubling.
+pub fn allreduce(ranks: &[Vec<f64>], algorithm: Algorithm, ordering: Ordering) -> Vec<f64> {
+    validate(ranks, algorithm);
+    let m = ranks[0].len();
     if let Ordering::Reproducible = ordering {
         return reproducible_sum(ranks, m);
     }
@@ -129,43 +159,22 @@ pub fn allreduce(ranks: &[Vec<f64>], algorithm: Algorithm, ordering: Ordering) -
         Ordering::RankOrder => None,
         Ordering::Reproducible => unreachable!(),
     };
+    let everyone: Vec<usize> = (0..ranks.len()).collect();
     match algorithm {
-        Algorithm::Ring => ring(ranks, m),
-        Algorithm::SegmentedRing { segments } => {
-            // Segmentation is a wire-level pipelining knob; the
-            // per-element combine order is the ring rotation either
-            // way, so the in-memory bits are the plain ring's.
-            assert!(segments >= 1, "segment count must be positive");
-            ring(ranks, m)
+        // Segmentation is a wire-level pipelining knob that leaves the
+        // per-element rotation alone, and with no fabric in memory the
+        // fabric order is the identity: all three are the plain ring.
+        Algorithm::Ring | Algorithm::SegmentedRing { .. } | Algorithm::FabricRing => {
+            ring_in_order(ranks, m, &everyone)
         }
-        Algorithm::KAryTree { fanout } => {
-            assert!(fanout >= 2, "tree fanout must be at least 2");
+        Algorithm::KAryTree { fanout } | Algorithm::SegmentedTree { fanout, .. } => {
             tree(ranks, fanout, order_seed(ordering))
         }
-        Algorithm::SegmentedTree { fanout, segments } => {
-            assert!(fanout >= 2, "tree fanout must be at least 2");
-            assert!(segments >= 1, "segment count must be positive");
-            tree(ranks, fanout, order_seed(ordering))
-        }
-        Algorithm::RecursiveDoubling => {
-            assert!(
-                ranks.len().is_power_of_two(),
-                "recursive doubling needs a power-of-two rank count"
-            );
-            recursive_doubling(ranks, m)
-        }
+        Algorithm::RecursiveDoubling => recursive_doubling(ranks, m),
+        // No fabric in memory: the trivial single-group partition
+        // (every rank in one group, no inter phase).
         Algorithm::Hierarchical { intra, inter } => {
-            assert!(intra >= 2 && inter >= 2, "tree fanout must be at least 2");
-            // No fabric in memory: the trivial single-group partition
-            // (every rank in one group, no inter phase).
-            let everyone: Vec<usize> = (0..ranks.len()).collect();
             hierarchical_in_memory(ranks, &[everyone], intra, inter, order_seed(ordering))
-        }
-        Algorithm::FabricRing => {
-            // No fabric in memory: fabric order is the identity, so
-            // this is exactly the plain ring.
-            let identity: Vec<usize> = (0..ranks.len()).collect();
-            ring_in_order(ranks, m, &identity)
         }
         Algorithm::DoubleBinaryTree => {
             double_binary_tree_in_memory(ranks, order_seed(ordering))
@@ -183,28 +192,6 @@ fn reproducible_sum(ranks: &[Vec<f64>], m: usize) -> Vec<f64> {
         }
     }
     accs.iter().map(|a| a.round()).collect()
-}
-
-/// Ring: element block `s` accumulates around the ring starting at
-/// rank `s + 1`; the rotation is part of the algorithm, so the bits
-/// depend on the segment boundaries but never on timing.
-fn ring(ranks: &[Vec<f64>], m: usize) -> Vec<f64> {
-    let p = ranks.len();
-    let seg_len = m.div_ceil(p);
-    let mut out = vec![0.0f64; m];
-    for s in 0..p {
-        let lo = (s * seg_len).min(m);
-        let hi = ((s + 1) * seg_len).min(m);
-        for i in lo..hi {
-            // accumulation starts at the segment owner and walks the ring
-            let mut acc = ranks[s][i];
-            for step in 1..p {
-                acc += ranks[(s + step) % p][i];
-            }
-            out[i] = acc;
-        }
-    }
-    out
 }
 
 /// K-ary reduction tree rooted at rank 0; children of `v` are
@@ -319,10 +306,12 @@ pub(crate) fn hierarchical_in_memory(
 
 /// Ring fold over an explicit rank order: ring position `s` is rank
 /// `order[s]`, segment `s` (the `s`-th element block) accumulates
-/// around the permuted ring starting at its owner `order[s]`. With the
-/// identity order this is bitwise [`ring`] — the netsim property tests
-/// diff the network fabric-ring protocol against this function with
-/// the topology's fabric order.
+/// around the permuted ring starting at its owner `order[s]`. The
+/// rotation is part of the algorithm, so the bits depend on the
+/// segment boundaries but never on timing. [`allreduce`] runs every
+/// ring with the identity order; the netsim property tests diff the
+/// network fabric-ring protocol against this function with the
+/// topology's fabric order.
 pub(crate) fn ring_in_order(ranks: &[Vec<f64>], m: usize, order: &[usize]) -> Vec<f64> {
     let p = ranks.len();
     let seg_len = m.div_ceil(p);

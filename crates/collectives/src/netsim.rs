@@ -2,10 +2,10 @@
 //!
 //! [`allreduce_on`] executes the same algorithms as
 //! [`crate::allreduce()`](crate::allreduce::allreduce) — ring, k-ary tree, recursive doubling,
-//! plus the segmented (pipelined) ring/tree variants — but as
-//! *event-driven protocols* on an [`fpna_net`] fabric. Combine
-//! order is no longer injected by a seeded shuffle; it **emerges from
-//! message timing**:
+//! the segmented (pipelined) ring/tree variants and the topology-aware
+//! ones — but as *event-driven protocols* on an [`fpna_net`] fabric.
+//! Combine order is no longer injected by a seeded shuffle; it
+//! **emerges from message timing**:
 //!
 //! * [`Ordering::ArrivalOrder`] — links carry seeded jitter (the seed
 //!   drives the [`fpna_net::JitterModel`]); each tree node folds child
@@ -20,32 +20,57 @@
 //!   messages** (span-encoded: [`ExactAccumulator::wire_len`] per
 //!   element, bounded above by [`ExactAccumulator::WIRE_BYTES`] + 2,
 //!   instead of 8), the fabric stays jittered, and one final rounding
-//!   happens at the reduction root (tree/recursive doubling) or
-//!   segment owner (ring). Bits are identical across every topology,
+//!   happens at each tree's root (for a ring segment, its finisher) or,
+//!   in recursive doubling, at the end. Bits are identical across every topology,
 //!   algorithm, jitter seed **and segment count**; the bandwidth
 //!   inflation is the network's "cost of reproducibility" — priced at
 //!   the actual encoded payload.
 //!
+//! ## Schedule and driver
+//!
+//! Every algorithm but recursive doubling is data: a list of
+//! reduce→broadcast trees (`Tree`), each owning a column range. Ranks
+//! reduce up parent links to the root, which rounds once and
+//! broadcasts down per-rank child lists. `kary_tree` builds the k-ary
+//! trees and both double-binary-tree halves (through a mirrored rank
+//! map), `ring_trees` one chain per ring segment, `hierarchical_tree`
+//! the two-level tree. One driver, `run_trees`, executes any list;
+//! recursive doubling, a butterfly, keeps its own.
+//!
+//! A node folds its own slice first, then its children: in arrival
+//! order, or by ascending fold key under `RankOrder`. The first
+//! contribution creates the accumulator, so a single-child node (every
+//! ring hop) keeps no state: it adopts the arriving buffer and folds
+//! its own slice into it. IEEE addition commutes, so that is the same
+//! bits as own-first. The one exception is a column holding two NaNs
+//! with different payloads, where the surviving payload follows operand
+//! order. No algorithm here pins NaN payloads: a ring hop and a tree
+//! node have never agreed on operand order.
+//!
+//! **Injection order is part of the result:** the engine keys each
+//! message's jitter draw and ECMP choice by its id, and ids count
+//! injections. So start-up sends go out tree by tree, leaf ranks
+//! ascending, chunks innermost, and in-run sends follow each tree's
+//! broadcast-child order.
+//!
 //! ## Segmentation (NCCL-style pipelining)
 //!
 //! [`Algorithm::SegmentedRing`] and [`Algorithm::SegmentedTree`] cut
-//! the payload into `k` chunks that travel as independent messages, so
-//! serialization of chunk `i+1` overlaps propagation of chunk `i` and
-//! the bandwidth term pipelines across hops. Chunking never changes
-//! *which* values combine in *which* order per element — each element
-//! lives in exactly one chunk and follows the same ring rotation /
-//! tree fold as the unsegmented protocol — so segmentation is a pure
-//! timing knob: values are bitwise identical to the unsegmented
-//! algorithm at every chunk count (the property tests pin this).
+//! every tree's columns into `k` chunks. Chunk `c` of tree `t` is flow
+//! `t·k + c`, its own message stream (tags `(flow << 1) | direction`),
+//! so chunk `i+1` serializes while chunk `i` propagates. Each element
+//! lives in one chunk and follows its tree's fold, so values are
+//! bitwise those of the unsegmented algorithm at every chunk count
+//! (the property tests pin this): segmentation is a pure timing knob.
 //!
 //! ## Allocation discipline
 //!
-//! The hot path allocates only at protocol start-up: in-flight payload
-//! buffers are *moved* into a dense message-id slab (never cloned —
-//! the one genuine copy, recursive doubling's keep-and-send, goes
-//! through a recycling buffer pool), a rank's own contribution is
-//! folded straight from its input slice instead of materialising a
-//! temporary buffer, and delivered buffers return to the pool.
+//! In-flight payload buffers are *moved* into a dense message-id slab
+//! (never cloned — the one genuine copy, recursive doubling's
+//! keep-and-send, goes through a recycling buffer pool). Leaves and a
+//! node's own contribution fold straight from the input slices,
+//! broadcasts carry no buffer, and delivered buffers return to the
+//! pool.
 //!
 //! Exact payloads are held **span-packed** ([`ExactVec`]): per
 //! element a `(lo, len)` span header and the occupied limbs, back to
@@ -61,7 +86,7 @@
 //! [`ExactAccumulator::wire_len`]: fpna_summation::exact::ExactAccumulator::wire_len
 //! [`ExactAccumulator::WIRE_BYTES`]: fpna_summation::exact::ExactAccumulator::WIRE_BYTES
 
-use crate::allreduce::{Algorithm, Ordering};
+use crate::allreduce::{validate, Algorithm, Ordering};
 use fpna_net::{
     Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats,
     Topology,
@@ -115,11 +140,13 @@ pub struct NetConfig {
     /// over heavily-segmented small chunks. Deterministic by
     /// construction — batching keys on exact `(time, from, to)` and
     /// sub-messages expand at delivery in injection order — and
-    /// value-invisible wherever the combine order is: the ring and
-    /// recursive doubling (order fixed by construction, every
-    /// ordering), and the tree under `RankOrder`/`Reproducible`.
-    /// The tree under `ArrivalOrder` folds in physical arrival order,
-    /// which coalescing would perturb, so it ignores the threshold.
+    /// value-invisible wherever the combine order is: the rings (order
+    /// fixed by the rotation, every ordering), and the trees (k-ary,
+    /// hierarchical, double binary) under `RankOrder`/`Reproducible`.
+    /// Trees under `ArrivalOrder` fold in physical arrival order,
+    /// which coalescing would perturb, so they ignore the threshold.
+    /// Recursive doubling bypasses the NIC: it never sends twice to
+    /// one peer at one instant, so there is nothing to coalesce.
     pub coalesce_bytes: u64,
 }
 
@@ -187,12 +214,6 @@ impl NetConfig {
     }
 }
 
-/// Engine construction shared by every protocol leg: jitter from the
-/// ordering, contention/routing from the config.
-fn build_sim<'t>(topo: &'t Topology, jitter: JitterModel, config: &NetConfig) -> NetSim<'t> {
-    NetSim::with_fabric(topo, jitter, config.fabric())
-}
-
 /// Result of one simulated allreduce.
 #[derive(Debug, Clone)]
 pub struct NetAllreduce {
@@ -225,11 +246,6 @@ enum Values {
 }
 
 impl Values {
-    /// A placeholder carrying no buffer — what `take` leaves behind.
-    fn empty() -> Self {
-        Values::Plain(Vec::new())
-    }
-
     /// Fold `rhs` into `self` as `self[i] = self[i] + rhs[i]` — the
     /// left operand is the accumulator that has been travelling.
     fn fold_in(&mut self, rhs: &Values) {
@@ -347,6 +363,44 @@ impl BufferPool {
             Values::Exact(e) => self.exact.push(e),
         }
     }
+
+    /// Fold one child's contribution into a node's partial sum `acc`:
+    /// the child's partial sum `payload`, or for a leaf its input slice
+    /// `raw`. The first contribution creates `acc` from the node's own
+    /// slice `own`, then the child. An arriving buffer is adopted with
+    /// `own` folded into it instead: the same bits, because IEEE
+    /// addition commutes.
+    fn combine(
+        &mut self,
+        acc: &mut Option<Values>,
+        own: &[f64],
+        payload: Option<Values>,
+        raw: &[f64],
+        exact: bool,
+    ) {
+        match acc {
+            Some(a) => match payload {
+                Some(b) => {
+                    a.fold_in(&b);
+                    self.recycle(b);
+                }
+                None => a.fold_in_slice(raw),
+            },
+            None => {
+                *acc = Some(match payload {
+                    Some(mut b) => {
+                        b.fold_in_slice(own);
+                        b
+                    }
+                    None => {
+                        let mut a = self.values_of(own, exact);
+                        a.fold_in_slice(raw);
+                        a
+                    }
+                })
+            }
+        }
+    }
 }
 
 /// In-flight payloads keyed by engine message id. Ids are dense and
@@ -388,9 +442,9 @@ impl Payloads {
     }
 }
 
-/// Wire-message tag marking a coalesced batch. Real protocol tags
-/// never reach this value (tree tags are small, ring tags stay below
-/// `TAG_AG_BASE + 2^32`), and [`Nic::send_at`] asserts it.
+/// Wire-message tag marking a coalesced batch. Protocol tags
+/// (`(flow << 1) | direction`) never reach this value, and
+/// [`Nic::send_at`] asserts it.
 const COALESCE_TAG: u64 = u64::MAX;
 
 /// One logical send riding inside a coalesced wire message.
@@ -571,9 +625,10 @@ fn jitter_for(ordering: Ordering, config: &NetConfig) -> JitterModel {
     }
 }
 
-/// Largest supported segment (chunk) count — bounded by the ring's
-/// tag packing (chunk id and step share the 32-bit tag space below
-/// the allgather tag base).
+/// Largest supported segment (chunk) count. It bounds per-chunk
+/// protocol state: every chunk of every tree is its own message
+/// stream, with its own fold state at each node that has two or more
+/// children.
 pub const MAX_SEGMENTS: usize = 1 << 12;
 
 /// Allreduce (sum) executed as an event-driven protocol on `topo`.
@@ -596,7 +651,7 @@ pub fn allreduce_on(
     ordering: Ordering,
     config: &NetConfig,
 ) -> NetAllreduce {
-    assert!(!ranks.is_empty(), "allreduce needs at least one rank");
+    validate(ranks, algorithm);
     assert_eq!(
         topo.ranks(),
         ranks.len(),
@@ -604,63 +659,205 @@ pub fn allreduce_on(
         topo.ranks(),
         ranks.len()
     );
-    let m = ranks[0].len();
-    assert!(
-        ranks.iter().all(|v| v.len() == m),
-        "all ranks must contribute equally-shaped vectors"
-    );
-    let check_segments = |segments: usize| {
-        assert!(
-            (1..=MAX_SEGMENTS).contains(&segments),
-            "segment count must be in 1..={MAX_SEGMENTS}, got {segments}"
-        );
+    let exact = matches!(ordering, Ordering::Reproducible);
+    if ranks.len() == 1 {
+        return NetAllreduce {
+            values: BufferPool::default().values_of(&ranks[0], exact).round(),
+            elapsed_ns: 0.0,
+            stats: RunStats::default(),
+            link_stats: None,
+        };
+    }
+    let sim = NetSim::with_fabric(topo, jitter_for(ordering, config), config.fabric());
+    let Some((trees, k)) = schedule(topo, algorithm, ranks[0].len()) else {
+        return recursive_doubling_on(sim, ranks, exact, config);
     };
-    let jitter = jitter_for(ordering, config);
-    let identity: Vec<usize> = (0..ranks.len()).collect();
-    match algorithm {
-        Algorithm::Ring => ring_on(topo, ranks, 1, ordering, config, jitter, &identity),
-        Algorithm::SegmentedRing { segments } => {
-            check_segments(segments);
-            ring_on(topo, ranks, segments, ordering, config, jitter, &identity)
-        }
-        Algorithm::KAryTree { fanout } => {
-            assert!(fanout >= 2, "tree fanout must be at least 2");
-            tree_on(topo, ranks, fanout, 1, ordering, config, jitter)
-        }
-        Algorithm::SegmentedTree { fanout, segments } => {
-            assert!(fanout >= 2, "tree fanout must be at least 2");
-            check_segments(segments);
-            tree_on(topo, ranks, fanout, segments, ordering, config, jitter)
-        }
-        Algorithm::RecursiveDoubling => {
-            assert!(
-                ranks.len().is_power_of_two(),
-                "recursive doubling needs a power-of-two rank count"
-            );
-            recursive_doubling_on(topo, ranks, ordering, config, jitter)
-        }
+    // A ring chain's fold order is fixed, so coalescing is
+    // value-invisible under every ordering. Trees fold in physical
+    // arrival order under `ArrivalOrder`, which coalescing would
+    // perturb. The gate is per algorithm, not per shape: a 2-rank tree
+    // is a chain, and it does not coalesce.
+    let ring =
+        matches!(algorithm, Algorithm::Ring | Algorithm::SegmentedRing { .. } | Algorithm::FabricRing);
+    let coalesce = ring || !matches!(ordering, Ordering::ArrivalOrder { .. });
+    let threshold = if coalesce { config.coalesce_bytes } else { 0 };
+    run_trees(sim, ranks, &trees, k, ordering, config, threshold)
+}
+
+/// The trees `algorithm` runs on `topo` over `m` columns, and the
+/// chunk count each tree's columns split into. `None` for recursive
+/// doubling, which is not a tree schedule.
+fn schedule(topo: &Topology, algorithm: Algorithm, m: usize) -> Option<(Vec<Tree>, usize)> {
+    let p = topo.ranks();
+    let identity: Vec<usize> = (0..p).collect();
+    let tree = |fanout| vec![kary_tree(p, fanout, (0, m), |v| v)];
+    Some(match algorithm {
+        Algorithm::Ring => (ring_trees(&identity, m), 1),
+        Algorithm::SegmentedRing { segments } => (ring_trees(&identity, m), segments),
+        Algorithm::FabricRing => (ring_trees(&topo.fabric_ring_order(), m), 1),
+        Algorithm::KAryTree { fanout } => (tree(fanout), 1),
+        Algorithm::SegmentedTree { fanout, segments } => (tree(fanout), segments),
         Algorithm::Hierarchical { intra, inter } => {
-            assert!(intra >= 2 && inter >= 2, "tree fanout must be at least 2");
-            hierarchical_on(topo, ranks, intra, inter, ordering, config, jitter)
-        }
-        Algorithm::FabricRing => {
-            let order = topo.fabric_ring_order();
-            ring_on(topo, ranks, 1, ordering, config, jitter, &order)
+            (vec![hierarchical_tree(topo, intra, inter, m)], 1)
         }
         Algorithm::DoubleBinaryTree => {
-            double_binary_tree_on(topo, ranks, ordering, config, jitter)
+            let h = m.div_ceil(2);
+            let mirror = move |v: usize| p - 1 - v;
+            (vec![kary_tree(p, 2, (0, h), |v| v), kary_tree(p, 2, (h, m), mirror)], 1)
         }
+        Algorithm::RecursiveDoubling => return None,
+    })
+}
+
+/// Message tags are `(flow << 1) | direction`.
+const UP: u64 = 0;
+const DOWN: u64 = 1;
+/// The root's [`Tree::parent`] entry.
+const NONE: u32 = u32::MAX;
+
+/// One reduce→broadcast tree: columns `lo..hi` reduce up the `parent`
+/// links to `root`, which rounds once and broadcasts down each rank's
+/// child list. The two directions are stored apart because they need
+/// not mirror: a ring segment reduces along the chain that ends at its
+/// root and is broadcast along the chain that starts there.
+struct Tree {
+    lo: usize,
+    hi: usize,
+    root: usize,
+    /// Reduce parent per rank ([`NONE`] at the root).
+    parent: Vec<u32>,
+    /// Fold key per rank: under `RankOrder` a parent folds its
+    /// children by ascending key, distinct among siblings.
+    key: Vec<u32>,
+    /// Rank `r`'s broadcast children in send order are
+    /// `down[down_at[r]..down_at[r + 1]]`.
+    down_at: Vec<u32>,
+    down: Vec<u32>,
+}
+
+impl Tree {
+    /// A tree over `p` ranks from `up(r)`, the `(parent, fold key)` of
+    /// rank `r` (`None` at the root), and `down(r)`, its broadcast
+    /// children in send order.
+    fn new<I: IntoIterator<Item = usize>>(
+        (lo, hi): (usize, usize),
+        p: usize,
+        up: impl Fn(usize) -> Option<(usize, usize)>,
+        down: impl Fn(usize) -> I,
+    ) -> Tree {
+        let mut t = Tree {
+            lo,
+            hi,
+            root: 0,
+            parent: Vec::with_capacity(p),
+            key: Vec::with_capacity(p),
+            down_at: vec![0],
+            down: Vec::with_capacity(p),
+        };
+        for r in 0..p {
+            let (parent, key) = up(r).map_or((NONE, 0), |(q, key)| (q as u32, key as u32));
+            if parent == NONE {
+                t.root = r;
+            }
+            t.parent.push(parent);
+            t.key.push(key);
+            t.down.extend(down(r).into_iter().map(|c| c as u32));
+            t.down_at.push(t.down.len() as u32);
+        }
+        t
+    }
+
+    fn children(&self, r: usize) -> &[u32] {
+        &self.down[self.down_at[r] as usize..self.down_at[r + 1] as usize]
     }
 }
 
-/// Tree tags: `(chunk << 1) | direction`.
-const TAG_UP: u64 = 0;
-const TAG_DOWN: u64 = 1;
-/// Ring reduce-scatter tags are `(chunk << RING_CHUNK_SHIFT) | step`;
-/// allgather tags add [`TAG_AG_BASE`] and carry the segment owner in
-/// the step bits.
-const RING_CHUNK_SHIFT: u64 = 20;
-const TAG_AG_BASE: u64 = 1 << 32;
+/// A `fanout`-ary tree rooted at virtual id 0: virtual `v`'s children
+/// are `f·v + 1 ..= f·v + f`, folded (by virtual id) and broadcast in
+/// ascending order. `virt` maps a rank to its virtual id and back (an
+/// involution): the identity, or `v ↦ p − 1 − v` for the mirrored
+/// upper half of the double binary tree, whose interior ranks are the
+/// lower half's leaves.
+fn kary_tree(
+    p: usize,
+    fanout: usize,
+    cols: (usize, usize),
+    virt: impl Fn(usize) -> usize + Copy,
+) -> Tree {
+    Tree::new(
+        cols,
+        p,
+        |r| {
+            let v = virt(r);
+            (v > 0).then(|| (virt((v - 1) / fanout), v))
+        },
+        |r| {
+            let v = virt(r);
+            (fanout * v + 1..=fanout * v + fanout).filter(move |&c| c < p).map(virt)
+        },
+    )
+}
+
+/// One chain per segment of the ring laid over `order` (position `s`
+/// is rank `order[s]`). Segment `s`, the `s`-th block of ⌈m/p⌉
+/// columns, reduces from its owner at position `s` around the ring to
+/// its finisher at position `s − 1`: every hop adds its own slice to
+/// the incoming partial, so the rotation fixes the combine order. The
+/// finisher rounds and sends the segment on around the ring as far as
+/// position `s − 2` (the allgather).
+fn ring_trees(order: &[usize], m: usize) -> Vec<Tree> {
+    let p = order.len();
+    let mut pos = vec![0; p];
+    for (s, &r) in order.iter().enumerate() {
+        pos[r] = s;
+    }
+    let next = |r: usize| order[(pos[r] + 1) % p];
+    let seg = m.div_ceil(p);
+    (0..p)
+        .map(|s| {
+            let root = order[(s + p - 1) % p];
+            let last = order[(s + 2 * p - 2) % p];
+            let cols = ((s * seg).min(m), ((s + 1) * seg).min(m));
+            let up = |r: usize| (r != root).then(|| (next(r), 0));
+            Tree::new(cols, p, up, |r| (r != last).then(|| next(r)))
+        })
+        .collect()
+}
+
+/// Topology-aware hierarchical tree: an `intra`-ary tree inside every
+/// fabric group, rooted at the group leader (its smallest rank), under
+/// an `inter`-ary tree over the leaders in group order. Only the inter
+/// level crosses groups, so the NIC/spine links carry one payload per
+/// group instead of one per rank. A leader folds its intra children
+/// before its inter children but broadcasts to its inter children
+/// first, which is why fold keys and child order are kept apart. Values
+/// match [`hierarchical_in_memory`](crate::allreduce::hierarchical_in_memory)
+/// over the fabric groups.
+fn hierarchical_tree(topo: &Topology, intra: usize, inter: usize, m: usize) -> Tree {
+    let p = topo.ranks();
+    let place = |r: usize| {
+        let g = topo.group_of(r);
+        let members = topo.group_ranks(g);
+        let i = members.iter().position(|&x| x == r).expect("rank missing from its own group");
+        (g, members, i)
+    };
+    let leader = |g: usize| topo.group_ranks(g)[0];
+    let kids = |f: usize, i: usize, n: usize| (f * i + 1..=f * i + f).filter(move |&c| c < n);
+    Tree::new(
+        (0, m),
+        p,
+        |r| match place(r) {
+            (_, members, i @ 1..) => Some((members[(i - 1) / intra], r)),
+            (g, ..) => (g > 0).then(|| (leader((g - 1) / inter), p + r)),
+        },
+        |r| {
+            let (g, members, i) = place(r);
+            let groups = if i == 0 { topo.num_groups() } else { 0 };
+            let inter_kids = kids(inter, g, groups).map(leader);
+            inter_kids.chain(kids(intra, i, members.len()).map(move |c| members[c]))
+        },
+    )
+}
 
 /// Boundaries of chunk `c` (of `k`) inside the index range `lo..hi`.
 fn chunk_bounds(lo: usize, hi: usize, k: usize, c: usize) -> (usize, usize) {
@@ -680,768 +877,164 @@ fn raw_wire_bytes(xs: &[f64], exact: bool) -> u64 {
     }
 }
 
-/// K-ary reduction tree rooted at rank 0 (children of `v` are
-/// `f·v + 1 ..= f·v + f`), then a broadcast of the rounded result down
-/// the same tree. Fold order at each node: own buffer first, then
-/// children — in simulated-arrival order, or buffered into rank order.
-///
-/// With `segments > 1` the payload is cut into that many chunks, each
-/// reduced and broadcast through the same tree as an independent
-/// message stream; per element the fold order is unchanged, so values
-/// are bitwise those of the unsegmented tree (per ordering), while
-/// chunk `i+1` serializes behind chunk `i` and the levels pipeline.
-fn tree_on(
-    topo: &Topology,
+/// Fold state of one node with two or more children, for one flow.
+/// A node with a single child keeps none: its one arrival completes it.
+struct Fold {
+    /// The partial sum, created by the first contribution.
+    acc: Option<Values>,
+    /// Contributions still owed.
+    owed: u32,
+    /// `RankOrder` only: arrived contributions `(key, child, payload)`,
+    /// folded by ascending key once the last one lands.
+    held: Vec<(u32, usize, Option<Values>)>,
+}
+
+/// The one tree driver: runs `trees` on the engine with each tree's
+/// columns cut into `k` chunks. Chunk `c` of tree `t` is flow
+/// `t·k + c`. Leaves inject their input slices; every other node folds
+/// its own slice and its children's contributions
+/// ([`BufferPool::combine`]) and sends the partial sum up; the root
+/// rounds once and broadcasts `(hi − lo)·8` payload-free bytes down.
+/// `elapsed_ns` is the last delivery's time.
+fn run_trees(
+    mut sim: NetSim<'_>,
     ranks: &[Vec<f64>],
-    fanout: usize,
-    segments: usize,
+    trees: &[Tree],
+    k: usize,
     ordering: Ordering,
     config: &NetConfig,
-    jitter: JitterModel,
+    coalesce_bytes: u64,
 ) -> NetAllreduce {
     let p = ranks.len();
-    let m = ranks[0].len();
-    let k = segments;
     let exact = matches!(ordering, Ordering::Reproducible);
     let rank_order = matches!(ordering, Ordering::RankOrder);
-    let parent = |v: usize| (v - 1) / fanout;
-    let children = |v: usize| (1..=fanout).map(move |c| fanout * v + c).filter(move |&c| c < p);
+    let flows = trees.len() * k;
+    // Children per (tree, rank). Nodes with two or more get one fold
+    // slot per chunk, at `c · multi.len() + slot`.
+    let mut kids = vec![0u32; trees.len() * p];
+    for (t, tree) in trees.iter().enumerate() {
+        for &q in tree.parent.iter().filter(|&&q| q != NONE) {
+            kids[t * p + q as usize] += 1;
+        }
+    }
+    let mut slot = vec![NONE; kids.len()];
+    let mut multi = Vec::new();
+    for (i, &n) in kids.iter().enumerate().filter(|&(_, &n)| n > 1) {
+        slot[i] = multi.len() as u32;
+        multi.push(n);
+    }
+    let mut folds: Vec<Fold> = (0..k)
+        .flat_map(|_| multi.iter().map(|&owed| Fold { acc: None, owed, held: Vec::new() }))
+        .collect();
+    let is_leaf = |t: usize, r: usize| kids[t * p + r] == 0 && r != trees[t].root;
 
     let mut pool = BufferPool::default();
-    let is_leaf = |v: usize| fanout * v + 1 >= p;
-    // A leaf's up-message is exactly its input slice: the parent folds
-    // straight from `ranks[leaf]`, so leaves never materialise a
-    // buffer — only internal nodes (which accumulate) do.
-    struct Node {
-        /// Per-chunk accumulator state (internal nodes only).
-        accs: Vec<Values>,
-        /// Per-chunk count of children still owing a contribution.
-        pending: Vec<usize>,
-        /// Per-chunk buffered child contributions (rank-order mode):
-        /// the child rank, plus its payload for internal children
-        /// (`None` marks a leaf child, folded from its input slice).
-        buffered: Vec<Vec<(usize, Option<Values>)>>,
-    }
-    let mut nodes: Vec<Node> = (0..p)
-        .map(|v| Node {
-            accs: if is_leaf(v) && v != 0 {
-                Vec::new()
-            } else {
-                (0..k)
-                    .map(|c| {
-                        let (lo, hi) = chunk_bounds(0, m, k, c);
-                        pool.values_of(&ranks[v][lo..hi], exact)
-                    })
-                    .collect()
-            },
-            pending: vec![children(v).count(); k],
-            buffered: (0..k).map(|_| Vec::new()).collect(),
-        })
-        .collect();
-
-    if p == 1 {
-        let values = nodes[0]
-            .accs
-            .iter()
-            .flat_map(|acc| acc.round())
-            .collect();
-        return NetAllreduce {
-            values,
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    let mut sim = build_sim(topo, jitter, config);
     let mut payloads = Payloads::default();
-    // The tree under `ArrivalOrder` folds children in physical arrival
-    // order, which coalescing would perturb — it ignores the threshold
-    // (see [`NetConfig::coalesce_bytes`]). `RankOrder` buffers into a
-    // deterministic order and `Reproducible` is order-blind, so both
-    // coalesce freely.
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
+    let mut nic = Nic::new(coalesce_bytes);
     let tracing = trace::enabled();
     let pid = trace::current_pid();
-    // Per-chunk protocol spans: B when the protocol opens the chunk
-    // (t = 0), E once its broadcast has reached every non-root rank —
-    // so pipelining across chunks is visible as overlapping spans.
-    let mut chunk_down_pending: Vec<usize> = Vec::new();
+    let combined = |v: usize, at: f64, f: usize, child: usize| {
+        if tracing {
+            let args = vec![("chunk", f.into()), ("child", child.into())];
+            trace::instant(pid, trace::RANK_TID_BASE + v as u64, at, "combine", "coll", args);
+        }
+    };
+    // Per-flow spans: B at t = 0, E once the broadcast has reached
+    // every non-root rank, so pipelining shows as overlapping spans.
+    let mut bcast_owed = Vec::new();
     if tracing {
-        chunk_down_pending = vec![p - 1; k];
-        for c in 0..k {
-            let lane = trace::CHUNK_TID_BASE + c as u64;
-            trace::name_thread(pid, lane, format!("chunk {c}"));
-            trace::begin(pid, lane, 0.0, format!("chunk{c}"), "coll");
+        bcast_owed = vec![p - 1; flows];
+        for f in 0..flows {
+            let lane = trace::CHUNK_TID_BASE + f as u64;
+            trace::name_thread(pid, lane, format!("chunk {f}"));
+            trace::begin(pid, lane, 0.0, format!("chunk{f}"), "coll");
         }
     }
-    // Leaves inject their contribution at their staggered start time,
-    // chunks back to back (equal timestamps resolve by injection
-    // order, so chunk 0 hits the first link first and the rest
-    // pipeline behind it — or, under coalescing, share one wire
-    // message per leaf).
-    for (v, own) in ranks.iter().enumerate().skip(1) {
-        if is_leaf(v) {
+    // Leaves inject at their staggered start times. Equal timestamps
+    // resolve by injection order, so chunk 0 hits the first link first
+    // and the rest pipeline behind it (or, under coalescing, share one
+    // wire message per leaf).
+    for (t, tree) in trees.iter().enumerate() {
+        for (r, own) in ranks.iter().enumerate().filter(|&(r, _)| is_leaf(t, r)) {
             for c in 0..k {
-                let (lo, hi) = chunk_bounds(0, m, k, c);
+                let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, c);
                 let bytes = raw_wire_bytes(&own[lo..hi], exact);
-                let tag = ((c as u64) << 1) | TAG_UP;
-                nic.send_at(&mut sim, config.stagger_ns * v as f64, v, parent(v), bytes, tag);
+                let (at, to) = (config.stagger_ns * r as f64, tree.parent[r] as usize);
+                nic.send_at(&mut sim, at, r, to, bytes, (((t * k + c) as u64) << 1) | UP);
             }
         }
     }
     nic.flush(&mut sim);
 
-    let mut result = vec![0.0f64; m];
-    let mut root_chunks_done = 0usize;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-        let c = (d.tag >> 1) as usize;
-        match d.tag & 1 {
-            TAG_UP => {
-                let v = d.to;
-                let (lo, hi) = chunk_bounds(0, m, k, c);
-                let payload = if is_leaf(d.from) {
-                    None
-                } else {
-                    Some(payloads.take(d.msg).expect("up message lost its payload"))
-                };
-                if rank_order {
-                    nodes[v].buffered[c].push((d.from, payload));
-                } else {
-                    if tracing {
-                        trace::instant(
-                            pid,
-                            trace::RANK_TID_BASE + v as u64,
-                            d.time,
-                            "combine",
-                            "coll",
-                            vec![("chunk", c.into()), ("child", d.from.into())],
-                        );
-                    }
-                    match payload {
-                        Some(b) => {
-                            nodes[v].accs[c].fold_in(&b);
-                            pool.recycle(b);
-                        }
-                        None => nodes[v].accs[c].fold_in_slice(&ranks[d.from][lo..hi]),
-                    }
-                }
-                nodes[v].pending[c] -= 1;
-                if nodes[v].pending[c] == 0 {
-                    if rank_order {
-                        let mut buffered = std::mem::take(&mut nodes[v].buffered[c]);
-                        buffered.sort_by_key(|&(child, _)| child);
-                        for (child, b) in buffered {
-                            if tracing {
-                                trace::instant(
-                                    pid,
-                                    trace::RANK_TID_BASE + v as u64,
-                                    d.time,
-                                    "combine",
-                                    "coll",
-                                    vec![("chunk", c.into()), ("child", child.into())],
-                                );
-                            }
-                            match b {
-                                Some(b) => {
-                                    nodes[v].accs[c].fold_in(&b);
-                                    pool.recycle(b);
-                                }
-                                None => nodes[v].accs[c].fold_in_slice(&ranks[child][lo..hi]),
-                            }
-                        }
-                    }
-                    if v == 0 {
-                        // Root: one final rounding of this chunk, then
-                        // broadcast its f64s.
-                        result[lo..hi].copy_from_slice(&nodes[0].accs[c].round());
-                        root_chunks_done += 1;
-                        elapsed = elapsed.max(d.time);
-                        for child in children(0) {
-                            let tag = ((c as u64) << 1) | TAG_DOWN;
-                            nic.send_at(sim, d.time, 0, child, ((hi - lo) * 8) as u64, tag);
-                        }
-                    } else {
-                        let acc = std::mem::replace(&mut nodes[v].accs[c], Values::empty());
-                        let bytes = acc.wire_bytes();
-                        let tag = ((c as u64) << 1) | TAG_UP;
-                        let msg = nic.send_at(sim, d.time, v, parent(v), bytes, tag);
-                        payloads.insert(msg, acc);
-                    }
-                }
-            }
-            _ => {
-                let v = d.to;
-                elapsed = elapsed.max(d.time);
-                if tracing {
-                    chunk_down_pending[c] -= 1;
-                    if chunk_down_pending[c] == 0 {
-                        let lane = trace::CHUNK_TID_BASE + c as u64;
-                        trace::end(pid, lane, d.time, format!("chunk{c}"), "coll");
-                    }
-                }
-                for child in children(v) {
-                    nic.send_at(sim, d.time, v, child, d.bytes, d.tag);
-                }
-            }
-        }
-        }
-        nic.flush(sim);
-    });
-
-    assert_eq!(root_chunks_done, k, "tree reduction never completed");
-    NetAllreduce {
-        values: result,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// Ring reduce-scatter + allgather. Segment `s` starts at its owner
-/// rank `s` and walks the ring; each hop computes
-/// `incoming + own_contribution`, so the combine order is fixed by the
-/// rotation and timing only moves the clock, never the bits. The
-/// fully-reduced segment is rounded once (at rank `s − 1 mod p`) and
-/// allgathered as plain `f64`s.
-///
-/// With `segments > 1` each rank-segment is further cut into that many
-/// chunks walking the ring as independent messages — same rotation,
-/// same per-element combine order, so values are bitwise identical to
-/// the unsegmented ring while serialization pipelines across hops.
-///
-/// `order` permutes the ring onto the ranks: ring position `s` is rank
-/// `order[s]`, segment `s` starts at its owner `order[s]` and hops to
-/// `order[(s + 1) % p]`. The identity order is the classic
-/// rank-numbered ring; [`Topology::fabric_ring_order`] keeps
-/// consecutive positions inside the same fabric group so the rotation
-/// crosses the NIC/spine only once per group.
-fn ring_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    segments: usize,
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-    order: &[usize],
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let k = segments;
-    let exact = matches!(ordering, Ordering::Reproducible);
-    assert!(p < (1 << RING_CHUNK_SHIFT), "ring tag packing supports < 2^20 ranks");
-    assert_eq!(order.len(), p, "ring order must cover every rank");
-    let pos_of = {
-        let mut pos = vec![0usize; p];
-        for (s, &r) in order.iter().enumerate() {
-            pos[r] = s;
-        }
-        pos
-    };
-    let seg_len = m.div_ceil(p);
-    let bounds = |s: usize| ((s * seg_len).min(m), ((s + 1) * seg_len).min(m));
-    let chunk_of = |s: usize, c: usize| {
-        let (lo, hi) = bounds(s);
-        chunk_bounds(lo, hi, k, c)
-    };
-
-    let mut pool = BufferPool::default();
-    let mut out = vec![0.0f64; m];
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    // The ring's combine order is fixed by the rotation, so coalescing
-    // is value-invisible under every ordering.
-    let mut nic = Nic::new(config.coalesce_bytes);
-    let tracing = trace::enabled();
-    let pid = trace::current_pid();
-    // Step 0: every rank sends its own copy of its own segment, chunk
-    // by chunk (empty chunks still circulate as 0-byte messages so the
-    // protocol shape is uniform at every segment count).
-    for (s, &r) in order.iter().enumerate() {
-        for c in 0..k {
-            let (lo, hi) = chunk_of(s, c);
-            let seg = pool.values_of(&ranks[r][lo..hi], exact);
-            let bytes = seg.wire_bytes();
-            let tag = (c as u64) << RING_CHUNK_SHIFT;
-            let msg =
-                nic.send_at(&mut sim, config.stagger_ns * r as f64, r, order[(s + 1) % p], bytes, tag);
-            payloads.insert(msg, seg);
-            if tracing {
-                // Span per travelling chunk: B at injection, E at its
-                // single rounding (reduce-scatter complete).
-                let lane = trace::CHUNK_TID_BASE + (s * k + c) as u64;
-                trace::name_thread(pid, lane, format!("seg {s} chunk {c}"));
-                trace::begin(pid, lane, config.stagger_ns * r as f64, format!("seg{s}.chunk{c}"), "coll");
-            }
-        }
-    }
-
-    nic.flush(&mut sim);
-
-    let step_mask = (1u64 << RING_CHUNK_SHIFT) - 1;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-        elapsed = elapsed.max(d.time);
-        if d.tag < TAG_AG_BASE {
-            // Reduce-scatter step `s`: fold our contribution under the
-            // travelling partial for chunk c of segment
-            // (pos(from) − s) mod p.
-            let s = (d.tag & step_mask) as usize;
-            let c = (d.tag >> RING_CHUNK_SHIFT) as usize;
-            let r = d.to;
-            let z = (pos_of[d.from] + p - s) % p;
-            let (lo, hi) = chunk_of(z, c);
-            let mut acc = payloads.take(d.msg).expect("ring partial lost");
-            acc.fold_in_slice(&ranks[r][lo..hi]);
-            if tracing {
-                trace::instant(
-                    pid,
-                    trace::RANK_TID_BASE + r as u64,
-                    d.time,
-                    "combine",
-                    "coll",
-                    vec![("seg", z.into()), ("chunk", c.into()), ("step", s.into())],
-                );
-            }
-            if s + 1 < p - 1 {
-                let bytes = acc.wire_bytes();
-                let tag = ((c as u64) << RING_CHUNK_SHIFT) | (s as u64 + 1);
-                let msg = nic.send_at(sim, d.time, r, order[(pos_of[r] + 1) % p], bytes, tag);
-                payloads.insert(msg, acc);
-            } else {
-                // Chunk complete: single rounding, then allgather.
-                if tracing {
-                    let lane = trace::CHUNK_TID_BASE + (z * k + c) as u64;
-                    trace::end(pid, lane, d.time, format!("seg{z}.chunk{c}"), "coll");
-                }
-                let rounded = acc.round();
-                pool.recycle(acc);
-                out[lo..hi].copy_from_slice(&rounded);
-                let bytes = (rounded.len() * 8) as u64;
-                let tag = TAG_AG_BASE + (((c as u64) << RING_CHUNK_SHIFT) | z as u64);
-                let msg = nic.send_at(sim, d.time, r, order[(pos_of[r] + 1) % p], bytes, tag);
-                payloads.insert(msg, Values::Plain(rounded));
-            }
-        } else {
-            // Allgather: forward the finished chunk around the ring
-            // until it is one position short of its finisher.
-            let z = ((d.tag - TAG_AG_BASE) & step_mask) as usize;
-            let finisher = (z + p - 1) % p;
-            let t = d.to;
-            let acc = payloads.take(d.msg).expect("allgather segment lost");
-            if (pos_of[t] + 1) % p != finisher {
-                let bytes = acc.wire_bytes();
-                let msg = nic.send_at(sim, d.time, t, order[(pos_of[t] + 1) % p], bytes, d.tag);
-                payloads.insert(msg, acc);
-            } else {
-                pool.recycle(acc);
-            }
-        }
-        }
-        nic.flush(sim);
-    });
-
-    NetAllreduce {
-        values: out,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// Hierarchical phase tags (single chunk, so the whole tag is the
-/// phase id).
-const H_INTRA_UP: u64 = 0;
-const H_INTER_UP: u64 = 1;
-const H_INTER_DOWN: u64 = 2;
-const H_INTRA_DOWN: u64 = 3;
-
-/// Topology-aware hierarchical allreduce: an `intra`-ary reduction
-/// tree inside every fabric group (rooted at the group leader, the
-/// group's smallest rank), an `inter`-ary tree over the leaders in
-/// group order, then the rounded result broadcast back down both
-/// levels. Only the inter phase crosses fabric groups, so the
-/// NIC/spine links carry one payload per group instead of one per
-/// rank. Value semantics match
-/// [`hierarchical_in_memory`](crate::allreduce::hierarchical_in_memory)
-/// over the fabric groups (per ordering); under `Reproducible` the
-/// travelling exact accumulators make the bits identical to every
-/// oblivious baseline.
-fn hierarchical_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    intra: usize,
-    inter: usize,
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let exact = matches!(ordering, Ordering::Reproducible);
-    let rank_order = matches!(ordering, Ordering::RankOrder);
-    let num_groups = topo.num_groups();
-
-    let mut pool = BufferPool::default();
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    // Virtual coordinates: the member index inside the group (leader =
-    // member 0) for the intra trees, the group id for the inter tree.
-    // Members and group leaders are both rank-ascending, so sorting
-    // buffered children by physical rank is sorting by virtual index.
-    let group_of: Vec<usize> = (0..p).map(|r| topo.group_of(r)).collect();
-    let member_idx: Vec<usize> = (0..p)
-        .map(|r| {
-            topo.group_ranks(group_of[r])
-                .iter()
-                .position(|&x| x == r)
-                .expect("rank missing from its own fabric group")
-        })
-        .collect();
-    let leader = |g: usize| topo.group_ranks(g)[0];
-    let is_leader = |r: usize| member_idx[r] == 0;
-    let intra_children = |r: usize| {
-        let members = topo.group_ranks(group_of[r]);
-        let i = member_idx[r];
-        (1..=intra)
-            .map(move |c| intra * i + c)
-            .filter(move |&c| c < members.len())
-            .map(move |c| members[c])
-    };
-    let inter_children = |g: usize| {
-        (1..=inter)
-            .map(move |c| inter * g + c)
-            .filter(move |&c| c < num_groups)
-            .map(leader)
-    };
-    // Where a finished accumulator goes: leaders climb the inter tree
-    // (the root, leader of group 0 = rank 0, keeps it), everyone else
-    // climbs their group's intra tree.
-    let up_target = |r: usize| -> Option<(usize, u64)> {
-        if is_leader(r) {
-            let g = group_of[r];
-            (g != 0).then(|| (leader((g - 1) / inter), H_INTER_UP))
-        } else {
-            let members = topo.group_ranks(group_of[r]);
-            Some((members[(member_idx[r] - 1) / intra], H_INTRA_UP))
-        }
-    };
-
-    // A rank with nothing to wait for ships its input slice directly
-    // (never materialising an accumulator): intra leaves, and
-    // singleton-group leaders that are also inter leaves.
-    let mut pending: Vec<usize> = (0..p)
-        .map(|r| {
-            intra_children(r).count()
-                + if is_leader(r) { inter_children(group_of[r]).count() } else { 0 }
-        })
-        .collect();
-    let sends_raw: Vec<bool> = (0..p).map(|r| pending[r] == 0).collect();
-    let mut accs: Vec<Values> = (0..p)
-        .map(|r| {
-            if sends_raw[r] {
-                Values::empty()
-            } else {
-                pool.values_of(&ranks[r], exact)
-            }
-        })
-        .collect();
-    // Rank-order mode buffers every contribution and folds once all
-    // are in, keyed `(phase, child rank)` — intra children ascending,
-    // then inter children ascending, matching the in-memory fold.
-    let mut buffered: Vec<Vec<(u64, usize, Option<Values>)>> =
-        (0..p).map(|_| Vec::new()).collect();
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    // Same coalescing rule as the k-ary tree: arrival order folds in
-    // physical arrival order, which coalescing would perturb.
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
-    for r in 1..p {
-        if sends_raw[r] {
-            let (to, tag) = up_target(r).expect("non-root raw sender has an up target");
-            let bytes = raw_wire_bytes(&ranks[r], exact);
-            nic.send_at(&mut sim, config.stagger_ns * r as f64, r, to, bytes, tag);
-        }
-    }
-    nic.flush(&mut sim);
-
-    let mut result = vec![0.0f64; m];
-    let mut root_done = false;
-    let mut down_seen = 0usize;
-    let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-            match d.tag {
-                H_INTRA_UP | H_INTER_UP => {
-                    let v = d.to;
-                    let payload = if sends_raw[d.from] {
-                        None
-                    } else {
-                        Some(payloads.take(d.msg).expect("up message lost its payload"))
-                    };
-                    if rank_order {
-                        buffered[v].push((d.tag, d.from, payload));
-                    } else {
-                        match payload {
-                            Some(b) => {
-                                accs[v].fold_in(&b);
-                                pool.recycle(b);
-                            }
-                            None => accs[v].fold_in_slice(&ranks[d.from]),
-                        }
-                    }
-                    pending[v] -= 1;
-                    if pending[v] == 0 {
-                        if rank_order {
-                            let mut b = std::mem::take(&mut buffered[v]);
-                            b.sort_by_key(|&(tag, from, _)| (tag, from));
-                            for (_, from, payload) in b {
-                                match payload {
-                                    Some(x) => {
-                                        accs[v].fold_in(&x);
-                                        pool.recycle(x);
-                                    }
-                                    None => accs[v].fold_in_slice(&ranks[from]),
-                                }
-                            }
-                        }
-                        match up_target(v) {
-                            Some((to, tag)) => {
-                                let acc = std::mem::replace(&mut accs[v], Values::empty());
-                                let bytes = acc.wire_bytes();
-                                let msg = nic.send_at(sim, d.time, v, to, bytes, tag);
-                                payloads.insert(msg, acc);
-                            }
-                            None => {
-                                // Root: the single rounding, then the
-                                // two-level broadcast.
-                                result.copy_from_slice(&accs[0].round());
-                                root_done = true;
-                                elapsed = elapsed.max(d.time);
-                                let bytes = (m * 8) as u64;
-                                for child in inter_children(0) {
-                                    nic.send_at(sim, d.time, 0, child, bytes, H_INTER_DOWN);
-                                }
-                                for child in intra_children(0) {
-                                    nic.send_at(sim, d.time, 0, child, bytes, H_INTRA_DOWN);
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {
-                    let v = d.to;
-                    elapsed = elapsed.max(d.time);
-                    down_seen += 1;
-                    if d.tag == H_INTER_DOWN {
-                        for child in inter_children(group_of[v]) {
-                            nic.send_at(sim, d.time, v, child, d.bytes, H_INTER_DOWN);
-                        }
-                    }
-                    for child in intra_children(v) {
-                        nic.send_at(sim, d.time, v, child, d.bytes, H_INTRA_DOWN);
-                    }
-                }
-            }
-        }
-        nic.flush(sim);
-    });
-
-    assert!(root_done, "hierarchical reduction never completed");
-    assert_eq!(down_seen, p - 1, "hierarchical broadcast never completed");
-    NetAllreduce {
-        values: result,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// Double binary tree, NCCL-style: two complementary binary trees run
-/// in the same simulation, tree 0 over virtual ids `v = rank` reducing
-/// the lower half of the payload, tree 1 over the mirrored ids
-/// `v = p − 1 − rank` reducing the upper half — interior ranks of one
-/// tree are leaves of the other, so each link carries roughly half the
-/// bytes of a single tree. Tags are `(tree << 1) | direction`. Value
-/// semantics match
-/// [`double_binary_tree_in_memory`](crate::allreduce::double_binary_tree_in_memory)
-/// (per ordering); under `Reproducible` each half folds exactly and
-/// rounds once, bitwise those of every oblivious baseline.
-fn double_binary_tree_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    ordering: Ordering,
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let exact = matches!(ordering, Ordering::Reproducible);
-    let rank_order = matches!(ordering, Ordering::RankOrder);
-    let h = m.div_ceil(2);
-    let range = |t: usize| if t == 0 { (0, h) } else { (h, m) };
-    // An involution: virtual id of a rank in tree `t`, and equally the
-    // physical rank of a virtual id.
-    let virt = |t: usize, r: usize| if t == 0 { r } else { p - 1 - r };
-    let vchildren = |v: usize| (1..=2).map(move |c| 2 * v + c).filter(move |&c| c < p);
-    let is_vleaf = |v: usize| 2 * v + 1 >= p;
-
-    let mut pool = BufferPool::default();
-    if p == 1 {
-        return NetAllreduce {
-            values: pool.values_of(&ranks[0], exact).round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    // State for rank `r` in tree `t` lives at index `t·p + r`. Leaves
-    // ship their input slice directly and never materialise a buffer.
-    let mut accs: Vec<Values> = Vec::with_capacity(2 * p);
-    let mut pending = vec![0usize; 2 * p];
-    for t in 0..2 {
-        let (lo, hi) = range(t);
-        for r in 0..p {
-            let v = virt(t, r);
-            accs.push(if is_vleaf(v) && v != 0 {
-                Values::empty()
-            } else {
-                pool.values_of(&ranks[r][lo..hi], exact)
-            });
-            pending[t * p + r] = vchildren(v).count();
-        }
-    }
-    // Rank-order buffers sort by *virtual* child id — in tree 1 that
-    // is descending physical rank, matching the in-memory fold.
-    let mut buffered: Vec<Vec<(usize, Option<Values>)>> =
-        (0..2 * p).map(|_| Vec::new()).collect();
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    let mut nic = Nic::new(if matches!(ordering, Ordering::ArrivalOrder { .. }) {
-        0
-    } else {
-        config.coalesce_bytes
-    });
-    for t in 0..2 {
-        let (lo, hi) = range(t);
-        for (r, own) in ranks.iter().enumerate() {
-            let v = virt(t, r);
-            if is_vleaf(v) && v != 0 {
-                let bytes = raw_wire_bytes(&own[lo..hi], exact);
-                let tag = ((t as u64) << 1) | TAG_UP;
-                nic.send_at(&mut sim, config.stagger_ns * r as f64, r, virt(t, (v - 1) / 2), bytes, tag);
-            }
-        }
-    }
-    nic.flush(&mut sim);
-
-    let mut result = vec![0.0f64; m];
+    let mut result = vec![0.0f64; ranks[0].len()];
     let mut roots_done = 0usize;
     let mut elapsed = 0.0f64;
     let stats = sim.run(|sim, wire| {
         for d in nic.expand(&wire) {
-            let t = (d.tag >> 1) as usize;
-            let (lo, hi) = range(t);
-            match d.tag & 1 {
-                TAG_UP => {
-                    let r = d.to;
-                    let i = t * p + r;
-                    let payload = if is_vleaf(virt(t, d.from)) {
-                        None
-                    } else {
-                        Some(payloads.take(d.msg).expect("up message lost its payload"))
-                    };
-                    if rank_order {
-                        buffered[i].push((virt(t, d.from), payload));
-                    } else {
-                        match payload {
-                            Some(b) => {
-                                accs[i].fold_in(&b);
-                                pool.recycle(b);
-                            }
-                            None => accs[i].fold_in_slice(&ranks[d.from][lo..hi]),
-                        }
-                    }
-                    pending[i] -= 1;
-                    if pending[i] == 0 {
-                        let v = virt(t, r);
-                        if rank_order {
-                            let mut b = std::mem::take(&mut buffered[i]);
-                            b.sort_by_key(|&(vc, _)| vc);
-                            for (vc, payload) in b {
-                                match payload {
-                                    Some(x) => {
-                                        accs[i].fold_in(&x);
-                                        pool.recycle(x);
-                                    }
-                                    None => {
-                                        accs[i].fold_in_slice(&ranks[virt(t, vc)][lo..hi])
-                                    }
-                                }
-                            }
-                        }
-                        if v == 0 {
-                            // This tree's root: round its half, then
-                            // broadcast it down the same tree.
-                            result[lo..hi].copy_from_slice(&accs[i].round());
-                            roots_done += 1;
-                            elapsed = elapsed.max(d.time);
-                            for vc in vchildren(0) {
-                                let tag = ((t as u64) << 1) | TAG_DOWN;
-                                nic.send_at(sim, d.time, r, virt(t, vc), ((hi - lo) * 8) as u64, tag);
-                            }
-                        } else {
-                            let acc = std::mem::replace(&mut accs[i], Values::empty());
-                            let bytes = acc.wire_bytes();
-                            let tag = ((t as u64) << 1) | TAG_UP;
-                            let msg = nic.send_at(sim, d.time, r, virt(t, (v - 1) / 2), bytes, tag);
-                            payloads.insert(msg, acc);
-                        }
+            elapsed = elapsed.max(d.time);
+            let f = (d.tag >> 1) as usize;
+            let (t, v) = (f / k, d.to);
+            let tree = &trees[t];
+            if d.tag & 1 == DOWN {
+                if tracing {
+                    bcast_owed[f] -= 1;
+                    if bcast_owed[f] == 0 {
+                        let lane = trace::CHUNK_TID_BASE + f as u64;
+                        trace::end(pid, lane, d.time, format!("chunk{f}"), "coll");
                     }
                 }
-                _ => {
-                    let r = d.to;
-                    elapsed = elapsed.max(d.time);
-                    for vc in vchildren(virt(t, r)) {
-                        nic.send_at(sim, d.time, r, virt(t, vc), d.bytes, d.tag);
-                    }
+                for &c in tree.children(v) {
+                    nic.send_at(sim, d.time, v, c as usize, d.bytes, d.tag);
                 }
+                continue;
+            }
+            let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, f % k);
+            let (own, child) = (&ranks[v][lo..hi], d.from);
+            let payload =
+                (!is_leaf(t, child)).then(|| payloads.take(d.msg).expect("partial sum lost"));
+            let done = if kids[t * p + v] == 1 {
+                combined(v, d.time, f, child);
+                let mut acc = None;
+                pool.combine(&mut acc, own, payload, &ranks[child][lo..hi], exact);
+                acc
+            } else {
+                let Fold { acc, owed, held } =
+                    &mut folds[(f % k) * multi.len() + slot[t * p + v] as usize];
+                *owed -= 1;
+                if rank_order {
+                    held.push((tree.key[child], child, payload));
+                    if *owed == 0 {
+                        held.sort_unstable_by_key(|h| h.0);
+                        for (_, c, b) in held.drain(..) {
+                            combined(v, d.time, f, c);
+                            pool.combine(acc, own, b, &ranks[c][lo..hi], exact);
+                        }
+                    }
+                } else {
+                    combined(v, d.time, f, child);
+                    pool.combine(acc, own, payload, &ranks[child][lo..hi], exact);
+                }
+                if *owed == 0 { acc.take() } else { None }
+            };
+            let Some(acc) = done else { continue };
+            if v == tree.root {
+                result[lo..hi].copy_from_slice(&acc.round());
+                pool.recycle(acc);
+                roots_done += 1;
+                let bytes = std::mem::size_of_val(own) as u64;
+                for &c in tree.children(v) {
+                    nic.send_at(sim, d.time, v, c as usize, bytes, d.tag | DOWN);
+                }
+            } else {
+                let to = tree.parent[v] as usize;
+                let msg = nic.send_at(sim, d.time, v, to, acc.wire_bytes(), d.tag);
+                payloads.insert(msg, acc);
             }
         }
         nic.flush(sim);
     });
 
-    assert_eq!(roots_done, 2, "double binary tree never completed");
+    assert_eq!(roots_done, flows, "allreduce never completed");
     NetAllreduce {
         values: result,
         elapsed_ns: elapsed,
@@ -1451,30 +1044,108 @@ fn double_binary_tree_on(
 }
 
 /// Recursive doubling: `log₂ p` rounds of symmetric pairwise
-/// exchanges; both partners compute `lower + upper`, so every rank
-/// holds identical bits after every round and timing never leaks into
-/// the values. Messages from a future round are buffered until the
-/// receiving rank finishes the rounds before it.
+/// exchanges, a butterfly rather than a tree. Both partners compute
+/// `lower + upper`, so every rank holds identical bits after every
+/// round and timing never leaks into the values. Messages from a
+/// future round wait until the receiver finishes the rounds before it.
 ///
-/// Because the combine order is fixed by construction, the plain-f64
-/// orderings split the work: the values are computed once as the
-/// balanced `(lower, upper)` block fold (bitwise identical to what
-/// every rank's in-protocol folding would produce), and the message
-/// exchange is simulated payload-free — every plain message is `m·8`
-/// bytes regardless of content, so timing needs no value state at
-/// all. `Reproducible` keeps values in the protocol: its wire sizes
-/// depend on the travelling accumulators.
+/// Under `Reproducible` the exact partial sums travel in the messages,
+/// and their sizes set the timing. The plain orderings carry no
+/// payload: every message is `m·8` bytes whatever it holds, and the
+/// values are the balanced block fold that every rank's in-protocol
+/// folding would produce, computed once by [`block_fold`].
 fn recursive_doubling_on(
-    topo: &Topology,
+    mut sim: NetSim<'_>,
     ranks: &[Vec<f64>],
-    ordering: Ordering,
+    exact: bool,
     config: &NetConfig,
-    jitter: JitterModel,
 ) -> NetAllreduce {
-    if matches!(ordering, Ordering::Reproducible) {
-        recursive_doubling_exact_on(topo, ranks, config, jitter)
-    } else {
-        recursive_doubling_plain_on(topo, ranks, config, jitter)
+    let p = ranks.len();
+    let rounds = p.trailing_zeros() as usize;
+    let plain_bytes = std::mem::size_of_val(ranks[0].as_slice()) as u64;
+    let mut pool = BufferPool::default();
+    let mut payloads = Payloads::default();
+    struct Rank {
+        /// The exact partial sum (`None` under the plain orderings).
+        buf: Option<Values>,
+        round: usize,
+        ready: f64,
+        /// Partner messages by round: `(arrival, payload)`.
+        pending: Vec<Option<(f64, Option<Values>)>>,
+    }
+    let mut states: Vec<Rank> = (0..p)
+        .map(|r| Rank {
+            buf: exact.then(|| pool.values_of(&ranks[r], true)),
+            round: 0,
+            ready: config.stagger_ns * r as f64,
+            pending: (0..rounds).map(|_| None).collect(),
+        })
+        .collect();
+    // A round's message: the partial sum's size and a pooled copy of it
+    // (it also stays resident), or just the plain size.
+    let message = |pool: &mut BufferPool, buf: &Option<Values>| match buf {
+        Some(b) => (b.wire_bytes(), Some(pool.clone_values(b))),
+        None => (plain_bytes, None),
+    };
+    for (r, state) in states.iter().enumerate() {
+        let (bytes, payload) = message(&mut pool, &state.buf);
+        let msg = sim.send_at(state.ready, r, r ^ 1, bytes, 0);
+        if let Some(b) = payload {
+            payloads.insert(msg, b);
+        }
+    }
+
+    let tracing = trace::enabled();
+    let pid = trace::current_pid();
+    let mut final_time = vec![0.0f64; p];
+    let stats = sim.run(|sim, d| {
+        let r = d.to;
+        let st = &mut states[r];
+        st.pending[d.tag as usize] = Some((d.time, payloads.take(d.msg)));
+        // Drain every round that is now unblocked, in round order.
+        while let Some((arrived, payload)) = st.pending.get_mut(st.round).and_then(Option::take) {
+            let round = st.round;
+            let now = st.ready.max(arrived);
+            let partner = r ^ (1 << round);
+            if tracing {
+                let args = vec![("round", round.into()), ("partner", partner.into())];
+                trace::instant(pid, trace::RANK_TID_BASE + r as u64, now, "combine", "coll", args);
+            }
+            // `lower + upper` without cloning either side: fold the
+            // payload into the resident buffer (or the buffer into the
+            // payload) depending on which operand is "lower".
+            if let (Some(buf), Some(mut payload)) = (&mut st.buf, payload) {
+                if r < partner {
+                    buf.fold_in(&payload);
+                    pool.recycle(payload);
+                } else {
+                    payload.fold_in(buf);
+                    pool.recycle(std::mem::replace(buf, payload));
+                }
+            }
+            st.round = round + 1;
+            st.ready = now;
+            if round + 1 < rounds {
+                let (bytes, payload) = message(&mut pool, &st.buf);
+                let msg = sim.send_at(now, r, r ^ (1 << (round + 1)), bytes, (round + 1) as u64);
+                if let Some(b) = payload {
+                    payloads.insert(msg, b);
+                }
+            } else {
+                final_time[r] = now;
+            }
+        }
+    });
+
+    let values = match &states[0].buf {
+        Some(b) => b.round(),
+        None => block_fold(ranks, 0, p),
+    };
+    NetAllreduce {
+        values,
+        elapsed_ns: final_time.iter().copied().fold(0.0f64, f64::max),
+        stats,
+        link_stats: collect_link_stats(&sim, config),
     }
 }
 
@@ -1485,201 +1156,11 @@ fn block_fold(ranks: &[Vec<f64>], lo: usize, len: usize) -> Vec<f64> {
     if len == 1 {
         return ranks[lo].clone();
     }
-    let half = len / 2;
-    let mut lower = block_fold(ranks, lo, half);
-    if half == 1 {
-        for (a, b) in lower.iter_mut().zip(&ranks[lo + 1]) {
-            *a += b;
-        }
-    } else {
-        let upper = block_fold(ranks, lo + half, half);
-        for (a, b) in lower.iter_mut().zip(&upper) {
-            *a += b;
-        }
+    let mut lower = block_fold(ranks, lo, len / 2);
+    for (a, b) in lower.iter_mut().zip(block_fold(ranks, lo + len / 2, len / 2)) {
+        *a += b;
     }
     lower
-}
-
-/// The plain-f64 leg: values from [`block_fold`], timing from a
-/// payload-free replay of the exchange schedule (constant `m·8`-byte
-/// messages).
-fn recursive_doubling_plain_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let m = ranks[0].len();
-    let rounds = p.trailing_zeros() as usize;
-    let values = block_fold(ranks, 0, p);
-    if p == 1 {
-        return NetAllreduce {
-            values,
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    struct RankState {
-        round: usize,
-        ready: f64,
-        /// Arrival time of the partner message for each round.
-        pending: Vec<Option<f64>>,
-    }
-    let mut states: Vec<RankState> = (0..p)
-        .map(|r| RankState {
-            round: 0,
-            ready: config.stagger_ns * r as f64,
-            pending: vec![None; rounds],
-        })
-        .collect();
-
-    let bytes = (m * std::mem::size_of::<f64>()) as u64;
-    let mut sim = build_sim(topo, jitter, config);
-    for (r, state) in states.iter().enumerate() {
-        sim.send_at(state.ready, r, r ^ 1, bytes, 0);
-    }
-
-    let mut final_time = vec![0.0f64; p];
-    let stats = sim.run(|sim, d| {
-        let r = d.to;
-        states[r].pending[d.tag as usize] = Some(d.time);
-        loop {
-            let current = states[r].round;
-            let Some(arrived) = states[r].pending.get_mut(current).and_then(Option::take)
-            else {
-                break;
-            };
-            let now = states[r].ready.max(arrived);
-            states[r].round = current + 1;
-            states[r].ready = now;
-            if current + 1 < rounds {
-                sim.send_at(now, r, r ^ (1 << (current + 1)), bytes, (current + 1) as u64);
-            } else {
-                final_time[r] = now;
-            }
-        }
-    });
-
-    let elapsed = final_time.iter().copied().fold(0.0f64, f64::max);
-    NetAllreduce {
-        values,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
-}
-
-/// The reproducible leg: exact accumulators travel in the messages,
-/// so wire sizes (and therefore timing) depend on the values and the
-/// protocol carries them.
-fn recursive_doubling_exact_on(
-    topo: &Topology,
-    ranks: &[Vec<f64>],
-    config: &NetConfig,
-    jitter: JitterModel,
-) -> NetAllreduce {
-    let p = ranks.len();
-    let exact = true;
-    let rounds = p.trailing_zeros() as usize;
-
-    let mut pool = BufferPool::default();
-    struct RankState {
-        buf: Values,
-        round: usize,
-        ready: f64,
-        /// Buffered partner payloads indexed by round: `(arrival, payload)`.
-        pending: Vec<Option<(f64, Values)>>,
-    }
-    let mut states: Vec<RankState> = (0..p)
-        .map(|r| RankState {
-            buf: pool.values_of(&ranks[r], exact),
-            round: 0,
-            ready: config.stagger_ns * r as f64,
-            pending: (0..rounds.max(1)).map(|_| None).collect(),
-        })
-        .collect();
-
-    if p == 1 {
-        return NetAllreduce {
-            values: states[0].buf.round(),
-            elapsed_ns: 0.0,
-            stats: RunStats::default(),
-            link_stats: None,
-        };
-    }
-
-    let mut sim = build_sim(topo, jitter, config);
-    let mut payloads = Payloads::default();
-    let tracing = trace::enabled();
-    let pid = trace::current_pid();
-    for (r, state) in states.iter().enumerate() {
-        let bytes = state.buf.wire_bytes();
-        let msg = sim.send_at(state.ready, r, r ^ 1, bytes, 0);
-        payloads.insert(msg, pool.clone_values(&state.buf));
-    }
-
-    let mut final_time = vec![0.0f64; p];
-    let stats = sim.run(|sim, d| {
-        let r = d.to;
-        let payload = payloads.take(d.msg).expect("doubling payload lost");
-        states[r].pending[d.tag as usize] = Some((d.time, payload));
-        // Drain every round that is now unblocked, in round order.
-        loop {
-            let current = states[r].round;
-            let Some((arrived, payload)) = states[r]
-                .pending
-                .get_mut(current)
-                .and_then(Option::take)
-            else {
-                break;
-            };
-            let round = states[r].round;
-            let now = states[r].ready.max(arrived);
-            let partner = r ^ (1 << round);
-            if tracing {
-                trace::instant(
-                    pid,
-                    trace::RANK_TID_BASE + r as u64,
-                    now,
-                    "combine",
-                    "coll",
-                    vec![("round", round.into()), ("partner", partner.into())],
-                );
-            }
-            // `lower + upper` without cloning either side: fold the
-            // payload into the resident buffer (or the buffer into the
-            // payload) depending on which operand is "lower".
-            if r < partner {
-                states[r].buf.fold_in(&payload);
-                pool.recycle(payload);
-            } else {
-                let mut merged = payload;
-                merged.fold_in(&states[r].buf);
-                let retired = std::mem::replace(&mut states[r].buf, merged);
-                pool.recycle(retired);
-            }
-            states[r].round = round + 1;
-            states[r].ready = now;
-            if round + 1 < rounds {
-                let bytes = states[r].buf.wire_bytes();
-                let msg = sim.send_at(now, r, r ^ (1 << (round + 1)), bytes, (round + 1) as u64);
-                payloads.insert(msg, pool.clone_values(&states[r].buf));
-            } else {
-                final_time[r] = now;
-            }
-        }
-    });
-
-    let elapsed = final_time.iter().copied().fold(0.0f64, f64::max);
-    NetAllreduce {
-        values: states.swap_remove(0).buf.round(),
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
 }
 
 #[cfg(test)]
@@ -2393,5 +1874,107 @@ mod tests {
             Ordering::RankOrder,
             &NetConfig::default(),
         );
+    }
+
+    #[test]
+    fn both_paths_reject_too_many_segments_alike() {
+        let ranks = make_ranks(4, 8, 15);
+        let panic_text = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("an oversized segment count must panic");
+            err.downcast_ref::<String>().cloned().expect("a formatted panic message")
+        };
+        for alg in [
+            Algorithm::SegmentedRing { segments: MAX_SEGMENTS + 1 },
+            Algorithm::SegmentedTree { fanout: 2, segments: MAX_SEGMENTS + 1 },
+        ] {
+            let mem = panic_text(&|| {
+                allreduce(&ranks, alg, Ordering::RankOrder);
+            });
+            let net = panic_text(&|| {
+                allreduce_on(&flat(4), &ranks, alg, Ordering::RankOrder, &NetConfig::default());
+            });
+            assert_eq!(mem, net, "{alg:?}");
+            assert!(mem.contains("segment count"), "{mem}");
+        }
+    }
+
+    /// The schedule checker: for every generator on every fabric kind,
+    /// each tree's parent links reach its root from every rank without
+    /// a cycle, its broadcast reaches every non-root rank exactly once,
+    /// fold keys are distinct among siblings, and the trees' column
+    /// ranges (and their chunks) tile `0..m` exactly once.
+    #[test]
+    fn every_schedule_is_well_formed() {
+        let tiles = |mut ranges: Vec<(usize, usize)>, m: usize| {
+            ranges.sort_unstable();
+            let end = ranges.iter().try_fold(0, |at, &(lo, hi)| (lo == at && hi >= lo).then_some(hi));
+            end == Some(m)
+        };
+        let spec = LinkSpec::new(500.0, 25.0);
+        for p in 1..=24usize {
+            let mut topos = vec![flat(p), spined(p, 4, 2)];
+            for nodes in (1..=p).filter(|n| p % n == 0) {
+                topos.push(Topology::hierarchical(nodes, p / nodes, spec, spec, spec));
+                topos.push(Topology::hierarchical_cyclic(nodes, p / nodes, spec, spec, spec));
+            }
+            let mut algs = vec![
+                Algorithm::Ring,
+                Algorithm::SegmentedRing { segments: 3 },
+                Algorithm::FabricRing,
+                Algorithm::DoubleBinaryTree,
+            ];
+            algs.extend((2..=5).map(|fanout| Algorithm::SegmentedTree { fanout, segments: 2 }));
+            for intra in 2..=4 {
+                algs.extend((2..=4).map(|inter| Algorithm::Hierarchical { intra, inter }));
+            }
+            for topo in &topos {
+                for &alg in &algs {
+                    for m in [1, 2 * p + 3] {
+                        let (trees, k) = schedule(topo, alg, m).expect("a tree schedule");
+                        let ctx = format!("{alg:?} on {} with m = {m}", topo.name());
+                        assert!(tiles(trees.iter().map(|t| (t.lo, t.hi)).collect(), m), "{ctx}");
+                        let chunks = trees
+                            .iter()
+                            .flat_map(|t| (0..k).map(move |c| chunk_bounds(t.lo, t.hi, k, c)));
+                        assert!(tiles(chunks.collect(), m), "{ctx}: chunks");
+                        for tree in &trees {
+                            assert_eq!(tree.parent[tree.root], NONE, "{ctx}");
+                            for r in 0..p {
+                                let (mut v, mut hops) = (r, 0);
+                                while v != tree.root {
+                                    v = tree.parent[v] as usize;
+                                    hops += 1;
+                                    assert!(hops < p, "{ctx}: no root above rank {r}");
+                                }
+                            }
+                            let mut seen = vec![0; p];
+                            for r in 0..p {
+                                for &c in tree.children(r) {
+                                    seen[c as usize] += 1;
+                                }
+                            }
+                            for (r, &n) in seen.iter().enumerate() {
+                                assert_eq!(n, usize::from(r != tree.root), "{ctx}: rank {r}");
+                            }
+                            let (mut stack, mut reached) = (vec![tree.root], 0);
+                            while let Some(r) = stack.pop() {
+                                reached += 1;
+                                stack.extend(tree.children(r).iter().map(|&c| c as usize));
+                            }
+                            assert_eq!(reached, p, "{ctx}: broadcast misses a rank");
+                            let mut keys: Vec<(u32, u32)> = (0..p)
+                                .filter(|&r| r != tree.root)
+                                .map(|r| (tree.parent[r], tree.key[r]))
+                                .collect();
+                            keys.sort_unstable();
+                            let n = keys.len();
+                            keys.dedup();
+                            assert_eq!(keys.len(), n, "{ctx}: siblings share a fold key");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

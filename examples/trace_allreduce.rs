@@ -3,7 +3,7 @@
 //! Runs a ring allreduce over 8 ranks on a 2-spine fat tree with
 //! seeded background tenants at 0.7 offered load and seeded ECMP
 //! routing, recording every simulated-clock event — message hops per
-//! link, background bursts, admission drops, per-segment combines —
+//! link, background bursts, admission drops, per-hop combines —
 //! through `fpna::obs::trace`, then writes Chrome trace-event JSON.
 //!
 //! ```text
@@ -15,8 +15,8 @@
 //! the window. Lanes `L* a→b` are directed links (spans are wire
 //! occupancy, `cat` distinguishes foreground `net` from background
 //! `bg`); `rank N` lanes carry inject/deliver/combine instants; the
-//! `seg r.chunk c` lanes span each ring segment's reduce-scatter from
-//! injection to the final fold. The trace clock is *simulated* time,
+//! `chunk f` lanes span each ring segment (one tree of the schedule)
+//! from t = 0 to the end of its allgather. The trace clock is *simulated* time,
 //! so the file is a deterministic function of the seeds below.
 
 use fpna::collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
