@@ -26,7 +26,7 @@
 //!   inflation is the network's "cost of reproducibility" — priced at
 //!   the actual encoded payload.
 //!
-//! ## Schedule and driver
+//! ## Tree schedules
 //!
 //! Every algorithm but recursive doubling is data: a list of
 //! reduce→broadcast trees (`Tree`), each owning a column range. Ranks
@@ -34,7 +34,7 @@
 //! broadcasts down per-rank child lists. `kary_tree` builds the k-ary
 //! trees and both double-binary-tree halves (through a mirrored rank
 //! map), `ring_trees` one chain per ring segment, `hierarchical_tree`
-//! the two-level tree. One driver, `run_trees`, executes any list;
+//! the two-level tree. One function, `run_trees`, executes any list;
 //! recursive doubling, a butterfly, keeps its own.
 //!
 //! A node folds its own slice first, then its children: in arrival
@@ -889,7 +889,7 @@ struct Fold {
     held: Vec<(u32, usize, Option<Values>)>,
 }
 
-/// The one tree driver: runs `trees` on the engine with each tree's
+/// Runs any tree schedule: `trees` on the engine, with each tree's
 /// columns cut into `k` chunks. Chunk `c` of tree `t` is flow
 /// `t·k + c`. Leaves inject their input slices; every other node folds
 /// its own slice and its children's contributions
@@ -933,7 +933,7 @@ fn run_trees(
     let mut nic = Nic::new(coalesce_bytes);
     let tracing = trace::enabled();
     let pid = trace::current_pid();
-    let combined = |v: usize, at: f64, f: usize, child: usize| {
+    let trace_combine = |v: usize, at: f64, f: usize, child: usize| {
         if tracing {
             let args = vec![("chunk", f.into()), ("child", child.into())];
             trace::instant(pid, trace::RANK_TID_BASE + v as u64, at, "combine", "coll", args);
@@ -993,7 +993,7 @@ fn run_trees(
             let payload =
                 (!is_leaf(t, child)).then(|| payloads.take(d.msg).expect("partial sum lost"));
             let done = if kids[t * p + v] == 1 {
-                combined(v, d.time, f, child);
+                trace_combine(v, d.time, f, child);
                 let mut acc = None;
                 pool.combine(&mut acc, own, payload, &ranks[child][lo..hi], exact);
                 acc
@@ -1006,12 +1006,12 @@ fn run_trees(
                     if *owed == 0 {
                         held.sort_unstable_by_key(|h| h.0);
                         for (_, c, b) in held.drain(..) {
-                            combined(v, d.time, f, c);
+                            trace_combine(v, d.time, f, c);
                             pool.combine(acc, own, b, &ranks[c][lo..hi], exact);
                         }
                     }
                 } else {
-                    combined(v, d.time, f, child);
+                    trace_combine(v, d.time, f, child);
                     pool.combine(acc, own, payload, &ranks[child][lo..hi], exact);
                 }
                 if *owed == 0 { acc.take() } else { None }
