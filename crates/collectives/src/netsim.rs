@@ -889,12 +889,9 @@ struct Fold {
     held: Vec<(u32, usize, Option<Values>)>,
 }
 
-/// Runs any tree schedule: `trees` on the engine, with each tree's
-/// columns cut into `k` chunks. Chunk `c` of tree `t` is flow
-/// `t·k + c`. Leaves inject their input slices; every other node folds
-/// its own slice and its children's contributions
-/// ([`BufferPool::combine`]) and sends the partial sum up; the root
-/// rounds once and broadcasts `(hi − lo)·8` payload-free bytes down.
+/// Runs any tree schedule on the engine, each tree's columns cut into
+/// `k` chunks (chunk `c` of tree `t` is flow `t·k + c`). Each flow's
+/// root rounds once and broadcasts `(hi − lo)·8` payload-free bytes;
 /// `elapsed_ns` is the last delivery's time.
 fn run_trees(
     mut sim: NetSim<'_>,
@@ -1101,7 +1098,8 @@ fn recursive_doubling_on(
     let stats = sim.run(|sim, d| {
         let r = d.to;
         let st = &mut states[r];
-        st.pending[d.tag as usize] = Some((d.time, payloads.take(d.msg)));
+        let payload = if exact { payloads.take(d.msg) } else { None };
+        st.pending[d.tag as usize] = Some((d.time, payload));
         // Drain every round that is now unblocked, in round order.
         while let Some((arrived, payload)) = st.pending.get_mut(st.round).and_then(Option::take) {
             let round = st.round;
@@ -1156,8 +1154,14 @@ fn block_fold(ranks: &[Vec<f64>], lo: usize, len: usize) -> Vec<f64> {
     if len == 1 {
         return ranks[lo].clone();
     }
-    let mut lower = block_fold(ranks, lo, len / 2);
-    for (a, b) in lower.iter_mut().zip(block_fold(ranks, lo + len / 2, len / 2)) {
+    let half = len / 2;
+    let mut lower = block_fold(ranks, lo, half);
+    // A one-rank upper half is read in place rather than cloned.
+    let upper = match half {
+        1 => std::borrow::Cow::Borrowed(&ranks[lo + 1]),
+        _ => std::borrow::Cow::Owned(block_fold(ranks, lo + half, half)),
+    };
+    for (a, b) in lower.iter_mut().zip(upper.iter()) {
         *a += b;
     }
     lower
