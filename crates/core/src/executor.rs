@@ -72,20 +72,6 @@ pub fn set_intra_threads(threads: usize) {
     INTRA_THREADS.store(threads, Ordering::Relaxed);
 }
 
-/// The parallelism a kernel would *actually* get right now: 1 inside
-/// an executor worker (the shared budget is already spent), otherwise
-/// the [`intra_threads`] hint. Use this to decide whether a
-/// parallel-only code path (e.g. a gather buffer) is worth its setup
-/// cost; use [`intra_threads`] for chunk *boundaries*, which must stay
-/// a pure function of the configured hint.
-pub fn effective_intra_threads() -> usize {
-    if in_worker() {
-        1
-    } else {
-        intra_threads()
-    }
-}
-
 /// The intra-run worker-count hint: the value set via
 /// [`set_intra_threads`], else the [`THREADS_ENV`] environment
 /// variable, else 1.

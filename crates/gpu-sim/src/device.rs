@@ -9,7 +9,7 @@ use fpna_core::Result;
 
 use crate::cost::{jittered_time_ns, reduce_time_ns};
 use crate::profile::{DeviceProfile, GpuModel};
-use crate::reduce::{reduce_value, KernelParams, ReduceKernel};
+use crate::reduce::{KernelParams, ReduceKernel, Stage};
 use crate::schedule::{ScheduleKind, Scheduler};
 
 /// Result of a simulated kernel launch.
@@ -58,7 +58,8 @@ impl GpuDevice {
     /// Returns [`FpnaError::InvalidConfig`] when the kernel is not
     /// available on the device — FP64 `atomicAdd` (AO) requires an
     /// unsafe compiler mode on AMD and is excluded there, as in the
-    /// paper.
+    /// paper — or when `params` is not a launchable geometry: `Nt` must
+    /// be a power of two and `Nb` at least 1.
     pub fn reduce(
         &self,
         kernel: ReduceKernel,
@@ -66,42 +67,20 @@ impl GpuDevice {
         params: KernelParams,
         kind: &ScheduleKind,
     ) -> Result<ReduceOutcome> {
-        if kernel == ReduceKernel::Ao && !self.profile.supports_ao {
-            return Err(FpnaError::config(format!(
-                "FP64 atomicAdd (AO) is not available on {}",
-                self.profile.model.name()
-            )));
-        }
-        let value = reduce_value(
-            kernel,
-            data,
-            params,
-            &self.scheduler,
-            self.profile.warp_width,
-            kind,
-        );
-        let base = reduce_time_ns(&self.profile, kernel, data.len(), params);
-        let jitter_seed = match *kind {
-            ScheduleKind::Seeded(s) | ScheduleKind::UniformRandom(s) => s,
-            ScheduleKind::InOrder => 0,
-            ScheduleKind::Reverse => 1,
-        };
-        Ok(ReduceOutcome {
-            value,
-            time_ns: jittered_time_ns(base, self.profile.timing_jitter, jitter_seed),
-            deterministic: kernel.is_deterministic(),
-        })
+        Ok(self.plan(kernel, data, params)?.run(kind))
     }
 
     /// Launch the same reduction `runs` times, re-keying the schedule
     /// per run (`base.for_run(r)` — the "launch it again" operation),
-    /// and return the outcomes in run-index order.
+    /// and return the outcomes in run-index order. Errors as
+    /// [`GpuDevice::reduce`].
     ///
-    /// The repeated-run loop is the dominant serial cost in every
-    /// fig/table binary, and each launch is independent by
-    /// construction (the per-run schedule depends only on `(base,
-    /// run_index)`), so the executor fans launches across threads with
-    /// bitwise-identical outcomes at any thread count.
+    /// The schedule-invariant stage (the block partials, or the value
+    /// of a deterministic kernel) is computed once for the whole sweep;
+    /// each run replays only its commit order. The runs are
+    /// independent by construction (the per-run schedule depends only
+    /// on `(base, run_index)`), so the executor fans them across
+    /// threads with bitwise-identical outcomes at any thread count.
     pub fn reduce_runs(
         &self,
         kernel: ReduceKernel,
@@ -125,15 +104,41 @@ impl GpuDevice {
         data: &[f64],
         params: KernelParams,
         base: &ScheduleKind,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         executor: &RunExecutor,
     ) -> Result<Vec<ReduceOutcome>> {
-        executor
-            .map_run_range(range, |r| {
-                self.reduce(kernel, data, params, &base.for_run(r as u64))
-            })
-            .into_iter()
-            .collect()
+        // Built outside the fan-out, so the block partials get the
+        // whole intra-run thread budget.
+        let plan = self.plan(kernel, data, params)?;
+        Ok(executor.map_run_range(range, |r| plan.run(&base.for_run(r as u64))))
+    }
+
+    /// The schedule-invariant stage of launching `kernel` over `data`,
+    /// after checking that the device and the geometry can run it.
+    fn plan<'a>(
+        &'a self,
+        kernel: ReduceKernel,
+        data: &'a [f64],
+        params: KernelParams,
+    ) -> Result<LaunchPlan<'a>> {
+        let (nt, nb) = (params.threads_per_block, params.num_blocks);
+        if !nt.is_power_of_two() || nb == 0 {
+            return Err(FpnaError::config(format!(
+                "launch geometry Nt = {nt}, Nb = {nb}: Nt must be a power of two and Nb at least 1"
+            )));
+        }
+        if kernel == ReduceKernel::Ao && !self.profile.supports_ao {
+            return Err(FpnaError::config(format!(
+                "FP64 atomicAdd (AO) is not available on {}",
+                self.profile.model.name()
+            )));
+        }
+        Ok(LaunchPlan {
+            device: self,
+            stage: Stage::new(kernel, data, params, self.profile.warp_width),
+            base_ns: reduce_time_ns(&self.profile, kernel, data.len(), params),
+            deterministic: kernel.is_deterministic(),
+        })
     }
 
     /// Walk the order in which `n_items` atomic contributions commit on
@@ -215,6 +220,33 @@ impl GpuDevice {
     }
 }
 
+/// One launch configuration, built once per `(kernel, data, params)`:
+/// the schedule-invariant [`Stage`] plus the noise-free launch time.
+/// [`LaunchPlan::run`] replays only what a schedule changes — the
+/// commit order and the timing jitter.
+struct LaunchPlan<'a> {
+    device: &'a GpuDevice,
+    stage: Stage<'a>,
+    base_ns: f64,
+    deterministic: bool,
+}
+
+impl LaunchPlan<'_> {
+    fn run(&self, kind: &ScheduleKind) -> ReduceOutcome {
+        let jitter_seed = match *kind {
+            ScheduleKind::Seeded(s) | ScheduleKind::UniformRandom(s) => s,
+            ScheduleKind::InOrder => 0,
+            ScheduleKind::Reverse => 1,
+        };
+        let profile = &self.device.profile;
+        ReduceOutcome {
+            value: self.stage.replay(&self.device.scheduler, kind),
+            time_ns: jittered_time_ns(self.base_ns, profile.timing_jitter, jitter_seed),
+            deterministic: self.deterministic,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,22 +276,63 @@ mod tests {
 
     #[test]
     fn reduce_runs_matches_serial_loop_at_any_thread_count() {
+        // One plan serves every run of a sweep, on every worker.
         let dev = GpuDevice::new(GpuModel::V100);
         let xs = data(50_000, 9);
         let params = KernelParams::new(128, 32);
         let base = ScheduleKind::Seeded(77);
-        let runs = 12;
-        let serial: Vec<ReduceOutcome> = (0..runs)
-            .map(|r| dev.reduce(ReduceKernel::Spa, &xs, params, &base.for_run(r as u64)).unwrap())
-            .collect();
-        for threads in [1usize, 2, 4, 7] {
-            let got = dev
-                .reduce_runs(ReduceKernel::Spa, &xs, params, &base, runs, &RunExecutor::new(threads))
-                .unwrap();
-            assert_eq!(got.len(), runs);
-            for (a, b) in serial.iter().zip(&got) {
-                assert_eq!(a.value.to_bits(), b.value.to_bits(), "threads={threads}");
-                assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits(), "threads={threads}");
+        for kernel in ReduceKernel::all() {
+            for range in [0..12, 5..14] {
+                let serial: Vec<ReduceOutcome> = range
+                    .clone()
+                    .map(|r| {
+                        dev.reduce(kernel, &xs, params, &base.for_run(r as u64))
+                            .unwrap()
+                    })
+                    .collect();
+                for threads in [1usize, 2, 4, 7] {
+                    let executor = RunExecutor::new(threads);
+                    let got = if range.start == 0 {
+                        dev.reduce_runs(kernel, &xs, params, &base, range.end, &executor)
+                    } else {
+                        dev.reduce_runs_range(kernel, &xs, params, &base, range.clone(), &executor)
+                    }
+                    .unwrap();
+                    assert_eq!(got.len(), serial.len());
+                    for (a, b) in serial.iter().zip(&got) {
+                        let at = format!("{} {range:?} threads={threads}", kernel.name());
+                        assert_eq!(a.value.to_bits(), b.value.to_bits(), "{at}");
+                        assert_eq!(a.time_ns.to_bits(), b.time_ns.to_bits(), "{at}");
+                        assert_eq!(a.deterministic, b.deterministic, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_launch_geometry_is_an_error_for_every_kernel() {
+        // `KernelParams`' fields are public, so a struct literal skips
+        // `KernelParams::new`'s asserts. A 96-lane tree would drop a
+        // lane (960 ones summed to 640), and zero blocks would divide
+        // by zero.
+        let dev = GpuDevice::new(GpuModel::V100);
+        let ones = vec![1.0; 960];
+        for (nt, nb) in [(96, 1), (64, 0), (0, 4)] {
+            let params = KernelParams {
+                threads_per_block: nt,
+                num_blocks: nb,
+            };
+            for kernel in ReduceKernel::all() {
+                let err = dev
+                    .reduce(kernel, &ones, params, &ScheduleKind::InOrder)
+                    .unwrap_err();
+                assert!(err.to_string().contains("launch geometry"), "{err}");
+                let (base, executor) = (ScheduleKind::Seeded(1), RunExecutor::new(2));
+                let err = dev
+                    .reduce_runs(kernel, &ones, params, &base, 3, &executor)
+                    .unwrap_err();
+                assert!(err.to_string().contains("launch geometry"), "{err}");
             }
         }
     }

@@ -33,6 +33,20 @@
 //!   to one address; the value is the serial sum in *element commit
 //!   order* — warp-synchronous lanes in order, warps interleaved by the
 //!   scheduler ⇒ non-deterministic, and catastrophically slow.
+//!
+//! ## What a run replays
+//!
+//! Only the commit order depends on the schedule, so a launch is split
+//! in two (`Stage`). The schedule-invariant stage is computed once per
+//! `(kernel, data, params)`: the value itself for SPTR, SPRG, TPRC and
+//! CU; the `Nb` block partials for SPA; each block's chunk bounds and
+//! warp-event count for AO, which keeps a borrow of the data. A run
+//! replays the rest under its schedule: SPA folds the partials in block
+//! finish order, AO interleaves the warp events and adds each event's
+//! lanes in that order, and the deterministic kernels return their
+//! value. [`crate::GpuDevice::reduce_runs`] builds the stage once for a
+//! whole sweep, so Fig 1's 10 000 runs per array compute its block
+//! partials once.
 
 use crate::schedule::{ScheduleKind, Scheduler};
 
@@ -40,9 +54,9 @@ use crate::schedule::{ScheduleKind, Scheduler};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelParams {
     /// Threads per block (`Nt`). Must be a power of two for the
-    /// pairwise tree.
+    /// pairwise tree; a launch with any other value is an error.
     pub threads_per_block: u32,
-    /// Number of thread blocks (`Nb`).
+    /// Number of thread blocks (`Nb`), at least 1.
     pub num_blocks: u32,
 }
 
@@ -146,14 +160,23 @@ pub fn block_partial(chunk: &[f64], threads_per_block: u32) -> f64 {
 }
 
 /// [`block_partial`] with caller-provided lane scratch, so a loop over
-/// blocks (7813 of them per Fig 1 replay) reuses one allocation
+/// blocks (7813 of them per Fig 1 launch) reuses one allocation
 /// instead of paying one `vec![0.0; Nt]` per block.
+///
+/// The chunk is added one row of `Nt` elements at a time, lane `t`
+/// taking the row's element `t`: each lane sees its elements in the
+/// same order as the strided per-thread loop, so the bits are the
+/// same, and the row loop has no division and vectorizes.
 pub fn block_partial_with(chunk: &[f64], threads_per_block: u32, lanes: &mut Vec<f64>) -> f64 {
     let nt = threads_per_block as usize;
     lanes.clear();
     lanes.resize(nt, 0.0);
-    for (i, &x) in chunk.iter().enumerate() {
-        lanes[i % nt] += x;
+    let rows = chunk.chunks_exact(nt);
+    let tail = rows.remainder();
+    for row in rows.chain([tail]) {
+        for (lane, &x) in lanes.iter_mut().zip(row) {
+            *lane += x;
+        }
     }
     // pairwise tree over the lane values
     let mut offset = nt / 2;
@@ -206,34 +229,21 @@ pub fn block_partials(data: &[f64], params: KernelParams) -> Vec<f64> {
     out
 }
 
-std::thread_local! {
-    /// Reused tree-reduction scratch: one buffer per thread instead of
-    /// one allocation per [`tree_sum`] call (once per run — thousands
-    /// per sweep).
-    static TREE_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// Power-of-two tree sum in index order — the last-block reduction of
 /// SPTR and the final stage of CU.
 fn tree_sum(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    TREE_SCRATCH.with(|scratch| {
-        let mut buf = scratch.borrow_mut();
-        let m = xs.len().next_power_of_two();
-        buf.clear();
-        buf.resize(m, 0.0);
-        buf[..xs.len()].copy_from_slice(xs);
-        let mut half = m / 2;
-        while half > 0 {
-            for i in 0..half {
-                buf[i] += buf[i + half];
-            }
-            half /= 2;
+    let m = xs.len().next_power_of_two();
+    let mut buf = Vec::with_capacity(m);
+    buf.extend_from_slice(xs);
+    buf.resize(m, 0.0);
+    let mut half = m / 2;
+    while half > 0 {
+        for i in 0..half {
+            buf[i] += buf[i + half];
         }
-        buf[0]
-    })
+        half /= 2;
+    }
+    buf[0]
 }
 
 /// Serial sum in index order — SPRG's `res[0] += res[i]` loop and
@@ -256,126 +266,107 @@ pub fn cub_params(n: usize) -> KernelParams {
     KernelParams::new(nt, nb)
 }
 
-/// Execute a reduction kernel's *numeric* semantics under a schedule.
-///
-/// Deterministic kernels ignore the schedule entirely (that is their
-/// defining property, and the property tests pin it down).
-/// Non-deterministic kernels commit their floating-point additions in
-/// schedule order.
-pub fn reduce_value(
-    kernel: ReduceKernel,
-    data: &[f64],
-    params: KernelParams,
-    scheduler: &Scheduler,
-    warp_width: u32,
-    kind: &ScheduleKind,
-) -> f64 {
-    match kernel {
-        ReduceKernel::Ao => ao_value(data, params, scheduler, warp_width, kind),
-        ReduceKernel::Spa => {
-            let partials = block_partials(data, params);
-            let order = scheduler.block_finish_order(params.num_blocks, kind);
-            let mut s = 0.0f64;
-            for &b in &order {
-                s += partials[b as usize];
-            }
-            s
-        }
-        ReduceKernel::Sptr => tree_sum(&block_partials(data, params)),
-        ReduceKernel::Sprg | ReduceKernel::Tprc => serial_sum(&block_partials(data, params)),
-        ReduceKernel::Cu => tree_sum(&block_partials(data, cub_params(data.len()))),
-    }
+/// The schedule-invariant stage of a launch: everything about its
+/// value that no commit order can change, computed once per
+/// `(kernel, data, params)`. [`Stage::replay`] adds the part that
+/// depends on the schedule.
+pub(crate) enum Stage<'a> {
+    /// SPTR, SPRG, TPRC and CU: the value itself. These kernels
+    /// ignore the schedule (that is their defining property, and the
+    /// tests pin it down).
+    Value(f64),
+    /// SPA: the block partials, committed with `atomicAdd` in block
+    /// finish order.
+    Partials(Vec<f64>),
+    /// AO: every element is `atomicAdd`ed to a single address, one
+    /// warp event at a time. Block `b` owns `data[lo..hi]` with
+    /// `(lo, hi) = bounds[b]` and issues `events[b]` warp events:
+    /// `⌈(hi − lo) / Nt⌉` rounds of `Nt / ww` warps.
+    Atomics {
+        data: &'a [f64],
+        bounds: Vec<(usize, usize)>,
+        events: Vec<u32>,
+        ww: usize,
+    },
 }
 
-/// AO: every element is `atomicAdd`ed to a single address. Elements
-/// commit lane-ordered within a warp; warp events from resident blocks
-/// interleave per the scheduler. The value is the serial sum in that
-/// global commit order.
-fn ao_value(
-    data: &[f64],
-    params: KernelParams,
-    scheduler: &Scheduler,
-    warp_width: u32,
-    kind: &ScheduleKind,
-) -> f64 {
-    let n = data.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let nt = params.threads_per_block as usize;
-    let ww = (warp_width as usize).min(nt);
-    let warps = nt / ww;
-    let bounds = chunk_bounds(n, params.num_blocks);
-    // Per-block queue length: one event per (round, warp) with any live
-    // lane. Rounds = passes of the whole block over its chunk.
-    let queue_lens: Vec<u32> = bounds
-        .iter()
-        .map(|&(lo, hi)| {
-            let len = hi - lo;
-            let rounds = len.div_ceil(nt);
-            (rounds * warps) as u32
-        })
-        .collect();
-    let events = scheduler.interleave(&queue_lens, kind);
-    // The accumulation itself is a serial sum in global commit order —
-    // that order *is* AO's value semantics, so it can never be
-    // parallelized. The prefix work (resolving each event to the
-    // values it commits — pure index arithmetic) can: with an intra-run
-    // thread budget the gather fans across fixed event chunks, and the
-    // strictly-ordered fold below consumes the chunks in event order,
-    // bitwise identical to the single-pass loop.
-    let commit_values = |range: std::ops::Range<usize>, out: &mut Vec<f64>| {
-        for &(block, event) in &events[range] {
-            let (lo, hi) = bounds[block as usize];
-            let round = event as usize / warps;
-            let warp = event as usize % warps;
-            let base = lo + round * nt + warp * ww;
-            for lane in 0..ww {
-                let idx = base + lane;
-                if idx < hi {
-                    out.push(data[idx]);
+impl<'a> Stage<'a> {
+    /// The stage of `kernel` over `data`. `params` must hold a
+    /// power-of-two `Nt` and a nonzero `Nb`.
+    pub(crate) fn new(
+        kernel: ReduceKernel,
+        data: &'a [f64],
+        params: KernelParams,
+        warp_width: u32,
+    ) -> Self {
+        match kernel {
+            ReduceKernel::Ao => {
+                let nt = params.threads_per_block as usize;
+                let ww = (warp_width as usize).min(nt);
+                let bounds = chunk_bounds(data.len(), params.num_blocks);
+                let events = bounds
+                    .iter()
+                    .map(|&(lo, hi)| ((hi - lo).div_ceil(nt) * (nt / ww)) as u32)
+                    .collect();
+                Stage::Atomics {
+                    data,
+                    bounds,
+                    events,
+                    ww,
                 }
             }
-        }
-    };
-    let mut sum = 0.0f64;
-    // The gather buffer only pays off when threads will actually run
-    // (not inside an outer run-fan-out worker, where the primitives
-    // collapse to serial) and the event list is large enough to
-    // amortize the copy.
-    if fpna_core::executor::effective_intra_threads() > 1 && events.len() >= 1024 {
-        let gathered = fpna_core::executor::par_chunk_map(events.len(), |_, range| {
-            let mut vals = Vec::with_capacity(range.len() * ww);
-            commit_values(range, &mut vals);
-            vals
-        });
-        for vals in &gathered {
-            for &v in vals {
-                sum += v;
+            ReduceKernel::Spa => Stage::Partials(block_partials(data, params)),
+            ReduceKernel::Sptr => Stage::Value(tree_sum(&block_partials(data, params))),
+            ReduceKernel::Sprg | ReduceKernel::Tprc => {
+                Stage::Value(serial_sum(&block_partials(data, params)))
             }
-        }
-    } else {
-        // Serial budget: the original fused single pass (no gather
-        // buffer). Same commit order, same bits.
-        for &(block, event) in &events {
-            let (lo, hi) = bounds[block as usize];
-            let round = event as usize / warps;
-            let warp = event as usize % warps;
-            let base = lo + round * nt + warp * ww;
-            for lane in 0..ww {
-                let idx = base + lane;
-                if idx < hi {
-                    sum += data[idx];
-                }
+            ReduceKernel::Cu => {
+                Stage::Value(tree_sum(&block_partials(data, cub_params(data.len()))))
             }
         }
     }
-    sum
+
+    /// The launch's value under schedule `kind`: the stage's
+    /// floating-point commits, in the scheduler's order.
+    pub(crate) fn replay(&self, scheduler: &Scheduler, kind: &ScheduleKind) -> f64 {
+        match self {
+            Stage::Value(v) => *v,
+            Stage::Partials(partials) => {
+                let mut s = 0.0f64;
+                for b in scheduler.block_finish_order(partials.len() as u32, kind) {
+                    s += partials[b as usize];
+                }
+                s
+            }
+            // `Nt = warps · ww`, so event `e` of a block is lanes
+            // `e · ww ..` of its chunk: the warp-synchronous lanes
+            // commit in order, cut short at the chunk's end. The value
+            // is the serial sum in global commit order, which can
+            // never be parallelized.
+            Stage::Atomics {
+                data,
+                bounds,
+                events,
+                ww,
+            } => {
+                let mut s = 0.0f64;
+                for (block, e) in scheduler.interleave(events, kind) {
+                    let (lo, hi) = bounds[block as usize];
+                    let start = (lo + e as usize * ww).min(hi);
+                    for &x in &data[start..(start + ww).min(hi)] {
+                        s += x;
+                    }
+                }
+                s
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GpuDevice, GpuModel};
     use fpna_core::rng::SplitMix64;
 
     fn data(n: usize, seed: u64) -> Vec<f64> {
@@ -383,8 +374,13 @@ mod tests {
         (0..n).map(|_| rng.next_f64() * 10.0).collect()
     }
 
-    fn sched() -> Scheduler {
-        Scheduler::new(320)
+    /// The value of one launch on the V100: a 320-block window and
+    /// 32-lane warps.
+    fn value(kernel: ReduceKernel, xs: &[f64], params: KernelParams, kind: &ScheduleKind) -> f64 {
+        GpuDevice::new(GpuModel::V100)
+            .reduce(kernel, xs, params, kind)
+            .unwrap()
+            .value
     }
 
     #[test]
@@ -432,7 +428,7 @@ mod tests {
         let expected: f64 = xs.iter().sum();
         let params = KernelParams::new(128, 64);
         for k in ReduceKernel::all() {
-            let v = reduce_value(k, &xs, params, &sched(), 32, &ScheduleKind::Seeded(3));
+            let v = value(k, &xs, params, &ScheduleKind::Seeded(3));
             assert!(
                 (v - expected).abs() < 1e-8,
                 "{}: {v} vs {expected}",
@@ -446,14 +442,14 @@ mod tests {
         let xs = data(50_000, 2);
         let params = KernelParams::new(64, 512);
         for k in ReduceKernel::all().into_iter().filter(|k| k.is_deterministic()) {
-            let reference = reduce_value(k, &xs, params, &sched(), 32, &ScheduleKind::InOrder);
+            let reference = value(k, &xs, params, &ScheduleKind::InOrder);
             for kind in [
                 ScheduleKind::Seeded(1),
                 ScheduleKind::Seeded(999),
                 ScheduleKind::UniformRandom(5),
                 ScheduleKind::Reverse,
             ] {
-                let v = reduce_value(k, &xs, params, &sched(), 32, &kind);
+                let v = value(k, &xs, params, &kind);
                 assert_eq!(
                     v.to_bits(),
                     reference.to_bits(),
@@ -471,14 +467,7 @@ mod tests {
         for k in [ReduceKernel::Spa, ReduceKernel::Ao] {
             let mut seen = std::collections::HashSet::new();
             for run in 0..20 {
-                let v = reduce_value(
-                    k,
-                    &xs,
-                    params,
-                    &sched(),
-                    32,
-                    &ScheduleKind::Seeded(42).for_run(run),
-                );
+                let v = value(k, &xs, params, &ScheduleKind::Seeded(42).for_run(run));
                 seen.insert(v.to_bits());
             }
             assert!(
@@ -496,8 +485,8 @@ mod tests {
         let params = KernelParams::new(64, 782);
         for k in [ReduceKernel::Spa, ReduceKernel::Ao] {
             let kind = ScheduleKind::Seeded(7);
-            let a = reduce_value(k, &xs, params, &sched(), 32, &kind);
-            let b = reduce_value(k, &xs, params, &sched(), 32, &kind);
+            let a = value(k, &xs, params, &kind);
+            let b = value(k, &xs, params, &kind);
             assert_eq!(a.to_bits(), b.to_bits(), "{}", k.name());
         }
     }
@@ -507,14 +496,7 @@ mod tests {
         // With an in-order schedule AO is the plain serial sum.
         let xs = data(10_000, 5);
         let params = KernelParams::new(64, 16);
-        let v = reduce_value(
-            ReduceKernel::Ao,
-            &xs,
-            params,
-            &sched(),
-            32,
-            &ScheduleKind::InOrder,
-        );
+        let v = value(ReduceKernel::Ao, &xs, params, &ScheduleKind::InOrder);
         let serial: f64 = {
             let mut s = 0.0;
             for &x in &xs {

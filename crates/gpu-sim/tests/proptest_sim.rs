@@ -1,10 +1,115 @@
 //! Property tests for the simulator: schedule validity, kernel value
-//! correctness against an exact oracle, and the determinism contract.
+//! correctness against an exact oracle and against a literal
+//! formulation of each kernel, and the determinism contract.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind, Scheduler};
+use fpna_gpu_sim::{
+    DeviceProfile, GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind, Scheduler,
+};
+
+/// The six kernels written out the way the paper's CUDA reads, one
+/// launch at a time, as a reference independent of the simulator's
+/// launch plans: thread `t` of a block adds `chunk[i]` for every
+/// `i % Nt == t`, and AO resolves each warp event to its round and
+/// warp by division and tests every lane against the chunk's end.
+mod literal {
+    use fpna_gpu_sim::{GpuDevice, KernelParams, ReduceKernel, ScheduleKind};
+
+    fn chunks(n: usize, nb: usize) -> Vec<(usize, usize)> {
+        let chunk = n.div_ceil(nb);
+        (0..nb)
+            .map(|b| ((b * chunk).min(n), ((b + 1) * chunk).min(n)))
+            .collect()
+    }
+
+    fn pairwise(mut lanes: Vec<f64>) -> f64 {
+        let mut offset = lanes.len() / 2;
+        while offset > 0 {
+            for i in 0..offset {
+                lanes[i] += lanes[i + offset];
+            }
+            offset /= 2;
+        }
+        lanes[0]
+    }
+
+    fn partials(xs: &[f64], nt: usize, nb: usize) -> Vec<f64> {
+        chunks(xs.len(), nb)
+            .into_iter()
+            .map(|(lo, hi)| {
+                let mut lanes = vec![0.0f64; nt];
+                for (i, &x) in xs[lo..hi].iter().enumerate() {
+                    lanes[i % nt] += x;
+                }
+                pairwise(lanes)
+            })
+            .collect()
+    }
+
+    fn tree(xs: &[f64]) -> f64 {
+        let mut buf = xs.to_vec();
+        buf.resize(xs.len().next_power_of_two(), 0.0);
+        pairwise(buf)
+    }
+
+    fn serial(xs: &[f64]) -> f64 {
+        let mut s = 0.0;
+        for &x in xs {
+            s += x;
+        }
+        s
+    }
+
+    pub fn value(
+        device: &GpuDevice,
+        kernel: ReduceKernel,
+        xs: &[f64],
+        params: KernelParams,
+        kind: &ScheduleKind,
+    ) -> f64 {
+        let nt = params.threads_per_block as usize;
+        let nb = params.num_blocks as usize;
+        match kernel {
+            ReduceKernel::Spa => {
+                let p = partials(xs, nt, nb);
+                let mut s = 0.0;
+                for b in device.scheduler().block_finish_order(nb as u32, kind) {
+                    s += p[b as usize];
+                }
+                s
+            }
+            ReduceKernel::Sptr => tree(&partials(xs, nt, nb)),
+            ReduceKernel::Sprg | ReduceKernel::Tprc => serial(&partials(xs, nt, nb)),
+            // The library's own geometry: 256 threads, 16 items each.
+            ReduceKernel::Cu => tree(&partials(xs, 256, xs.len().div_ceil(256 * 16).max(1))),
+            ReduceKernel::Ao => {
+                let ww = (device.profile().warp_width as usize).min(nt);
+                let warps = nt / ww;
+                let bounds = chunks(xs.len(), nb);
+                let queues: Vec<u32> = bounds
+                    .iter()
+                    .map(|&(lo, hi)| ((hi - lo).div_ceil(nt) * warps) as u32)
+                    .collect();
+                let mut s = 0.0;
+                for (block, event) in device.scheduler().interleave(&queues, kind) {
+                    let (lo, hi) = bounds[block as usize];
+                    let round = event as usize / warps;
+                    let warp = event as usize % warps;
+                    let base = lo + round * nt + warp * ww;
+                    for lane in 0..ww {
+                        let idx = base + lane;
+                        if idx < hi {
+                            s += xs[idx];
+                        }
+                    }
+                }
+                s
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -116,9 +221,8 @@ proptest! {
     }
 
     /// Intra-run parallelism contract: `block_partials` and every
-    /// kernel value (including AO's parallel event gather) are bitwise
-    /// identical to the serial execution for thread-count hints
-    /// {1, 2, 4, 7}.
+    /// kernel value are bitwise identical to the serial execution for
+    /// thread-count hints {1, 2, 4, 7}.
     #[test]
     fn single_run_values_are_intra_thread_invariant(
         n in 1usize..40_000,
@@ -126,19 +230,20 @@ proptest! {
         nb in 1u32..300,
     ) {
         use fpna_core::executor::{intra_hint_test_guard, set_intra_threads};
-        use fpna_gpu_sim::reduce::{block_partials, reduce_value};
+        use fpna_gpu_sim::reduce::block_partials;
         let _hint = intra_hint_test_guard();
 
         let mut rng = fpna_core::rng::SplitMix64::new(seed);
         let xs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 1e6 - 5e5).collect();
         let params = KernelParams::new(64, nb);
-        let sched = Scheduler::new(320);
+        let device = GpuDevice::new(GpuModel::V100);
         let kind = ScheduleKind::Seeded(seed);
+        let value = |kernel| device.reduce(kernel, &xs, params, &kind).unwrap().value;
 
         set_intra_threads(1);
         let partials_ref = block_partials(&xs, params);
-        let ao_ref = reduce_value(ReduceKernel::Ao, &xs, params, &sched, 32, &kind);
-        let sptr_ref = reduce_value(ReduceKernel::Sptr, &xs, params, &sched, 32, &kind);
+        let ao_ref = value(ReduceKernel::Ao);
+        let sptr_ref = value(ReduceKernel::Sptr);
         for threads in [2usize, 4, 7] {
             set_intra_threads(threads);
             let partials = block_partials(&xs, params);
@@ -146,10 +251,54 @@ proptest! {
             for (a, b) in partials.iter().zip(&partials_ref) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
             }
-            let ao = reduce_value(ReduceKernel::Ao, &xs, params, &sched, 32, &kind);
+            let ao = value(ReduceKernel::Ao);
             prop_assert_eq!(ao.to_bits(), ao_ref.to_bits(), "AO threads={}", threads);
-            let sptr = reduce_value(ReduceKernel::Sptr, &xs, params, &sched, 32, &kind);
+            let sptr = value(ReduceKernel::Sptr);
             prop_assert_eq!(sptr.to_bits(), sptr_ref.to_bits(), "SPTR threads={}", threads);
+        }
+    }
+
+    /// Every kernel, under every schedule kind, returns the bits of its
+    /// literal formulation: ragged lengths (empty, shorter than the
+    /// block count, partial rows and warps), on 32-lane warps and on
+    /// 64-lane warps with AO enabled and a 20-block residency window
+    /// that the block count crosses.
+    #[test]
+    fn kernels_match_their_literal_formulation(
+        n in 0usize..3000,
+        seed in any::<u64>(),
+        nt_pow in 3u32..9,
+        nb in 1u32..48,
+    ) {
+        let mut wide = DeviceProfile::new(GpuModel::Mi250x);
+        wide.supports_ao = true;
+        wide.sms = 5;
+        let devices = [GpuDevice::new(GpuModel::V100), GpuDevice::with_profile(wide)];
+        let mut rng = fpna_core::rng::SplitMix64::new(seed);
+        let xs: Vec<f64> = (0..n)
+            .map(|i| (rng.next_f64() - 0.25) * f64::powi(2.0, (i % 16) as i32 - 8))
+            .collect();
+        let params = KernelParams::new(1 << nt_pow, nb);
+        for device in &devices {
+            for kind in [
+                ScheduleKind::Seeded(seed),
+                ScheduleKind::UniformRandom(seed),
+                ScheduleKind::InOrder,
+                ScheduleKind::Reverse,
+            ] {
+                for kernel in ReduceKernel::all() {
+                    let got = device.reduce(kernel, &xs, params, &kind).unwrap().value;
+                    let want = literal::value(device, kernel, &xs, params, &kind);
+                    prop_assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} on {}-lane warps under {:?}",
+                        kernel.name(),
+                        device.profile().warp_width,
+                        kind
+                    );
+                }
+            }
         }
     }
 }
