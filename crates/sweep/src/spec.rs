@@ -250,8 +250,13 @@ mod tests {
             base.hash_hex(),
             SweepSpec::new("fig1", 40).arg("seed", 55).arg("gpu", "h100").hash_hex()
         );
-        // hash is stable across processes and time: pin one value
-        assert_eq!(spec().hash_hex(), spec().hash_hex());
+        // The hash names a directory under the results store, so it
+        // must be stable across processes and releases: pin one value.
+        assert_eq!(
+            spec().canonical_json(),
+            r#"{"experiment":"table5","runs":40,"args":{"gpu":"h100","seed":"55"}}"#
+        );
+        assert_eq!(spec().hash_hex(), "e8a6bf061662ba24");
     }
 
     #[test]

@@ -687,6 +687,26 @@ mod tests {
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// Shard files move between processes and machines and are merged
+    /// only when they validate, so their encoding must never drift.
+    #[test]
+    fn shard_encoding_is_pinned() {
+        let want = concat!(
+            r#"{"schema":"fpna-sweep-shard-v1","spec_hash":"4b51535b85636bd8","#,
+            r#""spec":{"experiment":"selftest","runs":10,"args":{"seed":"7"}},"#,
+            r#""shard_id":1,"run_start":3,"run_end":7,"#,
+            r#""cells":{"cell":{"runs":[3,4,5,6],"values":["#,
+            r#"["3fd3333333333334","bfd0000000000000"],"#,
+            r#"["3fd999999999999a","bfc999999999999a"],"#,
+            r#"["3fe0000000000000","bfc5555555555555"],"#,
+            r#"["3fe3333333333334","bfc2492492492492"]]}},"#,
+            r#""stats":{"cell":{"count":4,"sums":["#,
+            r#""1f22000000600000000033333333000000003333070000000000","#,
+            r#""1f22000000f8ffffffff643ff663000000003ff6fcffffffffff"]}}}"#,
+        );
+        assert_eq!(encode_shard(&spec(), 1, 3..7, &rows_for(3..7)), want);
+    }
+
     #[test]
     fn merged_load_requires_exact_partition() {
         let store = temp_store("partition");
