@@ -7,7 +7,9 @@
 //! threshold. Result files whose bench source (`benches/<stem>.rs`)
 //! no longer exists are pruned on read, so renamed or deleted suites
 //! drop out of both the gate and `--update`d baselines instead of
-//! lingering as stale rows.
+//! lingering as stale rows. Rows are read and written with
+//! `fpna_obs::json`; a line that is not a row fails the gate with its
+//! file and line number.
 //!
 //! Because the baseline is committed from one machine and CI runs on
 //! another, raw nanoseconds are not comparable; the gate therefore
@@ -38,7 +40,9 @@
 //! `--suite-threshold <suite>=<factor>`, `--baseline <path>`,
 //! `--update`.
 
+use fpna_bench::arg_string;
 use fpna_core::report::Table;
+use fpna_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -133,14 +137,10 @@ fn main() -> ExitCode {
     };
 
     if update {
-        let mut out = String::new();
-        for (id, ns) in &current {
-            out.push_str(&format!("{{\"id\":\"{}\",\"median_ns\":{ns}}}\n", json_escape(id)));
-        }
         if let Some(dir) = baseline_path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        if let Err(e) = std::fs::write(&baseline_path, out) {
+        if let Err(e) = std::fs::write(&baseline_path, render_rows(&current)) {
             eprintln!("bench_gate: cannot write baseline {}: {e}", baseline_path.display());
             return ExitCode::FAILURE;
         }
@@ -149,7 +149,13 @@ fn main() -> ExitCode {
     }
 
     let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => parse_rows(&text),
+        Ok(text) => match parse_rows(&baseline_path, &text) {
+            Ok(rows) => rows,
+            Err(e) => {
+                eprintln!("bench_gate: cannot read baseline {e}");
+                return ExitCode::FAILURE;
+            }
+        },
         Err(e) => {
             eprintln!(
                 "bench_gate: cannot read baseline {}: {e}\n  (run with --update to create it)",
@@ -243,21 +249,6 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Minimal JSON string escaping, mirroring the criterion shim's
-/// writer so `--update` round-trips ids losslessly.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `<manifest>/baselines/bench-baseline.json`; cargo sets
 /// `CARGO_MANIFEST_DIR` for `cargo run`, so the committed baseline
 /// resolves regardless of the working directory.
@@ -294,14 +285,15 @@ fn live_suites() -> Option<std::collections::BTreeSet<String>> {
 /// never deletes them), so without the prune a renamed or removed
 /// suite would keep feeding stale rows into the gate and, worse, into
 /// every `--update`d baseline.
-fn read_current() -> std::io::Result<BTreeMap<String, u128>> {
+fn read_current() -> Result<BTreeMap<String, u128>, String> {
     let Some(dir) = target_dir().map(|t| t.join("bench-json")) else {
         return Ok(BTreeMap::new());
     };
     let live = live_suites();
     let mut map = BTreeMap::new();
-    for entry in std::fs::read_dir(&dir)? {
-        let path = entry?.path();
+    let entries = std::fs::read_dir(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    for entry in entries {
+        let path = entry.map_err(|e| format!("{}: {e}", dir.display()))?.path();
         if path.extension().is_none_or(|e| e != "json") {
             continue;
         }
@@ -315,7 +307,9 @@ fn read_current() -> std::io::Result<BTreeMap<String, u128>> {
                 continue;
             }
         }
-        map.extend(parse_rows(&std::fs::read_to_string(&path)?));
+        let text =
+            std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        map.extend(parse_rows(&path, &text)?);
     }
     map.retain(|id, _| {
         let suite = id.split('/').next().unwrap_or(id);
@@ -335,48 +329,45 @@ fn target_dir() -> Option<PathBuf> {
     std::env::var_os("CARGO_TARGET_DIR").map(PathBuf::from)
 }
 
-/// Parse the shim's fixed-shape JSON lines: extract `"id"` and
-/// `"median_ns"`; rows missing either are skipped.
-fn parse_rows(text: &str) -> BTreeMap<String, u128> {
+/// Parse the shim's JSON lines, one `{"id", "median_ns", …}` object
+/// per line; blank lines are skipped. A line that is not such a row is
+/// an error naming `path` and the line number.
+fn parse_rows(path: &Path, text: &str) -> Result<BTreeMap<String, u128>, String> {
     let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let Some(id) = extract_str(line, "id") else { continue };
-        let Some(ns) = extract_u128(line, "median_ns") else { continue };
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let row = json::parse(line).and_then(|v| {
+            let id = v
+                .get("id")
+                .and_then(Value::as_str)
+                .ok_or("missing string \"id\"")?;
+            let ns = v
+                .get("median_ns")
+                .and_then(Value::as_u64)
+                .ok_or("missing integer \"median_ns\"")?;
+            Ok((id.to_string(), u128::from(ns)))
+        });
+        let (id, ns) = row.map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
         map.insert(id, ns);
     }
-    map
+    Ok(map)
 }
 
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":\"");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
+/// The baseline file `--update` writes: one `{"id","median_ns"}` row
+/// per line, in id order.
+fn render_rows(rows: &BTreeMap<String, u128>) -> String {
     let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = (&mut chars).take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
+    for (id, &ns) in rows {
+        let row = Value::Obj(vec![
+            ("id".into(), Value::Str(id.clone())),
+            ("median_ns".into(), Value::Num(ns as f64)),
+        ]);
+        out.push_str(&row.to_json());
+        out.push('\n');
     }
-    None
-}
-
-fn extract_u128(line: &str, key: &str) -> Option<u128> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let digits: String = line[start..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
+    out
 }
 
 fn arg_f64(name: &str, default: f64) -> f64 {
@@ -385,16 +376,31 @@ fn arg_f64(name: &str, default: f64) -> f64 {
         .unwrap_or(default)
 }
 
-fn arg_string(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(rest.to_string());
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = include_str!("../../baselines/bench-baseline.json");
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let rows = parse_rows(Path::new("bench-baseline.json"), BASELINE).unwrap();
+        assert_eq!(rows.len(), 63);
+        assert_eq!(render_rows(&rows), BASELINE);
+    }
+
+    #[test]
+    fn malformed_lines_name_the_file_and_line() {
+        let path = Path::new("suite.json");
+        let good = "{\"id\":\"a/b\",\"median_ns\":5,\"mean_ns\":6,\"samples\":10}\n\n";
+        assert_eq!(parse_rows(path, good).unwrap()["a/b"], 5);
+        for bad in [
+            "{\"id\":\"a/b\",\"median_ns\":5",
+            "{\"id\":\"a/b\"}",
+            "{\"median_ns\":5}",
+        ] {
+            let err = parse_rows(path, &format!("{good}{bad}\n")).unwrap_err();
+            assert!(err.starts_with("suite.json:3: "), "{err}");
         }
     }
-    None
 }

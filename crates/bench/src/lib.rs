@@ -54,19 +54,13 @@ use std::path::PathBuf;
 use fpna_core::executor::RunExecutor;
 use fpna_sweep::SweepMode;
 
-/// Shared per-binary experiment arguments: worker threads, run
-/// batching, the paper-scale preset switch, and the observability
-/// switches.
+/// Shared per-binary experiment arguments: worker threads, the
+/// paper-scale preset switch, and the observability switches.
 #[derive(Debug, Clone)]
 pub struct ExperimentArgs {
     /// Worker thread count for repeated-run loops (`--threads`,
     /// default `FPNA_THREADS`, default 1).
     pub threads: usize,
-    /// Run indices each worker claims per shared-counter pull
-    /// (`--run-batch`, default 1) — the work-stealing chunk-size knob
-    /// for sweeps of very short runs. Bitwise invariant; scheduling
-    /// only.
-    pub run_batch: usize,
     /// `--paper-scale`: use the paper's full experiment sizes.
     pub paper_scale: bool,
     /// `--trace out.json`: record a simulated-clock Chrome/Perfetto
@@ -85,18 +79,15 @@ pub struct ExperimentArgs {
 }
 
 impl ExperimentArgs {
-    /// Parse `--threads` / `--run-batch` / `--paper-scale` from the
-    /// process arguments.
+    /// Parse `--threads` / `--paper-scale` from the process arguments.
     ///
     /// # Panics
     ///
-    /// Panics when `--threads` or `--run-batch` is given a
-    /// non-positive or unparsable value.
+    /// Panics when `--threads` is given a non-positive or unparsable
+    /// value.
     pub fn parse() -> Self {
         let threads = arg_usize("threads", RunExecutor::from_env().threads);
         assert!(threads > 0, "--threads expects a positive integer");
-        let run_batch = arg_usize("run-batch", 1);
-        assert!(run_batch > 0, "--run-batch expects a positive integer");
         // One flag, one budget: the same worker count drives the
         // repeated-run fan-out (RunExecutor) and the intra-run kernel
         // primitives; nesting collapses to serial inside workers, so
@@ -122,7 +113,6 @@ impl ExperimentArgs {
         }
         ExperimentArgs {
             threads,
-            run_batch,
             paper_scale: arg_flag("paper-scale"),
             trace,
             profile,
@@ -185,7 +175,7 @@ impl ExperimentArgs {
 
     /// The executor running this binary's repeated-run loops.
     pub fn executor(&self) -> RunExecutor {
-        RunExecutor::new(self.threads).with_batch(self.run_batch)
+        RunExecutor::new(self.threads)
     }
 
     /// An experiment size: the explicit `--name` flag when present,
@@ -331,7 +321,6 @@ mod tests {
     fn experiment_args_pick_preset_sizes() {
         let scaled = ExperimentArgs {
             threads: 1,
-            run_batch: 1,
             paper_scale: false,
             trace: None,
             profile: false,
@@ -342,7 +331,6 @@ mod tests {
         assert!(scaled.reporting());
         let paper = ExperimentArgs {
             threads: 4,
-            run_batch: 8,
             paper_scale: true,
             trace: None,
             profile: false,
@@ -350,7 +338,6 @@ mod tests {
         };
         assert_eq!(paper.size("not-a-flag", 40, 10_000), 10_000);
         assert_eq!(paper.executor().threads, 4);
-        assert_eq!(paper.executor().batch, 8);
         assert_eq!(paper.scale_label(), "paper-scale");
     }
 
@@ -358,7 +345,6 @@ mod tests {
     fn shard_mode_namespaces_obs_outputs() {
         let shard = ExperimentArgs {
             threads: 1,
-            run_batch: 1,
             paper_scale: false,
             trace: None,
             profile: false,

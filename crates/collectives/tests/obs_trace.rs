@@ -12,6 +12,7 @@ use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
 use fpna_core::executor::RunExecutor;
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_net::{LinkSpec, RouteSelect, Topology};
+use fpna_obs::json::Value;
 use fpna_obs::{counters, profile, trace};
 use std::sync::Mutex;
 
@@ -178,185 +179,6 @@ fn golden_trace_snapshot() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON value + parser (no external deps) for the schema test.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        self.bytes[self.pos]
-    }
-
-    fn eat(&mut self, c: u8) {
-        assert_eq!(self.peek(), c, "expected {:?} at byte {}", c as char, self.pos);
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Json {
-        self.skip_ws();
-        assert_eq!(&self.bytes[self.pos..self.pos + word.len()], word.as_bytes());
-        self.pos += word.len();
-        v
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut fields = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(fields);
-        }
-        loop {
-            let key = self.string();
-            self.eat(b':');
-            fields.push((key, self.value()));
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(fields);
-                }
-                c => panic!("bad object separator {:?}", c as char),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                c => panic!("bad array separator {:?}", c as char),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.bytes[self.pos] {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5]).unwrap();
-                            out.push(char::from_u32(u32::from_str_radix(hex, 16).unwrap()).unwrap());
-                            self.pos += 4;
-                        }
-                        c => panic!("bad escape \\{}", c as char),
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let s = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            self.pos += 1;
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(s.parse().unwrap_or_else(|_| panic!("bad number {s:?}")))
-    }
-
-    fn parse_document(mut self) -> Json {
-        let v = self.value();
-        self.skip_ws();
-        assert_eq!(self.pos, self.bytes.len(), "trailing bytes after JSON document");
-        v
-    }
-}
-
 /// Schema-shape test on a busier trace (fat tree, ECMP, contention,
 /// ring + tree protocols): the export must parse as a single JSON
 /// document, timestamps must be monotone within every `(pid, tid)`
@@ -379,19 +201,20 @@ fn trace_schema_is_well_formed() {
     let json = trace::export_json();
     reset_obs();
 
-    let doc = Parser::new(&json).parse_document();
-    assert_eq!(doc.get("displayTimeUnit").and_then(Json::as_str), Some("ns"));
-    let Some(Json::Arr(events)) = doc.get("traceEvents") else {
-        panic!("traceEvents must be an array");
-    };
+    let doc = fpna_obs::json::parse(&json).expect("the trace must be one JSON document");
+    assert_eq!(doc.get("displayTimeUnit").and_then(Value::as_str), Some("ns"));
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents must be an array");
     assert!(events.len() > 100, "a contended 8-rank trace should be busy, got {}", events.len());
 
     let mut last_ts: std::collections::BTreeMap<(u64, u64), f64> = Default::default();
     let mut depth: std::collections::BTreeMap<(u64, u64), Vec<String>> = Default::default();
     let mut spans = 0usize;
     for ev in events {
-        let ph = ev.get("ph").and_then(Json::as_str).expect("every event has ph");
-        let name = ev.get("name").and_then(Json::as_str).expect("every event has a name");
+        let ph = ev.get("ph").and_then(Value::as_str).expect("every event has ph");
+        let name = ev.get("name").and_then(Value::as_str).expect("every event has a name");
         if ph == "M" {
             assert!(
                 matches!(name, "process_name" | "thread_name"),
@@ -399,9 +222,9 @@ fn trace_schema_is_well_formed() {
             );
             continue;
         }
-        let pid = ev.get("pid").and_then(Json::as_num).expect("pid") as u64;
-        let tid = ev.get("tid").and_then(Json::as_num).expect("tid") as u64;
-        let ts = ev.get("ts").and_then(Json::as_num).expect("ts");
+        let pid = ev.get("pid").and_then(Value::as_f64).expect("pid") as u64;
+        let tid = ev.get("tid").and_then(Value::as_f64).expect("tid") as u64;
+        let ts = ev.get("ts").and_then(Value::as_f64).expect("ts");
         assert!(ts >= 0.0, "simulated timestamps are non-negative");
         let track = (pid, tid);
         if let Some(&prev) = last_ts.get(&track) {
@@ -410,11 +233,11 @@ fn trace_schema_is_well_formed() {
         last_ts.insert(track, ts);
         match ph {
             "X" => {
-                let dur = ev.get("dur").and_then(Json::as_num).expect("X events carry dur");
+                let dur = ev.get("dur").and_then(Value::as_f64).expect("X events carry dur");
                 assert!(dur >= 0.0);
             }
             "i" => {
-                assert_eq!(ev.get("s").and_then(Json::as_str), Some("t"));
+                assert_eq!(ev.get("s").and_then(Value::as_str), Some("t"));
             }
             "B" => {
                 depth.entry(track).or_default().push(name.to_string());
@@ -589,7 +412,7 @@ fn profile_report_keys_pop_histograms_by_load() {
     let report = profile::report_json();
     reset_obs();
 
-    let doc = Parser::new(&report).parse_document();
+    let doc = fpna_obs::json::parse(&report).expect("the profile report must be one JSON document");
     let phases = doc.get("phases").expect("report has phases");
     for key in [
         "net.heap_pop@load=0.00,queue=calendar",
@@ -600,17 +423,18 @@ fn profile_report_keys_pop_histograms_by_load() {
         let phase = phases
             .get(key)
             .unwrap_or_else(|| panic!("report must contain phase {key:?}:\n{report}"));
-        assert!(phase.get("count").and_then(Json::as_num).unwrap() > 0.0);
-        let Some(Json::Arr(hist)) = phase.get("hist") else {
-            panic!("phase {key:?} must carry a histogram");
-        };
+        assert!(phase.get("count").and_then(Value::as_f64).unwrap() > 0.0);
+        let hist = phase
+            .get("hist")
+            .and_then(Value::as_arr)
+            .unwrap_or_else(|| panic!("phase {key:?} must carry a histogram"));
         assert!(!hist.is_empty(), "phase {key:?} histogram must have occupied buckets");
     }
     let c = doc.get("counters").expect("report has counters");
-    assert!(c.get("heap_pop").and_then(Json::as_num).unwrap() > 0.0);
+    assert!(c.get("heap_pop").and_then(Value::as_f64).unwrap() > 0.0);
     let share = c
         .get("heap_pop_wall_share")
-        .and_then(Json::as_num)
+        .and_then(Value::as_f64)
         .expect("pop share available when both wall totals were measured");
     assert!((0.0..=1.0).contains(&share), "share {share} must be a fraction");
 }

@@ -340,18 +340,17 @@ proptest! {
 
     /// Sweeping a *contended* fabric (background tenants at nonzero
     /// offered load, optionally seeded-ECMP-routed) is invariant to how
-    /// the runs are executed: serial, many worker threads, and any
-    /// `--run-batch` chunking all produce bitwise-identical outputs —
-    /// values and simulated elapsed time — run for run.
+    /// the runs are executed: serial and many worker threads produce
+    /// bitwise-identical outputs — values and simulated elapsed time —
+    /// run for run.
     #[test]
-    fn contended_sweeps_are_thread_and_batch_invariant(
+    fn contended_sweeps_are_thread_invariant(
         p_exp in 2u32..5,
         m in 1usize..24,
         seed in any::<u64>(),
         load in 0.1..0.9f64,
         ecmp in any::<bool>(),
         threads in 2usize..6,
-        batch in 2usize..5,
     ) {
         let p = 1usize << p_exp;
         let ranks = make_ranks(p, m, seed);
@@ -388,8 +387,5 @@ proptest! {
         let serial = RunExecutor::serial().map_runs(runs, |i| run(i as u64));
         let threaded = RunExecutor::new(threads).map_runs(runs, |i| run(i as u64));
         prop_assert_eq!(&serial, &threaded, "thread count must not change contended runs");
-        let batched =
-            RunExecutor::new(threads).with_batch(batch).map_runs(runs, |i| run(i as u64));
-        prop_assert_eq!(&serial, &batched, "run batching must not change contended runs");
     }
 }

@@ -248,19 +248,13 @@ where
 /// For any thread count the returned vector is identical — parallelism
 /// changes wall-clock time only, never results.
 ///
-/// Workers pull run indices from a shared atomic counter. By default
-/// they pull one index at a time (best load balancing when runs are
-/// expensive); [`RunExecutor::with_batch`] makes each pull claim a
-/// *batch* of consecutive indices, amortising the counter contention
-/// when individual runs are very short. Batching affects scheduling
-/// only — results are sorted into run-index order regardless, so the
-/// output is bitwise identical at every batch size.
+/// Workers pull run indices one at a time from a shared atomic
+/// counter, and results are sorted into run-index order, so the output
+/// never depends on which worker ran which index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunExecutor {
     /// Number of worker threads (≥ 1).
     pub threads: usize,
-    /// Run indices claimed per atomic-counter pull (≥ 1).
-    pub batch: usize,
 }
 
 impl Default for RunExecutor {
@@ -270,19 +264,19 @@ impl Default for RunExecutor {
 }
 
 impl RunExecutor {
-    /// Executor with an explicit worker count (batch size 1).
+    /// Executor with an explicit worker count.
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker thread");
-        RunExecutor { threads, batch: 1 }
+        RunExecutor { threads }
     }
 
     /// The serial executor (one worker, no threads spawned).
     pub fn serial() -> Self {
-        RunExecutor { threads: 1, batch: 1 }
+        RunExecutor { threads: 1 }
     }
 
     /// Executor configured from the `FPNA_THREADS` environment
@@ -293,22 +287,7 @@ impl RunExecutor {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&t| t > 0)
             .unwrap_or(1);
-        RunExecutor { threads, batch: 1 }
-    }
-
-    /// This executor pulling `batch` consecutive run indices per
-    /// shared-counter hit — the work-stealing chunk-size knob for
-    /// sweeps whose individual runs are so short that the per-run
-    /// atomic/mutex traffic dominates. Purely a scheduling change:
-    /// results stay bitwise identical at any batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0`.
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        assert!(batch > 0, "batch must claim at least one run");
-        self.batch = batch;
-        self
+        RunExecutor { threads }
     }
 
     /// The per-run RNG seed for run `run` of an experiment keyed by
@@ -389,22 +368,17 @@ impl RunExecutor {
         let next = AtomicUsize::new(0);
         let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(runs));
         let workers = self.threads.min(runs);
-        let batch = self.batch;
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
                     IN_WORKER.with(|w| w.set(true));
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
-                        // Claim `batch` consecutive indices per counter
-                        // hit; the tail batch may be partial.
-                        let start = next.fetch_add(batch, Ordering::Relaxed);
-                        if start >= runs {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= runs {
                             break;
                         }
-                        for i in start..(start + batch).min(runs) {
-                            local.push((i, run(i)));
-                        }
+                        local.push((i, run(i)));
                     }
                     collected.lock().unwrap().extend(local);
                 });
@@ -473,34 +447,6 @@ mod tests {
     fn zero_runs() {
         let out: Vec<u8> = RunExecutor::new(4).map_runs(0, |_| 1);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn batching_is_bitwise_invariant() {
-        let work = |i: usize| (i as f64).sqrt() * 1e3 + (i as f64).sin();
-        let reference: Vec<f64> = RunExecutor::serial().map_runs(97, work);
-        for threads in [2, 4, 7] {
-            for batch in [1usize, 2, 3, 16, 97, 200] {
-                let got = RunExecutor::new(threads).with_batch(batch).map_runs(97, work);
-                let same = reference
-                    .iter()
-                    .zip(&got)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same && got.len() == 97, "threads={threads} batch={batch}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_results_stay_in_run_order() {
-        let out = RunExecutor::new(4).with_batch(7).map_runs(1000, |i| i);
-        assert_eq!(out, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one run")]
-    fn zero_batch_panics() {
-        RunExecutor::new(2).with_batch(0);
     }
 
     #[test]

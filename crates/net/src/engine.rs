@@ -152,56 +152,10 @@ pub struct Background {
     pub load: f64,
     /// Seed standing in for "what the other tenants did this run".
     pub seed: u64,
-    /// Bytes per background message — exact under
-    /// [`FlowSizes::Fixed`], the distribution mean under
-    /// [`FlowSizes::Pareto`].
+    /// Bytes per background message.
     pub bytes: u64,
     /// Messages per ON burst.
     pub burst: u32,
-    /// Per-message size distribution (fixed by default).
-    pub flow_sizes: FlowSizes,
-}
-
-/// Per-message background flow sizes.
-///
-/// Datacenter tenant traffic is famously heavy-tailed ("elephants and
-/// mice"); [`FlowSizes::Pareto`] models that regime with a seeded
-/// Pareto draw per message, scaled so the mean stays
-/// [`Background::bytes`] — the offered-load calibration is unchanged,
-/// but contention arrives in rare large clumps instead of a steady
-/// drizzle. The default [`FlowSizes::Fixed`] consumes no extra RNG
-/// draws, so every pre-existing background schedule replays bitwise.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum FlowSizes {
-    /// Every background message carries exactly [`Background::bytes`].
-    #[default]
-    Fixed,
-    /// Heavy-tailed sizes: `Pareto(α)` with scale `x_m =
-    /// bytes·(α−1)/α`, so the mean is exactly [`Background::bytes`]
-    /// for any `α > 1`. Smaller `α` ⇒ heavier tail (rarer, larger
-    /// elephants).
-    Pareto {
-        /// Tail exponent; must exceed 1 for the mean to exist.
-        alpha: f64,
-    },
-}
-
-impl FlowSizes {
-    /// Draw one message size with mean `mean_bytes`, never below one
-    /// byte. Only the `Pareto` arm consumes RNG draws — `Fixed` keeps
-    /// the tenant schedule bitwise that of engines predating
-    /// flow-size modelling.
-    pub fn sample(self, mean_bytes: u64, rng: &mut SplitMix64) -> u64 {
-        match self {
-            FlowSizes::Fixed => mean_bytes,
-            FlowSizes::Pareto { alpha } => {
-                let x_m = mean_bytes as f64 * (alpha - 1.0) / alpha;
-                // 1 − U ∈ (0, 1]: the inverse-CDF draw stays finite.
-                let u = 1.0 - rng.next_f64();
-                (x_m / u.powf(1.0 / alpha)).max(1.0) as u64
-            }
-        }
-    }
 }
 
 impl Background {
@@ -212,7 +166,6 @@ impl Background {
             seed: 0,
             bytes: 16 * 1024,
             burst: 4,
-            flow_sizes: FlowSizes::Fixed,
         }
     }
 
@@ -232,22 +185,6 @@ impl Background {
             seed,
             ..Background::off()
         }
-    }
-
-    /// Switch per-message sizes to a seeded `Pareto(alpha)` draw with
-    /// mean [`Background::bytes`] (see [`FlowSizes::Pareto`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `alpha` is finite and greater than 1 (the mean
-    /// must exist for the load calibration to hold).
-    pub fn with_pareto_flows(mut self, alpha: f64) -> Self {
-        assert!(
-            alpha.is_finite() && alpha > 1.0,
-            "Pareto flow sizes need alpha > 1 (finite mean)"
-        );
-        self.flow_sizes = FlowSizes::Pareto { alpha };
-        self
     }
 
     /// `true` when this config injects no traffic at all.
@@ -1139,15 +1076,10 @@ impl<'t> NetSim<'t> {
         }
         let p = self.topo.ranks();
         let from = self.bg[sender].rank;
-        let bgc = self.fabric.background;
         let mut to = self.bg[sender].rng.next_below(p as u64 - 1) as usize;
         if to >= from {
             to += 1;
         }
-        // Size draw after the destination draw, before admission: the
-        // schedule (and any drop decision) stays a pure function of
-        // the seed, and `Fixed` consumes no draw at all.
-        let bytes = bgc.flow_sizes.sample(bgc.bytes, &mut self.bg[sender].rng);
         let route_k = self.pick_route(self.next_id, from, to);
         let horizon = BG_DROP_HORIZON_PAUSES * self.bg[sender].pause_ns;
         let admitted = self
@@ -1159,7 +1091,7 @@ impl<'t> NetSim<'t> {
             self.obs.route_lookups += 1;
         }
         if admitted {
-            self.inject(at_ns, from, to, bytes, 0, true);
+            self.inject(at_ns, from, to, self.fabric.background.bytes, 0, true);
         } else {
             self.stats.bg_dropped += 1;
             if self.obs.tracing {
@@ -1726,83 +1658,6 @@ mod tests {
         };
         assert_eq!(run(9), run(9), "same bg seed must replay bitwise");
         assert_ne!(run(9), run(10), "bg seed must steer the contention");
-    }
-
-    #[test]
-    fn pareto_flow_sizes_are_seed_pure_and_heavy_tailed() {
-        let t = topo();
-        let run = |bg_seed: u64, flows: FlowSizes| {
-            let fabric = FabricConfig {
-                background: Background {
-                    flow_sizes: flows,
-                    ..Background::with_load(0.5, bg_seed)
-                },
-                ..FabricConfig::default()
-            };
-            let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
-            for i in 0..30u64 {
-                sim.send_at(i as f64 * 30_000.0, 1 + (i as usize % 3), 0, 20_000, i);
-            }
-            let mut log = Vec::new();
-            let stats = sim.run(|_, d| log.push((d.tag, d.time.to_bits())));
-            (log, stats)
-        };
-        let pareto = FlowSizes::Pareto { alpha: 1.5 };
-        // Purity: the whole schedule — sizes included — is a function
-        // of the background seed alone.
-        assert_eq!(run(9, pareto), run(9, pareto), "same bg seed must replay bitwise");
-        assert_ne!(run(9, pareto), run(10, pareto), "bg seed must steer the sizes");
-        // The tail actually moves bytes around: fixed-size tenants
-        // deliver exact multiples of the configured size, Pareto ones
-        // don't, and the foreground timing feels the difference.
-        let (fixed_log, fixed_stats) = run(9, FlowSizes::Fixed);
-        let (pareto_log, pareto_stats) = run(9, pareto);
-        assert_eq!(
-            fixed_stats.bg_bytes_delivered,
-            fixed_stats.bg_deliveries * 16 * 1024
-        );
-        assert!(pareto_stats.bg_deliveries > 0);
-        assert_ne!(
-            pareto_stats.bg_bytes_delivered,
-            pareto_stats.bg_deliveries * 16 * 1024
-        );
-        assert_ne!(fixed_log, pareto_log);
-    }
-
-    #[test]
-    fn pareto_sampler_keeps_the_configured_mean() {
-        // Inverse-CDF sanity: with alpha = 2.5 the mean is bytes and
-        // the draw never collapses below a byte. Deterministic RNG, so
-        // the tolerance is not flaky.
-        let flows = FlowSizes::Pareto { alpha: 2.5 };
-        let mut rng = SplitMix64::new(7);
-        let n = 20_000u64;
-        let mut total = 0u64;
-        let mut min = u64::MAX;
-        for _ in 0..n {
-            let s = flows.sample(16 * 1024, &mut rng);
-            assert!(s >= 1);
-            total += s;
-            min = min.min(s);
-        }
-        let mean = total as f64 / n as f64;
-        assert!(
-            (mean / (16.0 * 1024.0) - 1.0).abs() < 0.15,
-            "empirical mean {mean} strays from the configured 16 KiB"
-        );
-        // x_m = bytes·(α−1)/α = 0.6·bytes is the distribution floor.
-        assert!(min as f64 >= (16.0 * 1024.0) * 0.6 - 1.0);
-        // Fixed never draws: the RNG stream is untouched.
-        let mut a = SplitMix64::new(3);
-        let b_next = SplitMix64::new(3).next_u64();
-        assert_eq!(FlowSizes::Fixed.sample(512, &mut a), 512);
-        assert_eq!(a.next_u64(), b_next);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha > 1")]
-    fn pareto_flows_reject_infinite_mean() {
-        let _ = Background::with_load(0.5, 1).with_pareto_flows(1.0);
     }
 
     #[test]

@@ -62,8 +62,8 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use engine::{
-    Background, Delivery, FabricConfig, FlowSizes, JitterModel, LinkStats, NetSim, QueueImpl,
-    RouteSelect, RunStats,
+    Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, QueueImpl, RouteSelect,
+    RunStats,
 };
 pub use report::{sweep_seeds, SeedSweep};
 pub use topology::{Hop, LinkSpec, NodeKind, Topology};

@@ -320,7 +320,6 @@ proptest! {
                 seed: bg_seed,
                 bytes: bg_bytes,
                 burst: bg_burst,
-                ..Background::off()
             },
         };
         let drive = |mut sim: NetSim<'_>| {

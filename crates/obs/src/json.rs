@@ -1,17 +1,21 @@
-//! Minimal JSON reader/writer for the sweep store's own files.
+//! Minimal JSON reader/writer: the suite's one JSON implementation.
 //!
 //! The workspace's `serde` is an offline no-op shim (see `vendor/`),
-//! so shard result files, sweep specs and manifests are read and
-//! written with this hand-rolled value model instead. It supports
-//! exactly the JSON subset those files use — objects, arrays, strings,
-//! numbers, booleans, null — and keeps object keys in insertion order
-//! so written files are deterministic byte for byte.
+//! so sweep shard files, specs and manifests, trace and profile
+//! reports, and bench baselines are read and written with this
+//! hand-rolled value model instead. It supports exactly the JSON
+//! subset those files use — objects, arrays, strings, numbers,
+//! booleans, null — and keeps object keys in insertion order so
+//! written files are deterministic byte for byte. Writers that render
+//! by hand (the trace exporter, the profile report) escape strings
+//! with [`write_str`], so every file escapes the same characters.
 //!
 //! Floating-point **payloads** never travel as JSON numbers: shard
 //! files encode every `f64` as its 16-hex-digit bit pattern (see
-//! [`crate::rows`]), so decode → encode round-trips are bitwise exact
-//! by construction. The numbers this module parses are small integers
-//! (run indices, counts), which `f64` represents exactly.
+//! `fpna_sweep::rows`), so decode → encode round-trips are bitwise
+//! exact by construction. Numbers are stored as `f64`, so integers are
+//! exact up to 2^53 (run indices, counts, nanosecond medians); larger
+//! ones, such as seeds, travel as decimal strings.
 
 use std::fmt::Write as _;
 
@@ -73,6 +77,14 @@ impl Value {
         }
     }
 
+    /// The value as an `f64`, if it is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
     /// The array elements, if the value is an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
@@ -109,7 +121,7 @@ impl Value {
                     let _ = write!(out, "{n}");
                 }
             }
-            Value::Str(s) => write_escaped(out, s),
+            Value::Str(s) => write_str(out, s),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -126,7 +138,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(out, k);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -136,7 +148,11 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string. Escapes `"`, `\` and
+/// every control character below U+0020 (`\n`, `\r` and `\t` by name,
+/// the rest as `\u00xx`); every other character, non-ASCII included,
+/// is copied unchanged.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -346,6 +362,15 @@ mod tests {
         let v = Value::Str("a\"b\\c\nd\te\u{1}".into());
         let text = v.to_json();
         assert_eq!(parse(&text).unwrap(), v);
+        // Every ASCII code point, then one 2-, 3- and 4-byte UTF-8
+        // character, alone and all in one string.
+        let chars: Vec<char> = (0u8..0x80).map(char::from).chain(['é', '€', '𝄞']).collect();
+        for &c in &chars {
+            let v = Value::Str(c.to_string());
+            assert_eq!(parse(&v.to_json()).unwrap(), v, "U+{:04X}", c as u32);
+        }
+        let v = Value::Str(chars.iter().collect());
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]

@@ -16,11 +16,16 @@
 //!   log2-bucketed histograms such as heap-pop time per offered-load
 //!   level), aggregated into a JSON report under `target/obs/`.
 //!
+//! [`json`] is the suite's one JSON reader and writer. The trace and
+//! profile reports escape through it, and the sweep store and the
+//! bench gate read and write their files with it.
+//!
 //! The cardinal rule: enabling any pillar must not perturb simulation
 //! results. Nothing here feeds back into seeds, orderings, or event
 //! timestamps; a property test in `fpna-collectives` holds the stack
 //! to bitwise identity with observability on vs off.
 
 pub mod counters;
+pub mod json;
 pub mod profile;
 pub mod trace;

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::json;
+
 /// Number of log2 latency buckets; bucket `i` holds durations with
 /// `floor(log2(ns)) + 1 == i` (bucket 0 is exactly 0 ns).
 pub const HIST_BUCKETS: usize = 64;
@@ -164,10 +166,11 @@ pub fn phases() -> Vec<(String, PhaseStat)> {
 
 fn render_stat(name: &str, s: &PhaseStat, out: &mut String) {
     use std::fmt::Write;
+    out.push_str("    ");
+    json::write_str(out, name);
     let _ = write!(
         out,
-        "    \"{}\": {{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1},\"hist\":[",
-        name,
+        ": {{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{},\"mean_ns\":{:.1},\"hist\":[",
         s.count,
         s.total_ns,
         if s.count == 0 { 0 } else { s.min_ns },
@@ -196,7 +199,9 @@ pub fn report_json() -> String {
     use std::fmt::Write;
     let mut out = String::from("{\n");
     if let Some(label) = context() {
-        let _ = writeln!(out, "  \"context\": \"{}\",", label.replace('"', "\\\""));
+        out.push_str("  \"context\": ");
+        json::write_str(&mut out, &label);
+        out.push_str(",\n");
     }
     out.push_str("  \"phases\": {\n");
     let all = phases();
@@ -285,6 +290,28 @@ mod tests {
         assert!(report_json().contains("\"context\": \"shard-3\""));
         set_context(None);
         assert!(!report_json().contains("\"context\""));
+    }
+
+    #[test]
+    fn report_escapes_phase_names_and_context() {
+        let _g = LOCK.lock().unwrap();
+        set_enabled(true);
+        reset();
+        record("a\"b\\c", 7);
+        set_context(Some("x\\y".into()));
+        let report = report_json();
+        set_context(None);
+        set_enabled(false);
+        reset();
+        let v = json::parse(&report).unwrap_or_else(|e| panic!("{e}:\n{report}"));
+        assert_eq!(v.get("context").and_then(json::Value::as_str), Some("x\\y"));
+        let phases = v.get("phases").and_then(json::Value::as_obj).unwrap();
+        assert_eq!(phases.len(), 1);
+        assert_eq!(phases[0].0, "a\"b\\c");
+        assert_eq!(
+            phases[0].1.get("count").and_then(json::Value::as_u64),
+            Some(1)
+        );
     }
 
     #[test]

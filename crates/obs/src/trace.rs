@@ -28,6 +28,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json;
+
 /// Link lanes start at tid 0; keep rank/chunk lanes clear of them.
 pub const RANK_TID_BASE: u64 = 1_000_000;
 /// Per-chunk protocol lanes for segmented collectives.
@@ -270,20 +272,6 @@ pub fn event_count() -> usize {
     })
 }
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render simulated ns as a Chrome-trace microsecond value. `{}` on
 /// `f64` prints the shortest decimal that round-trips, so the output
 /// is a pure function of the simulated time bits.
@@ -294,9 +282,9 @@ fn render_us(ns: f64, out: &mut String) {
 
 fn render_event(ev: &Event, out: &mut String) {
     use std::fmt::Write;
-    out.push_str("{\"name\":\"");
-    escape_json(&ev.name, out);
-    let _ = write!(out, "\",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":", ev.cat, ev.ph.code(), ev.pid, ev.tid);
+    out.push_str("{\"name\":");
+    json::write_str(out, &ev.name);
+    let _ = write!(out, ",\"cat\":\"{}\",\"ph\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":", ev.cat, ev.ph.code(), ev.pid, ev.tid);
     render_us(ev.ts_ns, out);
     if ev.ph == Phase::Complete {
         out.push_str(",\"dur\":");
@@ -326,11 +314,7 @@ fn render_event(ev: &Event, out: &mut String) {
                         let _ = write!(out, "\"{x}\"");
                     }
                 }
-                ArgValue::Str(s) => {
-                    out.push('"');
-                    escape_json(s, out);
-                    out.push('"');
-                }
+                ArgValue::Str(s) => json::write_str(out, s),
             }
         }
         out.push('}');
@@ -345,9 +329,9 @@ fn render_metadata(pid: u64, tid: Option<u64>, label: &str, out: &mut String) {
     if let Some(tid) = tid {
         let _ = write!(out, ",\"tid\":{tid}");
     }
-    out.push_str(",\"args\":{\"name\":\"");
-    escape_json(label, out);
-    out.push_str("\"}}");
+    out.push_str(",\"args\":{\"name\":");
+    json::write_str(out, label);
+    out.push_str("}}");
 }
 
 /// Export every buffered event as a Chrome trace-event JSON document.

@@ -25,8 +25,9 @@
 //! * [`coordinator`] — spawns shard processes (bounded, resumable),
 //!   merges via the binary itself, and caches the report; the `sweep`
 //!   binary is its CLI.
-//! * [`service`] — ref-counted in-process shard sharing for drivers
-//!   that issue many overlapping sweep queries from one process.
+//!
+//! Specs, shard files and manifests are JSON, read and written with
+//! [`fpna_obs::json`].
 //!
 //! The end-to-end contract, enforced by tests at every layer: a
 //! sharded-and-merged sweep prints **byte-identical** output to the
@@ -35,16 +36,13 @@
 #![warn(missing_docs)]
 
 pub mod coordinator;
-pub mod json;
 pub mod mode;
 pub mod rows;
-pub mod service;
 pub mod spec;
 pub mod store;
 
 pub use coordinator::{Coordinator, RunOutcome};
 pub use mode::SweepMode;
 pub use rows::{ExactStats, SweepRows};
-pub use service::{ShardHandle, SweepService};
 pub use spec::{shard_assignments, ShardAssignment, SweepSpec};
 pub use store::{GcOutcome, StoreEntry, SweepStore};

@@ -2,11 +2,11 @@
 //!
 //! A [`SweepSpec`] is the *semantic* identity of a sweep: which
 //! experiment binary, how many runs, and every flag that affects the
-//! numbers it produces. Scheduling-only knobs (`--threads`,
-//! `--run-batch`, `--trace`, `--profile`, and the shard-protocol flags
-//! themselves) are deliberately **not** part of a spec — results are
-//! bitwise invariant to them, so two queries differing only there must
-//! hash to the same store entry.
+//! numbers it produces. Scheduling-only knobs (`--threads`, `--trace`,
+//! `--profile`, and the shard-protocol flags themselves) are
+//! deliberately **not** part of a spec — results are bitwise invariant
+//! to them, so two queries differing only there must hash to the same
+//! store entry.
 //!
 //! The spec's canonical JSON (keys sorted) feeds an FNV-1a 64-bit hash;
 //! that hex digest names the sweep's directory in the results store and
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::ops::Range;
 
-use crate::json::{self, Value};
+use fpna_obs::json::{self, Value};
 
 /// Identity of one sweep: experiment name, run count, and every
 /// result-affecting argument.
@@ -82,7 +82,7 @@ impl SweepSpec {
         self.to_value().to_json()
     }
 
-    fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         let args = self
             .args
             .iter()
@@ -203,21 +203,23 @@ pub fn shard_assignments(spec: &SweepSpec, shards: usize) -> Vec<ShardAssignment
 /// spec, its hash, and one row per shard. This is the file a fleet
 /// operator distributes to machines; each machine runs the experiment
 /// binary with the shard flags from its row and ships the resulting
-/// shard file back into one store directory.
+/// shard file back into one store directory. `base_seed` is a decimal
+/// string, as every spec arg is, because a JSON number would round
+/// seeds above 2^53.
 pub fn manifest_json(spec: &SweepSpec, shards: usize) -> String {
     let rows = shard_assignments(spec, shards)
         .into_iter()
         .map(|a| {
             Value::Obj(vec![
                 ("shard_id".into(), Value::Num(a.shard_id as f64)),
-                ("base_seed".into(), Value::Num(a.base_seed as f64)),
+                ("base_seed".into(), Value::Str(a.base_seed.to_string())),
                 ("run_start".into(), Value::Num(a.run_range.start as f64)),
                 ("run_end".into(), Value::Num(a.run_range.end as f64)),
             ])
         })
         .collect();
     Value::Obj(vec![
-        ("schema".into(), Value::Str("fpna-sweep-manifest-v1".into())),
+        ("schema".into(), Value::Str("fpna-sweep-manifest-v2".into())),
         ("spec_hash".into(), Value::Str(spec.hash_hex())),
         ("spec".into(), spec.to_value()),
         ("shards".into(), Value::Arr(rows)),
@@ -295,11 +297,26 @@ mod tests {
     #[test]
     fn manifest_lists_every_shard() {
         let text = manifest_json(&spec(), 3);
-        let v = crate::json::parse(&text).unwrap();
+        let v = json::parse(&text).unwrap();
         assert_eq!(v.get("spec_hash").unwrap().as_str().unwrap(), spec().hash_hex());
         let rows = v.get("shards").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].get("run_start").unwrap().as_usize(), Some(0));
         assert_eq!(rows[2].get("run_end").unwrap().as_usize(), Some(40));
+        // Seeds past 2^53 must read back exactly.
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let v = json::parse(&manifest_json(&spec().arg("seed", seed), 2)).unwrap();
+            assert_eq!(
+                v.get("schema").and_then(Value::as_str),
+                Some("fpna-sweep-manifest-v2")
+            );
+            for row in v.get("shards").unwrap().as_arr().unwrap() {
+                let got = row
+                    .get("base_seed")
+                    .and_then(Value::as_str)
+                    .map(str::parse::<u64>);
+                assert_eq!(got, Some(Ok(seed)));
+            }
+        }
     }
 }

@@ -171,10 +171,10 @@ fn manifest_lists_the_partition() {
         .expect("run sweep --manifest");
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("\"schema\":\"fpna-sweep-manifest-v1\""), "{text}");
+    assert!(text.contains("\"schema\":\"fpna-sweep-manifest-v2\""), "{text}");
     assert!(text.contains("\"run_start\":0"), "{text}");
     assert!(text.contains("\"run_end\":9"), "{text}");
-    assert!(text.contains("\"base_seed\":23"), "{text}");
+    assert!(text.contains("\"base_seed\":\"23\""), "{text}");
     // no store entry is created by a manifest-only invocation
     assert!(!store.exists());
 }
