@@ -31,7 +31,7 @@ fn bench_gnn(c: &mut Criterion) {
     group.bench_function("train_epoch/det", |b| {
         b.iter(|| {
             let mut model =
-                GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, &cfg);
+                GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, &cfg);
             model.train_epoch(&det, &ds, cfg.lr).unwrap()
         })
     });
@@ -40,11 +40,11 @@ fn bench_gnn(c: &mut Criterion) {
         b.iter(|| {
             run += 1;
             let mut model =
-                GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, &cfg);
+                GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, &cfg);
             model.train_epoch(&nd.for_run(run), &ds, cfg.lr).unwrap()
         })
     });
-    let model = GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, &cfg);
+    let model = GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, &cfg);
     group.bench_function("inference/det", |b| {
         b.iter(|| model.predict(&det, &ds).unwrap())
     });

@@ -30,15 +30,15 @@ pub fn gpu_inference_time_ms(
     hidden: usize,
     deterministic: bool,
 ) -> f64 {
-    let edges = ds.graph.num_edges();
-    let feat = ds.features.shape()[1];
+    let edges = ds.graph().num_edges();
+    let feat = ds.features().shape()[1];
     let l1 = op_time_us(profile, TimedOp::IndexAdd, edges * feat, deterministic)
         .expect("index_add has kernels in both modes");
     let l2 = op_time_us(profile, TimedOp::IndexAdd, edges * hidden, deterministic)
         .expect("index_add has kernels in both modes");
     // dense matmuls: bandwidth-dominated at these shapes
     let matmul_bytes =
-        8.0 * (ds.graph.num_nodes * (feat + hidden)) as f64;
+        8.0 * (ds.graph().num_nodes * (feat + hidden)) as f64;
     let matmul_us = matmul_bytes / profile.effective_bandwidth_gbps / 1e3;
     FRAMEWORK_OVERHEAD_MS + (l1 + l2 + matmul_us) / 1e3
 }
@@ -50,8 +50,8 @@ pub fn gpu_inference_time_ms(
 /// how a statically scheduled accelerator ingests a fixed graph — so
 /// the runtime is known before execution and carries no error bar.
 pub fn lpu_inference(ds: &NodeClassification, model: &GraphSage) -> Result<(Vec<f64>, f64)> {
-    let n = ds.graph.num_nodes;
-    let feat = ds.features.shape()[1];
+    let n = ds.graph().num_nodes;
+    let feat = ds.features().shape()[1];
     let hidden = model.layer1.w_self.shape()[1];
     let classes = model.layer2.w_self.shape()[1];
 
@@ -65,9 +65,9 @@ pub fn lpu_inference(ds: &NodeClassification, model: &GraphSage) -> Result<(Vec<
     let b2 = p.input(TensorShape::new(1, classes));
 
     let layer = |p: &mut Program, h, w_self, w_neigh, bias, relu: bool| {
-        let gathered = p.gather_rows(h, ds.graph.edge_src.clone());
-        let summed = p.scatter_add_rows(gathered, ds.graph.edge_dst.clone(), n);
-        let agg = p.div_row_counts(summed, ds.graph.degree.clone());
+        let gathered = p.gather_rows(h, ds.graph().edge_src.clone());
+        let summed = p.scatter_add_rows(gathered, ds.graph().edge_dst.clone(), n);
+        let agg = p.div_row_counts(summed, ds.graph().degree.clone());
         let own = p.matmul(h, w_self);
         let nb = p.matmul(agg, w_neigh);
         let sum = p.add(own, nb);
@@ -92,7 +92,7 @@ pub fn lpu_inference(ds: &NodeClassification, model: &GraphSage) -> Result<(Vec<
     };
     let bias_t2 = |b: &[f64]| Tensor2::new(1, b.len(), b.to_vec());
     let outputs = compiled.run(&[
-        as_t2(&ds.features),
+        as_t2(ds.features()),
         as_t2(&model.layer1.w_self),
         as_t2(&model.layer1.w_neigh),
         bias_t2(&model.layer1.bias),
@@ -179,7 +179,7 @@ mod tests {
         let h100 = DeviceProfile::new(GpuModel::H100);
         let nd_ms = gpu_inference_time_ms(&h100, &ds, 8, false);
         let model =
-            crate::model::GraphSage::new(ds.features.shape()[1], 8, ds.num_classes, &cfg());
+            crate::model::GraphSage::new(ds.features().shape()[1], 8, ds.num_classes, &cfg());
         let (_, lpu_us) = lpu_inference(&ds, &model).unwrap();
         assert!(
             lpu_us / 1e3 < nd_ms / 2.0,

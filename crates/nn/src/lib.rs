@@ -8,17 +8,20 @@
 //! in the paper's implementation — **the only non-deterministic
 //! operation in the model is `index_add`**, the neighbour scatter of
 //! each SAGE layer's aggregation, run as one fused gather →
-//! `index_add` kernel. It scatters in the forward pass of both layers
-//! and in the backward pass of layer 2; layer 1's input (the node
-//! features) takes no gradient, as in PyTorch, so an ND epoch runs
-//! three scatters, not four. Flipping the kernel choice therefore
-//! isolates exactly the effect the paper studies: identical inputs,
-//! identical initial weights, identical hyperparameters, different
-//! atomic commit orders.
+//! `index_add` kernel. An ND epoch runs two scatters, both in layer 2:
+//! its forward aggregation and its backward scatter to neighbours.
+//! Layer 1's input, the node features, takes no gradient, as in
+//! PyTorch. Its aggregation sums integral bag-of-words features, so
+//! every commit order gives the same exact integers: it is computed
+//! once per dataset with the deterministic kernel, behind a check that
+//! the features make it exact (see [`graph::NodeClassification`]).
+//! Flipping the kernel choice therefore isolates exactly the effect the
+//! paper studies: identical inputs, identical initial weights,
+//! identical hyperparameters, different atomic commit orders.
 //!
 //! * [`graph`] — graph representation + the synthetic Cora generator
 //!   (2708 nodes, 1433 features, 7 classes, 5429 undirected edges);
-//! * [`linalg`] — small deterministic dense kernels (matmul, softmax);
+//! * [`linalg`] — small deterministic kernels (matmul, softmax);
 //! * [`sage`] — the SAGEConv layer with manual forward/backward;
 //! * [`model`] — the two-layer GraphSAGE classifier, cross-entropy and
 //!   SGD;

@@ -1,7 +1,9 @@
-//! Small deterministic dense kernels: matmul, transpose-matmuls,
-//! row-softmax. Fixed loop order (i-k-j) means fixed addition order —
-//! these never contribute to run-to-run variability, keeping
-//! `index_add` the model's only non-deterministic operation.
+//! Small deterministic kernels: matmul, transpose-matmuls, row-softmax,
+//! and a crate-private sparse × dense product for the constant
+//! operands of GraphSAGE's first layer. Fixed loop order (i-k-j) means
+//! fixed addition order — these never contribute to run-to-run
+//! variability, keeping `index_add` the model's only non-deterministic
+//! operation.
 //!
 //! Large matmuls are **row-blocked** across the intra-run thread
 //! budget ([`fpna_core::executor::par_fill`]): every output row's
@@ -35,8 +37,12 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             let orow = &mut orows[local * n..(local + 1) * n];
             for kk in 0..k {
                 let aik = ad[i * k + kk];
+                // The skip is part of the result, not only a speed-up:
+                // a zero of either sign contributes nothing, where
+                // `0·∞` or `0·NaN` would add a NaN. `Csr` keeps exactly
+                // the entries this test does not skip.
                 if aik == 0.0 {
-                    continue; // sparse features make this a big win
+                    continue;
                 }
                 let brow = &bd[kk * n..(kk + 1) * n];
                 for j in 0..n {
@@ -129,6 +135,117 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     out
 }
 
+/// A matrix stored as its nonzero entries, row by row in ascending
+/// column order: exactly the entries [`matmul`] does not skip
+/// (`!= 0.0`, so `-0.0` is dropped and NaN is kept).
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    cols: usize,
+    /// Row `i`'s entries are `start[i]..start[i + 1]`.
+    start: Vec<usize>,
+    col: Vec<u32>,
+    val: Vec<f64>,
+}
+
+impl Csr {
+    /// The nonzero entries of a `[rows, cols]` tensor.
+    pub(crate) fn from_dense(a: &Tensor) -> Self {
+        let (rows, cols) = (a.shape()[0], a.shape()[1]);
+        assert!(rows.max(cols) <= u32::MAX as usize, "Csr indices are u32");
+        let mut start = Vec::with_capacity(rows + 1);
+        let (mut col, mut val) = (Vec::new(), Vec::new());
+        start.push(0);
+        for i in 0..rows {
+            for (j, &v) in a.data()[i * cols..(i + 1) * cols].iter().enumerate() {
+                if v != 0.0 {
+                    col.push(j as u32);
+                    val.push(v);
+                }
+            }
+            start.push(col.len());
+        }
+        Csr {
+            cols,
+            start,
+            col,
+            val,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The transpose, in O(nnz + cols): a counting sort by column.
+    /// Rows are visited in ascending order, so each column's entries
+    /// come out in ascending row order.
+    pub(crate) fn transpose(&self) -> Self {
+        let mut start = vec![0usize; self.cols + 1];
+        for &j in &self.col {
+            start[j as usize + 1] += 1;
+        }
+        for j in 0..self.cols {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut col = vec![0u32; self.col.len()];
+        let mut val = vec![0.0f64; self.val.len()];
+        for i in 0..self.rows() {
+            for e in self.start[i]..self.start[i + 1] {
+                let slot = &mut next[self.col[e] as usize];
+                col[*slot] = i as u32;
+                val[*slot] = self.val[e];
+                *slot += 1;
+            }
+        }
+        Csr {
+            cols: self.rows(),
+            start,
+            col,
+            val,
+        }
+    }
+
+    /// `self · b` for `b: [cols, n]`. Each output row adds its
+    /// nonzeros' terms in ascending column order, so the result is
+    /// bitwise [`matmul`] of the dense matrix; on the transpose it is
+    /// bitwise [`matmul_tn`] of the dense matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics on inner-dimension mismatch.
+    pub(crate) fn matmul(&self, b: &Tensor) -> Tensor {
+        let (kb, n) = (b.shape()[0], b.shape()[1]);
+        assert_eq!(self.cols, kb, "sparse matmul inner dimension mismatch");
+        let mut out = Tensor::zeros(vec![self.rows(), n]);
+        let bd = b.data();
+        let od = out.data_mut();
+        for i in 0..self.rows() {
+            let orow = &mut od[i * n..(i + 1) * n];
+            let entries = self.start[i]..self.start[i + 1];
+            for (&kk, &aik) in self.col[entries.clone()].iter().zip(&self.val[entries]) {
+                let brow = &bd[kk as usize * n..(kk as usize + 1) * n];
+                for (o, &bkj) in orow.iter_mut().zip(brow) {
+                    *o += aik * bkj;
+                }
+            }
+        }
+        out
+    }
+
+    /// The dense form (missing entries are `+0.0`).
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> Tensor {
+        let mut out = Tensor::zeros(vec![self.rows(), self.cols]);
+        for i in 0..self.rows() {
+            for e in self.start[i]..self.start[i + 1] {
+                out.data_mut()[i * self.cols + self.col[e] as usize] = self.val[e];
+            }
+        }
+        out
+    }
+}
+
 /// Row-wise softmax.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let cols = x.shape()[1];
@@ -161,6 +278,52 @@ pub fn add_bias_rows(x: &mut Tensor, bias: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpna_core::rng::SplitMix64;
+    use proptest::prelude::*;
+
+    /// A `[rows, cols]` matrix: each entry is `specials[i]` with
+    /// probability 1/8 each while `i < specials.len()`, and otherwise a
+    /// finite value of magnitude 10⁻³..10³ and random sign.
+    fn matrix(rows: usize, cols: usize, rng: &mut SplitMix64, specials: &[f64]) -> Tensor {
+        let data = (0..rows * cols)
+            .map(|_| {
+                let pick = rng.next_below(8) as usize;
+                match specials.get(pick) {
+                    Some(&v) => v,
+                    None => {
+                        let scale = 10f64.powi(rng.next_below(7) as i32 - 3);
+                        (2.0 * rng.next_f64() - 1.0) * scale
+                    }
+                }
+            })
+            .collect();
+        Tensor::from_vec(vec![rows, cols], data)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The sparse product is bitwise `matmul` of the dense matrix,
+        /// and on the transpose bitwise `matmul_tn`: zeros of either
+        /// sign in the sparse operand contribute nothing, and the
+        /// infinities and NaNs of the dense operand meet the same
+        /// terms in the same order.
+        #[test]
+        fn sparse_product_is_bitwise_dense(
+            seed in any::<u64>(),
+            m in 0usize..24,
+            k in 0usize..40,
+            n in 0usize..10,
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let a = matrix(m, k, &mut rng, &[0.0, -0.0, 0.0, -0.0]);
+            let b = matrix(k, n, &mut rng, &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0]);
+            let c = matrix(m, n, &mut rng, &[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0]);
+            let sparse = Csr::from_dense(&a);
+            prop_assert!(sparse.matmul(&b).bitwise_eq(&matmul(&a, &b)));
+            prop_assert!(sparse.transpose().matmul(&c).bitwise_eq(&matmul_tn(&a, &c)));
+        }
+    }
 
     #[test]
     fn matmul_known() {

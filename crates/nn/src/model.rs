@@ -56,10 +56,12 @@ impl GraphSage {
         }
     }
 
-    /// Forward pass to logits.
+    /// Forward pass to logits. Layer 1 runs on the dataset's constant
+    /// operands, so only layer 2 scatters.
     pub fn forward(&self, ctx: &GpuContext, ds: &NodeClassification) -> Result<Tensor> {
-        let (h1, _) = self.layer1.forward(ctx, &ds.graph, &ds.features)?;
-        let (logits, _) = self.layer2.forward(ctx, &ds.graph, &h1)?;
+        let (x, agg) = ds.layer1_operands(self.layer1.aggregation);
+        let (h1, _) = self.layer1.apply(x, agg);
+        let (logits, _) = self.layer2.forward(ctx, ds.graph(), &h1)?;
         Ok(logits)
     }
 
@@ -72,8 +74,9 @@ impl GraphSage {
     /// One full-batch training epoch; returns the masked cross-entropy
     /// loss *before* the update.
     pub fn train_epoch(&mut self, ctx: &GpuContext, ds: &NodeClassification, lr: f64) -> Result<f64> {
-        let (h1, cache1) = self.layer1.forward(ctx, &ds.graph, &ds.features)?;
-        let (logits, cache2) = self.layer2.forward(ctx, &ds.graph, &h1)?;
+        let (x, agg) = ds.layer1_operands(self.layer1.aggregation);
+        let (h1, pre1) = self.layer1.apply(x, agg);
+        let (logits, cache2) = self.layer2.forward(ctx, ds.graph(), &h1)?;
         let probs = softmax_rows(&logits);
         let n_train = ds.train_mask.iter().filter(|&&m| m).count().max(1);
         let classes = ds.num_classes;
@@ -81,8 +84,8 @@ impl GraphSage {
         // Masked cross-entropy and its gradient wrt logits:
         // (softmax − one-hot) / n_train on masked rows, 0 elsewhere.
         let mut loss = 0.0f64;
-        let mut dlogits = Tensor::zeros(vec![ds.graph.num_nodes, classes]);
-        for v in 0..ds.graph.num_nodes {
+        let mut dlogits = Tensor::zeros(vec![ds.graph().num_nodes, classes]);
+        for v in 0..ds.graph().num_nodes {
             if !ds.train_mask[v] {
                 continue;
             }
@@ -96,10 +99,10 @@ impl GraphSage {
         }
         loss /= n_train as f64;
 
-        let (grads2, dh1) = self.layer2.backward(ctx, &ds.graph, &cache2, &dlogits)?;
+        let (grads2, dh1) = self.layer2.backward(ctx, ds.graph(), &cache2, &dlogits)?;
         // The features take no gradient (as in PyTorch), so layer 1
         // stops at its parameters: no input-gradient scatter.
-        let grads1 = self.layer1.param_grads(&cache1, &dh1);
+        let grads1 = self.layer1.param_grads(x, agg, &pre1, &dh1);
         self.layer2.apply_grads(&grads2, lr);
         self.layer1.apply_grads(&grads1, lr);
         Ok(loss)
@@ -110,7 +113,7 @@ impl GraphSage {
         let logits = self.forward(ctx, ds)?;
         let classes = ds.num_classes;
         let mut correct = 0usize;
-        for v in 0..ds.graph.num_nodes {
+        for v in 0..ds.graph().num_nodes {
             let row = logits.row(v);
             let pred = (0..classes)
                 .max_by(|&a, &b| row[a].total_cmp(&row[b]))
@@ -119,7 +122,7 @@ impl GraphSage {
                 correct += 1;
             }
         }
-        Ok(correct as f64 / ds.graph.num_nodes as f64)
+        Ok(correct as f64 / ds.graph().num_nodes as f64)
     }
 
     /// All parameters flattened — the weight vector whose run-to-run
@@ -138,7 +141,7 @@ pub fn train_model(
     cfg: &TrainConfig,
     ctx: &GpuContext,
 ) -> Result<(GraphSage, Vec<f64>)> {
-    let mut model = GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, cfg);
+    let mut model = GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, cfg);
     let mut losses = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         // each epoch is a fresh "launch": re-key the schedule
@@ -233,7 +236,7 @@ mod tests {
         let ds = tiny();
         let (model, _) = train_model(&ds, &tiny_cfg(), &ctx_det()).unwrap();
         let p = model.predict(&ctx_det(), &ds).unwrap();
-        for v in 0..ds.graph.num_nodes {
+        for v in 0..ds.graph().num_nodes {
             let row_sum: f64 = p.row(v).iter().sum();
             assert!((row_sum - 1.0).abs() < 1e-9);
         }

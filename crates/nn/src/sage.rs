@@ -13,9 +13,11 @@
 //! (§V-B).
 //!
 //! [`SageConv::backward`] is the composition of a parameter-gradient
-//! half and an input-gradient half. A first layer, whose input (the
-//! node features) takes no gradient, runs only the parameter half and
-//! so skips the backward scatter.
+//! half and an input-gradient half. The model's first layer runs only
+//! the parameter half, because its input (the node features) takes no
+//! gradient. It also does not scatter: it runs on constant sparse
+//! operands derived once from its dataset (see
+//! [`NodeClassification`](crate::graph::NodeClassification)).
 
 use fpna_core::Result;
 use fpna_tensor::context::GpuContext;
@@ -23,7 +25,7 @@ use fpna_tensor::ops::index::gather_index_add;
 use fpna_tensor::Tensor;
 
 use crate::graph::Graph;
-use crate::linalg::{add_bias_rows, matmul, matmul_nt, matmul_tn};
+use crate::linalg::{add_bias_rows, matmul, matmul_nt, matmul_tn, Csr};
 
 /// Scale each node's feature row by `1 / degree` (the mean-aggregation
 /// divisor), skipping isolated nodes. Rows are independent, so the
@@ -58,6 +60,73 @@ pub enum Aggregation {
     Mean,
     /// Sum over neighbours (ablation `ablation_sage_agg`).
     Sum,
+}
+
+impl Aggregation {
+    /// Mean/sum-aggregate neighbour rows of `x`: a fused gather →
+    /// `index_add` over the edge list — the non-deterministic heart of
+    /// the layer.
+    pub(crate) fn aggregate(self, ctx: &GpuContext, graph: &Graph, x: &Tensor) -> Result<Tensor> {
+        let mut summed =
+            gather_index_add(ctx, graph.num_nodes, &graph.edge_dst, x, &graph.edge_src)?;
+        if self == Aggregation::Mean {
+            scale_rows_by_inv_degree(&mut summed, &graph.degree);
+        }
+        Ok(summed)
+    }
+}
+
+/// The left operand `A` of a layer's weight products: `A · W` in the
+/// forward pass, `Aᵀ · D` for the weight gradient.
+pub(crate) trait Operand {
+    /// `self · w`.
+    fn mul(&self, w: &Tensor) -> Tensor;
+    /// `selfᵀ · d`.
+    fn t_mul(&self, d: &Tensor) -> Tensor;
+}
+
+impl Operand for Tensor {
+    fn mul(&self, w: &Tensor) -> Tensor {
+        matmul(self, w)
+    }
+
+    fn t_mul(&self, d: &Tensor) -> Tensor {
+        matmul_tn(self, d)
+    }
+}
+
+/// A constant operand held by row, for `A · W`, and by column, for
+/// `Aᵀ · D`. Both products are bitwise those of the dense tensor.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseOperand {
+    by_row: Csr,
+    by_col: Csr,
+}
+
+impl SparseOperand {
+    pub(crate) fn new(a: &Tensor) -> Self {
+        let by_row = Csr::from_dense(a);
+        SparseOperand {
+            by_col: by_row.transpose(),
+            by_row,
+        }
+    }
+
+    /// The dense tensor, with `+0.0` for every zero.
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> Tensor {
+        self.by_row.to_dense()
+    }
+}
+
+impl Operand for SparseOperand {
+    fn mul(&self, w: &Tensor) -> Tensor {
+        self.by_row.matmul(w)
+    }
+
+    fn t_mul(&self, d: &Tensor) -> Tensor {
+        self.by_col.matmul(d)
+    }
 }
 
 /// One SAGE convolution layer.
@@ -110,53 +179,55 @@ impl SageConv {
         }
     }
 
-    /// Mean/sum-aggregate neighbour features: a fused gather →
-    /// `index_add` over the edge list — the non-deterministic heart of
-    /// the layer.
-    fn aggregate(&self, ctx: &GpuContext, graph: &Graph, x: &Tensor) -> Result<Tensor> {
-        let mut summed =
-            gather_index_add(ctx, graph.num_nodes, &graph.edge_dst, x, &graph.edge_src)?;
-        if self.aggregation == Aggregation::Mean {
-            scale_rows_by_inv_degree(&mut summed, &graph.degree);
-        }
-        Ok(summed)
-    }
-
-    /// Forward pass. Returns the output and the cache for backward.
-    pub fn forward(&self, ctx: &GpuContext, graph: &Graph, x: &Tensor) -> Result<(Tensor, SageCache)> {
-        let agg = self.aggregate(ctx, graph, x)?;
-        let mut pre = matmul(x, &self.w_self);
-        let neigh = matmul(&agg, &self.w_neigh);
+    /// The affine map, bias and activation on the input `x` and its
+    /// aggregation `agg`. Returns the output and the pre-activation.
+    pub(crate) fn apply(&self, x: &impl Operand, agg: &impl Operand) -> (Tensor, Tensor) {
+        let mut pre = x.mul(&self.w_self);
+        let neigh = agg.mul(&self.w_neigh);
         for (p, &n) in pre.data_mut().iter_mut().zip(neigh.data()) {
             *p += n;
         }
         add_bias_rows(&mut pre, &self.bias);
         let out = if self.relu { pre.map(|v| v.max(0.0)) } else { pre.clone() };
+        (out, pre)
+    }
+
+    /// Forward pass. Returns the output and the cache for backward.
+    pub fn forward(&self, ctx: &GpuContext, graph: &Graph, x: &Tensor) -> Result<(Tensor, SageCache)> {
+        let agg = self.aggregation.aggregate(ctx, graph, x)?;
+        let (out, pre_activation) = self.apply(x, &agg);
         Ok((
             out,
             SageCache {
                 x: x.clone(),
                 agg,
-                pre_activation: pre,
+                pre_activation,
             },
         ))
     }
 
     /// `∂L/∂pre-activation`: `dout` through the ReLU gate.
-    fn gate(&self, cache: &SageCache, dout: &Tensor) -> Tensor {
+    fn gate(&self, pre_activation: &Tensor, dout: &Tensor) -> Tensor {
         if self.relu {
-            dout.zip(&cache.pre_activation, |g, p| if p > 0.0 { g } else { 0.0 })
+            dout.zip(pre_activation, |g, p| if p > 0.0 { g } else { 0.0 })
         } else {
             dout.clone()
         }
     }
 
-    /// Parameter half of the backward pass: given `dout = ∂L/∂output`,
-    /// the gradients of `w_self`, `w_neigh` and `bias`. Dense and
-    /// deterministic in both modes.
-    pub(crate) fn param_grads(&self, cache: &SageCache, dout: &Tensor) -> SageGrads {
+    /// Parameter half of the backward pass: given the operands and
+    /// pre-activation of [`SageConv::apply`] and `dout = ∂L/∂output`,
+    /// the gradients of `w_self`, `w_neigh` and `bias`. Deterministic
+    /// in both modes.
+    pub(crate) fn param_grads(
+        &self,
+        x: &impl Operand,
+        agg: &impl Operand,
+        pre_activation: &Tensor,
+        dout: &Tensor,
+    ) -> SageGrads {
         let out_dim = self.w_self.shape()[1];
-        let dpre = self.gate(cache, dout);
+        let dpre = self.gate(pre_activation, dout);
         let mut dbias = vec![0.0f64; out_dim];
         for row in dpre.data().chunks(out_dim) {
             for (b, &g) in dbias.iter_mut().zip(row) {
@@ -164,8 +235,8 @@ impl SageConv {
             }
         }
         SageGrads {
-            dw_self: matmul_tn(&cache.x, &dpre),
-            dw_neigh: matmul_tn(&cache.agg, &dpre),
+            dw_self: x.t_mul(&dpre),
+            dw_neigh: agg.t_mul(&dpre),
             dbias,
         }
     }
@@ -174,14 +245,14 @@ impl SageConv {
     /// gradient through the aggregation scatters back to neighbours
     /// (`dx[src] += dagg[dst]` per edge) with the fused gather →
     /// `index_add`, and is therefore non-deterministic in ND mode.
-    pub(crate) fn input_grad(
+    fn input_grad(
         &self,
         ctx: &GpuContext,
         graph: &Graph,
         cache: &SageCache,
         dout: &Tensor,
     ) -> Result<Tensor> {
-        let dpre = self.gate(cache, dout);
+        let dpre = self.gate(&cache.pre_activation, dout);
         let mut dagg = matmul_nt(&dpre, &self.w_neigh); // [n, in]
         if self.aggregation == Aggregation::Mean {
             scale_rows_by_inv_degree(&mut dagg, &graph.degree);
@@ -210,7 +281,7 @@ impl SageConv {
         dout: &Tensor,
     ) -> Result<(SageGrads, Tensor)> {
         Ok((
-            self.param_grads(cache, dout),
+            self.param_grads(&cache.x, &cache.agg, &cache.pre_activation, dout),
             self.input_grad(ctx, graph, cache, dout)?,
         ))
     }
@@ -265,7 +336,7 @@ mod tests {
         let g = line_graph();
         let x = Tensor::from_vec(vec![3, 1], vec![1.0, 10.0, 100.0]);
         let layer = SageConv::new(1, 1, Aggregation::Mean, false, 1);
-        let agg = layer.aggregate(&ctx_det(), &g, &x).unwrap();
+        let agg = layer.aggregation.aggregate(&ctx_det(), &g, &x).unwrap();
         // node0 neighbours {1} -> 10; node1 {0,2} -> 50.5; node2 {1} -> 10
         assert_eq!(agg.data(), &[10.0, 50.5, 10.0]);
     }
@@ -275,7 +346,7 @@ mod tests {
         let g = line_graph();
         let x = Tensor::from_vec(vec![3, 1], vec![1.0, 10.0, 100.0]);
         let layer = SageConv::new(1, 1, Aggregation::Sum, false, 1);
-        let agg = layer.aggregate(&ctx_det(), &g, &x).unwrap();
+        let agg = layer.aggregation.aggregate(&ctx_det(), &g, &x).unwrap();
         assert_eq!(agg.data(), &[10.0, 101.0, 10.0]);
     }
 

@@ -61,7 +61,7 @@ pub fn weight_divergence_experiment(
 ) -> Result<WeightDivergence> {
     // Reference: deterministic training, weights captured per epoch.
     let det_ctx = GpuContext::new(gpu, seed).with_determinism(Some(true));
-    let mut reference = GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, cfg);
+    let mut reference = GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, cfg);
     let mut ref_weights: Vec<Vec<f64>> = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         reference.train_epoch(&det_ctx.for_run(epoch as u64), ds, cfg.lr)?;
@@ -73,7 +73,7 @@ pub fn weight_divergence_experiment(
             let nd_ctx = GpuContext::new(gpu, fpna_core::rng::derive_seed(seed, 1 + r as u64))
                 .with_determinism(Some(false));
             let mut model =
-                GraphSage::new(ds.features.shape()[1], cfg.hidden, ds.num_classes, cfg);
+                GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, cfg);
             let mut per_epoch = Vec::with_capacity(cfg.epochs);
             let mut final_weights_bits = Vec::new();
             let mut final_loss = f64::NAN;

@@ -9,7 +9,8 @@
 #   * every fig/table binary with default arguments and --threads 1;
 #   * each table9 invocation from .github/workflows/ci.yml, plus the
 #     trace file that CI's observability step writes;
-#   * the distributed_allreduce example.
+#   * the distributed_allreduce, gnn_reproducibility and
+#     deterministic_hardware examples.
 # Every pair of outputs is compared with cmp. The script prints one line
 # per comparison and exits 1 if any pair differs.
 #
@@ -46,7 +47,8 @@ run_tree() {
     echo "== building $side ($tree)" >&2
     (cd "$tree" && CARGO_TARGET_DIR="$target" cargo build --release --offline -q \
         && CARGO_TARGET_DIR="$target" cargo build --release --offline -q \
-            --example distributed_allreduce)
+            --example distributed_allreduce --example gnn_reproducibility \
+            --example deterministic_hardware)
     mkdir -p "$out/$side"
     for bin in $bins; do
         echo "== $side: $bin" >&2
@@ -64,8 +66,10 @@ run_tree() {
     # shellcheck disable=SC2086
     (cd "$tree" && "$target/release/table9" $trace_args --trace "$out/$side/table9.trace.json") \
         > /dev/null
-    (cd "$tree" && "$target/release/examples/distributed_allreduce") \
-        > "$out/$side/distributed_allreduce.out"
+    for example in distributed_allreduce gnn_reproducibility deterministic_hardware; do
+        echo "== $side: example $example" >&2
+        (cd "$tree" && "$target/release/examples/$example") > "$out/$side/$example.out"
+    done
 }
 
 run_tree "$parent" parent
