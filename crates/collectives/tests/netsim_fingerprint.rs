@@ -1,12 +1,12 @@
 //! Pins every observable bit of the simulated allreduce.
 //!
-//! One FNV-1a hash per [`Algorithm`] configuration, folded over a grid
-//! of fabrics × network configs × orderings × rank counts × lengths.
+//! One FNV-1a hash per ([`Algorithm`] configuration, network config),
+//! folded over a grid of fabrics × orderings × rank counts × lengths.
 //! Each call contributes its value bits, its `elapsed_ns` bits, every
 //! [`RunStats`] field and every [`LinkStats`] entry. A protocol
 //! rewrite that moves one fold, one timestamp, one message or one
 //! link counter anywhere on the grid changes the hash of the
-//! algorithm it touched.
+//! algorithm and network config it touched, and only those.
 //!
 //! Each hash was captured once, from the protocols as they stood when
 //! this test landed. A moved hash is a change in results, so a hash is
@@ -113,22 +113,33 @@ fn fabrics(p: usize) -> Vec<Topology> {
     ]
 }
 
-/// Quiet; tenants at 0.5 with seeded ECMP and link stats; NIC
-/// coalescing at 256 B; zero jitter under tenants at 0.7.
-fn configs(seed: u64) -> [NetConfig; 4] {
-    [
-        NetConfig::default(),
-        NetConfig::default()
+/// The network configs, each hashed on its own.
+#[derive(Clone, Copy, Debug)]
+enum Net {
+    /// The default config.
+    Quiet,
+    /// Tenants at 0.5 with seeded ECMP and link stats.
+    Tenants,
+    /// NIC coalescing at 256 B.
+    Coalesce,
+    /// Zero jitter under tenants at 0.7.
+    ZeroJitter,
+}
+
+fn config(net: Net, seed: u64) -> NetConfig {
+    match net {
+        Net::Quiet => NetConfig::default(),
+        Net::Tenants => NetConfig::default()
             .with_load(0.5, seed ^ 0xB6)
             .with_route(RouteSelect::SeededEcmp { seed: seed ^ 0xEC })
             .with_link_stats(true),
-        NetConfig::default().with_coalesce(256),
-        NetConfig {
+        Net::Coalesce => NetConfig::default().with_coalesce(256),
+        Net::ZeroJitter => NetConfig {
             jitter_frac: 0.0,
             ..NetConfig::default()
         }
         .with_load(0.7, seed ^ 0x70),
-    ]
+    }
 }
 
 /// Rank counts with the lengths each runs at: the degenerate p ∈ {1, 2}
@@ -144,7 +155,7 @@ fn inputs(p: usize, m: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn fingerprint(alg: Algorithm) -> u64 {
+fn fingerprint(alg: Algorithm, net: Net) -> u64 {
     let mut h = Fnv::new();
     for (p, lengths) in GRID {
         if matches!(alg, Algorithm::RecursiveDoubling) && !p.is_power_of_two() {
@@ -154,15 +165,13 @@ fn fingerprint(alg: Algorithm) -> u64 {
             let ranks = inputs(p, m);
             for (ti, topo) in fabrics(p).iter().enumerate() {
                 let seed = (p * 100 + m * 10 + ti) as u64;
-                for cfg in configs(seed) {
-                    for ordering in [
-                        Ordering::ArrivalOrder { seed },
-                        Ordering::RankOrder,
-                        Ordering::Reproducible,
-                    ] {
-                        let cfg = cfg.with_jitter_seed(seed ^ 0x5EED);
-                        h.absorb(&allreduce_on(topo, &ranks, alg, ordering, &cfg));
-                    }
+                let cfg = config(net, seed).with_jitter_seed(seed ^ 0x5EED);
+                for ordering in [
+                    Ordering::ArrivalOrder { seed },
+                    Ordering::RankOrder,
+                    Ordering::Reproducible,
+                ] {
+                    h.absorb(&allreduce_on(topo, &ranks, alg, ordering, &cfg));
                 }
             }
         }
@@ -172,24 +181,63 @@ fn fingerprint(alg: Algorithm) -> u64 {
 
 #[test]
 fn every_netsim_bit_is_pinned() {
-    let pinned: [(Algorithm, u64); 12] = [
-        (Algorithm::Ring, 0x375b_bcbf_2953_10a9),
-        (Algorithm::SegmentedRing { segments: 2 }, 0xead8_30fc_7810_8b12),
-        (Algorithm::SegmentedRing { segments: 5 }, 0x3a49_433b_2535_80de),
-        (Algorithm::KAryTree { fanout: 2 }, 0x37e0_861f_1e63_cc0b),
-        (Algorithm::KAryTree { fanout: 3 }, 0x3575_95f9_6979_4d89),
-        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, 0x5726_527d_ace0_e892),
-        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, 0xbcce_e9d3_f139_26e1),
-        (Algorithm::RecursiveDoubling, 0x81ae_cef1_2da9_4ddb),
-        (Algorithm::Hierarchical { intra: 2, inter: 2 }, 0xfb54_e7c9_a5c8_7952),
-        (Algorithm::Hierarchical { intra: 3, inter: 2 }, 0xb83e_8054_c2c2_838b),
-        (Algorithm::FabricRing, 0x6668_5744_90a3_13ff),
-        (Algorithm::DoubleBinaryTree, 0x0150_f17e_a574_4d3a),
+    let pinned: [(Algorithm, Net, u64); 48] = [
+        (Algorithm::Ring, Net::Quiet, 0x7573_cc07_a6b6_d35e),
+        (Algorithm::SegmentedRing { segments: 2 }, Net::Quiet, 0x0d95_5773_671a_1bc9),
+        (Algorithm::SegmentedRing { segments: 5 }, Net::Quiet, 0x2fce_c81f_f78b_ed7b),
+        (Algorithm::KAryTree { fanout: 2 }, Net::Quiet, 0x7ea9_2ce9_c908_476a),
+        (Algorithm::KAryTree { fanout: 3 }, Net::Quiet, 0x580d_e9ad_7f3c_7e29),
+        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, Net::Quiet, 0x2bc1_addb_9837_bded),
+        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, Net::Quiet, 0x5a2c_609d_c1f6_906f),
+        (Algorithm::RecursiveDoubling, Net::Quiet, 0xe463_8f12_8d80_05d0),
+        (Algorithm::Hierarchical { intra: 2, inter: 2 }, Net::Quiet, 0x9fa8_4197_b85a_5cd9),
+        (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::Quiet, 0xb0fc_fd44_5419_5382),
+        (Algorithm::FabricRing, Net::Quiet, 0xd786_9b09_eebe_b60f),
+        (Algorithm::DoubleBinaryTree, Net::Quiet, 0x5906_f362_927a_f570),
+        (Algorithm::Ring, Net::Tenants, 0xe11c_6924_40cf_4570),
+        (Algorithm::SegmentedRing { segments: 2 }, Net::Tenants, 0xf3e3_56c4_b14e_ff26),
+        (Algorithm::SegmentedRing { segments: 5 }, Net::Tenants, 0x0b76_94a1_5a72_0669),
+        (Algorithm::KAryTree { fanout: 2 }, Net::Tenants, 0x61f3_51c7_f974_7bee),
+        (Algorithm::KAryTree { fanout: 3 }, Net::Tenants, 0x418b_725c_0a81_245f),
+        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, Net::Tenants, 0x89fc_953e_898f_d7fb),
+        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, Net::Tenants, 0x8ac5_9fa4_09e9_ec70),
+        (Algorithm::RecursiveDoubling, Net::Tenants, 0xc082_c1ef_fbef_efc7),
+        (Algorithm::Hierarchical { intra: 2, inter: 2 }, Net::Tenants, 0x77fb_1f4a_8a05_1d0e),
+        (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::Tenants, 0x8c8d_39cd_c9d0_deb9),
+        (Algorithm::FabricRing, Net::Tenants, 0xb8c6_a0d4_7b01_c3a9),
+        (Algorithm::DoubleBinaryTree, Net::Tenants, 0xb3bc_2a44_9824_2913),
+        (Algorithm::Ring, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
+        (Algorithm::SegmentedRing { segments: 2 }, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
+        (Algorithm::SegmentedRing { segments: 5 }, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
+        (Algorithm::KAryTree { fanout: 2 }, Net::Coalesce, 0x7ea9_2ce9_c908_476a),
+        (Algorithm::KAryTree { fanout: 3 }, Net::Coalesce, 0x580d_e9ad_7f3c_7e29),
+        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, Net::Coalesce, 0xa3da_052c_3cf0_d8df),
+        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, Net::Coalesce, 0x82e3_a2ae_23b7_bfd4),
+        (Algorithm::RecursiveDoubling, Net::Coalesce, 0xe463_8f12_8d80_05d0),
+        (Algorithm::Hierarchical { intra: 2, inter: 2 }, Net::Coalesce, 0x9fa8_4197_b85a_5cd9),
+        (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::Coalesce, 0xb0fc_fd44_5419_5382),
+        (Algorithm::FabricRing, Net::Coalesce, 0xd786_9b09_eebe_b60f),
+        (Algorithm::DoubleBinaryTree, Net::Coalesce, 0x5906_f362_927a_f570),
+        (Algorithm::Ring, Net::ZeroJitter, 0x300b_5db0_3f97_b0f4),
+        (Algorithm::SegmentedRing { segments: 2 }, Net::ZeroJitter, 0x5ab0_ef6c_4293_104a),
+        (Algorithm::SegmentedRing { segments: 5 }, Net::ZeroJitter, 0x2206_835e_8c6c_ba63),
+        (Algorithm::KAryTree { fanout: 2 }, Net::ZeroJitter, 0xf68a_e00a_655f_915c),
+        (Algorithm::KAryTree { fanout: 3 }, Net::ZeroJitter, 0x6978_f990_3e9c_8293),
+        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, Net::ZeroJitter, 0xd248_0051_51d1_5eb2),
+        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, Net::ZeroJitter, 0x62eb_c395_ba00_05e3),
+        (Algorithm::RecursiveDoubling, Net::ZeroJitter, 0x412a_9c77_9be0_7511),
+        (Algorithm::Hierarchical { intra: 2, inter: 2 }, Net::ZeroJitter, 0xfea4_afc1_64af_bd99),
+        (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::ZeroJitter, 0x2d32_a129_745c_aa0b),
+        (Algorithm::FabricRing, Net::ZeroJitter, 0x3dc8_128d_47b0_a03b),
+        (Algorithm::DoubleBinaryTree, Net::ZeroJitter, 0x6ff8_f9e3_afac_b04c),
     ];
-    let got: Vec<(Algorithm, u64)> =
-        pinned.iter().map(|&(alg, _)| (alg, fingerprint(alg))).collect();
-    let report: String = got.iter().map(|(alg, h)| format!("\n  {alg:?}: {h:#018x}")).collect();
-    for (&(alg, want), &(_, have)) in pinned.iter().zip(&got) {
-        assert_eq!(have, want, "{alg:?} fingerprint moved; all hashes:{report}");
+    let got: Vec<u64> = pinned.iter().map(|&(alg, net, _)| fingerprint(alg, net)).collect();
+    let report: String = pinned
+        .iter()
+        .zip(&got)
+        .map(|(&(alg, net, _), h)| format!("\n        ({alg:?}, Net::{net:?}, {h:#018x}),"))
+        .collect();
+    for (&(alg, net, want), &have) in pinned.iter().zip(&got) {
+        assert_eq!(have, want, "{alg:?} under {net:?} fingerprint moved; all hashes:{report}");
     }
 }
