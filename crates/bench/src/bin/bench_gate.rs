@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn committed_baseline_round_trips_byte_for_byte() {
         let rows = parse_rows(Path::new("bench-baseline.json"), BASELINE).unwrap();
-        assert_eq!(rows.len(), 63);
+        assert_eq!(rows.len(), 62);
         assert_eq!(render_rows(&rows), BASELINE);
     }
 

@@ -61,6 +61,7 @@
 //!  [--segments 1,8,32] [--load 0,0.3,0.8] [--route fixed|ecmp] [--place oblivious|aware] [--link-stats]
 //!  [--threads N] [--paper-scale] [--trace out.json] [--profile]`
 
+use fpna_bench::usage_error;
 use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
 use fpna_core::executor::RunExecutor;
 use fpna_core::harness::RunSummary;
@@ -768,55 +769,33 @@ fn main() {
     let runs = args.size("runs", 25, 500);
     let fanout = fpna_bench::arg_usize("fanout", 4);
     let seed = fpna_bench::arg_u64("seed", 9);
-    let segments: Vec<usize> = fpna_bench::arg_string("segments")
-        .map(|v| {
-            v.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--segments expects integers, got {s}"))
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1]);
-    assert!(
-        !segments.is_empty() && segments.iter().all(|&k| k >= 1),
-        "--segments expects a comma-separated list of positive chunk counts"
-    );
-    let loads: Vec<f64> = fpna_bench::arg_string("load")
-        .map(|v| {
-            v.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--load expects offered-load factors, got {s}"))
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![0.0]);
-    assert!(
-        !loads.is_empty() && loads.iter().all(|&l| l.is_finite() && l >= 0.0),
-        "--load expects a comma-separated list of non-negative offered-load factors"
-    );
-    assert!(
-        loads.windows(2).all(|w| w[0] < w[1]),
-        "--load expects strictly increasing offered-load factors"
-    );
+    let segments: Vec<usize> = fpna_bench::arg_list("segments", "integers", vec![1]);
+    if segments.contains(&0) {
+        usage_error("--segments expects a comma-separated list of positive chunk counts");
+    }
+    let loads: Vec<f64> = fpna_bench::arg_list("load", "offered-load factors", vec![0.0]);
+    if !loads.iter().all(|&l| l.is_finite() && l >= 0.0) {
+        usage_error("--load expects a comma-separated list of non-negative offered-load factors");
+    }
+    if !loads.windows(2).all(|w| w[0] < w[1]) {
+        usage_error("--load expects strictly increasing offered-load factors");
+    }
     let link_stats = fpna_bench::arg_flag("link-stats");
     let ecmp = match fpna_bench::arg_string("route").as_deref() {
         None | Some("fixed") => false,
         Some("ecmp") => true,
-        Some(other) => panic!("--route expects fixed|ecmp, got {other}"),
+        Some(other) => usage_error(format!("--route expects fixed|ecmp, got {other:?}")),
     };
     let aware = match fpna_bench::arg_string("place").as_deref() {
         None | Some("oblivious") => false,
         Some("aware") => true,
-        Some(other) => panic!("--place expects oblivious|aware, got {other}"),
+        Some(other) => usage_error(format!("--place expects oblivious|aware, got {other:?}")),
     };
-    assert!(
-        !aware || segments == [1],
-        "--place aware does not combine with --segments (placement A/B runs unsegmented)"
-    );
+    if aware && segments != [1] {
+        usage_error(
+            "--place aware does not combine with --segments (placement A/B runs unsegmented)",
+        );
+    }
     let cfg = Cfg { len, runs, fanout, seed, segments, loads, link_stats, ecmp, aware };
 
     let mut spec = SweepSpec::new("table9", runs)

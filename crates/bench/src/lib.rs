@@ -44,12 +44,17 @@
 //!
 //! Both report to **stderr** only, so stdout stays byte-identical with
 //! and without them.
+//!
+//! A flag given a value it cannot use (`--runs abc`, `--threads 0`)
+//! ends the process with one `error: …` line on stderr and exit status
+//! 2, before anything is printed on stdout. Unknown flags are ignored.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use fpna_core::executor::RunExecutor;
 use fpna_sweep::SweepMode;
@@ -80,14 +85,12 @@ pub struct ExperimentArgs {
 
 impl ExperimentArgs {
     /// Parse `--threads` / `--paper-scale` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `--threads` is given a non-positive or unparsable
-    /// value.
+    /// A non-positive or unparsable `--threads` is a [`usage_error`].
     pub fn parse() -> Self {
         let threads = arg_usize("threads", RunExecutor::from_env().threads);
-        assert!(threads > 0, "--threads expects a positive integer");
+        if threads == 0 {
+            usage_error("--threads expects a positive integer, got 0");
+        }
         // One flag, one budget: the same worker count drives the
         // repeated-run fan-out (RunExecutor) and the intra-run kernel
         // primitives; nesting collapses to serial inside workers, so
@@ -118,14 +121,6 @@ impl ExperimentArgs {
             profile,
             sweep,
         }
-    }
-
-    /// `true` when this process prints a report on stdout (Full or
-    /// merge mode). Shard and `--emit-spec` processes must keep stdout
-    /// silent apart from the protocol payload, so binaries guard every
-    /// `println!` on this.
-    pub fn reporting(&self) -> bool {
-        self.sweep.reports()
     }
 
     /// Flush the observability outputs requested on the command line:
@@ -183,20 +178,9 @@ impl ExperimentArgs {
     /// seconds-scale default.
     pub fn size(&self, name: &str, default: usize, paper: usize) -> usize {
         match arg_value(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}")),
+            Some(v) => parse_value(name, &v, "an integer"),
             None if self.paper_scale => paper,
             None => default,
-        }
-    }
-
-    /// The scale label for banners: which preset is active.
-    pub fn scale_label(&self) -> &'static str {
-        if self.paper_scale {
-            "paper-scale"
-        } else {
-            "scaled-down default"
         }
     }
 }
@@ -220,28 +204,43 @@ pub fn arg_flag(name: &str) -> bool {
 
 /// Parse `--name value` from the process arguments, with a default.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}"))
-        })
-        .unwrap_or(default)
+    arg_value(name).map_or(default, |v| parse_value(name, &v, "an integer"))
 }
 
 /// Parse `--name value` as u64.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_value(name)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("--{name} expects an integer, got {v}"))
-        })
-        .unwrap_or(default)
+    arg_value(name).map_or(default, |v| parse_value(name, &v, "an integer"))
+}
+
+/// Parse `--name a,b,…` as a list of `expects` (e.g. `"integers"`),
+/// with a default. Every element must parse; an empty element is
+/// unparsable, so the list is never empty.
+pub fn arg_list<T: FromStr>(name: &str, expects: &str, default: Vec<T>) -> Vec<T> {
+    arg_value(name).map_or(default, |v| {
+        v.split(',')
+            .map(|s| parse_value(name, s.trim(), expects))
+            .collect()
+    })
 }
 
 /// Parse `--name value` as a raw string (e.g. for comma-separated
 /// lists a binary splits itself).
 pub fn arg_string(name: &str) -> Option<String> {
     arg_value(name)
+}
+
+/// End the process on a bad command line: print `error: {msg}` on
+/// stderr and exit with status 2.
+pub fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// `v` parsed as the value of `--name`, or a [`usage_error`] saying
+/// the flag `expects` something else.
+fn parse_value<T: FromStr>(name: &str, v: &str, expects: &str) -> T {
+    v.parse()
+        .unwrap_or_else(|_| usage_error(format!("--{name} expects {expects}, got {v:?}")))
 }
 
 fn arg_value(name: &str) -> Option<String> {
@@ -327,8 +326,6 @@ mod tests {
             sweep: SweepMode::Full,
         };
         assert_eq!(scaled.size("not-a-flag", 40, 10_000), 40);
-        assert_eq!(scaled.scale_label(), "scaled-down default");
-        assert!(scaled.reporting());
         let paper = ExperimentArgs {
             threads: 4,
             paper_scale: true,
@@ -338,7 +335,6 @@ mod tests {
         };
         assert_eq!(paper.size("not-a-flag", 40, 10_000), 10_000);
         assert_eq!(paper.executor().threads, 4);
-        assert_eq!(paper.scale_label(), "paper-scale");
     }
 
     #[test]
@@ -350,7 +346,6 @@ mod tests {
             profile: false,
             sweep: SweepMode::Shard { id: 3, start: 0, end: 5, out: None },
         };
-        assert!(!shard.reporting());
         assert_eq!(
             shard.shard_qualified(std::path::Path::new("target/obs/t9.json")),
             PathBuf::from("target/obs/t9.shard-3.json")

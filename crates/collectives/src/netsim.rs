@@ -88,8 +88,7 @@
 
 use crate::allreduce::{validate, Algorithm, Ordering};
 use fpna_net::{
-    Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats,
-    Topology,
+    Background, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats, Topology,
 };
 use fpna_obs::counters::{self, Counter};
 use fpna_obs::trace;
@@ -131,23 +130,6 @@ pub struct NetConfig {
     /// one allocation per collective, which the allocation-free
     /// discipline only pays when asked (`table9 --link-stats`).
     pub collect_link_stats: bool,
-    /// NIC small-message coalescing threshold in bytes; `0` (the
-    /// default) disables it. When set, logical sends at the same
-    /// simulated instant from the same rank to the same destination
-    /// whose payload is at or below the threshold share one wire
-    /// message: one per-message latency α, summed serialization β.
-    /// This is what real NICs/NCCL do to amortize per-message cost
-    /// over heavily-segmented small chunks. Deterministic by
-    /// construction — batching keys on exact `(time, from, to)` and
-    /// sub-messages expand at delivery in injection order — and
-    /// value-invisible wherever the combine order is: the rings (order
-    /// fixed by the rotation, every ordering), and the trees (k-ary,
-    /// hierarchical, double binary) under `RankOrder`/`Reproducible`.
-    /// Trees under `ArrivalOrder` fold in physical arrival order,
-    /// which coalescing would perturb, so they ignore the threshold.
-    /// Recursive doubling bypasses the NIC: it never sends twice to
-    /// one peer at one instant, so there is nothing to coalesce.
-    pub coalesce_bytes: u64,
 }
 
 impl Default for NetConfig {
@@ -160,7 +142,6 @@ impl Default for NetConfig {
             bg_seed: 0,
             route: RouteSelect::Fixed,
             collect_link_stats: false,
-            coalesce_bytes: 0,
         }
     }
 }
@@ -191,13 +172,6 @@ impl NetConfig {
     /// into [`NetAllreduce::link_stats`].
     pub fn with_link_stats(mut self, on: bool) -> Self {
         self.collect_link_stats = on;
-        self
-    }
-
-    /// This configuration with NIC small-message coalescing at the
-    /// given byte threshold (`0` disables).
-    pub fn with_coalesce(mut self, threshold_bytes: u64) -> Self {
-        self.coalesce_bytes = threshold_bytes;
         self
     }
 
@@ -442,181 +416,6 @@ impl Payloads {
     }
 }
 
-/// Wire-message tag marking a coalesced batch. Protocol tags
-/// (`(flow << 1) | direction`) never reach this value, and
-/// [`Nic::send_at`] asserts it.
-const COALESCE_TAG: u64 = u64::MAX;
-
-/// One logical send riding inside a coalesced wire message.
-#[derive(Debug, Clone, Copy)]
-struct SubMsg {
-    /// Virtual (logical) message id — what the payload slab is keyed
-    /// by and what the protocol sees at delivery.
-    virt: u64,
-    bytes: u64,
-    tag: u64,
-}
-
-/// What a wire message id expands to at delivery.
-#[derive(Debug)]
-enum WireKind {
-    /// An uncoalesced send: just remap the engine id to its virtual id.
-    Direct(u64),
-    /// A coalesced batch: expand into sub-deliveries in injection order.
-    Batch(Vec<SubMsg>),
-}
-
-/// The simulated NIC's small-message coalescing stage.
-///
-/// Protocols route every send through [`Nic::send_at`] and expand
-/// every delivery through [`Nic::expand`]. Logical sends at the same
-/// simulated instant, from the same rank, to the same destination,
-/// at or below the threshold, are merged into one wire message whose
-/// payload is the byte sum — one per-message α, summed β — and whose
-/// deliveries are replayed to the protocol in injection order at the
-/// wire message's arrival time. Batches are flushed deterministically:
-/// a send at a different instant, any send above the threshold, and
-/// the end of every injection burst ([`Nic::flush`]) all drain the
-/// open batches in first-send order, so the wire schedule is a pure
-/// function of the logical send sequence.
-///
-/// Every send — coalesced or not — gets a dense injection-ordered
-/// *virtual* id, so [`Payloads`]' sliding-window slab keeps working
-/// unchanged on top. With a threshold of 0 the NIC is a strict
-/// pass-through: virtual ids equal engine ids and no bookkeeping runs.
-#[derive(Debug, Default)]
-struct Nic {
-    /// Coalescing threshold in bytes; 0 = pass-through.
-    threshold: u64,
-    /// Next virtual message id (dense, injection-ordered).
-    next_virt: u64,
-    /// Instant the open batches belong to (NaN when none are open, so
-    /// the first send always misses the equality check and re-anchors).
-    pend_time: f64,
-    /// Open batches in first-send order: `(from, to, sub-messages)`.
-    pend: Vec<(usize, usize, Vec<SubMsg>)>,
-    /// Engine wire-message id → delivery expansion.
-    wire: std::collections::HashMap<u64, WireKind>,
-}
-
-impl Nic {
-    fn new(threshold: u64) -> Self {
-        Nic {
-            threshold,
-            pend_time: f64::NAN,
-            ..Nic::default()
-        }
-    }
-
-    /// Send (or batch) one logical message; returns its virtual id.
-    fn send_at(
-        &mut self,
-        sim: &mut NetSim<'_>,
-        at: f64,
-        from: usize,
-        to: usize,
-        bytes: u64,
-        tag: u64,
-    ) -> u64 {
-        if self.threshold == 0 {
-            return sim.send_at(at, from, to, bytes, tag);
-        }
-        assert!(tag != COALESCE_TAG, "protocol tag collides with the coalesce sentinel");
-        if at != self.pend_time {
-            self.flush(sim);
-            self.pend_time = at;
-        }
-        let virt = self.next_virt;
-        self.next_virt += 1;
-        if bytes > self.threshold {
-            // Large message: drain the open batches first so the wire
-            // injection order tracks the logical send order, then send
-            // it as its own wire message.
-            self.flush(sim);
-            self.pend_time = at;
-            let w = sim.send_at(at, from, to, bytes, tag);
-            self.wire.insert(w, WireKind::Direct(virt));
-            return virt;
-        }
-        let sub = SubMsg { virt, bytes, tag };
-        match self.pend.iter_mut().find(|(f, t, _)| *f == from && *t == to) {
-            Some((_, _, subs)) => subs.push(sub),
-            None => self.pend.push((from, to, vec![sub])),
-        }
-        virt
-    }
-
-    /// Drain every open batch onto the wire, in first-send order.
-    /// Called at the end of each injection burst (and implicitly when
-    /// a send can't join the open batches); must run before the engine
-    /// advances past the batch instant.
-    fn flush(&mut self, sim: &mut NetSim<'_>) {
-        for (from, to, subs) in self.pend.drain(..) {
-            if let [s] = subs[..] {
-                let w = sim.send_at(self.pend_time, from, to, s.bytes, s.tag);
-                self.wire.insert(w, WireKind::Direct(s.virt));
-            } else {
-                let bytes: u64 = subs.iter().map(|s| s.bytes).sum();
-                counters::add(Counter::CoalescedMsgs, subs.len() as u64 - 1);
-                counters::add(Counter::CoalescedBytesSaved, bytes - subs[0].bytes);
-                let w = sim.send_at(self.pend_time, from, to, bytes, COALESCE_TAG);
-                self.wire.insert(w, WireKind::Batch(subs));
-            }
-        }
-    }
-
-    /// Expand a wire delivery into its logical sub-deliveries, in
-    /// injection order, all at the wire message's arrival time.
-    fn expand(&mut self, d: &Delivery) -> SubDeliveries {
-        if self.threshold == 0 {
-            return SubDeliveries { base: *d, subs: None, i: 0 };
-        }
-        match self.wire.remove(&d.msg).expect("wire message with no NIC record") {
-            WireKind::Direct(virt) => SubDeliveries {
-                base: Delivery { msg: virt, ..*d },
-                subs: None,
-                i: 0,
-            },
-            WireKind::Batch(subs) => {
-                debug_assert_eq!(d.tag, COALESCE_TAG);
-                SubDeliveries { base: *d, subs: Some(subs), i: 0 }
-            }
-        }
-    }
-}
-
-/// Owning iterator over the logical deliveries of one wire message —
-/// owns its sub-message list so the [`Nic`] stays free for the sends
-/// the protocol makes while handling each sub-delivery.
-struct SubDeliveries {
-    base: Delivery,
-    subs: Option<Vec<SubMsg>>,
-    i: usize,
-}
-
-impl Iterator for SubDeliveries {
-    type Item = Delivery;
-
-    fn next(&mut self) -> Option<Delivery> {
-        match &self.subs {
-            None => (self.i == 0).then(|| {
-                self.i = 1;
-                self.base
-            }),
-            Some(subs) => {
-                let s = subs.get(self.i)?;
-                self.i += 1;
-                Some(Delivery {
-                    msg: s.virt,
-                    bytes: s.bytes,
-                    tag: s.tag,
-                    ..self.base
-                })
-            }
-        }
-    }
-}
-
 fn jitter_for(ordering: Ordering, config: &NetConfig) -> JitterModel {
     match ordering {
         Ordering::ArrivalOrder { seed } => JitterModel::uniform(config.jitter_frac, seed),
@@ -672,16 +471,7 @@ pub fn allreduce_on(
     let Some((trees, k)) = schedule(topo, algorithm, ranks[0].len()) else {
         return recursive_doubling_on(sim, ranks, exact, config);
     };
-    // A ring chain's fold order is fixed, so coalescing is
-    // value-invisible under every ordering. Trees fold in physical
-    // arrival order under `ArrivalOrder`, which coalescing would
-    // perturb. The gate is per algorithm, not per shape: a 2-rank tree
-    // is a chain, and it does not coalesce.
-    let ring =
-        matches!(algorithm, Algorithm::Ring | Algorithm::SegmentedRing { .. } | Algorithm::FabricRing);
-    let coalesce = ring || !matches!(ordering, Ordering::ArrivalOrder { .. });
-    let threshold = if coalesce { config.coalesce_bytes } else { 0 };
-    run_trees(sim, ranks, &trees, k, ordering, config, threshold)
+    run_trees(sim, ranks, &trees, k, ordering, config)
 }
 
 /// The trees `algorithm` runs on `topo` over `m` columns, and the
@@ -900,7 +690,6 @@ fn run_trees(
     k: usize,
     ordering: Ordering,
     config: &NetConfig,
-    coalesce_bytes: u64,
 ) -> NetAllreduce {
     let p = ranks.len();
     let exact = matches!(ordering, Ordering::Reproducible);
@@ -927,7 +716,6 @@ fn run_trees(
 
     let mut pool = BufferPool::default();
     let mut payloads = Payloads::default();
-    let mut nic = Nic::new(coalesce_bytes);
     let tracing = trace::enabled();
     let pid = trace::current_pid();
     let trace_combine = |v: usize, at: f64, f: usize, child: usize| {
@@ -949,86 +737,80 @@ fn run_trees(
     }
     // Leaves inject at their staggered start times. Equal timestamps
     // resolve by injection order, so chunk 0 hits the first link first
-    // and the rest pipeline behind it (or, under coalescing, share one
-    // wire message per leaf).
+    // and the rest pipeline behind it.
     for (t, tree) in trees.iter().enumerate() {
         for (r, own) in ranks.iter().enumerate().filter(|&(r, _)| is_leaf(t, r)) {
             for c in 0..k {
                 let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, c);
                 let bytes = raw_wire_bytes(&own[lo..hi], exact);
                 let (at, to) = (config.stagger_ns * r as f64, tree.parent[r] as usize);
-                nic.send_at(&mut sim, at, r, to, bytes, (((t * k + c) as u64) << 1) | UP);
+                sim.send_at(at, r, to, bytes, (((t * k + c) as u64) << 1) | UP);
             }
         }
     }
-    nic.flush(&mut sim);
 
     let mut result = vec![0.0f64; ranks[0].len()];
     let mut roots_done = 0usize;
     let mut elapsed = 0.0f64;
-    let stats = sim.run(|sim, wire| {
-        for d in nic.expand(&wire) {
-            elapsed = elapsed.max(d.time);
-            let f = (d.tag >> 1) as usize;
-            let (t, v) = (f / k, d.to);
-            let tree = &trees[t];
-            if d.tag & 1 == DOWN {
-                if tracing {
-                    bcast_owed[f] -= 1;
-                    if bcast_owed[f] == 0 {
-                        let lane = trace::CHUNK_TID_BASE + f as u64;
-                        trace::end(pid, lane, d.time, format!("chunk{f}"), "coll");
-                    }
+    let stats = sim.run(|sim, d| {
+        elapsed = elapsed.max(d.time);
+        let f = (d.tag >> 1) as usize;
+        let (t, v) = (f / k, d.to);
+        let tree = &trees[t];
+        if d.tag & 1 == DOWN {
+            if tracing {
+                bcast_owed[f] -= 1;
+                if bcast_owed[f] == 0 {
+                    let lane = trace::CHUNK_TID_BASE + f as u64;
+                    trace::end(pid, lane, d.time, format!("chunk{f}"), "coll");
                 }
-                for &c in tree.children(v) {
-                    nic.send_at(sim, d.time, v, c as usize, d.bytes, d.tag);
-                }
-                continue;
             }
-            let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, f % k);
-            let (own, child) = (&ranks[v][lo..hi], d.from);
-            let payload =
-                (!is_leaf(t, child)).then(|| payloads.take(d.msg).expect("partial sum lost"));
-            let done = if kids[t * p + v] == 1 {
-                trace_combine(v, d.time, f, child);
-                let mut acc = None;
-                pool.combine(&mut acc, own, payload, &ranks[child][lo..hi], exact);
-                acc
-            } else {
-                let Fold { acc, owed, held } =
-                    &mut folds[(f % k) * multi.len() + slot[t * p + v] as usize];
-                *owed -= 1;
-                if rank_order {
-                    held.push((tree.key[child], child, payload));
-                    if *owed == 0 {
-                        held.sort_unstable_by_key(|h| h.0);
-                        for (_, c, b) in held.drain(..) {
-                            trace_combine(v, d.time, f, c);
-                            pool.combine(acc, own, b, &ranks[c][lo..hi], exact);
-                        }
-                    }
-                } else {
-                    trace_combine(v, d.time, f, child);
-                    pool.combine(acc, own, payload, &ranks[child][lo..hi], exact);
-                }
-                if *owed == 0 { acc.take() } else { None }
-            };
-            let Some(acc) = done else { continue };
-            if v == tree.root {
-                result[lo..hi].copy_from_slice(&acc.round());
-                pool.recycle(acc);
-                roots_done += 1;
-                let bytes = std::mem::size_of_val(own) as u64;
-                for &c in tree.children(v) {
-                    nic.send_at(sim, d.time, v, c as usize, bytes, d.tag | DOWN);
-                }
-            } else {
-                let to = tree.parent[v] as usize;
-                let msg = nic.send_at(sim, d.time, v, to, acc.wire_bytes(), d.tag);
-                payloads.insert(msg, acc);
+            for &c in tree.children(v) {
+                sim.send_at(d.time, v, c as usize, d.bytes, d.tag);
             }
+            return;
         }
-        nic.flush(sim);
+        let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, f % k);
+        let (own, child) = (&ranks[v][lo..hi], d.from);
+        let payload = (!is_leaf(t, child)).then(|| payloads.take(d.msg).expect("partial sum lost"));
+        let done = if kids[t * p + v] == 1 {
+            trace_combine(v, d.time, f, child);
+            let mut acc = None;
+            pool.combine(&mut acc, own, payload, &ranks[child][lo..hi], exact);
+            acc
+        } else {
+            let Fold { acc, owed, held } =
+                &mut folds[(f % k) * multi.len() + slot[t * p + v] as usize];
+            *owed -= 1;
+            if rank_order {
+                held.push((tree.key[child], child, payload));
+                if *owed == 0 {
+                    held.sort_unstable_by_key(|h| h.0);
+                    for (_, c, b) in held.drain(..) {
+                        trace_combine(v, d.time, f, c);
+                        pool.combine(acc, own, b, &ranks[c][lo..hi], exact);
+                    }
+                }
+            } else {
+                trace_combine(v, d.time, f, child);
+                pool.combine(acc, own, payload, &ranks[child][lo..hi], exact);
+            }
+            if *owed == 0 { acc.take() } else { None }
+        };
+        let Some(acc) = done else { return };
+        if v == tree.root {
+            result[lo..hi].copy_from_slice(&acc.round());
+            pool.recycle(acc);
+            roots_done += 1;
+            let bytes = std::mem::size_of_val(own) as u64;
+            for &c in tree.children(v) {
+                sim.send_at(d.time, v, c as usize, bytes, d.tag | DOWN);
+            }
+        } else {
+            let to = tree.parent[v] as usize;
+            let msg = sim.send_at(d.time, v, to, acc.wire_bytes(), d.tag);
+            payloads.insert(msg, acc);
+        }
     });
 
     assert_eq!(roots_done, flows, "allreduce never completed");
@@ -1617,98 +1399,6 @@ mod tests {
                 b.stats.bg_deliveries > 0,
                 "{alg:?}: tenants should actually run"
             );
-        }
-    }
-
-    #[test]
-    fn coalescing_never_changes_values() {
-        // Coalescing is a wire-schedule transform: wherever it is
-        // allowed to act, the reduced bits must match the uncoalesced
-        // run exactly — for the order-fixed ring under every ordering,
-        // and for the tree under its deterministic fold orders
-        // (`ArrivalOrder` is gated off internally, so it trivially
-        // matches too — with identical timing).
-        let ranks = make_ranks(8, 64, 31);
-        let topo = hier(2, 4);
-        let base_cfg = NetConfig::default();
-        let coal_cfg = base_cfg.with_coalesce(256);
-        for k in [1usize, 4, 16] {
-            for ord in [
-                Ordering::RankOrder,
-                Ordering::ArrivalOrder { seed: 3 },
-                Ordering::Reproducible,
-            ] {
-                for alg in [
-                    Algorithm::SegmentedRing { segments: k },
-                    Algorithm::SegmentedTree { fanout: 3, segments: k },
-                ] {
-                    let base = allreduce_on(&topo, &ranks, alg, ord, &base_cfg);
-                    let coal = allreduce_on(&topo, &ranks, alg, ord, &coal_cfg);
-                    assert_eq!(bits(&coal.values), bits(&base.values), "{alg:?} {ord:?} k={k}");
-                }
-            }
-        }
-        // The gate: a coalesce-configured arrival-order tree must be
-        // byte-for-byte the uncoalesced run, timing included.
-        let ord = Ordering::ArrivalOrder { seed: 9 };
-        let alg = Algorithm::SegmentedTree { fanout: 2, segments: 8 };
-        let a = allreduce_on(&topo, &ranks, alg, ord, &base_cfg);
-        let b = allreduce_on(&topo, &ranks, alg, ord, &coal_cfg);
-        assert_eq!(a.elapsed_ns.to_bits(), b.elapsed_ns.to_bits());
-        assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn coalescing_collapses_wire_messages() {
-        // Many tiny chunks to the same next hop: coalescing merges
-        // them into a handful of wire messages, collapsing the
-        // engine's event count (the host-time win) while leaving the
-        // simulated clock essentially untouched — link occupancy is
-        // serialization, which sums to the same bytes either way, so
-        // the batch arrives when its last chunk would have.
-        let ranks = make_ranks(8, 64, 32);
-        let topo = flat(8);
-        let cfg = NetConfig {
-            jitter_frac: 0.0,
-            ..NetConfig::default()
-        };
-        let alg = Algorithm::SegmentedRing { segments: 64 };
-        let base = allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &cfg);
-        let coal = allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &cfg.with_coalesce(4096));
-        assert!(
-            coal.stats.deliveries * 4 <= base.stats.deliveries,
-            "coalescing should collapse wire messages: {} vs {}",
-            coal.stats.deliveries,
-            base.stats.deliveries
-        );
-        assert!(coal.stats.hops_traversed < base.stats.hops_traversed);
-        // Same payload bytes moved end to end, whatever the envelope.
-        assert_eq!(coal.stats.bytes_delivered, base.stats.bytes_delivered);
-        assert!(
-            (coal.elapsed_ns - base.elapsed_ns).abs() <= 0.02 * base.elapsed_ns,
-            "coalescing is a near-noop on the simulated clock: {} vs {}",
-            coal.elapsed_ns,
-            base.elapsed_ns
-        );
-        assert_eq!(bits(&coal.values), bits(&base.values));
-    }
-
-    #[test]
-    fn coalescing_replays_bitwise() {
-        // The batching rule is a pure function of the logical send
-        // sequence: same run twice → same bits, same clock, same stats.
-        let ranks = make_ranks(8, 48, 33);
-        let topo = hier(2, 4);
-        let cfg = NetConfig::default().with_coalesce(512);
-        for (alg, ord) in [
-            (Algorithm::SegmentedRing { segments: 16 }, Ordering::ArrivalOrder { seed: 5 }),
-            (Algorithm::SegmentedTree { fanout: 3, segments: 8 }, Ordering::Reproducible),
-        ] {
-            let a = allreduce_on(&topo, &ranks, alg, ord, &cfg);
-            let b = allreduce_on(&topo, &ranks, alg, ord, &cfg);
-            assert_eq!(bits(&a.values), bits(&b.values), "{alg:?}");
-            assert_eq!(a.elapsed_ns.to_bits(), b.elapsed_ns.to_bits(), "{alg:?}");
-            assert_eq!(a.stats, b.stats, "{alg:?}");
         }
     }
 

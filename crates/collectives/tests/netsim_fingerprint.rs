@@ -120,8 +120,6 @@ enum Net {
     Quiet,
     /// Tenants at 0.5 with seeded ECMP and link stats.
     Tenants,
-    /// NIC coalescing at 256 B.
-    Coalesce,
     /// Zero jitter under tenants at 0.7.
     ZeroJitter,
 }
@@ -133,7 +131,6 @@ fn config(net: Net, seed: u64) -> NetConfig {
             .with_load(0.5, seed ^ 0xB6)
             .with_route(RouteSelect::SeededEcmp { seed: seed ^ 0xEC })
             .with_link_stats(true),
-        Net::Coalesce => NetConfig::default().with_coalesce(256),
         Net::ZeroJitter => NetConfig {
             jitter_frac: 0.0,
             ..NetConfig::default()
@@ -181,7 +178,7 @@ fn fingerprint(alg: Algorithm, net: Net) -> u64 {
 
 #[test]
 fn every_netsim_bit_is_pinned() {
-    let pinned: [(Algorithm, Net, u64); 48] = [
+    let pinned: [(Algorithm, Net, u64); 36] = [
         (Algorithm::Ring, Net::Quiet, 0x7573_cc07_a6b6_d35e),
         (Algorithm::SegmentedRing { segments: 2 }, Net::Quiet, 0x0d95_5773_671a_1bc9),
         (Algorithm::SegmentedRing { segments: 5 }, Net::Quiet, 0x2fce_c81f_f78b_ed7b),
@@ -206,18 +203,6 @@ fn every_netsim_bit_is_pinned() {
         (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::Tenants, 0x8c8d_39cd_c9d0_deb9),
         (Algorithm::FabricRing, Net::Tenants, 0xb8c6_a0d4_7b01_c3a9),
         (Algorithm::DoubleBinaryTree, Net::Tenants, 0xb3bc_2a44_9824_2913),
-        (Algorithm::Ring, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
-        (Algorithm::SegmentedRing { segments: 2 }, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
-        (Algorithm::SegmentedRing { segments: 5 }, Net::Coalesce, 0x7573_cc07_a6b6_d35e),
-        (Algorithm::KAryTree { fanout: 2 }, Net::Coalesce, 0x7ea9_2ce9_c908_476a),
-        (Algorithm::KAryTree { fanout: 3 }, Net::Coalesce, 0x580d_e9ad_7f3c_7e29),
-        (Algorithm::SegmentedTree { fanout: 2, segments: 3 }, Net::Coalesce, 0xa3da_052c_3cf0_d8df),
-        (Algorithm::SegmentedTree { fanout: 3, segments: 5 }, Net::Coalesce, 0x82e3_a2ae_23b7_bfd4),
-        (Algorithm::RecursiveDoubling, Net::Coalesce, 0xe463_8f12_8d80_05d0),
-        (Algorithm::Hierarchical { intra: 2, inter: 2 }, Net::Coalesce, 0x9fa8_4197_b85a_5cd9),
-        (Algorithm::Hierarchical { intra: 3, inter: 2 }, Net::Coalesce, 0xb0fc_fd44_5419_5382),
-        (Algorithm::FabricRing, Net::Coalesce, 0xd786_9b09_eebe_b60f),
-        (Algorithm::DoubleBinaryTree, Net::Coalesce, 0x5906_f362_927a_f570),
         (Algorithm::Ring, Net::ZeroJitter, 0x300b_5db0_3f97_b0f4),
         (Algorithm::SegmentedRing { segments: 2 }, Net::ZeroJitter, 0x5ab0_ef6c_4293_104a),
         (Algorithm::SegmentedRing { segments: 5 }, Net::ZeroJitter, 0x2206_835e_8c6c_ba63),

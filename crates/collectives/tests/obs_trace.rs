@@ -294,46 +294,6 @@ fn counters_balance_over_a_collective() {
     assert!(snap.pool_hit > 0, "later rounds must recycle pooled buffers");
 }
 
-/// NIC coalescing tallies: sub-messages absorbed into shared wire
-/// messages and the payload bytes they carried — zero with the
-/// feature off, live with it on, without perturbing the result.
-#[test]
-fn coalesce_counters_tally_absorbed_messages() {
-    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    reset_obs();
-
-    let topo = Topology::flat_switch(8, LinkSpec::new(500.0, 25.0));
-    let ranks = inputs(8, 64, 27);
-    let alg = Algorithm::SegmentedRing { segments: 32 };
-    let off = allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &NetConfig::default());
-
-    counters::reset();
-    counters::set_enabled(true);
-    let quiet = allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &NetConfig::default());
-    let snap_off = counters::snapshot();
-    assert_eq!(snap_off.coalesced_msgs, 0, "feature off ⇒ no absorbed messages");
-    assert_eq!(snap_off.coalesced_bytes_saved, 0);
-
-    counters::reset();
-    let coal = allreduce_on(
-        &topo,
-        &ranks,
-        alg,
-        Ordering::RankOrder,
-        &NetConfig::default().with_coalesce(4096),
-    );
-    let snap_on = counters::snapshot();
-    reset_obs();
-
-    assert!(snap_on.coalesced_msgs > 0, "batched chunks must be tallied");
-    assert!(snap_on.coalesced_bytes_saved > 0, "absorbed payload bytes must be tallied");
-    let value_bits = |r: &fpna_collectives::NetAllreduce| {
-        r.values.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-    };
-    assert_eq!(value_bits(&coal), value_bits(&off));
-    assert_eq!(value_bits(&quiet), value_bits(&off));
-}
-
 /// The NIC-crossing counter mirrors the per-run `RunStats::nic_bytes`
 /// tally (foreground payload over cross-group links): zero on a flat
 /// switch (one fabric group), live and aggregated across runs on a

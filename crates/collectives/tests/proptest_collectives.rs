@@ -297,47 +297,6 @@ proptest! {
         );
     }
 
-    /// NIC coalescing is value-invisible wherever it acts: at any
-    /// threshold, chunk count and ordering, the coalesced ring and
-    /// tree produce bitwise the uncoalesced values (the tree's
-    /// arrival-order leg gates coalescing off internally and is
-    /// asserted byte-identical in timing too by the unit suite).
-    #[test]
-    fn coalesced_values_match_uncoalesced(
-        p in 2usize..10,
-        m in 1usize..40,
-        segments in 1usize..20,
-        threshold in prop_oneof![Just(8u64), 64u64..4096],
-        seed in any::<u64>(),
-    ) {
-        let ranks = make_ranks(p, m, seed);
-        let topo = hier_for(p);
-        let base_cfg = NetConfig::default();
-        let coal_cfg = base_cfg.with_coalesce(threshold);
-        for ord in [
-            Ordering::RankOrder,
-            Ordering::ArrivalOrder { seed: seed ^ 0x77 },
-            Ordering::Reproducible,
-        ] {
-            for alg in [
-                Algorithm::SegmentedRing { segments },
-                Algorithm::SegmentedTree { fanout: 3, segments },
-            ] {
-                let base = allreduce_on(&topo, &ranks, alg, ord, &base_cfg);
-                let coal = allreduce_on(&topo, &ranks, alg, ord, &coal_cfg);
-                prop_assert_eq!(
-                    coal.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    base.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "{:?} {:?} k={} threshold={}",
-                    alg,
-                    ord,
-                    segments,
-                    threshold
-                );
-            }
-        }
-    }
-
     /// Sweeping a *contended* fabric (background tenants at nonzero
     /// offered load, optionally seeded-ECMP-routed) is invariant to how
     /// the runs are executed: serial and many worker threads produce

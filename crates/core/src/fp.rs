@@ -1,14 +1,12 @@
-//! Floating-point building blocks: error-free transforms, ULP
-//! distances, and directed comparison helpers.
+//! Floating-point building blocks: the error-free sum and a relative
+//! difference for tolerance tests.
 //!
-//! The deterministic and compensated summation algorithms in
-//! `fpna-summation` are built on the classic error-free transforms
-//! (Knuth's `two_sum`, Dekker's `fast_two_sum`): `two_sum(a, b)`
-//! produces `(s, e)` with `s = fl(a + b)` and `a + b = s + e` *exactly*.
-//! These identities hold for every pair of finite doubles and are the
-//! reason compensated sums can recover the bits that plain summation
-//! drops — the same bits whose loss order-dependence makes parallel sums
-//! non-reproducible.
+//! The compensated summation algorithms in `fpna-summation` are built
+//! on Knuth's error-free transform: `two_sum(a, b)` produces `(s, e)`
+//! with `s = fl(a + b)` and `a + b = s + e` *exactly*. This identity
+//! holds for every pair of finite doubles and is the reason compensated
+//! sums can recover the bits that plain summation drops — the same bits
+//! whose loss order-dependence makes parallel sums non-reproducible.
 
 /// Error-free sum (Knuth). Returns `(s, e)` with `s = fl(a+b)` and
 /// `a + b = s + e` exactly, for finite inputs.
@@ -25,74 +23,6 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let bb = s - a;
     let e = (a - (s - bb)) + (b - bb);
     (s, e)
-}
-
-/// Error-free sum assuming `|a| >= |b|` (Dekker). One branchless
-/// operation cheaper than [`two_sum`]; the exactness guarantee only
-/// holds under the magnitude precondition.
-#[inline]
-pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
-    debug_assert!(
-        a == 0.0 || b == 0.0 || a.abs() >= b.abs() || a.is_nan() || b.is_nan(),
-        "fast_two_sum requires |a| >= |b|"
-    );
-    let s = a + b;
-    let e = b - (s - a);
-    (s, e)
-}
-
-/// Error-free product via fused multiply-add: `(p, e)` with
-/// `p = fl(a*b)` and `a*b = p + e` exactly.
-#[inline]
-pub fn two_prod(a: f64, b: f64) -> (f64, f64) {
-    let p = a * b;
-    let e = a.mul_add(b, -p);
-    (p, e)
-}
-
-/// Distance in units-in-the-last-place between two doubles, computed on
-/// the monotone integer mapping of the IEEE-754 encoding (negative
-/// numbers are reflected so ordering matches the reals). Returns
-/// `u64::MAX` when either argument is NaN.
-///
-/// `ulp_distance(a, a) == 0`, and adjacent representable doubles are at
-/// distance 1 — including across `±0.0`.
-pub fn ulp_distance(a: f64, b: f64) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    // Map to an ordered integer line: negatives become -(magnitude), so
-    // the integer ordering matches the ordering of the reals and the
-    // gap between adjacent representables is exactly 1.
-    let ord = |x: f64| -> i64 {
-        let bits = x.to_bits();
-        if bits >> 63 == 0 {
-            bits as i64
-        } else {
-            -((bits & 0x7fff_ffff_ffff_ffff) as i64)
-        }
-    };
-    let (x, y) = (ord(a), ord(b));
-    x.abs_diff(y)
-}
-
-/// One unit in the last place of `x` (the gap to the next representable
-/// double away from zero). For non-finite input returns NaN.
-pub fn ulp(x: f64) -> f64 {
-    if !x.is_finite() {
-        return f64::NAN;
-    }
-    let ax = x.abs();
-    let next = f64::from_bits(ax.to_bits() + 1);
-    next - ax
-}
-
-/// `true` when `a` and `b` are within `max_ulps` units in the last
-/// place. The tolerance style used by threshold-based correctness tests
-/// in HPC codes (cf. the CP2K discussion in the paper §III).
-#[inline]
-pub fn approx_eq_ulps(a: f64, b: f64, max_ulps: u64) -> bool {
-    ulp_distance(a, b) <= max_ulps
 }
 
 /// Relative difference `|a − b| / max(|a|, |b|)`, zero when both are
@@ -113,6 +43,18 @@ pub fn relative_diff(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One unit in the last place of `x` (the gap to the next
+    /// representable double away from zero). For non-finite input
+    /// returns NaN.
+    fn ulp(x: f64) -> f64 {
+        if !x.is_finite() {
+            return f64::NAN;
+        }
+        let ax = x.abs();
+        let next = f64::from_bits(ax.to_bits() + 1);
+        next - ax
+    }
 
     #[test]
     fn two_sum_is_exact() {
@@ -143,40 +85,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_two_sum_matches_two_sum_under_precondition() {
-        let cases: [(f64, f64); 3] = [(5.0, 1e-17), (1e10, -123.456), (-8.0, 0.5)];
-        for &(a, b) in &cases {
-            assert!(a.abs() >= b.abs());
-            let (s1, e1) = two_sum(a, b);
-            let (s2, e2) = fast_two_sum(a, b);
-            assert_eq!(s1, s2);
-            assert_eq!(e1, e2);
-        }
-    }
-
-    #[test]
-    fn two_prod_is_exact_via_fma() {
-        let (p, e) = two_prod(0.1, 0.3);
-        // p + e reconstructs the true product more closely than p alone.
-        assert_eq!(p, 0.1 * 0.3);
-        assert!(e.abs() < ulp(p));
-    }
-
-    #[test]
-    fn ulp_distance_basics() {
-        assert_eq!(ulp_distance(1.0, 1.0), 0);
-        let next = f64::from_bits(1.0f64.to_bits() + 1);
-        assert_eq!(ulp_distance(1.0, next), 1);
-        assert_eq!(ulp_distance(next, 1.0), 1);
-        // across zero: -0.0 and 0.0 map to the same ordinal
-        assert_eq!(ulp_distance(0.0, -0.0), 0);
-        let tiny = f64::from_bits(1); // smallest subnormal
-        assert_eq!(ulp_distance(0.0, tiny), 1);
-        assert_eq!(ulp_distance(-tiny, tiny), 2);
-        assert_eq!(ulp_distance(f64::NAN, 1.0), u64::MAX);
-    }
-
-    #[test]
     fn ulp_of_one_is_machine_epsilon() {
         assert_eq!(ulp(1.0), f64::EPSILON);
         assert!(ulp(f64::INFINITY).is_nan());
@@ -184,8 +92,6 @@ mod tests {
 
     #[test]
     fn approx_and_relative() {
-        assert!(approx_eq_ulps(1.0, 1.0 + f64::EPSILON, 1));
-        assert!(!approx_eq_ulps(1.0, 1.0 + 3.0 * f64::EPSILON, 1));
         assert_eq!(relative_diff(2.0, 2.0), 0.0);
         assert!((relative_diff(2.0, 1.0) - 0.5).abs() < 1e-16);
         assert_eq!(relative_diff(0.0, 0.0), 0.0);

@@ -95,11 +95,6 @@ pub fn sci(x: f64) -> String {
     format!("{x:.15e}")
 }
 
-/// Scientific notation with `digits` significant digits.
-pub fn sci_n(x: f64, digits: usize) -> String {
-    format!("{x:.*e}", digits)
-}
-
 /// The paper's `mean(std)` cell format for timings, e.g. `6.456(0.008)`.
 pub fn mean_std(mean: f64, std: f64, decimals: usize) -> String {
     format!("{mean:.decimals$}({std:.decimals$})")
@@ -144,6 +139,5 @@ mod tests {
         assert_eq!(sci(-1.776_356_839_400_25e-15), "-1.776356839400250e-15");
         assert_eq!(mean_std(6.456, 0.008, 3), "6.456(0.008)");
         assert_eq!(percent(-0.198538), "-0.1985");
-        assert_eq!(sci_n(1.5, 2), "1.50e0");
     }
 }

@@ -7,10 +7,7 @@
 //! scheduler model, never by ambient RNG state. All entropy therefore
 //! flows from explicit `u64` seeds through [`SplitMix64`] — a tiny,
 //! well-understood generator that is also the standard seeding function
-//! for larger PRNGs — or through `rand`'s `StdRng` seeded from it.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! for larger PRNGs.
 
 /// SplitMix64 (Steele, Lea, Flood 2014): a 64-bit generator with a
 /// single u64 of state. Used for seed derivation and cheap permutation
@@ -84,11 +81,6 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
         .next_u64()
         .wrapping_add(stream.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     SplitMix64::new(mixed).next_u64()
-}
-
-/// Seed a `rand::StdRng` from an experiment seed and stream label.
-pub fn std_rng(seed: u64, stream: u64) -> StdRng {
-    StdRng::seed_from_u64(derive_seed(seed, stream))
 }
 
 /// In-place Fisher–Yates shuffle driven by [`SplitMix64`].
@@ -173,13 +165,5 @@ mod tests {
         assert_ne!(s1, s2);
         // stable: same inputs, same outputs
         assert_eq!(derive_seed(1234, 1), s1);
-    }
-
-    #[test]
-    fn std_rng_is_seedable() {
-        use rand::RngCore;
-        let mut a = std_rng(5, 0);
-        let mut b = std_rng(5, 0);
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

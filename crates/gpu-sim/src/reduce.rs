@@ -13,7 +13,7 @@
 //! owns a contiguous chunk of the input, each thread serially
 //! accumulates a strided subset of the chunk, and the block combines
 //! its `Nt` lane values with the `__syncthreads`-stepped pairwise tree
-//! (shared memory in the CUDA original, [`block_partial`] here). That
+//! (shared memory in the CUDA original, [`block_partial_with`] here). That
 //! stage is deterministic. The kernels differ in how block partials are
 //! combined — and that is exactly where determinism is won or lost:
 //!
@@ -154,14 +154,10 @@ impl ReduceKernel {
 /// The deterministic in-block stage: thread `t` serially accumulates
 /// `chunk[t], chunk[t + Nt], …`, then the `Nt` lane sums are combined
 /// with the power-of-two pairwise tree (`smem[i] += smem[i + offset]`
-/// stepped by `__syncthreads` in the CUDA original).
-pub fn block_partial(chunk: &[f64], threads_per_block: u32) -> f64 {
-    block_partial_with(chunk, threads_per_block, &mut Vec::new())
-}
-
-/// [`block_partial`] with caller-provided lane scratch, so a loop over
-/// blocks (7813 of them per Fig 1 launch) reuses one allocation
-/// instead of paying one `vec![0.0; Nt]` per block.
+/// stepped by `__syncthreads` in the CUDA original). The caller provides
+/// the lane scratch, so a loop over blocks (7813 of them per Fig 1
+/// launch) reuses one allocation instead of paying one `vec![0.0; Nt]`
+/// per block.
 ///
 /// The chunk is added one row of `Nt` elements at a time, lane `t`
 /// taking the row's element `t`: each lane sees its elements in the
@@ -402,7 +398,7 @@ mod tests {
     fn block_partial_matches_serial() {
         for n in [1usize, 7, 64, 100, 257] {
             let xs = data(n, n as u64);
-            let p = block_partial(&xs, 64);
+            let p = block_partial_with(&xs, 64, &mut Vec::new());
             let s: f64 = xs.iter().sum();
             assert!((p - s).abs() < 1e-10, "n={n}");
         }

@@ -61,11 +61,6 @@ impl ScheduleKind {
             other => other,
         }
     }
-
-    /// `true` when the schedule varies with its seed.
-    pub fn is_stochastic(&self) -> bool {
-        matches!(self, ScheduleKind::Seeded(_) | ScheduleKind::UniformRandom(_))
-    }
 }
 
 /// Scheduler for a device with a given residency bound.
@@ -271,9 +266,7 @@ mod tests {
     fn for_run_rekeys_only_stochastic_kinds() {
         let k = ScheduleKind::Seeded(7);
         assert_ne!(k.for_run(0), k.for_run(1));
-        assert!(k.is_stochastic());
         assert_eq!(ScheduleKind::InOrder.for_run(3), ScheduleKind::InOrder);
-        assert!(!ScheduleKind::InOrder.is_stochastic());
     }
 
     #[test]

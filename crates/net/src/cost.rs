@@ -31,31 +31,11 @@ pub struct CostModel {
 
 impl CostModel {
     /// Extract worst-case end-to-end parameters from a topology: α is
-    /// the zero-byte cost over the longest rank-to-rank route, β the
-    /// summed per-hop serialization cost over the same route
+    /// the zero-byte cost of the worst `α + β` route out of rank 0, β
+    /// the summed per-hop serialization cost over the same route
     /// (store-and-forward: every hop re-serializes the payload).
     pub fn from_topology(topo: &Topology) -> Self {
-        let p = topo.ranks();
-        if p < 2 {
-            return CostModel {
-                alpha_ns: 0.0,
-                beta_ns_per_byte: 0.0,
-            };
-        }
-        let (mut alpha, mut beta) = (0.0f64, 0.0f64);
-        for r in 1..p {
-            let route = topo.route(0, r);
-            let a: f64 = route.iter().map(|h| h.link.latency_ns).sum();
-            let b: f64 = route.iter().map(|h| h.link.ns_per_byte).sum();
-            if a + b > alpha + beta {
-                alpha = a;
-                beta = b;
-            }
-        }
-        CostModel {
-            alpha_ns: alpha,
-            beta_ns_per_byte: beta,
-        }
+        Self::worst_pair(topo, |a, _| a == 0)
     }
 
     /// Worst-case α–β parameters over the **same-group** rank pairs
@@ -77,7 +57,8 @@ impl CostModel {
     }
 
     /// Worst `α + β` rank pair among those `keep` admits, over the
-    /// precomputed canonical routes.
+    /// precomputed canonical routes. Pairs are visited source-major and
+    /// a tie keeps the first pair found.
     fn worst_pair(topo: &Topology, keep: impl Fn(usize, usize) -> bool) -> Self {
         let p = topo.ranks();
         let (mut alpha, mut beta) = (0.0f64, 0.0f64);
@@ -99,17 +80,6 @@ impl CostModel {
             alpha_ns: alpha,
             beta_ns_per_byte: beta,
         }
-    }
-
-    /// Ring allreduce (reduce-scatter + allgather):
-    /// `2(p−1)α + 2((p−1)/p)·n·β` for `n` payload bytes.
-    pub fn ring_allreduce_ns(&self, p: usize, bytes: u64) -> f64 {
-        if p < 2 {
-            return 0.0;
-        }
-        let pf = p as f64;
-        2.0 * (pf - 1.0) * self.alpha_ns
-            + 2.0 * ((pf - 1.0) / pf) * bytes as f64 * self.beta_ns_per_byte
     }
 
     /// Depth of the rank-0-rooted `fanout`-ary reduction tree over `p`
@@ -140,48 +110,6 @@ impl CostModel {
         let depth = Self::tree_depth(p, fanout);
         2.0 * depth as f64
             * (self.alpha_ns + fanout as f64 * bytes as f64 * self.beta_ns_per_byte)
-    }
-
-    /// Recursive-doubling allreduce: `log₂ p` full-payload exchange
-    /// rounds: `log₂(p)·(α + n·β)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p` is a power of two.
-    pub fn recursive_doubling_allreduce_ns(&self, p: usize, bytes: u64) -> f64 {
-        assert!(p.is_power_of_two(), "recursive doubling needs a power-of-two rank count");
-        if p < 2 {
-            return 0.0;
-        }
-        let rounds = p.trailing_zeros() as f64;
-        rounds * (self.alpha_ns + bytes as f64 * self.beta_ns_per_byte)
-    }
-
-    /// Segmented (pipelined) ring allreduce: each rank-segment is cut
-    /// into `segments` chunks that walk the ring back to back, so
-    /// chunk `i+1` serializes while chunk `i` propagates. The classic
-    /// pipeline estimate: `2(p−1)` steps plus `k−1` fill stages, each
-    /// costing one latency plus one chunk serialization:
-    /// `(2(p−1) + k − 1) · (α + n·β/(p·k))`. At `k = 1` this is
-    /// exactly [`CostModel::ring_allreduce_ns`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `segments == 0`.
-    pub fn segmented_ring_allreduce_ns(&self, p: usize, bytes: u64, segments: usize) -> f64 {
-        assert!(segments > 0, "segment count must be positive");
-        if segments == 1 {
-            // Delegate so the unsegmented estimate stays bit-identical
-            // (the pipeline formula is algebraically equal at k = 1
-            // but would round differently).
-            return self.ring_allreduce_ns(p, bytes);
-        }
-        if p < 2 {
-            return 0.0;
-        }
-        let (pf, k) = (p as f64, segments as f64);
-        let stages = 2.0 * (pf - 1.0) + (k - 1.0);
-        stages * (self.alpha_ns + bytes as f64 * self.beta_ns_per_byte / (pf * k))
     }
 
     /// Segmented (pipelined) k-ary tree allreduce: the payload is cut
@@ -305,12 +233,23 @@ mod tests {
         }
     }
 
+    /// Oblivious ring allreduce (reduce-scatter + allgather) under `m`:
+    /// `2(p−1)α + 2((p−1)/p)·n·β` for `n` payload bytes — the baseline
+    /// the fabric-mapped ring model must undercut.
+    fn ring_allreduce_ns(m: &CostModel, p: usize, bytes: u64) -> f64 {
+        if p < 2 {
+            return 0.0;
+        }
+        let pf = p as f64;
+        2.0 * (pf - 1.0) * m.alpha_ns + 2.0 * ((pf - 1.0) / pf) * bytes as f64 * m.beta_ns_per_byte
+    }
+
     #[test]
     fn ring_cost_formula() {
-        let c = model().ring_allreduce_ns(4, 4000);
+        let c = ring_allreduce_ns(&model(), 4, 4000);
         // 2·3·1000 + 2·(3/4)·4000·0.1 = 6000 + 600
         assert!((c - 6600.0).abs() < 1e-9);
-        assert_eq!(model().ring_allreduce_ns(1, 4000), 0.0);
+        assert_eq!(ring_allreduce_ns(&model(), 1, 4000), 0.0);
     }
 
     #[test]
@@ -322,28 +261,10 @@ mod tests {
     }
 
     #[test]
-    fn recursive_doubling_cost_formula() {
-        let c = model().recursive_doubling_allreduce_ns(8, 1000);
-        // 3 rounds × (1000 + 100)
-        assert!((c - 3300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn recursive_doubling_rejects_non_pow2() {
-        model().recursive_doubling_allreduce_ns(6, 8);
-    }
-
-    #[test]
     fn segmented_models_reduce_to_unsegmented_at_one_chunk() {
         let m = model();
         for p in [2usize, 4, 16, 64] {
             let n = 1u64 << 16;
-            assert_eq!(
-                m.segmented_ring_allreduce_ns(p, n, 1).to_bits(),
-                m.ring_allreduce_ns(p, n).to_bits(),
-                "p={p}"
-            );
             assert_eq!(
                 m.segmented_tree_allreduce_ns(p, 4, n, 1).to_bits(),
                 m.tree_allreduce_ns(p, 4, n).to_bits(),
@@ -359,14 +280,11 @@ mod tests {
         // dominated) must lose again.
         let m = model();
         let n = 64u64 << 20;
-        let base = m.segmented_ring_allreduce_ns(16, n, 1);
-        let piped = m.segmented_ring_allreduce_ns(16, n, 16);
+        let base = m.segmented_tree_allreduce_ns(64, 4, n, 1);
+        let piped = m.segmented_tree_allreduce_ns(64, 4, n, 16);
         assert!(piped < base, "{piped} vs {base}");
-        let shredded = m.segmented_ring_allreduce_ns(16, n, 1 << 20);
+        let shredded = m.segmented_tree_allreduce_ns(64, 4, n, 1 << 20);
         assert!(shredded > piped);
-        let tbase = m.segmented_tree_allreduce_ns(64, 4, n, 1);
-        let tpiped = m.segmented_tree_allreduce_ns(64, 4, n, 16);
-        assert!(tpiped < tbase, "{tpiped} vs {tbase}");
     }
 
     #[test]
@@ -425,7 +343,7 @@ mod tests {
         let tree = oblivious.tree_allreduce_ns(16, 4, n);
         assert!(hier < tree, "hierarchical {hier} vs oblivious tree {tree}");
         let fabric = CostModel::fabric_ring_allreduce_ns(intra, inter, 16, 4, n);
-        let ring = oblivious.ring_allreduce_ns(16, n);
+        let ring = ring_allreduce_ns(&oblivious, 16, n);
         assert!(fabric < ring, "fabric ring {fabric} vs oblivious ring {ring}");
     }
 

@@ -186,11 +186,6 @@ impl Background {
             ..Background::off()
         }
     }
-
-    /// `true` when this config injects no traffic at all.
-    pub fn is_off(&self) -> bool {
-        self.load == 0.0
-    }
 }
 
 impl Default for Background {
@@ -770,7 +765,7 @@ pub struct NetSim<'t> {
     /// Foreground messages in flight; background ticks stop
     /// rescheduling once this hits zero, so `run` always terminates.
     fg_live: u64,
-    /// Background senders (empty when `background.is_off()`).
+    /// Background senders (empty at zero load).
     bg: Vec<BgSender>,
     /// Background tick events currently in the queue.
     live_ticks: u32,

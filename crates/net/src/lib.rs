@@ -65,5 +65,5 @@ pub use engine::{
     Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, QueueImpl, RouteSelect,
     RunStats,
 };
-pub use report::{sweep_seeds, SeedSweep};
+pub use report::SeedSweep;
 pub use topology::{Hop, LinkSpec, NodeKind, Topology};

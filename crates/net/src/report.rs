@@ -1,21 +1,15 @@
-//! Per-run cost/variability reporting through `fpna_core`.
+//! Per-cell cost/variability summary through `fpna_core`.
 //!
 //! The experiment shape for network collectives is always "fix the
-//! inputs, vary the fabric's jitter seed": [`sweep_seeds`] runs a
-//! closure once per seed, compares the produced vectors against a
-//! reference with the paper's `Vermv`/`Vc` metrics (via
-//! [`fpna_core::harness::VariabilityReport`]), and summarises the
-//! simulated elapsed times alongside — variability *and* cost from the
-//! same runs, which is the whole point of the table-9 sweep.
-//!
-//! Seeds are independent by construction, so the sweep fans out
-//! through a [`RunExecutor`]; outputs are collected in seed order and
-//! the resulting [`SeedSweep`] is bitwise identical at any thread
-//! count.
+//! inputs, vary the fabric's jitter seed". A [`SeedSweep`] joins the
+//! two things such a sweep measures: how the produced vectors vary
+//! against a reference, with the paper's `Vermv`/`Vc` metrics (via
+//! [`fpna_core::harness::VariabilityReport`]), and how the simulated
+//! elapsed times spread. Variability *and* cost from the same runs is
+//! the whole point of the table-9 sweep, which builds one `SeedSweep`
+//! per cell from its sweep rows.
 
-use fpna_core::executor::RunExecutor;
 use fpna_core::harness::{RunSummary, VariabilityReport};
-use fpna_core::metrics::ArrayComparison;
 
 /// Joint variability/cost summary of a seed sweep.
 #[derive(Debug, Clone)]
@@ -32,17 +26,16 @@ impl SeedSweep {
     pub fn bitwise_reproducible(&self) -> bool {
         self.variability.fully_reproducible()
     }
+}
 
-    /// Summarise already-collected `(values, elapsed_ns)` outputs (in
-    /// run order) against `reference`. Useful when the caller needs the
-    /// raw per-run vectors for extra metrics beyond the standard
-    /// report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an output vector is shaped differently from the
-    /// reference (that is a protocol bug, not a data condition).
-    pub fn from_outputs(reference: &[f64], outputs: &[(Vec<f64>, f64)]) -> SeedSweep {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fpna_core::metrics::ArrayComparison;
+
+    /// The summary of `(values, elapsed_ns)` outputs against
+    /// `reference`, one per run.
+    fn sweep(reference: &[f64], outputs: &[(Vec<f64>, f64)]) -> SeedSweep {
         let comparisons: Vec<ArrayComparison> = outputs
             .iter()
             .map(|(values, _)| ArrayComparison::compare(reference, values))
@@ -53,39 +46,12 @@ impl SeedSweep {
             elapsed_ns: RunSummary::from_values(&elapsed),
         }
     }
-}
-
-/// Run `run(seed)` for every seed through `executor`, comparing each
-/// produced vector to `reference`. `run` returns `(values,
-/// elapsed_ns)`.
-///
-/// # Panics
-///
-/// Panics if a run returns a vector shaped differently from the
-/// reference (that is a protocol bug, not a data condition).
-pub fn sweep_seeds<F>(
-    executor: &RunExecutor,
-    reference: &[f64],
-    seeds: &[u64],
-    run: F,
-) -> SeedSweep
-where
-    F: Fn(u64) -> (Vec<f64>, f64) + Sync,
-{
-    let outputs = executor.map_runs(seeds.len(), |i| run(seeds[i]));
-    SeedSweep::from_outputs(reference, &outputs)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn deterministic_runs_report_zero_variability() {
         let reference = vec![1.0, 2.0, 3.0];
-        let sweep = sweep_seeds(&RunExecutor::serial(), &reference, &[1, 2, 3], |_| {
-            (reference.clone(), 100.0)
-        });
+        let outputs = vec![(reference.clone(), 100.0); 3];
+        let sweep = sweep(&reference, &outputs);
         assert!(sweep.bitwise_reproducible());
         assert_eq!(sweep.variability.vc.max, 0.0);
         assert_eq!(sweep.elapsed_ns.mean, 100.0);
@@ -95,54 +61,19 @@ mod tests {
     #[test]
     fn seed_dependent_runs_are_caught() {
         let reference = vec![1.0, 2.0];
-        let sweep = sweep_seeds(&RunExecutor::serial(), &reference, &[0, 1, 2, 3], |s| {
-            let mut v = reference.clone();
-            if s % 2 == 1 {
-                v[0] += 1e-12;
-            }
-            (v, 100.0 + s as f64)
-        });
+        let outputs: Vec<(Vec<f64>, f64)> = (0..4u64)
+            .map(|s| {
+                let mut v = reference.clone();
+                if s % 2 == 1 {
+                    v[0] += 1e-12;
+                }
+                (v, 100.0 + s as f64)
+            })
+            .collect();
+        let sweep = sweep(&reference, &outputs);
         assert!(!sweep.bitwise_reproducible());
         assert_eq!(sweep.variability.bitwise_identical_runs, 2);
         assert_eq!(sweep.variability.vc.max, 0.5);
         assert!(sweep.elapsed_ns.std_dev > 0.0);
-    }
-
-    #[test]
-    fn sweep_is_thread_count_invariant() {
-        let reference = vec![0.5, 1.5, 2.5];
-        let seeds: Vec<u64> = (0..23).collect();
-        let run = |s: u64| {
-            let mut v = reference.clone();
-            v[(s % 3) as usize] += s as f64 * 1e-13;
-            (v, 50.0 + (s as f64).sqrt())
-        };
-        let serial = sweep_seeds(&RunExecutor::serial(), &reference, &seeds, run);
-        for threads in [2usize, 4, 7] {
-            let parallel = sweep_seeds(&RunExecutor::new(threads), &reference, &seeds, run);
-            assert_eq!(
-                serial.variability.bitwise_identical_runs,
-                parallel.variability.bitwise_identical_runs
-            );
-            assert_eq!(
-                serial.variability.vermv.mean.to_bits(),
-                parallel.variability.vermv.mean.to_bits(),
-                "threads={threads}"
-            );
-            assert_eq!(
-                serial.elapsed_ns.std_dev.to_bits(),
-                parallel.elapsed_ns.std_dev.to_bits(),
-                "threads={threads}"
-            );
-            for (a, b) in serial
-                .variability
-                .per_run
-                .iter()
-                .zip(&parallel.variability.per_run)
-            {
-                assert_eq!(a.0.to_bits(), b.0.to_bits());
-                assert_eq!(a.1.to_bits(), b.1.to_bits());
-            }
-        }
     }
 }

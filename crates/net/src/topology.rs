@@ -581,11 +581,6 @@ impl Topology {
         self.rank_vertex.len()
     }
 
-    /// Number of vertices (ranks + NICs + switches).
-    pub fn vertices(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Kind of vertex `v`.
     pub fn kind(&self, v: usize) -> NodeKind {
         self.nodes[v]
@@ -1107,7 +1102,7 @@ mod tests {
         // node-major builder — only the rank→node map differs.
         let a = Topology::hierarchical(3, 4, link(), link(), link());
         let b = Topology::hierarchical_cyclic(3, 4, link(), link(), link());
-        assert_eq!(a.vertices(), b.vertices());
+        assert_eq!(a.nodes.len(), b.nodes.len());
         assert_eq!(a.num_links(), b.num_links());
         assert_eq!(a.diameter_hops(), b.diameter_hops());
         assert_eq!(a.num_groups(), b.num_groups());
@@ -1120,7 +1115,7 @@ mod tests {
         let classic = Topology::fat_tree(9, 3, link(), link());
         let spined = Topology::fat_tree_spines(9, 3, 1, link(), link());
         assert_eq!(classic.name(), spined.name());
-        assert_eq!(classic.vertices(), spined.vertices());
+        assert_eq!(classic.nodes.len(), spined.nodes.len());
         assert_eq!(classic.num_links(), spined.num_links());
         for a in 0..classic.ranks() {
             assert_eq!(classic.rank_vertex(a), spined.rank_vertex(a));

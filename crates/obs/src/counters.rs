@@ -44,20 +44,13 @@ pub enum Counter {
     /// Calendar-queue events promoted from the far-future overflow
     /// list into buckets when an epoch drains and re-anchors.
     OverflowPromotion,
-    /// Logical sub-messages that shared an already-open coalesced wire
-    /// message (each is one per-message α the NIC did not pay).
-    CoalescedMsgs,
-    /// Payload bytes carried by those absorbed sub-messages — bytes
-    /// that rode a shared wire message instead of paying their own
-    /// per-message overhead.
-    CoalescedBytesSaved,
     /// Foreground payload bytes carried over cross-group fabric links
     /// (switch↔switch / switch↔NIC hops) — the NIC/spine crossings
     /// topology-aware placement exists to minimise.
     NicCrossBytes,
 }
 
-const N_COUNTERS: usize = 13;
+const N_COUNTERS: usize = 11;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static COUNTS: [AtomicU64; N_COUNTERS] = [const { AtomicU64::new(0) }; N_COUNTERS];
@@ -113,8 +106,6 @@ pub struct Snapshot {
     pub wire_bytes: u64,
     pub bucket_rotations: u64,
     pub overflow_promotions: u64,
-    pub coalesced_msgs: u64,
-    pub coalesced_bytes_saved: u64,
     pub nic_cross_bytes: u64,
 }
 
@@ -145,8 +136,6 @@ pub fn snapshot() -> Snapshot {
         wire_bytes: get(Counter::WireBytes),
         bucket_rotations: get(Counter::BucketRotation),
         overflow_promotions: get(Counter::OverflowPromotion),
-        coalesced_msgs: get(Counter::CoalescedMsgs),
-        coalesced_bytes_saved: get(Counter::CoalescedBytesSaved),
         nic_cross_bytes: get(Counter::NicCrossBytes),
     }
 }

@@ -216,7 +216,7 @@ pub fn report_json() -> String {
     let c = crate::counters::snapshot();
     let _ = write!(
         out,
-        "\"heap_push\":{},\"heap_pop\":{},\"heap_peak\":{},\"heap_pop_wall_ns\":{},\"net_run_wall_ns\":{},\"pool_hit\":{},\"pool_miss\":{},\"route_lookups\":{},\"wire_bytes\":{},\"bucket_rotations\":{},\"overflow_promotions\":{},\"coalesced_msgs\":{},\"coalesced_bytes_saved\":{}",
+        "\"heap_push\":{},\"heap_pop\":{},\"heap_peak\":{},\"heap_pop_wall_ns\":{},\"net_run_wall_ns\":{},\"pool_hit\":{},\"pool_miss\":{},\"route_lookups\":{},\"wire_bytes\":{},\"bucket_rotations\":{},\"overflow_promotions\":{}",
         c.heap_push,
         c.heap_pop,
         c.heap_peak,
@@ -227,9 +227,7 @@ pub fn report_json() -> String {
         c.route_lookups,
         c.wire_bytes,
         c.bucket_rotations,
-        c.overflow_promotions,
-        c.coalesced_msgs,
-        c.coalesced_bytes_saved
+        c.overflow_promotions
     );
     if let Some(share) = c.heap_pop_wall_share() {
         let _ = write!(out, ",\"heap_pop_wall_share\":{share:.4}");

@@ -183,37 +183,31 @@ impl Csr {
         device.atomic_scatter_add(&mut y, &contribs, kind);
         Ok(y)
     }
-
-    /// `true` when the matrix is exactly symmetric in its stored
-    /// pattern and values.
-    pub fn is_symmetric(&self) -> bool {
-        if self.rows != self.cols {
-            return false;
-        }
-        let get = |r: usize, c: usize| -> f64 {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            match self.col_idx[lo..hi].binary_search(&(c as u32)) {
-                Ok(k) => self.values[lo + k],
-                Err(_) => 0.0,
-            }
-        };
-        for r in 0..self.rows {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                let c = self.col_idx[k] as usize;
-                if get(c, r) != self.values[k] {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpna_gpu_sim::GpuModel;
+
+    /// `true` when `a` is exactly symmetric in its stored pattern and
+    /// values.
+    fn is_symmetric(a: &Csr) -> bool {
+        if a.rows != a.cols {
+            return false;
+        }
+        let get = |r: usize, c: usize| -> f64 {
+            let lo = a.row_ptr[r];
+            let hi = a.row_ptr[r + 1];
+            match a.col_idx[lo..hi].binary_search(&(c as u32)) {
+                Ok(k) => a.values[lo + k],
+                Err(_) => 0.0,
+            }
+        };
+        (0..a.rows).all(|r| {
+            (a.row_ptr[r]..a.row_ptr[r + 1]).all(|k| get(a.col_idx[k] as usize, r) == a.values[k])
+        })
+    }
 
     #[test]
     fn triplets_build_and_dedupe() {
@@ -227,7 +221,7 @@ mod tests {
     fn poisson_is_spd_shaped() {
         let a = Csr::poisson_2d(4);
         assert_eq!(a.rows(), 16);
-        assert!(a.is_symmetric());
+        assert!(is_symmetric(&a));
         // Laplacian row sums: 4 - (#neighbours) >= 0, interior rows 0
         let ones = vec![1.0; 16];
         let y = a.spmv(&ones).unwrap();
@@ -239,7 +233,7 @@ mod tests {
     #[test]
     fn random_spd_is_symmetric_and_dominant() {
         let a = Csr::random_spd(50, 4, 9);
-        assert!(a.is_symmetric());
+        assert!(is_symmetric(&a));
         // x^T A x > 0 for a few random x (necessary condition check)
         let mut rng = SplitMix64::new(1);
         for _ in 0..5 {

@@ -61,11 +61,6 @@ impl PowerLawFit {
             n: usable.len(),
         }
     }
-
-    /// Evaluate the fitted law at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        self.beta * x.powf(self.alpha)
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +79,6 @@ mod tests {
         assert!((fit.alpha - 0.5).abs() < 1e-12, "alpha {}", fit.alpha);
         assert!((fit.beta - 3.0).abs() < 1e-9, "beta {}", fit.beta);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.eval(100.0) - 30.0).abs() < 1e-9);
     }
 
     #[test]

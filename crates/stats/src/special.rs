@@ -1,4 +1,4 @@
-//! Special functions: `erf`, normal PDF/CDF.
+//! Special functions: `erf`, the normal CDF and interval mass.
 //!
 //! `erf` uses the Abramowitz–Stegun 7.1.26 rational approximation
 //! (|error| < 1.5e-7), which is ample for the KL/normality diagnostics
@@ -13,17 +13,6 @@ pub fn erf(x: f64) -> f64 {
         * (0.254829592
             + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
     sign * (1.0 - poly * (-x * x).exp())
-}
-
-/// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
-/// Standard normal density.
-pub fn normal_pdf(x: f64, mean: f64, std_dev: f64) -> f64 {
-    let z = (x - mean) / std_dev;
-    (-0.5 * z * z).exp() / (std_dev * (2.0 * std::f64::consts::PI).sqrt())
 }
 
 /// Normal cumulative distribution function.
@@ -52,13 +41,6 @@ mod tests {
     }
 
     #[test]
-    fn erfc_complements() {
-        for &x in &[-2.0, -0.5, 0.0, 0.7, 3.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn normal_cdf_basics() {
         assert!((normal_cdf(0.0, 0.0, 1.0) - 0.5).abs() < 2e-7);
         assert!((normal_cdf(1.96, 0.0, 1.0) - 0.975).abs() < 1e-3);
@@ -67,13 +49,6 @@ mod tests {
         let p1 = normal_cdf(1.0, 0.0, 1.0);
         let p2 = normal_cdf(7.0, 5.0, 2.0);
         assert!((p1 - p2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normal_pdf_peak() {
-        let peak = normal_pdf(0.0, 0.0, 1.0);
-        assert!((peak - 0.3989422804).abs() < 1e-9);
-        assert!(normal_pdf(1.0, 0.0, 1.0) < peak);
     }
 
     #[test]

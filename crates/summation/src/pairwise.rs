@@ -36,27 +36,6 @@ pub fn pairwise_sum_with_leaf(xs: &[f64], leaf: usize) -> f64 {
     pairwise_sum_with_leaf(&xs[..mid], leaf) + pairwise_sum_with_leaf(&xs[mid..], leaf)
 }
 
-/// The exact reduction tree used by the simulated GPU block kernels:
-/// strict power-of-two halving over a buffer padded with zeros, `tᵢ =
-/// xᵢ + x_{i+m/2}`. Exposed so CPU tests can pin down the bitwise
-/// output of the device kernels.
-pub fn block_tree_sum(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = xs.len().next_power_of_two();
-    let mut buf = vec![0.0f64; m];
-    buf[..xs.len()].copy_from_slice(xs);
-    let mut half = m / 2;
-    while half > 0 {
-        for i in 0..half {
-            buf[i] += buf[i + half];
-        }
-        half /= 2;
-    }
-    buf[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,18 +99,6 @@ mod tests {
         assert!((a - c).abs() < 1e-10);
         // ...and each individually reproducible
         assert_eq!(a.to_bits(), pairwise_sum_with_leaf(&xs, 1).to_bits());
-    }
-
-    #[test]
-    fn block_tree_handles_non_power_of_two() {
-        for n in [0usize, 1, 2, 3, 5, 31, 33, 1000] {
-            let xs = test_data(n, 10 + n as u64);
-            let t = block_tree_sum(&xs);
-            let s = serial_sum(&xs);
-            assert!((t - s).abs() < 1e-10, "n={n}");
-            // determinism
-            assert_eq!(t.to_bits(), block_tree_sum(&xs).to_bits());
-        }
     }
 
     #[test]

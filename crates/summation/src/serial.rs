@@ -40,24 +40,6 @@ pub fn randomly_permuted_sum(xs: &[f64], seed: u64) -> f64 {
     permuted_sum(xs, &perm)
 }
 
-/// Serial sum of `xs` reversed — a deterministic adversarial order used
-/// in failure-injection tests.
-pub fn reversed_sum(xs: &[f64]) -> f64 {
-    let mut s = 0.0f64;
-    for &x in xs.iter().rev() {
-        s += x;
-    }
-    s
-}
-
-/// Sum in ascending order of magnitude — the most accurate simple
-/// ordering; used as an adversarial bound in tests.
-pub fn magnitude_sorted_sum(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
-    serial_sum(&sorted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,17 +95,6 @@ mod tests {
         // differs bitwise but only at rounding level
         assert!((sd - snd).abs() < 1e-9 * xs.len() as f64 * f64::EPSILON * 1e12);
         assert!((sd - snd).abs() / sd.abs().max(1.0) < 1e-10);
-    }
-
-    #[test]
-    fn reversed_and_sorted_orders() {
-        let xs = test_data(101, 6);
-        let r = reversed_sum(&xs);
-        let m = magnitude_sorted_sum(&xs);
-        let s = serial_sum(&xs);
-        for v in [r, m] {
-            assert!((v - s).abs() < 1e-10);
-        }
     }
 
     #[test]

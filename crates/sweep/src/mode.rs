@@ -164,12 +164,6 @@ impl SweepMode {
         }
     }
 
-    /// `true` when running as a shard (used to silence stdout and
-    /// namespace observability output).
-    pub fn is_shard(&self) -> bool {
-        matches!(self, SweepMode::Shard { .. })
-    }
-
     /// The shard id, when in shard mode.
     pub fn shard_id(&self) -> Option<usize> {
         match self {
@@ -250,7 +244,6 @@ mod tests {
         assert_eq!(m, SweepMode::Full);
         assert_eq!(m.compute_range(8), Some(0..8));
         assert!(m.reports());
-        assert!(!m.is_shard());
     }
 
     #[test]
@@ -262,7 +255,6 @@ mod tests {
         .unwrap();
         assert_eq!(m.compute_range(8), Some(4..8));
         assert_eq!(m.shard_id(), Some(1));
-        assert!(m.is_shard());
         assert!(!m.reports());
     }
 

@@ -174,27 +174,6 @@ impl SweepRows {
         }
         Ok(())
     }
-
-    /// Check that `cell`'s recorded runs are exactly `expected` (an
-    /// index range) — the coordinator's completeness gate before
-    /// reporting.
-    pub fn check_coverage(
-        &self,
-        cell: &str,
-        expected: std::ops::Range<usize>,
-    ) -> Result<(), String> {
-        let runs = self.runs(cell);
-        let want: Vec<usize> = expected.clone().collect();
-        if runs == want {
-            Ok(())
-        } else {
-            Err(format!(
-                "cell {cell:?}: have {} runs, expected exactly {:?}",
-                runs.len(),
-                expected
-            ))
-        }
-    }
 }
 
 /// Exact per-cell column sums across runs, built on
@@ -330,8 +309,6 @@ mod tests {
         merged.absorb(sample_rows(7..10)).unwrap();
         assert_eq!(merged, full);
         assert_eq!(merged.row_count(), 20);
-        merged.check_coverage("a", 0..10).unwrap();
-        assert!(merged.check_coverage("a", 0..11).is_err());
     }
 
     #[test]

@@ -52,12 +52,6 @@ impl ReduceOp {
         }
     }
 
-    /// Whether the reduction is exactly associative over floats (and
-    /// therefore immune to commit-order effects).
-    pub fn order_invariant(&self) -> bool {
-        matches!(self, ReduceOp::Amax | ReduceOp::Amin)
-    }
-
     fn combine(&self, acc: f64, x: f64) -> f64 {
         match self {
             ReduceOp::Sum | ReduceOp::Mean => acc + x,
@@ -276,8 +270,6 @@ mod tests {
                 .unwrap();
             assert!(out.bitwise_eq(&first), "amax must be order-invariant");
         }
-        assert!(ReduceOp::Amax.order_invariant());
-        assert!(!ReduceOp::Sum.order_invariant());
     }
 
     #[test]

@@ -81,10 +81,6 @@ pub struct SweepRow {
     pub configs: usize,
 }
 
-fn report_mean_vermv(report: &VariabilityReport) -> f64 {
-    report.vermv.mean
-}
-
 /// One (operation, hyperparameter configuration) cell of the Table 5
 /// sweep, with its inputs and reference baked in at construction.
 ///
@@ -327,10 +323,11 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
     cells
 }
 
-/// Fold per-configuration mean-`Vermv` values — in cell (sweep) order —
-/// into Table 5 rows: min/max per operation, ops in first-appearance
-/// order. This is the merge step of a sharded Table 5 sweep; feeding it
-/// the full-sweep cell means reproduces [`table5_sweep`] bitwise.
+/// Fold per-configuration mean-`Vermv` values — in cell (sweep) order,
+/// one per [`table5_cells`] cell — into Table 5 rows: min/max per
+/// operation, ops in first-appearance order. Each cell's mean comes
+/// from its comparisons over `0..runs`, which `table5` gathers as sweep
+/// rows, so a sharded sweep folds the same means as a single process.
 pub fn table5_reduce(cell_means: &[(&'static str, f64)]) -> Vec<SweepRow> {
     let mut rows: Vec<SweepRow> = Vec::new();
     for &(op, v) in cell_means {
@@ -351,36 +348,6 @@ pub fn table5_reduce(cell_means: &[(&'static str, f64)]) -> Vec<SweepRow> {
         row.configs += 1;
     }
     rows
-}
-
-/// Run the full Table 5 sweep. `runs` non-deterministic executions per
-/// configuration (the paper used 10 000 on an H100; the default bench
-/// uses fewer and documents the scaling). Runs execute through
-/// `executor`; the rows are bitwise identical at any thread count.
-///
-/// Equivalent to walking [`table5_cells`] over the full `0..runs`
-/// range and folding with [`table5_reduce`] — the decomposition the
-/// `fpna-sweep` coordinator uses to shard this sweep across processes.
-pub fn table5_sweep(
-    model: GpuModel,
-    runs: usize,
-    seed: u64,
-    executor: &RunExecutor,
-) -> Vec<SweepRow> {
-    let cells = table5_cells(model, seed);
-    let means: Vec<(&'static str, f64)> = cells
-        .iter()
-        .map(|cell| {
-            let comparisons: Vec<ArrayComparison> = cell
-                .comparisons_range(0..runs, executor)
-                .into_iter()
-                .map(|(_, c)| c)
-                .collect();
-            let report = VariabilityReport::from_comparisons(&comparisons);
-            (cell.op, report_mean_vermv(&report))
-        })
-        .collect();
-    table5_reduce(&means)
 }
 
 /// Which operation a reduction-ratio experiment exercises.
@@ -461,9 +428,29 @@ pub fn ratio_experiment(
 mod tests {
     use super::*;
 
+    /// Table 5's rows over `runs` runs per cell: each cell's mean
+    /// `Vermv` over `0..runs`, folded by [`table5_reduce`].
+    fn table5_rows(runs: usize, executor: &RunExecutor) -> Vec<SweepRow> {
+        let means: Vec<(&'static str, f64)> = table5_cells(GpuModel::H100, 123)
+            .iter()
+            .map(|cell| {
+                let comparisons: Vec<ArrayComparison> = cell
+                    .comparisons_range(0..runs, executor)
+                    .into_iter()
+                    .map(|(_, c)| c)
+                    .collect();
+                (
+                    cell.op,
+                    VariabilityReport::from_comparisons(&comparisons).vermv.mean,
+                )
+            })
+            .collect();
+        table5_reduce(&means)
+    }
+
     #[test]
     fn table5_sweep_smoke() {
-        let rows = table5_sweep(GpuModel::H100, 3, 123, &RunExecutor::serial());
+        let rows = table5_rows(3, &RunExecutor::serial());
         assert_eq!(rows.len(), 9, "one row per Table 5 operation");
         for row in &rows {
             assert!(row.configs > 0, "{}", row.op);
@@ -560,8 +547,8 @@ mod tests {
             );
         }
 
-        let rows_serial = table5_sweep(GpuModel::H100, 3, 123, &RunExecutor::serial());
-        let rows_parallel = table5_sweep(GpuModel::H100, 3, 123, &RunExecutor::new(4));
+        let rows_serial = table5_rows(3, &RunExecutor::serial());
+        let rows_parallel = table5_rows(3, &RunExecutor::new(4));
         assert_eq!(rows_serial.len(), rows_parallel.len());
         for (a, b) in rows_serial.iter().zip(&rows_parallel) {
             assert_eq!(a.op, b.op);
