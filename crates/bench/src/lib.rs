@@ -213,8 +213,8 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
 }
 
 /// Parse `--name a,b,…` as a list of `expects` (e.g. `"integers"`),
-/// with a default. Every element must parse; an empty element is
-/// unparsable, so the list is never empty.
+/// with a default. Every element must parse, and a given flag yields at
+/// least one element.
 pub fn arg_list<T: FromStr>(name: &str, expects: &str, default: Vec<T>) -> Vec<T> {
     arg_value(name).map_or(default, |v| {
         v.split(',')
