@@ -25,11 +25,11 @@ use fpna_summation::exact::exact_sum;
 use fpna_summation::{kahan_sum, neumaier_sum, pairwise_sum_with_leaf, serial_sum};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let runs = args.size("runs", 200, 2_000);
-    let seed = fpna_bench::arg_u64("seed", 123);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 200, 2_000);
+    let seed = cli.int("seed", 123);
 
+    let executor = cli.start();
     fpna_bench::banner("Ablation 1", "scheduler model: wave-biased vs uniform random", "");
     let device = GpuDevice::new(GpuModel::V100);
     let params = KernelParams::new(64, 7813);
@@ -118,5 +118,5 @@ fn main() {
             last.mean, wd.final_vc.mean, wd.unique_models, wd.runs
         );
     }
-    args.finish();
+    cli.finish();
 }

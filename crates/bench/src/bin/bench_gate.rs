@@ -38,10 +38,11 @@
 //!
 //! Flags: `--threshold <factor>` (default 1.25 = +25%),
 //! `--suite-threshold <suite>=<factor>`, `--baseline <path>`,
-//! `--update`.
+//! `--update`. Any other argument, or a value the gate cannot use,
+//! exits 2 with one `error: …` line before anything is read.
 
-use fpna_bench::arg_string;
 use fpna_core::report::Table;
+use fpna_sweep::cli::{usage_error, Args};
 use fpna_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -92,37 +93,22 @@ fn threshold_for(id: &str, default: f64, overrides: &[(String, f64)]) -> (f64, S
     }
 }
 
-/// Parse every `--suite-threshold name=factor` occurrence.
-fn suite_threshold_overrides() -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        let value = if a == "--suite-threshold" {
-            Some(
-                args.next()
-                    .expect("--suite-threshold expects suite=factor, got nothing"),
-            )
-        } else {
-            a.strip_prefix("--suite-threshold=").map(str::to_string)
-        };
-        if let Some(v) = value {
-            let Some((suite, factor)) = v.split_once('=') else {
-                panic!("--suite-threshold expects suite=factor, got {v}");
-            };
-            let factor: f64 = factor
-                .parse()
-                .unwrap_or_else(|_| panic!("--suite-threshold factor must be a number, got {factor}"));
-            out.push((suite.to_string(), factor));
-        }
+/// One `--suite-threshold suite=factor` value.
+fn suite_threshold(v: &str) -> (String, f64) {
+    match v.split_once('=').map(|(suite, factor)| (suite, factor.parse())) {
+        Some((suite, Ok(factor))) if !suite.is_empty() => (suite.to_string(), factor),
+        _ => usage_error(format!("--suite-threshold expects suite=factor, got {v:?}")),
     }
-    out
 }
 
 fn main() -> ExitCode {
-    let threshold = arg_f64("threshold", 1.25);
-    let overrides = suite_threshold_overrides();
-    let update = std::env::args().any(|a| a == "--update");
-    let baseline_path = arg_string("baseline").map(PathBuf::from).unwrap_or_else(default_baseline_path);
+    let mut args = Args::from_env();
+    let threshold = args.value("threshold", "a number").unwrap_or(1.25);
+    let overrides: Vec<(String, f64)> =
+        args.values("suite-threshold").iter().map(|v| suite_threshold(v)).collect();
+    let update = args.flag("update");
+    let baseline_path = args.value("baseline", "a path").unwrap_or_else(default_baseline_path);
+    args.finish();
 
     let current = match read_current() {
         Ok(map) if !map.is_empty() => map,
@@ -368,12 +354,6 @@ fn render_rows(rows: &BTreeMap<String, u128>) -> String {
         out.push('\n');
     }
     out
-}
-
-fn arg_f64(name: &str, default: f64) -> f64 {
-    arg_string(name)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--{name} expects a number, got {v}")))
-        .unwrap_or(default)
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //! `--from-shards …`, see `fpna-sweep`): runs are seeded by global run
 //! index, so any process sharding merges to byte-identical output.
 
+use std::process::ExitCode;
+
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_stats::histogram::Histogram;
 use fpna_stats::kl::kl_vs_fitted_normal;
@@ -114,28 +116,19 @@ fn report(rows: &SweepRows, arrays: usize, runs: usize, bins: usize) {
     }
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let arrays = args.size("arrays", 20, 100);
-    let runs = args.size("runs", 200, 10_000);
-    let bins = fpna_bench::arg_usize("bins", 41);
-    let seed = fpna_bench::arg_u64("seed", 10);
+fn main() -> ExitCode {
+    let mut cli = fpna_bench::Cli::parse();
+    let arrays = cli.size("arrays", 20, 100);
+    let runs = cli.size("runs", 200, 10_000);
+    let bins = cli.int("bins", 41);
+    let seed = cli.int("seed", 10);
 
     let spec = SweepSpec::new("fig1", runs)
         .arg("arrays", arrays)
         .arg("bins", bins)
         .arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range, arrays, seed, &args.executor()),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, arrays, runs, bins);
-    args.finish();
+    cli.sweep(&spec, |range, executor| compute(range, arrays, seed, executor), |rows| {
+        report(rows, arrays, runs, bins);
+        true
+    })
 }

@@ -19,11 +19,12 @@ use fpna_stats::samplers::{Distribution, Sampler};
 const N: usize = 1_000_000;
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let arrays = fpna_bench::arg_usize("arrays", 4);
-    let runs = args.size("runs", 300, 125_000);
-    let bins = fpna_bench::arg_usize("bins", 41);
-    let seed = fpna_bench::arg_u64("seed", 20);
+    let mut cli = fpna_bench::Cli::parse();
+    let arrays = cli.int("arrays", 4);
+    let runs = cli.size("runs", 300, 125_000);
+    let bins = cli.int("bins", 41);
+    let seed = cli.int("seed", 20);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig 2",
         "PDF of Vs for the AO kernel, 1M FP64 ~ U(0,10), V100",
@@ -31,7 +32,6 @@ fn main() {
     );
     let device = GpuDevice::new(GpuModel::V100);
     let params = KernelParams::fig1();
-    let executor = args.executor();
     let mut vs_samples = Vec::with_capacity(arrays * runs);
     for a in 0..arrays {
         let mut sampler = Sampler::new(Distribution::paper_uniform(), seed ^ ((a as u64) << 24));
@@ -71,5 +71,5 @@ fn main() {
         "Jarque-Bera: stat = {:.2}, p = {:.4}, skew = {:.3}, ex.kurtosis = {:.3}",
         jb.statistic, jb.p_value, jb.skewness, jb.excess_kurtosis
     );
-    args.finish();
+    cli.finish();
 }

@@ -12,10 +12,10 @@ use fpna_gpu_sim::GpuModel;
 use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let runs = args.size("runs", 12, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 33);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 12, 1_000);
+    let seed = cli.int("seed", 33);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig 3",
         "heatmaps of Vc vs (input dimension, R)",
@@ -68,5 +68,5 @@ fn main() {
     let row_labels: Vec<String> = dims_2d.iter().rev().map(|d| d.to_string()).collect();
     println!("{}", fpna_bench::ascii_heatmap(&row_labels, &ratio_labels, &grid));
     println!("columns: reduction ratio R = 0.1 ... 1.0");
-    args.finish();
+    cli.finish();
 }

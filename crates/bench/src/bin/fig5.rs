@@ -10,10 +10,10 @@ use fpna_stats::bootstrap::bootstrap_mean;
 use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let runs = args.size("runs", 40, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 45);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 40, 1_000);
+    let seed = cli.int("seed", 45);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig 5",
         "Vermv vs reduction ratio (x 1e7; scatter_reduce n=2000, index_add n=100x100)",
@@ -44,5 +44,5 @@ fn main() {
             r, cells[0], cells[1], cells[2]
         );
     }
-    args.finish();
+    cli.finish();
 }

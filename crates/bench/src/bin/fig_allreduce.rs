@@ -13,11 +13,12 @@ use fpna_core::report::Table;
 use fpna_core::rng::SplitMix64;
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let p = fpna_bench::arg_usize("ranks", 64);
-    let len = fpna_bench::arg_usize("len", 4_096);
-    let runs = args.size("runs", 50, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 12);
+    let mut cli = fpna_bench::Cli::parse();
+    let p = cli.int("ranks", 64);
+    let len = cli.int("len", 4_096);
+    let runs = cli.size("runs", 50, 1_000);
+    let seed = cli.int("seed", 12);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig (allreduce)",
         "run-to-run variability of distributed reductions",
@@ -39,7 +40,7 @@ fn main() {
     ];
     for (alg, ord, alg_name, ord_name) in cases {
         let reference = allreduce(&ranks, alg, rekey(ord, 0));
-        let comparisons = args.executor().map_runs(runs, |run| {
+        let comparisons = executor.map_runs(runs, |run| {
             let out = allreduce(&ranks, alg, rekey(ord, run as u64 + 1));
             ArrayComparison::compare(&reference, &out)
         });
@@ -76,7 +77,7 @@ fn main() {
         "reproducible mode across different algorithms: bitwise identical = {}",
         cmp.bitwise_identical()
     );
-    args.finish();
+    cli.finish();
 }
 
 fn rekey(ord: Ordering, run: u64) -> Ordering {

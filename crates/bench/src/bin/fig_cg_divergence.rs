@@ -22,9 +22,10 @@ fn main() {
     // The experiment is two *coupled* CG trajectories (compared per
     // iteration), so there is no independent-run loop to fan out;
     // parsed for the uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
-    let grid = args.size("grid", 24, 64);
-    let seed = fpna_bench::arg_u64("seed", 11);
+    let mut cli = fpna_bench::Cli::parse();
+    let grid = cli.size("grid", 24, 64);
+    let seed = cli.int("seed", 11);
+    cli.start();
     fpna_bench::banner(
         "Fig (CG divergence)",
         "per-iteration divergence of two ND conjugate-gradient runs",
@@ -65,5 +66,5 @@ fn main() {
          (both converged to tolerance — the divergence lives in the trajectory)",
         d.final_relative_diff
     );
-    args.finish();
+    cli.finish();
 }

@@ -17,12 +17,12 @@ use fpna_tensor::ops::lowp::{index_add_f32, scatter_reduce_f32};
 use fpna_tensor::Tensor;
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let runs = args.size("runs", 100, 1_000);
-    let seed = fpna_bench::arg_u64("seed", 66);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 100, 1_000);
+    let seed = cli.int("seed", 66);
     let n = 20_000usize;
     let rows = 1_000usize;
+    let executor = cli.start();
     fpna_bench::banner(
         "fp32 magnitude check",
         "Vermv of fp32 vs fp64 accumulation (scatter_reduce / index_add)",
@@ -91,5 +91,5 @@ fn main() {
          fp32/fp64 ratio near eps32/eps64 = {:.2e}",
         f32::EPSILON as f64 / f64::EPSILON
     );
-    args.finish();
+    cli.finish();
 }

@@ -11,11 +11,11 @@ use fpna_stats::powerlaw::PowerLawFit;
 use fpna_stats::samplers::{Distribution, Sampler};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let runs = args.size("runs", 200, 2_000);
-    let arrays = args.size("arrays", 7, 15);
-    let seed = fpna_bench::arg_u64("seed", 30);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 200, 2_000);
+    let arrays = cli.size("arrays", 7, 15);
+    let seed = cli.int("seed", 30);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig (power law)",
         "max|Vs| ~ beta * n^alpha for SPA (SPTR reference), V100",
@@ -68,5 +68,5 @@ fn main() {
             fit.beta, fit.alpha, fit.r_squared
         );
     }
-    args.finish();
+    cli.finish();
 }

@@ -16,10 +16,11 @@ use fpna_nn::sage::Aggregation;
 use fpna_nn::train::weight_divergence_experiment;
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let runs = args.size("runs", 5, 1_000);
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 99);
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 5, 1_000);
+    let epochs = cli.int("epochs", 10);
+    let seed = cli.int("seed", 99);
+    let executor = cli.start();
     fpna_bench::banner(
         "Fig (weight divergence, §V-B)",
         "weight Vermv vs epoch for ND training, synthetic Cora",
@@ -33,7 +34,7 @@ fn main() {
         init_seed: seed ^ 0x9999,
         aggregation: Aggregation::Mean,
     };
-    let wd = weight_divergence_experiment(&ds, &cfg, GpuModel::H100, runs, seed, &args.executor())
+    let wd = weight_divergence_experiment(&ds, &cfg, GpuModel::H100, runs, seed, &executor)
         .unwrap();
     let mut table = Table::new(["epoch", "weight Vermv mean(std)", "weight Vc mean(std)"]);
     for (e, (s, c)) in wd
@@ -65,5 +66,5 @@ fn main() {
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
     println!("final losses cluster in [{min:.4}, {max:.4}] despite bitwise divergence");
-    args.finish();
+    cli.finish();
 }

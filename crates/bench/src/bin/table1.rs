@@ -8,8 +8,9 @@ use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::serial::{randomly_permuted_sum, serial_sum};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let seed = fpna_bench::arg_u64("seed", 2024);
+    let mut cli = fpna_bench::Cli::parse();
+    let seed = cli.int("seed", 2024);
+    let executor = cli.start();
     fpna_bench::banner(
         "Table 1",
         "effects of permutations on sums of floating-point numbers",
@@ -22,7 +23,7 @@ fn main() {
     ];
     // Each row is independent (sampling and permutation are keyed by
     // the row), so rows fan out across the executor's workers.
-    let rows = args.executor().map_runs(sizes.len(), |row| {
+    let rows = executor.map_runs(sizes.len(), |row| {
         let n = sizes[row];
         let mut sampler = Sampler::new(
             Distribution::standard_normal(),
@@ -38,5 +39,5 @@ fn main() {
         table.push_row(row);
     }
     println!("{}", table.render());
-    args.finish();
+    cli.finish();
 }

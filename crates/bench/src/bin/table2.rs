@@ -8,6 +8,8 @@
 //! emit-spec / shard / merge path — the protocol's smallest, fastest
 //! conformance surface.
 
+use std::process::ExitCode;
+
 use fpna_core::report::Table;
 use fpna_gpu_sim::ReduceKernel;
 use fpna_sweep::{SweepRows, SweepSpec};
@@ -65,20 +67,11 @@ fn report(rows: &SweepRows) {
     println!("{}", table.render());
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
+fn main() -> ExitCode {
+    let cli = fpna_bench::Cli::parse();
     let spec = SweepSpec::new("table2", ReduceKernel::all().len());
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows);
-    args.finish();
+    cli.sweep(&spec, |range, _| compute(range), |rows| {
+        report(rows);
+        true
+    })
 }

@@ -17,10 +17,11 @@ use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::parallel::{ordered_threaded_sum, unordered_threaded_sum};
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let trials = fpna_bench::arg_usize("trials", 10);
-    let n = fpna_bench::arg_usize("n", 1_000_000);
-    let threads = fpna_bench::arg_usize("threads", 8);
+    let mut cli = fpna_bench::Cli::parse();
+    let trials = cli.int("trials", 10);
+    let n = cli.int("n", 1_000_000);
+    let threads = cli.int("threads", 8);
+    cli.start();
     fpna_bench::banner(
         "Table 3",
         "normal and ordered reductions (OpenMP analogue) on CPU",
@@ -56,5 +57,5 @@ fn main() {
         normal_bits.len(),
         ordered_bits.len()
     );
-    args.finish();
+    cli.finish();
 }

@@ -17,9 +17,10 @@ const N: usize = 4_194_304;
 const SUMS: usize = 100;
 
 fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let repeats = args.size("repeats", 10, 100);
-    let seed = fpna_bench::arg_u64("seed", 4);
+    let mut cli = fpna_bench::Cli::parse();
+    let repeats = cli.size("repeats", 10, 100);
+    let seed = cli.int("seed", 4);
+    let executor = cli.start();
     fpna_bench::banner(
         "Table 4",
         "timing and performance penalty of parallel sum implementations",
@@ -63,7 +64,7 @@ fn main() {
                     params,
                     &ScheduleKind::Seeded(seed),
                     repeats,
-                    &args.executor(),
+                    &executor,
                 )
                 .expect("kernel supported on this device");
             let times_ms: Vec<f64> = outcomes
@@ -104,5 +105,5 @@ fn main() {
         }
         println!();
     }
-    args.finish();
+    cli.finish();
 }

@@ -11,6 +11,8 @@
 //! cell is seeded by global run index, so any process sharding of
 //! `0..runs` merges to byte-identical output.
 
+use std::process::ExitCode;
+
 use fpna_core::report::Table;
 use fpna_gpu_sim::GpuModel;
 use fpna_sweep::{SweepRows, SweepSpec};
@@ -40,8 +42,8 @@ fn compute(
 
 /// Print the table from rows alone — a pure function of the row set,
 /// so merged shards render byte-identically to a single process. (The
-/// cell walk here only provides op order and row keys; its references
-/// are recomputed but never run the sweep.)
+/// cell walk here only provides op order and row keys; listing the
+/// cells runs no kernel.)
 fn report(rows: &SweepRows, runs: usize, seed: u64) {
     fpna_bench::banner(
         "Table 5",
@@ -75,23 +77,14 @@ fn report(rows: &SweepRows, runs: usize, seed: u64) {
     );
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let runs = args.size("runs", 40, 10_000);
-    let seed = fpna_bench::arg_u64("seed", 55);
+fn main() -> ExitCode {
+    let mut cli = fpna_bench::Cli::parse();
+    let runs = cli.size("runs", 40, 10_000);
+    let seed = cli.int("seed", 55);
 
     let spec = SweepSpec::new("table5", runs).arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(range, seed, &args.executor()),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, runs, seed);
-    args.finish();
+    cli.sweep(&spec, |range, executor| compute(range, seed, executor), |rows| {
+        report(rows, runs, seed);
+        true
+    })
 }

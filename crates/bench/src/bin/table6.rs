@@ -45,7 +45,8 @@ fn lpu_scatter_time_us(rows: usize, cols: usize, out_rows: usize, mean: bool, se
 fn main() {
     // No repeated-run loop (cost-model cells + compiled LPU programs);
     // parsed for the uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
+    let mut cli = fpna_bench::Cli::parse();
+    cli.start();
     fpna_bench::banner(
         "Table 6",
         "kernel runtime for scatter_reduce / index_add, H100 vs LPU (us)",
@@ -118,5 +119,5 @@ fn main() {
          (its ND cells are N/A), and the H100 has no deterministic \
          scatter_reduce (its D cells are N/A)."
     );
-    args.finish();
+    cli.finish();
 }

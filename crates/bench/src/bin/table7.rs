@@ -13,6 +13,8 @@
 //! any process sharding of `0..models` merges to byte-identical
 //! output.
 
+use std::process::ExitCode;
+
 use fpna_core::report::{mean_std, Table};
 use fpna_gpu_sim::GpuModel;
 use fpna_nn::graph::{synthetic_cora, CoraParams, NodeClassification};
@@ -81,21 +83,19 @@ fn report(rows: &SweepRows, models: usize, epochs: usize) {
     );
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let models = args.size("models", 6, 1_000);
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 77);
+fn main() -> ExitCode {
+    let mut cli = fpna_bench::Cli::parse();
+    let models = cli.size("models", 6, 1_000);
+    let epochs = cli.int("epochs", 10);
+    let seed = cli.int("seed", 77);
 
     let spec = SweepSpec::new("table7", models)
         .arg("models", models)
         .arg("epochs", epochs)
         .arg("seed", seed);
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => {
+    cli.sweep(
+        &spec,
+        |range, executor| {
             let ds = synthetic_cora(CoraParams::cora(), seed ^ 0xC04A);
             let cfg = TrainConfig {
                 hidden: 16,
@@ -104,14 +104,11 @@ fn main() {
                 init_seed: seed ^ 0x1717,
                 aggregation: Aggregation::Mean,
             };
-            compute(range, &ds, &cfg, models, seed, &args.executor())
-        }
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    report(&rows, models, epochs);
-    args.finish();
+            compute(range, &ds, &cfg, models, seed, executor)
+        },
+        |rows| {
+            report(rows, models, epochs);
+            true
+        },
+    )
 }

@@ -20,9 +20,10 @@ fn main() {
     // The run loop here is a two-sided wall-clock measurement (D vs ND
     // training), which is inherently sequential; parsed for the
     // uniform `--threads`/`--paper-scale` flag surface.
-    let args = fpna_bench::ExperimentArgs::parse();
-    let epochs = fpna_bench::arg_usize("epochs", 10);
-    let seed = fpna_bench::arg_u64("seed", 88);
+    let mut cli = fpna_bench::Cli::parse();
+    let epochs = cli.int("epochs", 10);
+    let seed = cli.int("seed", 88);
+    cli.start();
     fpna_bench::banner(
         "Table 8",
         "GraphSAGE inference runtime, H100 vs LPU",
@@ -72,5 +73,5 @@ fn main() {
         losses.last().unwrap(),
         losses.last().unwrap() < &losses[0]
     );
-    args.finish();
+    cli.finish();
 }

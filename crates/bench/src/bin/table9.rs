@@ -61,14 +61,15 @@
 //!  [--segments 1,8,32] [--load 0,0.3,0.8] [--route fixed|ecmp] [--place oblivious|aware] [--link-stats]
 //!  [--threads N] [--paper-scale] [--trace out.json] [--profile]`
 
+use std::process::ExitCode;
+
 use fpna_bench::usage_error;
 use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
 use fpna_core::executor::RunExecutor;
-use fpna_core::harness::RunSummary;
 use fpna_core::metrics::{scalar_variability, ArrayComparison};
 use fpna_core::report::{mean_std, Table};
 use fpna_core::rng::{derive_seed, SplitMix64};
-use fpna_net::{CostModel, LinkSpec, RouteSelect, SeedSweep, Topology};
+use fpna_net::{CostModel, LinkSpec, RouteSelect, Topology};
 use fpna_summation::exact::ExactAccumulator;
 use fpna_sweep::{SweepRows, SweepSpec};
 
@@ -317,19 +318,13 @@ fn median(mut xs: Vec<f64>) -> f64 {
     if n % 2 == 1 { xs[n / 2] } else { (xs[n / 2 - 1] + xs[n / 2]) / 2.0 }
 }
 
-/// Rebuild the joint variability/cost summary of one cell from its
-/// rows — bitwise the [`SeedSweep`] a single process computes.
-fn seed_sweep(rows: &SweepRows, cell: &str) -> SeedSweep {
-    SeedSweep {
-        variability: rows.variability_report(cell),
-        elapsed_ns: RunSummary::from_values(&rows.column(cell, 4)),
-    }
-}
-
 /// Print the tables and acceptance checks from rows alone (plus the
 /// seeded representative runs behind `--link-stats`), returning
 /// whether every check passed. A pure function of the row set, so
 /// merged shards render byte-identically to a single process.
+///
+/// Each cell's variability comes from its comparison columns and its
+/// simulated elapsed time from column 4.
 fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
     let alg = cfg.alg();
     let seed = cfg.seed;
@@ -432,14 +427,15 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
             let hops = topo.diameter_hops();
             for (ki, &segs) in cfg.segments.iter().enumerate() {
                 for (li, &load) in cfg.loads.iter().enumerate() {
-                    let sched = seed_sweep(rows, &cell_sched(p, ti, segs, li));
-                    let plain_elapsed = sched.elapsed_ns.mean;
+                    let cell = cell_sched(p, ti, segs, li);
+                    let sched = rows.variability_report(&cell);
+                    let sched_elapsed = rows.run_summary(&cell, 4);
+                    let plain_elapsed = sched_elapsed.mean;
                     // "zero timing spread" = every run took the identical
                     // simulated time (min == max exactly; the std estimate
                     // itself carries rounding noise).
-                    let zero_spread =
-                        sched.elapsed_ns.min.to_bits() == sched.elapsed_ns.max.to_bits();
-                    if !sched.bitwise_reproducible() || !zero_spread {
+                    let zero_spread = sched_elapsed.min.to_bits() == sched_elapsed.max.to_bits();
+                    if !sched.fully_reproducible() || !zero_spread {
                         all_checks_pass = false;
                     }
                     table.push_row([
@@ -450,22 +446,23 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                         "0".into(),
                         format!("{load}"),
                         format!("0/{runs}"),
-                        format!("{:.4}", sched.variability.vc.mean),
-                        format!("{:.3e}", sched.variability.vermv.mean),
+                        format!("{:.4}", sched.vc.mean),
+                        format!("{:.3e}", sched.vermv.mean),
                         "0".into(),
-                        mean_std(sched.elapsed_ns.mean / 1e3, sched.elapsed_ns.std_dev / 1e3, 1),
+                        mean_std(sched_elapsed.mean / 1e3, sched_elapsed.std_dev / 1e3, 1),
                         "1.00x".into(),
                     ]);
 
                     for (j, &frac) in JITTER_LEVELS.iter().enumerate() {
                         let cell = cell_arrival(p, ti, segs, li, j);
-                        let sweep = seed_sweep(rows, &cell);
+                        let arrival = rows.variability_report(&cell);
+                        let elapsed = rows.run_summary(&cell, 4);
                         let vs_max = rows.column(&cell, 5).into_iter().fold(0.0f64, f64::max);
                         if load == 0.0 {
-                            growth[j][ki].push(sweep.variability.vc.mean);
+                            growth[j][ki].push(arrival.vc.mean);
                         }
                         if ti == FAT_TREE_IDX {
-                            load_vc[j][ki].push(sweep.variability.vc.mean);
+                            load_vc[j][ki].push(arrival.vc.mean);
                         }
                         table.push_row([
                             topo.name().to_string(),
@@ -474,24 +471,19 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                             segs.to_string(),
                             format!("{frac}"),
                             format!("{load}"),
-                            format!(
-                                "{}/{runs}",
-                                runs - sweep.variability.bitwise_identical_runs
-                            ),
-                            format!("{:.4}", sweep.variability.vc.mean),
-                            format!("{:.3e}", sweep.variability.vermv.mean),
+                            format!("{}/{runs}", runs - arrival.bitwise_identical_runs),
+                            format!("{:.4}", arrival.vc.mean),
+                            format!("{:.3e}", arrival.vermv.mean),
                             format!("{vs_max:.3e}"),
-                            mean_std(
-                                sweep.elapsed_ns.mean / 1e3,
-                                sweep.elapsed_ns.std_dev / 1e3,
-                                1,
-                            ),
-                            format!("{:.2}x", sweep.elapsed_ns.mean / plain_elapsed),
+                            mean_std(elapsed.mean / 1e3, elapsed.std_dev / 1e3, 1),
+                            format!("{:.2}x", elapsed.mean / plain_elapsed),
                         ]);
                     }
 
-                    let repro = seed_sweep(rows, &cell_repro(p, ti, segs, li));
-                    if !repro.bitwise_reproducible() {
+                    let cell = cell_repro(p, ti, segs, li);
+                    let repro = rows.variability_report(&cell);
+                    let repro_elapsed = rows.run_summary(&cell, 4);
+                    if !repro.fully_reproducible() {
                         all_checks_pass = false;
                     }
                     // Only the reduce (up) phase ships accumulators; the
@@ -542,14 +534,11 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                         format!("{}", NetConfig::default().jitter_frac),
                         format!("{load}"),
                         format!("0/{runs}"),
-                        format!("{:.4}", repro.variability.vc.mean),
-                        format!("{:.3e}", repro.variability.vermv.mean),
+                        format!("{:.4}", repro.vc.mean),
+                        format!("{:.3e}", repro.vermv.mean),
                         "0".into(),
-                        mean_std(repro.elapsed_ns.mean / 1e3, repro.elapsed_ns.std_dev / 1e3, 1),
-                        format!(
-                            "{:.2}x (model {modeled:.2}x)",
-                            repro.elapsed_ns.mean / plain_elapsed
-                        ),
+                        mean_std(repro_elapsed.mean / 1e3, repro_elapsed.std_dev / 1e3, 1),
+                        format!("{:.2}x (model {modeled:.2}x)", repro_elapsed.mean / plain_elapsed),
                     ]);
                 }
             }
@@ -647,8 +636,8 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                     for (pi, pl) in ["obl", "awr"].iter().enumerate() {
                         let cell = cell_place(p, ti, li, pl);
                         let med = median(rows.column(&cell, 1));
-                        let nic = RunSummary::from_values(&rows.column(&cell, 2)).mean;
-                        let vc = RunSummary::from_values(&rows.column(&cell, 0)).mean;
+                        let nic = rows.run_summary(&cell, 2).mean;
+                        let vc = rows.run_summary(&cell, 0).mean;
                         measured[pi] = (med, nic, vc);
                         pt.push_row([
                             topo.name().to_string(),
@@ -759,34 +748,38 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
          dense upper bound {}B/element).",
         ExactAccumulator::WIRE_BYTES
     );
+    if all_checks_pass {
+        println!("all acceptance checks PASS");
+    } else {
+        println!("SOME ACCEPTANCE CHECKS FAILED");
+    }
     all_checks_pass
 }
 
-fn main() {
-    let args = fpna_bench::ExperimentArgs::parse();
-    let executor = args.executor();
-    let len = fpna_bench::arg_usize("len", 4_096);
-    let runs = args.size("runs", 25, 500);
-    let fanout = fpna_bench::arg_usize("fanout", 4);
-    let seed = fpna_bench::arg_u64("seed", 9);
-    let segments: Vec<usize> = fpna_bench::arg_list("segments", "integers", vec![1]);
+fn main() -> ExitCode {
+    let mut cli = fpna_bench::Cli::parse();
+    let len = cli.int("len", 4_096);
+    let runs = cli.size("runs", 25, 500);
+    let fanout = cli.int("fanout", 4);
+    let seed = cli.int("seed", 9);
+    let segments: Vec<usize> = cli.list("segments", "integers", vec![1]);
     if segments.contains(&0) {
         usage_error("--segments expects a comma-separated list of positive chunk counts");
     }
-    let loads: Vec<f64> = fpna_bench::arg_list("load", "offered-load factors", vec![0.0]);
+    let loads: Vec<f64> = cli.list("load", "offered-load factors", vec![0.0]);
     if !loads.iter().all(|&l| l.is_finite() && l >= 0.0) {
         usage_error("--load expects a comma-separated list of non-negative offered-load factors");
     }
     if !loads.windows(2).all(|w| w[0] < w[1]) {
         usage_error("--load expects strictly increasing offered-load factors");
     }
-    let link_stats = fpna_bench::arg_flag("link-stats");
-    let ecmp = match fpna_bench::arg_string("route").as_deref() {
+    let link_stats = cli.flag("link-stats");
+    let ecmp = match cli.value::<String>("route", "fixed|ecmp").as_deref() {
         None | Some("fixed") => false,
         Some("ecmp") => true,
         Some(other) => usage_error(format!("--route expects fixed|ecmp, got {other:?}")),
     };
-    let aware = match fpna_bench::arg_string("place").as_deref() {
+    let aware = match cli.value::<String>("place", "oblivious|aware").as_deref() {
         None | Some("oblivious") => false,
         Some("aware") => true,
         Some(other) => usage_error(format!("--place expects oblivious|aware, got {other:?}")),
@@ -815,23 +808,5 @@ fn main() {
     if cfg.link_stats {
         spec = spec.flag("link-stats");
     }
-    if args.sweep.emit_spec(&spec) {
-        return;
-    }
-    let rows = match args.sweep.compute_range(spec.runs) {
-        Some(range) => compute(&cfg, range, &executor),
-        None => args.sweep.load_rows_or_exit(&spec),
-    };
-    if args.sweep.finish_shard_or_exit(&spec, &rows) {
-        args.finish();
-        return;
-    }
-    let all_checks_pass = report(&cfg, &rows);
-    args.finish();
-    if all_checks_pass {
-        println!("all acceptance checks PASS");
-    } else {
-        println!("SOME ACCEPTANCE CHECKS FAILED");
-        std::process::exit(1);
-    }
+    cli.sweep(&spec, |range, executor| compute(&cfg, range, executor), |rows| report(&cfg, rows))
 }

@@ -11,7 +11,8 @@
 //! laptop. Scaling factors are documented per experiment in
 //! `EXPERIMENTS.md`.
 //!
-//! Two flags are shared by every binary (see [`ExperimentArgs`]):
+//! Every binary reads its command line once, through [`Cli`]. Four
+//! flags are shared by every fig/table binary:
 //!
 //! * `--threads N` — one shared worker budget: repeated runs fan out
 //!   across `N` OS threads through
@@ -30,10 +31,6 @@
 //!   full experiment sizes (e.g. Table 5's 10 000 runs per
 //!   configuration) instead of the seconds-scale defaults. Explicit
 //!   size flags (`--runs`, `--arrays`, …) still win.
-//!
-//! Two more are observability switches (off by default, see
-//! [`fpna_obs`]):
-//!
 //! * `--trace out.json` — record every simulated-clock event (message
 //!   hops, background bursts, admission drops, per-rank combines) as a
 //!   Chrome trace-event / Perfetto JSON file. Purely simulated time:
@@ -42,93 +39,143 @@
 //! * `--profile` — enable the event counters and wall-clock phase
 //!   profiler; the report lands in `target/obs/<bin>.profile.json`.
 //!
-//! Both report to **stderr** only, so stdout stays byte-identical with
-//! and without them.
+//! The two observability switches (see [`fpna_obs`]) report to
+//! **stderr** only, so stdout stays byte-identical with and without
+//! them.
 //!
-//! A flag given a value it cannot use (`--runs abc`, `--threads 0`)
-//! ends the process with one `error: …` line on stderr and exit status
-//! 2, before anything is printed on stdout. Unknown flags are ignored.
+//! `fig1`, `table2`, `table5`, `table7` and `table9` also speak the
+//! sweep protocol (`--emit-spec`, `--shard-*`, `--from-shards`; see
+//! [`Cli::sweep`]).
+//!
+//! Each binary accepts only the flags it reads. An unknown argument,
+//! or a flag given a value it cannot use (`--runs abc`,
+//! `--threads 0`), ends the process with one `error: …` line on stderr
+//! and exit status 2, before anything is printed on stdout.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::ops::Range;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::str::FromStr;
 
 use fpna_core::executor::RunExecutor;
-use fpna_sweep::SweepMode;
+pub use fpna_sweep::cli::usage_error;
+use fpna_sweep::cli::Args;
+use fpna_sweep::{SweepMode, SweepRows, SweepSpec};
 
-/// Shared per-binary experiment arguments: worker threads, the
-/// paper-scale preset switch, and the observability switches.
-#[derive(Debug, Clone)]
-pub struct ExperimentArgs {
-    /// Worker thread count for repeated-run loops (`--threads`,
-    /// default `FPNA_THREADS`, default 1).
-    pub threads: usize,
-    /// `--paper-scale`: use the paper's full experiment sizes.
-    pub paper_scale: bool,
-    /// `--trace out.json`: record a simulated-clock Chrome/Perfetto
-    /// trace and write it here on [`ExperimentArgs::finish`].
-    pub trace: Option<PathBuf>,
-    /// `--profile`: enable counters + wall-clock phase profiling; the
-    /// JSON report lands in `target/obs/<bin>.profile.json`.
-    pub profile: bool,
-    /// Which [`SweepMode`] the process runs in (`--emit-spec`,
-    /// `--shard-id …`, `--from-shards …`, or plain Full mode). Drives
-    /// the `sweep` coordinator's process sharding; in shard mode the
-    /// observability outputs are namespaced per shard (see
-    /// [`ExperimentArgs::finish`]) so concurrent shard processes of
-    /// the same binary never clobber each other under `target/obs/`.
-    pub sweep: SweepMode,
+/// One experiment binary's command line: the shared flags, read on
+/// [`Cli::parse`], and the binary's own flags, read through the
+/// getters. [`Cli::start`] (or [`Cli::sweep`]) then rejects every
+/// argument no getter read.
+#[derive(Debug)]
+pub struct Cli {
+    args: Args,
+    threads: usize,
+    paper_scale: bool,
+    trace: Option<PathBuf>,
+    profile: bool,
+    /// The shard id in shard mode, which namespaces the obs outputs.
+    shard: Option<usize>,
 }
 
-impl ExperimentArgs {
-    /// Parse `--threads` / `--paper-scale` from the process arguments.
-    /// A non-positive or unparsable `--threads` is a [`usage_error`].
-    pub fn parse() -> Self {
-        let threads = arg_usize("threads", RunExecutor::from_env().threads);
+impl Cli {
+    /// Read the process arguments and the shared flags. A non-positive
+    /// or unparsable `--threads` is a [`usage_error`].
+    pub fn parse() -> Cli {
+        Cli::from_args(Args::from_env())
+    }
+
+    fn from_args(mut args: Args) -> Cli {
+        let threads = args
+            .value("threads", "a positive integer")
+            .unwrap_or_else(|| RunExecutor::from_env().threads);
         if threads == 0 {
             usage_error("--threads expects a positive integer, got 0");
         }
+        Cli {
+            threads,
+            paper_scale: args.flag("paper-scale"),
+            trace: args.value("trace", "a path"),
+            profile: args.flag("profile"),
+            shard: None,
+            args,
+        }
+    }
+
+    /// The value of `--name`, parsed, or `None` when it is absent. A
+    /// value that does not parse is a [`usage_error`] saying the flag
+    /// `expects` something else.
+    pub fn value<T: FromStr>(&mut self, name: &str, expects: &str) -> Option<T> {
+        self.args.value(name, expects)
+    }
+
+    /// The integer value of `--name`, else `default`.
+    pub fn int<T: FromStr>(&mut self, name: &str, default: T) -> T {
+        self.value(name, "an integer").unwrap_or(default)
+    }
+
+    /// An experiment size: the explicit `--name` flag when present,
+    /// else the paper's size under `--paper-scale`, else the
+    /// seconds-scale default.
+    pub fn size(&mut self, name: &str, default: usize, paper: usize) -> usize {
+        let preset = if self.paper_scale { paper } else { default };
+        self.int(name, preset)
+    }
+
+    /// `--name a,b,…` as a list of `expects` (e.g. `"integers"`), else
+    /// `default`. Every element must parse.
+    pub fn list<T: FromStr>(&mut self, name: &str, expects: &str, default: Vec<T>) -> Vec<T> {
+        let Some(list) = self.value::<String>(name, expects) else {
+            return default;
+        };
+        list.split(',')
+            .map(|v| {
+                let v = v.trim();
+                let bad = || usage_error(format!("--{name} expects {expects}, got {v:?}"));
+                v.parse().unwrap_or_else(|_| bad())
+            })
+            .collect()
+    }
+
+    /// `true` when the switch `--name` is given.
+    pub fn flag(&mut self, name: &str) -> bool {
+        self.args.flag(name)
+    }
+
+    /// End parsing and start the experiment: reject every argument no
+    /// getter read, set the worker budget and start the requested
+    /// recorders. Call after the last getter and before any output.
+    /// Returns the executor for the binary's repeated-run loops.
+    pub fn start(&mut self) -> RunExecutor {
+        self.args.finish();
         // One flag, one budget: the same worker count drives the
         // repeated-run fan-out (RunExecutor) and the intra-run kernel
         // primitives; nesting collapses to serial inside workers, so
         // the two never multiply.
-        fpna_core::executor::set_intra_threads(threads);
-        let trace = arg_string("trace").map(PathBuf::from);
-        if trace.is_some() {
+        fpna_core::executor::set_intra_threads(self.threads);
+        if self.trace.is_some() {
             fpna_obs::trace::start();
         }
-        let profile = arg_flag("profile");
-        if profile {
+        if self.profile {
             fpna_obs::counters::reset();
             fpna_obs::counters::set_enabled(true);
             fpna_obs::profile::reset();
             fpna_obs::profile::set_enabled(true);
-        }
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let sweep = SweepMode::from_args_or_exit(&argv);
-        if profile {
-            if let Some(id) = sweep.shard_id() {
+            if let Some(id) = self.shard {
                 fpna_obs::profile::set_context(Some(format!("shard-{id}")));
             }
         }
-        ExperimentArgs {
-            threads,
-            paper_scale: arg_flag("paper-scale"),
-            trace,
-            profile,
-            sweep,
-        }
+        RunExecutor::new(self.threads)
     }
 
     /// Flush the observability outputs requested on the command line:
     /// the Chrome/Perfetto trace to `--trace`'s path and the profile
     /// report to `target/obs/<bin>.profile.json`. Call once at the end
-    /// of `main` (before any early `exit`). All messaging goes to
-    /// stderr so stdout stays byte-identical with and without the
-    /// observability flags.
+    /// of `main`. All messaging goes to stderr so stdout stays
+    /// byte-identical with and without the observability flags.
     /// In shard mode, reports additionally carry a `.shard-<id>`
     /// suffix (`target/obs/<bin>.shard-<id>.profile.json`, and
     /// `--trace out.json` becomes `out.shard-<id>.json`) so concurrent
@@ -144,11 +191,7 @@ impl ExperimentArgs {
             fpna_obs::trace::stop();
         }
         if self.profile {
-            let name = match self.sweep.shard_id() {
-                Some(id) => format!("{}.shard-{id}.profile.json", bin_name()),
-                None => format!("{}.profile.json", bin_name()),
-            };
-            let path = PathBuf::from("target/obs").join(name);
+            let path = self.profile_path();
             match fpna_obs::profile::write_report(&path) {
                 Ok(()) => eprintln!("[obs] profile report -> {}", path.display()),
                 Err(e) => eprintln!("[obs] profile: FAILED writing {}: {e}", path.display()),
@@ -156,10 +199,45 @@ impl ExperimentArgs {
         }
     }
 
+    /// Run an experiment that speaks the sweep protocol. Reads the
+    /// protocol flags (`--emit-spec`, `--shard-id N --shard-start A
+    /// --shard-end B [--shard-out PATH]`, `--from-shards DIR`), starts
+    /// the experiment, hands `spec`, `compute` and `report` to
+    /// [`SweepMode::run`], flushes the observability outputs and
+    /// returns the exit status. `compute(range, executor)` computes the
+    /// rows of the global runs in `range`; `report` prints the report
+    /// and returns whether the experiment's own checks passed.
+    pub fn sweep(
+        mut self,
+        spec: &SweepSpec,
+        compute: impl FnOnce(Range<usize>, &RunExecutor) -> SweepRows,
+        report: impl FnOnce(&SweepRows) -> bool,
+    ) -> ExitCode {
+        let mode = SweepMode::from_args(&mut self.args);
+        if let SweepMode::Shard { id, .. } = mode {
+            self.shard = Some(id);
+        }
+        let executor = self.start();
+        let status = mode.run(spec, |range| compute(range, &executor), report);
+        // An emit-spec process runs nothing, so it must not overwrite
+        // the obs files of the runs it describes.
+        if mode != SweepMode::EmitSpec {
+            self.finish();
+        }
+        status
+    }
+
+    /// `target/obs/<bin>.profile.json`, or
+    /// `target/obs/<bin>.shard-<id>.profile.json` in shard mode.
+    fn profile_path(&self) -> PathBuf {
+        let shard = self.shard.map(|id| format!(".shard-{id}")).unwrap_or_default();
+        PathBuf::from(format!("target/obs/{}{shard}.profile.json", self.args.program()))
+    }
+
     /// Insert `.shard-<id>` before `path`'s extension when running as
     /// a shard; the unchanged path otherwise.
-    fn shard_qualified(&self, path: &std::path::Path) -> PathBuf {
-        let Some(id) = self.sweep.shard_id() else {
+    fn shard_qualified(&self, path: &Path) -> PathBuf {
+        let Some(id) = self.shard else {
             return path.to_path_buf();
         };
         match path.extension().and_then(|e| e.to_str()) {
@@ -167,94 +245,6 @@ impl ExperimentArgs {
             None => path.with_extension(format!("shard-{id}")),
         }
     }
-
-    /// The executor running this binary's repeated-run loops.
-    pub fn executor(&self) -> RunExecutor {
-        RunExecutor::new(self.threads)
-    }
-
-    /// An experiment size: the explicit `--name` flag when present,
-    /// else the paper's size under `--paper-scale`, else the
-    /// seconds-scale default.
-    pub fn size(&self, name: &str, default: usize, paper: usize) -> usize {
-        match arg_value(name) {
-            Some(v) => parse_value(name, &v, "an integer"),
-            None if self.paper_scale => paper,
-            None => default,
-        }
-    }
-}
-
-/// The current binary's file stem (`table9`, `fig1`, …), for naming
-/// per-binary artifacts such as profile reports.
-fn bin_name() -> String {
-    std::env::args()
-        .next()
-        .as_deref()
-        .and_then(|a| std::path::Path::new(a).file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "experiment".to_string())
-}
-
-/// `true` when `--name` appears as a bare flag in the process
-/// arguments.
-pub fn arg_flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
-/// Parse `--name value` from the process arguments, with a default.
-pub fn arg_usize(name: &str, default: usize) -> usize {
-    arg_value(name).map_or(default, |v| parse_value(name, &v, "an integer"))
-}
-
-/// Parse `--name value` as u64.
-pub fn arg_u64(name: &str, default: u64) -> u64 {
-    arg_value(name).map_or(default, |v| parse_value(name, &v, "an integer"))
-}
-
-/// Parse `--name a,b,…` as a list of `expects` (e.g. `"integers"`),
-/// with a default. Every element must parse, and a given flag yields at
-/// least one element.
-pub fn arg_list<T: FromStr>(name: &str, expects: &str, default: Vec<T>) -> Vec<T> {
-    arg_value(name).map_or(default, |v| {
-        v.split(',')
-            .map(|s| parse_value(name, s.trim(), expects))
-            .collect()
-    })
-}
-
-/// Parse `--name value` as a raw string (e.g. for comma-separated
-/// lists a binary splits itself).
-pub fn arg_string(name: &str) -> Option<String> {
-    arg_value(name)
-}
-
-/// End the process on a bad command line: print `error: {msg}` on
-/// stderr and exit with status 2.
-pub fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
-/// `v` parsed as the value of `--name`, or a [`usage_error`] saying
-/// the flag `expects` something else.
-fn parse_value<T: FromStr>(name: &str, v: &str, expects: &str) -> T {
-    v.parse()
-        .unwrap_or_else(|_| usage_error(format!("--{name} expects {expects}, got {v:?}")))
-}
-
-fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(rest) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(rest.to_string());
-        }
-    }
-    None
 }
 
 /// Print the standard experiment banner.
@@ -309,55 +299,49 @@ mod tests {
         assert!(s.lines().count() >= 4);
     }
 
+    fn cli(argv: &[&str]) -> Cli {
+        Cli::from_args(std::iter::once("table9").chain(argv.iter().copied()).collect())
+    }
+
     #[test]
     fn args_fall_back_to_defaults() {
-        assert_eq!(arg_usize("definitely-not-passed", 42), 42);
-        assert_eq!(arg_u64("also-not-passed", 7), 7);
-        assert!(!arg_flag("definitely-not-passed"));
+        let mut cli = cli(&["--threads", "2"]);
+        assert_eq!(cli.int("definitely-not-passed", 42usize), 42);
+        assert_eq!(cli.int("also-not-passed", 7u64), 7);
+        assert!(!cli.flag("definitely-not-passed"));
+        assert_eq!(cli.list("segments", "integers", vec![1usize]), [1]);
+        assert_eq!(cli.threads, 2);
     }
 
     #[test]
     fn experiment_args_pick_preset_sizes() {
-        let scaled = ExperimentArgs {
-            threads: 1,
-            paper_scale: false,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Full,
-        };
-        assert_eq!(scaled.size("not-a-flag", 40, 10_000), 40);
-        let paper = ExperimentArgs {
-            threads: 4,
-            paper_scale: true,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Full,
-        };
-        assert_eq!(paper.size("not-a-flag", 40, 10_000), 10_000);
-        assert_eq!(paper.executor().threads, 4);
+        let mut scaled = cli(&["--runs", "7"]);
+        assert_eq!(scaled.size("arrays", 40, 10_000), 40);
+        assert_eq!(scaled.size("runs", 40, 10_000), 7);
+        let mut paper = cli(&["--paper-scale", "--threads=4", "--runs=7"]);
+        assert_eq!(paper.size("arrays", 40, 10_000), 10_000);
+        assert_eq!(paper.size("runs", 40, 10_000), 7, "an explicit size beats the preset");
+        assert_eq!(paper.threads, 4);
     }
 
     #[test]
     fn shard_mode_namespaces_obs_outputs() {
-        let shard = ExperimentArgs {
-            threads: 1,
-            paper_scale: false,
-            trace: None,
-            profile: false,
-            sweep: SweepMode::Shard { id: 3, start: 0, end: 5, out: None },
-        };
+        let mut shard = cli(&[]);
+        shard.shard = Some(3);
         assert_eq!(
-            shard.shard_qualified(std::path::Path::new("target/obs/t9.json")),
+            shard.shard_qualified(Path::new("target/obs/t9.json")),
             PathBuf::from("target/obs/t9.shard-3.json")
         );
         assert_eq!(
-            shard.shard_qualified(std::path::Path::new("trace")),
+            shard.shard_qualified(Path::new("trace")),
             PathBuf::from("trace.shard-3")
         );
-        let full = ExperimentArgs { sweep: SweepMode::Full, ..shard };
+        assert_eq!(shard.profile_path(), PathBuf::from("target/obs/table9.shard-3.profile.json"));
+        let full = cli(&[]);
         assert_eq!(
-            full.shard_qualified(std::path::Path::new("target/obs/t9.json")),
+            full.shard_qualified(Path::new("target/obs/t9.json")),
             PathBuf::from("target/obs/t9.json")
         );
+        assert_eq!(full.profile_path(), PathBuf::from("target/obs/table9.profile.json"));
     }
 }

@@ -27,11 +27,7 @@
 //!   ([`Topology::fat_tree_spines`]);
 //! * [`cost`] — analytic α–β allreduce cost models, including the
 //!   bandwidth-inflation price of shipping exact accumulators
-//!   (the network half of the paper's "cost of reproducibility");
-//! * [`report`] — seed-sweep summaries that feed
-//!   `fpna_core::metrics` / `fpna_core::harness`, so network
-//!   experiments report the same `Vermv`/`Vc` vocabulary as the rest
-//!   of the suite.
+//!   (the network half of the paper's "cost of reproducibility").
 //!
 //! `fpna-collectives` builds its timing-driven allreduce on these
 //! primitives; `fpna-bench`'s `table9` binary sweeps rank count ×
@@ -57,7 +53,6 @@
 
 pub mod cost;
 pub mod engine;
-pub mod report;
 pub mod topology;
 
 pub use cost::CostModel;
@@ -65,5 +60,4 @@ pub use engine::{
     Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, QueueImpl, RouteSelect,
     RunStats,
 };
-pub use report::SeedSweep;
 pub use topology::{Hop, LinkSpec, NodeKind, Topology};

@@ -141,12 +141,12 @@ pub fn snapshot() -> Snapshot {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Mutex;
 
     // Counters are process-global; serialize the tests that toggle them.
-    static LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_adds_are_dropped() {

@@ -216,7 +216,7 @@ pub fn report_json() -> String {
     let c = crate::counters::snapshot();
     let _ = write!(
         out,
-        "\"heap_push\":{},\"heap_pop\":{},\"heap_peak\":{},\"heap_pop_wall_ns\":{},\"net_run_wall_ns\":{},\"pool_hit\":{},\"pool_miss\":{},\"route_lookups\":{},\"wire_bytes\":{},\"bucket_rotations\":{},\"overflow_promotions\":{}",
+        "\"heap_push\":{},\"heap_pop\":{},\"heap_peak\":{},\"heap_pop_wall_ns\":{},\"net_run_wall_ns\":{},\"pool_hit\":{},\"pool_miss\":{},\"route_lookups\":{},\"wire_bytes\":{},\"bucket_rotations\":{},\"overflow_promotions\":{},\"nic_cross_bytes\":{}",
         c.heap_push,
         c.heap_pop,
         c.heap_peak,
@@ -227,7 +227,8 @@ pub fn report_json() -> String {
         c.route_lookups,
         c.wire_bytes,
         c.bucket_rotations,
-        c.overflow_promotions
+        c.overflow_promotions,
+        c.nic_cross_bytes
     );
     if let Some(share) = c.heap_pop_wall_share() {
         let _ = write!(out, ",\"heap_pop_wall_share\":{share:.4}");
@@ -310,6 +311,20 @@ mod tests {
             phases[0].1.get("count").and_then(json::Value::as_u64),
             Some(1)
         );
+    }
+
+    #[test]
+    fn report_carries_every_counter() {
+        let _g = crate::counters::tests::LOCK.lock().unwrap();
+        crate::counters::reset();
+        crate::counters::set_enabled(true);
+        crate::counters::add(crate::counters::Counter::NicCrossBytes, 4096);
+        let report = report_json();
+        crate::counters::set_enabled(false);
+        crate::counters::reset();
+        let v = json::parse(&report).unwrap_or_else(|e| panic!("{e}:\n{report}"));
+        let counters = v.get("counters").unwrap();
+        assert_eq!(counters.get("nic_cross_bytes").and_then(json::Value::as_u64), Some(4096));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use std::process::exit;
 use std::time::{Duration, SystemTime};
 
+use fpna_sweep::cli::{usage_error, Args};
 use fpna_sweep::coordinator::Coordinator;
 use fpna_sweep::store::SweepStore;
 
@@ -176,73 +177,32 @@ fn gc_store(store: &SweepStore, max_age: Option<Duration>, max_bytes: Option<u64
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let (own, user_args) = match argv.iter().position(|a| a == "--") {
-        Some(i) => (argv[..i].to_vec(), argv[i + 1..].to_vec()),
-        None => (argv, Vec::new()),
+    let mut argv: Vec<String> = std::env::args().collect();
+    let user_args = match argv.iter().position(|a| a == "--") {
+        Some(i) => argv.split_off(i).split_off(1),
+        None => Vec::new(),
     };
-
-    let mut bin: Option<String> = None;
-    let mut shards = 2usize;
-    let mut jobs: Option<usize> = None;
-    let mut store: Option<String> = None;
-    let mut bin_dir: Option<String> = None;
-    let mut refresh = false;
-    let mut no_cache = false;
-    let mut manifest: Option<String> = None;
-    let mut list = false;
-    let mut gc = false;
-    let mut max_age: Option<Duration> = None;
-    let mut max_bytes: Option<u64> = None;
-
-    let mut it = own.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || -> String {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--bin" => bin = Some(value()),
-            "--shards" => {
-                shards = value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: --shards: {e}");
-                    usage()
-                })
-            }
-            "--jobs" => {
-                jobs = Some(value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: --jobs: {e}");
-                    usage()
-                }))
-            }
-            "--store" => store = Some(value()),
-            "--bin-dir" => bin_dir = Some(value()),
-            "--refresh" => refresh = true,
-            "--no-cache" => no_cache = true,
-            "--manifest" => manifest = Some(value()),
-            "--list" => list = true,
-            "--gc" => gc = true,
-            "--max-age" => {
-                max_age = Some(parse_age(&value()).unwrap_or_else(|e| {
-                    eprintln!("error: --max-age: {e}");
-                    usage()
-                }))
-            }
-            "--max-bytes" => {
-                max_bytes = Some(parse_size(&value()).unwrap_or_else(|e| {
-                    eprintln!("error: --max-bytes: {e}");
-                    usage()
-                }))
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("error: unknown flag {other} (experiment args go after --)");
-                usage()
-            }
-        }
+    let mut args: Args = argv.into_iter().collect();
+    if args.flag("help") {
+        usage()
     }
+    let bin: Option<String> = args.value("bin", "an experiment binary");
+    let shards = args.value("shards", "an integer").unwrap_or(2usize);
+    let jobs: Option<usize> = args.value("jobs", "an integer");
+    let store: Option<String> = args.value("store", "a directory");
+    let bin_dir: Option<String> = args.value("bin-dir", "a directory");
+    let refresh = args.flag("refresh");
+    let no_cache = args.flag("no-cache");
+    let manifest: Option<String> = args.value("manifest", "a path or -");
+    let list = args.flag("list");
+    let gc = args.flag("gc");
+    let max_age = args.value::<String>("max-age", "an age").map(|v| {
+        parse_age(&v).unwrap_or_else(|e| usage_error(format!("--max-age: {e}")))
+    });
+    let max_bytes = args.value::<String>("max-bytes", "a size").map(|v| {
+        parse_size(&v).unwrap_or_else(|e| usage_error(format!("--max-bytes: {e}")))
+    });
+    args.finish();
     if list || gc {
         if bin.is_some() {
             eprintln!("error: --list/--gc do not take --bin");

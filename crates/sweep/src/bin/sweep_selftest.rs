@@ -11,20 +11,15 @@
 //! (default 7), plus the standard sweep protocol flags
 //! (`--emit-spec` / `--shard-id …` / `--from-shards …`).
 
+use std::process::ExitCode;
+
 use fpna_core::harness::RunSummary;
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_summation::{kahan_sum, serial_sum, ExactAccumulator};
+use fpna_sweep::cli::Args;
 use fpna_sweep::mode::SweepMode;
 use fpna_sweep::rows::{f64_to_hex, SweepRows};
 use fpna_sweep::spec::SweepSpec;
-
-fn arg_u64(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|e| panic!("{flag} {v:?}: {e}")))
-        .unwrap_or(default)
-}
 
 fn compute(spec: &SweepSpec, range: std::ops::Range<usize>, len: usize, seed: u64) -> SweepRows {
     let mut rows = SweepRows::new();
@@ -63,25 +58,19 @@ fn report(spec: &SweepSpec, rows: &SweepRows, len: usize, seed: u64) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = SweepMode::from_args_or_exit(&args);
-    let runs = arg_u64(&args, "--runs", 12) as usize;
-    let len = arg_u64(&args, "--len", 1000) as usize;
-    let seed = arg_u64(&args, "--seed", 7);
+fn main() -> ExitCode {
+    let mut args = Args::from_env();
+    let mode = SweepMode::from_args(&mut args);
+    let runs = args.value("runs", "an integer").unwrap_or(12);
+    let len = args.value("len", "an integer").unwrap_or(1000);
+    let seed = args.value("seed", "an integer").unwrap_or(7);
+    args.finish();
 
     let spec = SweepSpec::new("sweep_selftest", runs)
         .arg("len", len)
         .arg("seed", seed);
-    if mode.emit_spec(&spec) {
-        return;
-    }
-    let rows = match mode.compute_range(spec.runs) {
-        Some(range) => compute(&spec, range, len, seed),
-        None => mode.load_rows_or_exit(&spec),
-    };
-    if mode.finish_shard_or_exit(&spec, &rows) {
-        return;
-    }
-    report(&spec, &rows, len, seed);
+    mode.run(&spec, |range| compute(&spec, range, len, seed), |rows| {
+        report(&spec, rows, len, seed);
+        true
+    })
 }

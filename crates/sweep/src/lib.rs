@@ -21,7 +21,10 @@
 //!   report.
 //! * [`mode`] — the four-mode protocol experiment binaries speak
 //!   (`--emit-spec`, shard, merge, full), keeping each binary the
-//!   single source of truth for its own spec.
+//!   single source of truth for its own spec, and the one driver that
+//!   runs them.
+//! * [`cli`] — the one command-line parser every experiment binary
+//!   reads its flags through, the protocol flags included.
 //! * [`coordinator`] — spawns shard processes (bounded, resumable),
 //!   merges via the binary itself, and caches the report; the `sweep`
 //!   binary is its CLI.
@@ -35,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod coordinator;
 pub mod mode;
 pub mod rows;

@@ -16,26 +16,26 @@
 //!   merge the shard files for this spec from the store, and print the
 //!   report — byte-identical to Full mode's output.
 //!
-//! The intended `main` skeleton:
+//! A binary reads every flag, these included, through one
+//! [`Args`], then hands its spec and its compute and report steps to
+//! [`SweepMode::run`], which sequences the mode:
 //!
 //! ```ignore
-//! let mode = SweepMode::from_args_or_exit(&raw_args);
-//! let spec = /* built from parsed flags */;
-//! if mode.emit_spec(&spec) { return; }
-//! let rows = match mode.compute_range(spec.runs) {
-//!     Some(range) => compute(range),            // Full or Shard
-//!     None => mode.load_rows_or_exit(&spec),    // Merge
-//! };
-//! if mode.finish_shard_or_exit(&spec, &rows) { return; }
-//! report(&rows);                                // Full or Merge
+//! let mut args = Args::from_env();
+//! let mode = SweepMode::from_args(&mut args);
+//! let runs = args.value("runs", "an integer").unwrap_or(12);
+//! args.finish();
+//! mode.run(&SweepSpec::new("name", runs), compute, report)
 //! ```
 
 use std::ops::Range;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
+use crate::cli::{usage_error, Args};
 use crate::rows::SweepRows;
 use crate::spec::SweepSpec;
-use crate::store::SweepStore;
+use crate::store::{encode_shard, write_atomic, SweepStore};
 
 /// Which of the four protocol modes the process is running in.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,168 +64,96 @@ pub enum SweepMode {
 }
 
 impl SweepMode {
-    /// Parse the protocol flags out of an argument list. Unrelated
-    /// flags are ignored (experiment binaries parse those themselves).
-    pub fn from_args(args: &[String]) -> Result<SweepMode, String> {
-        let value_of = |flag: &str| -> Result<Option<&String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .map(Some)
-                    .ok_or_else(|| format!("{flag} needs a value")),
-            }
-        };
-        let usize_of = |flag: &str| -> Result<Option<usize>, String> {
-            value_of(flag)?
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|e| format!("{flag} {v:?}: {e}"))
-                })
-                .transpose()
-        };
-
-        let emit = args.iter().any(|a| a == "--emit-spec");
-        let shard_id = usize_of("--shard-id")?;
-        let from_shards = value_of("--from-shards")?;
-
-        let modes_requested =
-            usize::from(emit) + usize::from(shard_id.is_some()) + usize::from(from_shards.is_some());
-        if modes_requested > 1 {
-            return Err(
-                "--emit-spec, --shard-id and --from-shards are mutually exclusive".into(),
-            );
-        }
-
-        if emit {
-            return Ok(SweepMode::EmitSpec);
-        }
-        if let Some(root) = from_shards {
-            return Ok(SweepMode::Merge {
-                root: PathBuf::from(root),
-            });
-        }
-        if let Some(id) = shard_id {
-            let start =
-                usize_of("--shard-start")?.ok_or("--shard-id requires --shard-start")?;
-            let end = usize_of("--shard-end")?.ok_or("--shard-id requires --shard-end")?;
-            if end < start {
-                return Err(format!("--shard-end {end} < --shard-start {start}"));
-            }
-            return Ok(SweepMode::Shard {
-                id,
-                start,
-                end,
-                out: value_of("--shard-out")?.map(PathBuf::from),
-            });
-        }
-        Ok(SweepMode::Full)
+    /// Read the protocol flags from `args`. Only binaries that speak
+    /// the protocol call this, so only they accept the flags. A
+    /// malformed combination is a [`usage_error`].
+    pub fn from_args(args: &mut Args) -> SweepMode {
+        SweepMode::parse(args).unwrap_or_else(|e| usage_error(e))
     }
 
-    /// [`SweepMode::from_args`], exiting with status 2 and a message
-    /// on stderr when the flags are malformed.
-    pub fn from_args_or_exit(args: &[String]) -> SweepMode {
-        SweepMode::from_args(args).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        })
+    fn parse(args: &mut Args) -> Result<SweepMode, String> {
+        let emit = args.flag("emit-spec");
+        let id = args.value("shard-id", "an integer");
+        let start = args.value("shard-start", "an integer");
+        let end = args.value("shard-end", "an integer");
+        let out = args.value("shard-out", "a path");
+        let root = args.value("from-shards", "a directory");
+        if usize::from(emit) + usize::from(id.is_some()) + usize::from(root.is_some()) > 1 {
+            return Err("--emit-spec, --shard-id and --from-shards are mutually exclusive".into());
+        }
+        match (id, (start, end)) {
+            (Some(id), (Some(start), Some(end))) if start <= end => {
+                Ok(SweepMode::Shard { id, start, end, out })
+            }
+            (Some(_), (Some(start), Some(end))) => {
+                Err(format!("--shard-end {end} < --shard-start {start}"))
+            }
+            (Some(_), _) => Err("--shard-id requires --shard-start and --shard-end".into()),
+            (None, (None, None)) if out.is_none() => Ok(match root {
+                Some(root) => SweepMode::Merge { root },
+                None if emit => SweepMode::EmitSpec,
+                None => SweepMode::Full,
+            }),
+            (None, _) => Err("--shard-start, --shard-end and --shard-out need --shard-id".into()),
+        }
     }
 
-    /// In `EmitSpec` mode: print the spec and return `true` (caller
-    /// returns immediately). `false` in every other mode.
-    pub fn emit_spec(&self, spec: &SweepSpec) -> bool {
-        if matches!(self, SweepMode::EmitSpec) {
-            println!("{}", spec.canonical_json());
-            true
+    /// Run one experiment in this mode and return the exit status.
+    /// `compute(range)` computes the rows of the global runs in
+    /// `range`; `report(rows)` prints the report and returns whether
+    /// the experiment's own checks passed. A failed check exits 1, as
+    /// do a shard set that is missing, corrupt or not an exact
+    /// partition and a shard file that cannot be written. A shard range
+    /// past `spec.runs` (the coordinator and the binary disagree about
+    /// the spec) exits 2.
+    pub fn run(
+        &self,
+        spec: &SweepSpec,
+        compute: impl FnOnce(Range<usize>) -> SweepRows,
+        report: impl FnOnce(&SweepRows) -> bool,
+    ) -> ExitCode {
+        let rows = match self {
+            SweepMode::EmitSpec => {
+                println!("{}", spec.canonical_json());
+                return ExitCode::SUCCESS;
+            }
+            SweepMode::Full => compute(0..spec.runs),
+            SweepMode::Shard { id, start, end, out } => {
+                let (id, range, runs) = (*id, *start..*end, spec.runs);
+                if range.end > runs {
+                    eprintln!("error: shard range {range:?} exceeds the spec's {runs} runs");
+                    return ExitCode::from(2);
+                }
+                let rows = compute(range.clone());
+                let store_path = || SweepStore::default_root().shard_path(spec, id);
+                let path = out.clone().unwrap_or_else(store_path);
+                return match write_atomic(&path, encode_shard(spec, id, range, &rows).as_bytes()) {
+                    Ok(()) => {
+                        eprintln!(
+                            "shard {id} [{start}..{end}) of spec {} -> {}",
+                            spec.hash_hex(),
+                            path.display()
+                        );
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("error: cannot write shard file: {e}");
+                        ExitCode::FAILURE
+                    }
+                };
+            }
+            SweepMode::Merge { root } => match SweepStore::new(root).load_merged(spec) {
+                Ok((rows, _stats)) => rows,
+                Err(e) => {
+                    eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
+                    return ExitCode::FAILURE;
+                }
+            },
+        };
+        if report(&rows) {
+            ExitCode::SUCCESS
         } else {
-            false
-        }
-    }
-
-    /// The global run range this process must compute, or `None` in
-    /// `Merge` mode (nothing is computed there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shard range reaches past `total_runs` — the
-    /// coordinator and the binary disagree about the spec, which must
-    /// not be papered over.
-    pub fn compute_range(&self, total_runs: usize) -> Option<Range<usize>> {
-        match self {
-            SweepMode::Full | SweepMode::EmitSpec => Some(0..total_runs),
-            SweepMode::Shard { start, end, .. } => {
-                assert!(
-                    *end <= total_runs,
-                    "shard range {start}..{end} exceeds --runs {total_runs}"
-                );
-                Some(*start..*end)
-            }
-            SweepMode::Merge { .. } => None,
-        }
-    }
-
-    /// The shard id, when in shard mode.
-    pub fn shard_id(&self) -> Option<usize> {
-        match self {
-            SweepMode::Shard { id, .. } => Some(*id),
-            _ => None,
-        }
-    }
-
-    /// `true` when a report will be printed (Full or Merge mode).
-    pub fn reports(&self) -> bool {
-        matches!(self, SweepMode::Full | SweepMode::Merge { .. })
-    }
-
-    /// In `Merge` mode: load and merge this spec's shard files from
-    /// the store, exiting with a diagnostic if they are absent,
-    /// corrupt, or not an exact partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called in a non-merge mode (`compute_range` returned
-    /// a range, so there is nothing to load).
-    pub fn load_rows_or_exit(&self, spec: &SweepSpec) -> SweepRows {
-        let SweepMode::Merge { root } = self else {
-            panic!("load_rows_or_exit outside merge mode");
-        };
-        match SweepStore::new(root).load_merged(spec) {
-            Ok((rows, _stats)) => rows,
-            Err(e) => {
-                eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    /// In `Shard` mode: write the shard file and return `true` (caller
-    /// returns without reporting). `false` in every other mode.
-    /// Exits with a diagnostic if the file cannot be written.
-    pub fn finish_shard_or_exit(&self, spec: &SweepSpec, rows: &SweepRows) -> bool {
-        let SweepMode::Shard { id, start, end, out } = self else {
-            return false;
-        };
-        let result = match out {
-            Some(path) => crate::store::write_atomic(
-                path,
-                crate::store::encode_shard(spec, *id, *start..*end, rows).as_bytes(),
-            )
-            .map(|()| path.clone()),
-            None => SweepStore::default_root().write_shard(spec, *id, *start..*end, rows),
-        };
-        match result {
-            Ok(path) => {
-                eprintln!(
-                    "shard {id} [{start}..{end}) of spec {} -> {}",
-                    spec.hash_hex(),
-                    path.display()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("error: cannot write shard file: {e}");
-                std::process::exit(1);
-            }
+            ExitCode::FAILURE
         }
     }
 }
@@ -234,55 +162,74 @@ impl SweepMode {
 mod tests {
     use super::*;
 
-    fn args(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
+    fn mode(s: &[&str]) -> Result<SweepMode, String> {
+        let mut args: Args = std::iter::once("sweep_selftest").chain(s.iter().copied()).collect();
+        SweepMode::parse(&mut args)
+    }
+
+    fn spec() -> SweepSpec {
+        SweepSpec::new("mode_test", 8)
+    }
+
+    fn rows(range: Range<usize>) -> SweepRows {
+        let mut rows = SweepRows::new();
+        for run in range {
+            rows.push("c", run, vec![run as f64]);
+        }
+        rows
     }
 
     #[test]
     fn full_mode_when_no_protocol_flags() {
-        let m = SweepMode::from_args(&args(&["--runs", "8", "--seed", "3"])).unwrap();
-        assert_eq!(m, SweepMode::Full);
-        assert_eq!(m.compute_range(8), Some(0..8));
-        assert!(m.reports());
+        assert_eq!(mode(&[]), Ok(SweepMode::Full));
+        let mut seen = None;
+        let status = SweepMode::Full.run(&spec(), rows, |r| {
+            seen = Some(r.runs("c"));
+            true
+        });
+        assert_eq!(status, ExitCode::SUCCESS);
+        assert_eq!(seen, Some((0..8).collect()));
+        assert_eq!(SweepMode::Full.run(&spec(), rows, |_| false), ExitCode::FAILURE);
     }
 
     #[test]
     fn shard_mode_parses_range_and_out() {
-        let m = SweepMode::from_args(&args(&[
-            "--runs", "8", "--shard-id", "1", "--shard-start", "4", "--shard-end", "8",
-            "--shard-out", "/tmp/x.json",
-        ]))
-        .unwrap();
-        assert_eq!(m.compute_range(8), Some(4..8));
-        assert_eq!(m.shard_id(), Some(1));
-        assert!(!m.reports());
+        let dir = std::env::temp_dir().join(format!("fpna-mode-shard-{}", std::process::id()));
+        let out = dir.join("s1.json");
+        let out_arg = format!("--shard-out={}", out.display());
+        let m = mode(&["--shard-id", "1", "--shard-start=4", "--shard-end", "8", &out_arg]);
+        let m = m.unwrap();
+        assert_eq!(m, SweepMode::Shard { id: 1, start: 4, end: 8, out: Some(out.clone()) });
+        let status = m.run(&spec(), rows, |_| panic!("shard mode must not report"));
+        assert_eq!(status, ExitCode::SUCCESS);
+        let text = std::fs::read_to_string(&out).unwrap();
+        let shard = crate::store::decode_shard(&text).unwrap();
+        assert_eq!(shard.rows.runs("c"), [4, 5, 6, 7]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn merge_mode_has_no_compute_range() {
-        let m = SweepMode::from_args(&args(&["--from-shards", "/tmp/store"])).unwrap();
-        assert_eq!(m.compute_range(8), None);
-        assert!(m.reports());
+        let root = std::env::temp_dir().join(format!("fpna-mode-merge-{}", std::process::id()));
+        let m = mode(&["--from-shards", root.to_str().unwrap()]).unwrap();
+        assert_eq!(m, SweepMode::Merge { root });
+        let status = m.run(&spec(), |_| panic!("merge mode must not compute"), |_| true);
+        assert_eq!(status, ExitCode::FAILURE, "an empty store has no shards to merge");
     }
 
     #[test]
     fn malformed_flags_are_rejected() {
-        assert!(SweepMode::from_args(&args(&["--shard-id", "0"])).is_err());
-        assert!(SweepMode::from_args(&args(&["--shard-id"])).is_err());
-        assert!(SweepMode::from_args(&args(&[
-            "--shard-id", "0", "--shard-start", "5", "--shard-end", "2",
-        ]))
-        .is_err());
-        assert!(SweepMode::from_args(&args(&["--emit-spec", "--from-shards", "x"])).is_err());
+        assert!(mode(&["--shard-id", "0"]).is_err());
+        assert!(mode(&["--shard-start", "0", "--shard-end", "2"]).is_err());
+        assert!(mode(&["--shard-id", "0", "--shard-start", "5", "--shard-end", "2"]).is_err());
+        assert!(mode(&["--emit-spec", "--from-shards", "x"]).is_err());
+        assert_eq!(mode(&["--emit-spec"]), Ok(SweepMode::EmitSpec));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn shard_range_beyond_runs_panics() {
-        let m = SweepMode::from_args(&args(&[
-            "--shard-id", "0", "--shard-start", "0", "--shard-end", "9",
-        ]))
-        .unwrap();
-        let _ = m.compute_range(8);
+    fn shard_range_beyond_runs_is_a_usage_error() {
+        let m = mode(&["--shard-id", "0", "--shard-start", "0", "--shard-end", "9"]).unwrap();
+        let status = m.run(&spec(), |_| panic!("computed past the spec"), |_| true);
+        assert_eq!(status, ExitCode::from(2));
     }
 }

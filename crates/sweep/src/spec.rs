@@ -155,7 +155,7 @@ impl SweepSpec {
 
 /// FNV-1a, 64-bit. Stable, dependency-free, and plenty for
 /// content-addressing a handful of sweep specs.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         h ^= b as u64;
@@ -206,7 +206,7 @@ pub fn shard_assignments(spec: &SweepSpec, shards: usize) -> Vec<ShardAssignment
 /// shard file back into one store directory. `base_seed` is a decimal
 /// string, as every spec arg is, because a JSON number would round
 /// seeds above 2^53.
-pub fn manifest_json(spec: &SweepSpec, shards: usize) -> String {
+pub(crate) fn manifest_json(spec: &SweepSpec, shards: usize) -> String {
     let rows = shard_assignments(spec, shards)
         .into_iter()
         .map(|a| {

@@ -31,7 +31,7 @@ use crate::rows::{f64_from_hex, f64_to_hex, CellStats, ExactStats, SweepRows};
 use crate::spec::SweepSpec;
 
 /// Schema tag written into every shard file.
-pub const SHARD_SCHEMA: &str = "fpna-sweep-shard-v1";
+const SHARD_SCHEMA: &str = "fpna-sweep-shard-v1";
 
 /// A decoded shard result file.
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ impl SweepStore {
     }
 
     /// Path of the cached merged report for `spec`.
-    pub fn report_path(&self, spec: &SweepSpec) -> PathBuf {
+    fn report_path(&self, spec: &SweepSpec) -> PathBuf {
         self.sweep_dir(spec).join("report.txt")
     }
 

@@ -82,13 +82,15 @@ pub struct SweepRow {
 }
 
 /// One (operation, hyperparameter configuration) cell of the Table 5
-/// sweep, with its inputs and reference baked in at construction.
+/// sweep: its inputs, and the kernel that runs on them.
 ///
-/// `run(i)` executes the non-deterministic kernel at **global** run
-/// index `i`; since inputs and per-run seeds are pure functions of the
-/// sweep seed and the index, any process can recompute any slice of
-/// any cell bit-for-bit — the unit of work the `fpna-sweep` shard
-/// protocol distributes.
+/// The kernel runs under a deterministic context for the reference
+/// and under `nd.for_run(i)` for the non-deterministic run at
+/// **global** run index `i`. Since inputs and per-run seeds are pure
+/// functions of the sweep seed and the index, any process can
+/// recompute any slice of any cell bit-for-bit — the unit of work the
+/// `fpna-sweep` shard protocol distributes. Building a cell runs no
+/// kernel, so listing the cells (for their names) is cheap.
 pub struct Table5Cell {
     /// Table 5 operation this cell belongs to.
     pub op: &'static str,
@@ -99,16 +101,35 @@ pub struct Table5Cell {
     /// (paper §IV protocol for ops without a deterministic kernel).
     /// Such cells have no comparison row at global run 0.
     pub self_referenced: bool,
-    reference: Vec<f64>,
-    run: Box<dyn Fn(usize) -> Vec<f64> + Send + Sync>,
+    det: GpuContext,
+    nd: GpuContext,
+    kernel: Kernel,
 }
 
+/// A cell's op on its inputs, under a given context.
+type Kernel = Box<dyn Fn(&GpuContext) -> Vec<f64> + Send + Sync>;
+
 impl Table5Cell {
+    fn new(
+        (model, seed): (GpuModel, u64),
+        op: &'static str,
+        config: usize,
+        self_referenced: bool,
+        kernel: impl Fn(&GpuContext) -> Vec<f64> + Send + Sync + 'static,
+    ) -> Table5Cell {
+        let det = GpuContext::new(model, seed).with_determinism(Some(true));
+        let nd = GpuContext::new(model, seed).with_determinism(Some(false));
+        let name = format!("{op}/c{config}");
+        Table5Cell { op, name, self_referenced, det, nd, kernel: Box::new(kernel) }
+    }
+
     /// Comparisons for the global run indices in `range`, as
     /// `(global_run, comparison)` pairs in index order. For
     /// self-referenced cells run 0 *is* the reference, so pairs start
     /// at `max(range.start, 1)`; a report assembled from any exact
-    /// partition of `0..runs` equals the single-process report.
+    /// partition of `0..runs` equals the single-process report. The
+    /// reference is computed here, once per call, and not at all for
+    /// an empty range.
     pub fn comparisons_range(
         &self,
         range: std::ops::Range<usize>,
@@ -120,20 +141,27 @@ impl Table5Cell {
             range.start
         };
         let range = start..range.end.max(start);
+        if range.is_empty() {
+            return Vec::new();
+        }
+        let reference = if self.self_referenced {
+            (self.kernel)(&self.nd.for_run(0))
+        } else {
+            (self.kernel)(&self.det)
+        };
         let comparisons = executor.map_run_range(range.clone(), |i| {
-            ArrayComparison::compare(&self.reference, &(self.run)(i))
+            ArrayComparison::compare(&reference, &(self.kernel)(&self.nd.for_run(i as u64)))
         });
         range.zip(comparisons).collect()
     }
 }
 
-/// Materialise every Table 5 cell, in table order. Deterministic
-/// references (and, for self-referenced ops, run 0) are computed
-/// eagerly here: they are pure functions of `(model, seed)` and cheap
-/// next to the run sweep they anchor, so each shard process just
-/// recomputes them.
+/// Every Table 5 cell, in table order. Only the inputs are built here;
+/// each cell runs its kernels, the reference included, in
+/// [`Table5Cell::comparisons_range`].
 pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
     let mut cells = Vec::new();
+    let key = (model, seed);
 
     // --- ConvTranspose1d/2d/3d ------------------------------------
     for (name, rank, sizes) in [
@@ -155,170 +183,70 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
                 let input = wide_random(in_shape, seed ^ (configs as u64) << 8);
                 let weight = wide_random(w_shape, seed ^ 0xABCD ^ (configs as u64));
                 let params = ConvParams::uniform(rank, stride, padding);
-                let run_conv = move |c: &GpuContext, input: &Tensor, weight: &Tensor| match rank {
-                    1 => conv_transpose1d(c, input, weight, None, &params),
-                    2 => conv_transpose2d(c, input, weight, None, &params),
-                    _ => conv_transpose3d(c, input, weight, None, &params),
-                };
-                let det = GpuContext::new(model, seed).with_determinism(Some(true));
-                let reference = run_conv(&det, &input, &weight).expect("det conv").into_data();
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                cells.push(Table5Cell {
-                    op: name,
-                    name: format!("{name}/c{configs}"),
-                    self_referenced: false,
-                    reference,
-                    run: Box::new(move |i| {
-                        run_conv(&nd.for_run(i as u64), &input, &weight)
-                            .expect("nd conv")
-                            .into_data()
-                    }),
-                });
+                cells.push(Table5Cell::new(key, name, configs, false, move |c| {
+                    let out = match rank {
+                        1 => conv_transpose1d(c, &input, &weight, None, &params),
+                        2 => conv_transpose2d(c, &input, &weight, None, &params),
+                        _ => conv_transpose3d(c, &input, &weight, None, &params),
+                    };
+                    out.expect("conv").into_data()
+                }));
             }
         }
     }
 
     // --- cumsum ----------------------------------------------------
-    {
-        let mut configs = 0usize;
-        for &n in &[128usize, 4096, 65_536] {
-            configs += 1;
-            let x = wide_random(vec![n], seed ^ 0x10 ^ n as u64);
-            let det = GpuContext::new(model, seed).with_determinism(Some(true));
-            let reference = cumsum(&det, &x).expect("det cumsum").into_data();
-            let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-            cells.push(Table5Cell {
-                op: "cumsum",
-                name: format!("cumsum/c{configs}"),
-                self_referenced: false,
-                reference,
-                run: Box::new(move |i| {
-                    cumsum(&nd.for_run(i as u64), &x).expect("nd cumsum").into_data()
-                }),
-            });
-        }
+    for (config, &n) in (1..).zip(&[128usize, 4096, 65_536]) {
+        let x = wide_random(vec![n], seed ^ 0x10 ^ n as u64);
+        cells.push(Table5Cell::new(key, "cumsum", config, false, move |c| {
+            cumsum(c, &x).expect("cumsum").into_data()
+        }));
     }
 
     // --- index_add / index_copy / index_put ------------------------
-    {
-        let mut configs = 0usize;
-        for &(n, rows_out) in &[(512usize, 8usize), (4096, 64), (16_384, 16)] {
-            configs += 1;
-            let det = GpuContext::new(model, seed).with_determinism(Some(true));
-            // index_add: det reference
-            {
-                let src = wide_random(vec![n], seed ^ 0x20 ^ n as u64);
-                let index = random_index(n, rows_out, seed ^ 0x21 ^ n as u64);
-                let dst = Tensor::zeros(vec![rows_out]);
-                let reference = index_add(&det, &dst, &index, &src).unwrap().into_data();
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                cells.push(Table5Cell {
-                    op: "index_add",
-                    name: format!("index_add/c{configs}"),
-                    self_referenced: false,
-                    reference,
-                    run: Box::new(move |i| {
-                        index_add(&nd.for_run(i as u64), &dst, &index, &src)
-                            .unwrap()
-                            .into_data()
-                    }),
-                });
-            }
-            // Write-race ops get a nearly-unique index tensor (a
-            // permutation with a handful of duplicates) and bounded
-            // positive values: races are rare and each perturbs its
-            // element by O(1), so the mean variability is small — the
-            // regime the paper's Table 5 magnitudes imply.
-            let wide_index = nearly_unique_index(n, 4, seed ^ 0x23 ^ n as u64);
-            // index_copy: det reference
-            {
-                let wide_dst = Tensor::zeros(vec![n]);
-                let wide_index = wide_index.clone();
-                let src2 = bounded_random(vec![n], seed ^ 0x22 ^ n as u64);
-                let reference = index_copy(&det, &wide_dst, &wide_index, &src2)
-                    .unwrap()
-                    .into_data();
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                cells.push(Table5Cell {
-                    op: "index_copy",
-                    name: format!("index_copy/c{configs}"),
-                    self_referenced: false,
-                    reference,
-                    run: Box::new(move |i| {
-                        index_copy(&nd.for_run(i as u64), &wide_dst, &wide_index, &src2)
-                            .unwrap()
-                            .into_data()
-                    }),
-                });
-            }
-            // index_put: det reference (flat indices into a vector)
-            {
-                let wide_dst = Tensor::zeros(vec![n]);
-                let values: Vec<f64> =
-                    bounded_random(vec![n], seed ^ 0x24 ^ n as u64).into_data();
-                let reference = index_put(&det, &wide_dst, &wide_index, &values)
-                    .unwrap()
-                    .into_data();
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                cells.push(Table5Cell {
-                    op: "index_put",
-                    name: format!("index_put/c{configs}"),
-                    self_referenced: false,
-                    reference,
-                    run: Box::new(move |i| {
-                        index_put(&nd.for_run(i as u64), &wide_dst, &wide_index, &values)
-                            .unwrap()
-                            .into_data()
-                    }),
-                });
-            }
-        }
+    for (config, &(n, rows_out)) in (1..).zip(&[(512usize, 8usize), (4096, 64), (16_384, 16)]) {
+        let src = wide_random(vec![n], seed ^ 0x20 ^ n as u64);
+        let index = random_index(n, rows_out, seed ^ 0x21 ^ n as u64);
+        let dst = Tensor::zeros(vec![rows_out]);
+        cells.push(Table5Cell::new(key, "index_add", config, false, move |c| {
+            index_add(c, &dst, &index, &src).expect("index_add").into_data()
+        }));
+        // Write-race ops get a nearly-unique index tensor (a
+        // permutation with a handful of duplicates) and bounded
+        // positive values: races are rare and each perturbs its
+        // element by O(1), so the mean variability is small — the
+        // regime the paper's Table 5 magnitudes imply.
+        let wide_index = nearly_unique_index(n, 4, seed ^ 0x23 ^ n as u64);
+        let wide_dst = Tensor::zeros(vec![n]);
+        let src2 = bounded_random(vec![n], seed ^ 0x22 ^ n as u64);
+        let (copy_dst, copy_index) = (wide_dst.clone(), wide_index.clone());
+        cells.push(Table5Cell::new(key, "index_copy", config, false, move |c| {
+            index_copy(c, &copy_dst, &copy_index, &src2).expect("index_copy").into_data()
+        }));
+        // index_put: flat indices into a vector.
+        let values: Vec<f64> = bounded_random(vec![n], seed ^ 0x24 ^ n as u64).into_data();
+        cells.push(Table5Cell::new(key, "index_put", config, false, move |c| {
+            index_put(c, &wide_dst, &wide_index, &values).expect("index_put").into_data()
+        }));
     }
 
     // --- scatter / scatter_reduce (self-referenced: no det kernel) --
-    {
-        let mut configs = 0usize;
-        for &(n, rows_out) in &[(512usize, 8usize), (4096, 64), (16_384, 16)] {
-            configs += 1;
-            // scatter is a write race: nearly-unique indices and
-            // bounded values (see the index_copy comment above).
-            {
-                let wide_index = nearly_unique_index(n, 4, seed ^ 0x32 ^ n as u64);
-                let wide_dst = Tensor::zeros(vec![n]);
-                let wide_src = bounded_random(vec![n], seed ^ 0x33 ^ n as u64);
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                let run = Box::new(move |i: usize| {
-                    scatter(&nd.for_run(i as u64), &wide_dst, &wide_index, &wide_src)
-                        .unwrap()
-                        .into_data()
-                });
-                cells.push(Table5Cell {
-                    op: "scatter",
-                    name: format!("scatter/c{configs}"),
-                    self_referenced: true,
-                    reference: run(0),
-                    run,
-                });
-            }
-            {
-                let src = wide_random(vec![n], seed ^ 0x30 ^ n as u64);
-                let index = random_index(n, rows_out, seed ^ 0x31 ^ n as u64);
-                let dst = Tensor::zeros(vec![rows_out]);
-                let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-                let run = Box::new(move |i: usize| {
-                    scatter_reduce(&nd.for_run(i as u64), &dst, &index, &src, ReduceOp::Sum)
-                        .unwrap()
-                        .into_data()
-                });
-                cells.push(Table5Cell {
-                    op: "scatter_reduce",
-                    name: format!("scatter_reduce/c{configs}"),
-                    self_referenced: true,
-                    reference: run(0),
-                    run,
-                });
-            }
-        }
+    for (config, &(n, rows_out)) in (1..).zip(&[(512usize, 8usize), (4096, 64), (16_384, 16)]) {
+        // scatter is a write race: nearly-unique indices and bounded
+        // values (see the index_copy comment above).
+        let wide_index = nearly_unique_index(n, 4, seed ^ 0x32 ^ n as u64);
+        let wide_dst = Tensor::zeros(vec![n]);
+        let wide_src = bounded_random(vec![n], seed ^ 0x33 ^ n as u64);
+        cells.push(Table5Cell::new(key, "scatter", config, true, move |c| {
+            scatter(c, &wide_dst, &wide_index, &wide_src).expect("scatter").into_data()
+        }));
+        let src = wide_random(vec![n], seed ^ 0x30 ^ n as u64);
+        let index = random_index(n, rows_out, seed ^ 0x31 ^ n as u64);
+        let dst = Tensor::zeros(vec![rows_out]);
+        cells.push(Table5Cell::new(key, "scatter_reduce", config, true, move |c| {
+            let out = scatter_reduce(c, &dst, &index, &src, ReduceOp::Sum);
+            out.expect("scatter_reduce").into_data()
+        }));
     }
     cells
 }

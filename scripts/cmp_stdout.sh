@@ -9,6 +9,10 @@
 #   * every fig/table binary with default arguments and --threads 1;
 #   * each table9 invocation from .github/workflows/ci.yml, plus the
 #     trace file that CI's observability step writes;
+#   * the --emit-spec output of the binaries that speak the sweep
+#     protocol, with default arguments and with each CI table9
+#     argument list (the spec JSON is what the sweep coordinator reads,
+#     and its hash keys every store entry);
 #   * the distributed_allreduce, gnn_reproducibility and
 #     deterministic_hardware examples.
 # Every pair of outputs is compared with cmp. The script prints one line
@@ -40,6 +44,7 @@ table9_args=(
 trace_args="--runs 2 --len 64 --load 0.5 --seed 9"
 
 bins=$(cd "$change/crates/bench/src/bin" && ls ablations.rs fig*.rs table*.rs | sed 's/\.rs$//')
+protocol_bins="fig1 table2 table5 table7 table9"
 
 run_tree() {
     local tree=$1 side=$2
@@ -56,11 +61,16 @@ run_tree() {
             | sed -E 's/^(training wall time \(.*host simulation\)).*/\1: <host time>/' \
             > "$out/$side/$bin.out"
     done
+    for bin in $protocol_bins; do
+        (cd "$tree" && "$target/release/$bin" --emit-spec) > "$out/$side/$bin.spec.out"
+    done
     local i=0
     for args in "${table9_args[@]}"; do
         echo "== $side: table9 $args" >&2
         # shellcheck disable=SC2086
         (cd "$tree" && "$target/release/table9" $args) > "$out/$side/table9.ci$i.out"
+        # shellcheck disable=SC2086
+        (cd "$tree" && "$target/release/table9" $args --emit-spec) > "$out/$side/table9.ci$i.spec.out"
         i=$((i + 1))
     done
     # shellcheck disable=SC2086
