@@ -2,9 +2,9 @@
 //! decode-and-merge path the coordinator pays per merge, and the
 //! results store's cold vs warm report path. The workload is a
 //! synthetic 7-shard sweep (6 cells × 420 runs × 5 metric columns) so
-//! the rows price the *sweep plumbing* — hex-f64 JSON codec, row
-//! absorption, exact-accumulator stat merges, atomic file writes —
-//! not any experiment's compute.
+//! the rows price the *sweep plumbing* — hex-f64 JSON codec, the
+//! per-file content digest and validation, row absorption, atomic file
+//! writes — not any experiment's compute.
 //!
 //! The `store_warm` / `store_cold` pair documents the cache win the
 //! coordinator's report cache buys: warm is one small file read, cold
@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fpna_core::rng::SplitMix64;
 use fpna_sweep::store::{decode_shard, encode_shard};
-use fpna_sweep::{shard_assignments, ExactStats, SweepRows, SweepSpec, SweepStore};
+use fpna_sweep::{shard_assignments, SweepRows, SweepSpec, SweepStore};
 
 const SHARDS: usize = 7;
 const RUNS: usize = 420;
@@ -53,7 +53,7 @@ fn shard_texts() -> Vec<String> {
         .collect()
 }
 
-/// Decode + absorb + stat-merge of a full 7-shard partition from
+/// Decode (with digest check) + absorb of a full 7-shard partition from
 /// in-memory documents — `SweepStore::load_merged` minus the
 /// filesystem, i.e. the pure merge cost per coordinator merge.
 fn bench_merge(c: &mut Criterion) {
@@ -63,13 +63,11 @@ fn bench_merge(c: &mut Criterion) {
     group.bench_function("merge_7shards", |b| {
         b.iter(|| {
             let mut rows = SweepRows::new();
-            let mut stats = ExactStats::default();
             for text in &texts {
                 let shard = decode_shard(text).expect("bench shards are well-formed");
                 rows.absorb(shard.rows).expect("disjoint runs");
-                stats.merge_from(&shard.stats);
             }
-            (rows.row_count(), stats.fingerprint())
+            rows.row_count()
         })
     });
     group.finish();
@@ -99,9 +97,9 @@ fn bench_store(c: &mut Criterion) {
             for (id, range, rows) in &shards {
                 store.write_shard(&s, *id, range.clone(), rows).expect("write shard");
             }
-            let (rows, stats) = store.load_merged(&s).expect("exact partition");
+            let rows = store.load_merged(&s).expect("exact partition");
             store.write_report(&s, report).expect("cache report");
-            (rows.row_count(), stats.fingerprint())
+            rows.row_count()
         })
     });
 

@@ -120,7 +120,15 @@ fn main() -> ExitCode {
     let mut cli = fpna_bench::Cli::parse();
     let arrays = cli.size("arrays", 20, 100);
     let runs = cli.size("runs", 200, 10_000);
+    if arrays.saturating_mul(runs) < 8 {
+        fpna_bench::usage_error(format!(
+            "--arrays x --runs must give Jarque-Bera at least 8 samples, got {arrays} x {runs}"
+        ));
+    }
     let bins = cli.int("bins", 41);
+    if bins == 0 {
+        fpna_bench::usage_error("--bins must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 10);
 
     let spec = SweepSpec::new("fig1", runs)

@@ -20,9 +20,17 @@ const N: usize = 1_000_000;
 
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
-    let arrays = cli.int("arrays", 4);
+    let arrays: usize = cli.int("arrays", 4);
     let runs = cli.size("runs", 300, 125_000);
+    if arrays.saturating_mul(runs) < 8 {
+        fpna_bench::usage_error(format!(
+            "--arrays x --runs must give Jarque-Bera at least 8 samples, got {arrays} x {runs}"
+        ));
+    }
     let bins = cli.int("bins", 41);
+    if bins == 0 {
+        fpna_bench::usage_error("--bins must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 20);
     let executor = cli.start();
     fpna_bench::banner(

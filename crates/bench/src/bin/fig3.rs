@@ -14,6 +14,9 @@ use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let runs = cli.size("runs", 12, 1_000);
+    if runs == 0 {
+        fpna_bench::usage_error("--runs must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 33);
     let executor = cli.start();
     fpna_bench::banner(

@@ -5,13 +5,14 @@
 //!
 //! `cargo run --release -p fpna-bench --bin fig4 [--runs 40] [--threads N] [--paper-scale]`
 
-use fpna_gpu_sim::GpuModel;
-use fpna_stats::bootstrap::bootstrap_mean;
-use fpna_tensor::sweep::{ratio_experiment, RatioOp};
+use fpna_bench::usage_error;
 
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let runs = cli.size("runs", 40, 1_000);
+    if runs < 2 {
+        usage_error(format!("--runs must be at least 2 (run 0 is the reference), got {runs}"));
+    }
     let seed = cli.int("seed", 44);
     let executor = cli.start();
     fpna_bench::banner(
@@ -19,30 +20,6 @@ fn main() {
         "Vc vs reduction ratio (scatter_reduce n=2000, index_add n=100x100)",
         &format!("{runs} runs per point (paper: 1000)"),
     );
-    println!(
-        "{:>4}  {:>26}  {:>26}  {:>26}",
-        "R",
-        "scatter reduce(sum)",
-        "scatter reduce(mean)",
-        "index add"
-    );
-    for r10 in 1..=10 {
-        let r = r10 as f64 / 10.0;
-        let mut cells = Vec::new();
-        for (op, dim) in [
-            (RatioOp::ScatterReduceSum, 2000usize),
-            (RatioOp::ScatterReduceMean, 2000),
-            (RatioOp::IndexAdd, 100),
-        ] {
-            let report = ratio_experiment(GpuModel::H100, op, dim, r, runs, seed ^ r10, &executor);
-            let vcs: Vec<f64> = report.per_run.iter().map(|&(_, vc)| vc).collect();
-            let b = bootstrap_mean(&vcs, 200, seed ^ 0xB007);
-            cells.push(format!("{:.5} +- {:.5}", b.estimate, b.std_error));
-        }
-        println!(
-            "{:>4.1}  {:>26}  {:>26}  {:>26}",
-            r, cells[0], cells[1], cells[2]
-        );
-    }
+    fpna_bench::ratio_table(&executor, runs, seed, |_, vc| vc, 0xB007, 5);
     cli.finish();
 }

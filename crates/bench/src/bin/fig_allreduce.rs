@@ -15,6 +15,9 @@ use fpna_core::rng::SplitMix64;
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let p = cli.int("ranks", 64);
+    if p == 0 {
+        fpna_bench::usage_error("--ranks must be at least 1, got 0");
+    }
     let len = cli.int("len", 4_096);
     let runs = cli.size("runs", 50, 1_000);
     let seed = cli.int("seed", 12);

@@ -24,6 +24,9 @@ fn main() {
     // parsed for the uniform `--threads`/`--paper-scale` flag surface.
     let mut cli = fpna_bench::Cli::parse();
     let grid = cli.size("grid", 24, 64);
+    if grid == 0 {
+        fpna_bench::usage_error("--grid must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 11);
     cli.start();
     fpna_bench::banner(

@@ -13,7 +13,13 @@ use fpna_stats::samplers::{Distribution, Sampler};
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let runs = cli.size("runs", 200, 2_000);
+    if runs == 0 {
+        fpna_bench::usage_error("--runs must be at least 1, got 0");
+    }
     let arrays = cli.size("arrays", 7, 15);
+    if arrays == 0 {
+        fpna_bench::usage_error("--arrays must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 30);
     let executor = cli.start();
     fpna_bench::banner(

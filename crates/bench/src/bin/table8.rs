@@ -22,6 +22,9 @@ fn main() {
     // uniform `--threads`/`--paper-scale` flag surface.
     let mut cli = fpna_bench::Cli::parse();
     let epochs = cli.int("epochs", 10);
+    if epochs == 0 {
+        fpna_bench::usage_error("--epochs must be at least 1, got 0");
+    }
     let seed = cli.int("seed", 88);
     cli.start();
     fpna_bench::banner(

@@ -759,8 +759,14 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
 fn main() -> ExitCode {
     let mut cli = fpna_bench::Cli::parse();
     let len = cli.int("len", 4_096);
+    if len == 0 {
+        usage_error("--len must be at least 1, got 0");
+    }
     let runs = cli.size("runs", 25, 500);
     let fanout = cli.int("fanout", 4);
+    if fanout < 2 {
+        usage_error(format!("--fanout must be at least 2, got {fanout}"));
+    }
     let seed = cli.int("seed", 9);
     let segments: Vec<usize> = cli.list("segments", "integers", vec![1]);
     if segments.contains(&0) {

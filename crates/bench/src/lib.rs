@@ -23,7 +23,8 @@
 //!   [`fpna_core::executor::par_fill`]); inside a run-fan-out worker
 //!   the intra-run layer collapses to serial, so the two never
 //!   oversubscribe. Defaults to the `FPNA_THREADS` environment
-//!   variable, then 1. Any value produces **bitwise-identical
+//!   variable, then 1; the variable, when set, must also be a positive
+//!   integer. Any value produces **bitwise-identical
 //!   output**: run seeding, chunk boundaries and result collection are
 //!   order-invariant by construction, so `--threads` only changes
 //!   wall-clock time.
@@ -49,8 +50,9 @@
 //!
 //! Each binary accepts only the flags it reads. An unknown argument,
 //! or a flag given a value it cannot use (`--runs abc`,
-//! `--threads 0`), ends the process with one `error: …` line on stderr
-//! and exit status 2, before anything is printed on stdout.
+//! `--threads 0`, `fig4 --runs 1`), ends the process with one
+//! `error: …` line on stderr and exit status 2, before anything is
+//! printed on stdout.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -61,10 +63,13 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::{RunExecutor, THREADS_ENV};
+use fpna_gpu_sim::GpuModel;
+use fpna_stats::bootstrap::bootstrap_mean;
 pub use fpna_sweep::cli::usage_error;
 use fpna_sweep::cli::Args;
 use fpna_sweep::{SweepMode, SweepRows, SweepSpec};
+use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 
 /// One experiment binary's command line: the shared flags, read on
 /// [`Cli::parse`], and the binary's own flags, read through the
@@ -82,19 +87,27 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Read the process arguments and the shared flags. A non-positive
-    /// or unparsable `--threads` is a [`usage_error`].
+    /// Read the process arguments and the shared flags. A `--threads`,
+    /// or else an `FPNA_THREADS`, that is not a positive integer is a
+    /// [`usage_error`].
     pub fn parse() -> Cli {
         Cli::from_args(Args::from_env())
     }
 
     fn from_args(mut args: Args) -> Cli {
-        let threads = args
+        // `--threads` wins over `FPNA_THREADS`; one parser reads both,
+        // and with neither the run is serial.
+        let flag = args
             .value("threads", "a positive integer")
-            .unwrap_or_else(|| RunExecutor::from_env().threads);
-        if threads == 0 {
-            usage_error("--threads expects a positive integer, got 0");
-        }
+            .map(|v| ("--threads", v));
+        let env = || {
+            let v = std::env::var_os(THREADS_ENV)?;
+            Some((THREADS_ENV, v.to_string_lossy().into_owned()))
+        };
+        let threads = flag.or_else(env).map_or(1, |(source, v)| match v.parse() {
+            Ok(t) if t > 0 => t,
+            _ => usage_error(format!("{source} expects a positive integer, got {v:?}")),
+        });
         Cli {
             threads,
             paper_scale: args.flag("paper-scale"),
@@ -254,6 +267,51 @@ pub fn banner(id: &str, paper_ref: &str, scaling_note: &str) {
         println!("({scaling_note})");
     }
     println!();
+}
+
+/// Print the Fig 4 / Fig 5 table: one row per reduction ratio
+/// R = 0.1, …, 1.0 and one column per op (`scatter_reduce(sum)` and
+/// `scatter_reduce(mean)` on 2000-element arrays, `index_add` on
+/// 100 × 100), each cell the bootstrap mean ± standard error of
+/// `metric(vermv, vc)` over `runs` H100 runs, with `precision`
+/// decimals. `salt` keys the bootstrap resampling.
+pub fn ratio_table(
+    executor: &RunExecutor,
+    runs: usize,
+    seed: u64,
+    metric: impl Fn(f64, f64) -> f64,
+    salt: u64,
+    precision: usize,
+) {
+    println!(
+        "{:>4}  {:>26}  {:>26}  {:>26}",
+        "R", "scatter reduce(sum)", "scatter reduce(mean)", "index add"
+    );
+    for r10 in 1..=10 {
+        let r = r10 as f64 / 10.0;
+        let mut cells = Vec::new();
+        for (op, dim) in [
+            (RatioOp::ScatterReduceSum, 2000usize),
+            (RatioOp::ScatterReduceMean, 2000),
+            (RatioOp::IndexAdd, 100),
+        ] {
+            let report = ratio_experiment(GpuModel::H100, op, dim, r, runs, seed ^ r10, executor);
+            let xs: Vec<f64> = report
+                .per_run
+                .iter()
+                .map(|&(vermv, vc)| metric(vermv, vc))
+                .collect();
+            let b = bootstrap_mean(&xs, 200, seed ^ salt);
+            cells.push(format!(
+                "{:.precision$} +- {:.precision$}",
+                b.estimate, b.std_error
+            ));
+        }
+        println!(
+            "{:>4.1}  {:>26}  {:>26}  {:>26}",
+            r, cells[0], cells[1], cells[2]
+        );
+    }
 }
 
 /// Render a sparse ASCII heat map of `values[row][col]` with row/col

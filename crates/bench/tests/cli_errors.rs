@@ -1,16 +1,24 @@
 //! An argument an experiment binary (or `bench_gate`) does not read,
-//! or a flag value it cannot use, ends the process with exit status 2
-//! and one `error: …` line naming the flag on stderr, before anything
-//! reaches stdout.
+//! a flag value it cannot use, or an `FPNA_THREADS` that is not a
+//! positive integer ends the process with exit status 2 and one
+//! `error: …` line naming the flag on stderr, before anything reaches
+//! stdout.
 
 use std::process::Command;
 
 fn assert_usage_error(bin: &str, args: &[&str], flag: &str) {
-    let out = Command::new(bin)
-        .args(args)
-        .env_remove("FPNA_THREADS")
-        .output()
-        .expect("spawn experiment binary");
+    assert_usage_error_with_threads(bin, args, None, flag);
+}
+
+/// As [`assert_usage_error`], with `FPNA_THREADS` set to `threads`
+/// (removed when `None`).
+fn assert_usage_error_with_threads(bin: &str, args: &[&str], threads: Option<&str>, flag: &str) {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).env_remove("FPNA_THREADS");
+    if let Some(t) = threads {
+        cmd.env("FPNA_THREADS", t);
+    }
+    let out = cmd.output().expect("spawn experiment binary");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: stderr {stderr:?}");
     assert!(
@@ -136,4 +144,53 @@ fn bad_gate_thresholds() {
     assert_usage_error(gate, &["--threshold", "abc"], "--threshold");
     assert_usage_error(gate, &["--suite-threshold", "gnn"], "--suite-threshold");
     assert_usage_error(gate, &["--suite-threshold=gnn=x"], "--suite-threshold");
+}
+
+/// Sizes an experiment's own asserts would reject: Jarque–Bera needs 8
+/// samples, `fig4`/`fig5` a reference run plus one, a tree a fanout of
+/// 2, everything else at least 1.
+#[test]
+fn sizes_a_binary_cannot_use() {
+    let fig1 = env!("CARGO_BIN_EXE_fig1");
+    let cases: [(&str, &[&str], &str); 20] = [
+        (fig1, &["--runs", "0"], "--runs"),
+        (fig1, &["--arrays", "0"], "--arrays"),
+        (fig1, &["--bins", "0"], "--bins"),
+        (fig1, &["--arrays", "1", "--runs", "4"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig2"), &["--runs", "1"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig2"), &["--arrays", "0"], "--arrays"),
+        (env!("CARGO_BIN_EXE_fig2"), &["--bins", "0"], "--bins"),
+        (env!("CARGO_BIN_EXE_fig3"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig4"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig4"), &["--runs", "1"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig5"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig5"), &["--runs", "1"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig_powerlaw"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig_powerlaw"), &["--arrays", "0"], "--arrays"),
+        (env!("CARGO_BIN_EXE_fig_allreduce"), &["--ranks", "0"], "--ranks"),
+        (env!("CARGO_BIN_EXE_fig_cg_divergence"), &["--grid", "0"], "--grid"),
+        (env!("CARGO_BIN_EXE_table8"), &["--epochs", "0"], "--epochs"),
+        (env!("CARGO_BIN_EXE_table9"), &["--len", "0"], "--len"),
+        (env!("CARGO_BIN_EXE_table9"), &["--fanout", "0"], "--fanout"),
+        (env!("CARGO_BIN_EXE_table9"), &["--fanout", "1"], "--fanout"),
+    ];
+    for (bin, args, flag) in cases {
+        assert_usage_error(bin, args, flag);
+    }
+}
+
+#[test]
+fn thread_count_from_the_environment() {
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    for bad in ["abc", "0"] {
+        assert_usage_error_with_threads(table1, &[], Some(bad), "FPNA_THREADS");
+    }
+    // An explicit --threads wins over the variable.
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--threads", "1", "--emit-spec"])
+        .env("FPNA_THREADS", "abc")
+        .output()
+        .expect("spawn table2");
+    assert!(out.status.success(), "stderr {:?}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.stdout.is_empty());
 }

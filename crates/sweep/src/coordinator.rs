@@ -200,10 +200,8 @@ impl Coordinator {
             .remove_stale_shards(&spec, &assignments)
             .map_err(|e| format!("cannot prune stale shard files: {e}"))?;
 
-        // Validate the partition before paying for the merge process;
-        // also yields the exact-stats fingerprint for the summary.
-        let (_rows, stats) = self.store.load_merged(&spec)?;
-        eprintln!("sweep: exact-stats fingerprint {:016x}", stats.fingerprint());
+        // Validate the partition before paying for the merge process.
+        self.store.load_merged(&spec)?;
 
         let (report, merge_status) = self.merge(&spec)?;
         if !self.no_cache && merge_status == 0 {

@@ -12,11 +12,10 @@
 //!   the runs as a pure function of `(runs, shards)`.
 //! * [`rows`] — the shardable result model: per-(cell, global-run)
 //!   metric rows whose merge in index order is bitwise the
-//!   single-process row set, plus [`rows::ExactStats`] built on
-//!   `fpna-summation`'s [`fpna_summation::ExactAccumulator`] for
-//!   partition-invariant cross-shard statistics.
+//!   single-process row set.
 //! * [`store`] — the resumable, content-addressed results store under
-//!   `target/sweeps/<spec-hash>/`: self-describing shard files,
+//!   `target/sweeps/<spec-hash>/`: self-describing shard files, each
+//!   carrying one digest of its contents and checked by one decoder,
 //!   atomic writes, stale-partition detection, and a cached merged
 //!   report.
 //! * [`mode`] — the four-mode protocol experiment binaries speak
@@ -47,6 +46,6 @@ pub mod store;
 
 pub use coordinator::{Coordinator, RunOutcome};
 pub use mode::SweepMode;
-pub use rows::{ExactStats, SweepRows};
+pub use rows::SweepRows;
 pub use spec::{shard_assignments, ShardAssignment, SweepSpec};
 pub use store::{GcOutcome, StoreEntry, SweepStore};

@@ -143,7 +143,7 @@ impl SweepMode {
                 };
             }
             SweepMode::Merge { root } => match SweepStore::new(root).load_merged(spec) {
-                Ok((rows, _stats)) => rows,
+                Ok(rows) => rows,
                 Err(e) => {
                     eprintln!("error: cannot merge shards for spec {}: {e}", spec.hash_hex());
                     return ExitCode::FAILURE;

@@ -13,18 +13,11 @@
 //! Values cross process boundaries as 16-hex-digit [`f64::to_bits`]
 //! strings ([`f64_to_hex`] / [`f64_from_hex`]), never as decimal
 //! text, so serialization is lossless by construction.
-//!
-//! [`ExactStats`] folds every column of every cell into an
-//! [`ExactAccumulator`] — the error-free summation primitive from
-//! `fpna-summation` — giving cross-shard statistics whose merge is
-//! provably partition-invariant and a cheap [`ExactStats::fingerprint`]
-//! for coordinator summaries and store validation.
 
 use std::collections::BTreeMap;
 
 use fpna_core::harness::{RunSummary, VariabilityReport};
 use fpna_core::metrics::ArrayComparison;
-use fpna_summation::ExactAccumulator;
 
 /// Encode an `f64` as its 16-hex-digit bit pattern.
 #[inline]
@@ -176,107 +169,6 @@ impl SweepRows {
     }
 }
 
-/// Exact per-cell column sums across runs, built on
-/// [`ExactAccumulator`] so merging per-shard stats in shard-index
-/// order reproduces the single-process sums bitwise.
-#[derive(Debug, Clone, Default)]
-pub struct ExactStats {
-    cells: BTreeMap<String, CellStats>,
-}
-
-/// Exact statistics for one cell: row count and one exact sum per
-/// column.
-#[derive(Debug, Clone)]
-pub struct CellStats {
-    /// Number of rows folded in.
-    pub count: usize,
-    /// One exact accumulator per column, normalized.
-    pub sums: Vec<ExactAccumulator>,
-}
-
-impl ExactStats {
-    /// Fold a row set into exact per-cell, per-column sums.
-    pub fn from_rows(rows: &SweepRows) -> Self {
-        let mut cells = BTreeMap::new();
-        for (cell, runs) in rows.iter() {
-            let width = runs.values().map(Vec::len).max().unwrap_or(0);
-            let mut sums = vec![ExactAccumulator::new(); width];
-            let mut count = 0usize;
-            for values in runs.values() {
-                count += 1;
-                for (col, &v) in values.iter().enumerate() {
-                    sums[col].add(v);
-                }
-            }
-            for s in &mut sums {
-                s.normalize();
-            }
-            cells.insert(cell.to_string(), CellStats { count, sums });
-        }
-        ExactStats { cells }
-    }
-
-    /// Iterate cells in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &CellStats)> {
-        self.cells.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Stats for one cell.
-    pub fn cell(&self, cell: &str) -> Option<&CellStats> {
-        self.cells.get(cell)
-    }
-
-    /// Insert (or replace) one cell's stats — the deserialization path
-    /// for shard files.
-    pub fn insert_cell(&mut self, cell: String, stats: CellStats) {
-        self.cells.insert(cell, stats);
-    }
-
-    /// Merge another shard's stats into this one. Exactness of
-    /// [`ExactAccumulator::merge`] makes the result independent of how
-    /// runs were partitioned; calling in shard-index order keeps
-    /// `count` bookkeeping deterministic too.
-    pub fn merge_from(&mut self, other: &ExactStats) {
-        for (cell, stats) in other.cells.iter() {
-            match self.cells.get_mut(cell) {
-                None => {
-                    self.cells.insert(cell.clone(), stats.clone());
-                }
-                Some(mine) => {
-                    mine.count += stats.count;
-                    if mine.sums.len() < stats.sums.len() {
-                        mine.sums
-                            .resize_with(stats.sums.len(), ExactAccumulator::new);
-                    }
-                    for (col, acc) in stats.sums.iter().enumerate() {
-                        mine.sums[col].merge(acc);
-                        mine.sums[col].normalize();
-                    }
-                }
-            }
-        }
-    }
-
-    /// FNV-1a 64 digest of every cell name, count, and normalized
-    /// accumulator wire encoding — a cheap bitwise fingerprint of the
-    /// whole statistic set, used in coordinator summaries and the
-    /// partition-invariance tests.
-    pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::new();
-        for (cell, stats) in &self.cells {
-            bytes.extend_from_slice(cell.as_bytes());
-            bytes.push(0);
-            bytes.extend_from_slice(&(stats.count as u64).to_le_bytes());
-            for acc in &stats.sums {
-                let mut a = acc.clone();
-                a.normalize();
-                bytes.extend_from_slice(&a.to_wire_bytes());
-            }
-        }
-        crate::spec::fnv1a64(&bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,26 +228,5 @@ mod tests {
         let s = rows.run_summary("b", 0);
         assert_eq!(s.runs, 6);
         assert_eq!(s.max, 3.0);
-    }
-
-    #[test]
-    fn exact_stats_merge_is_partition_invariant() {
-        let full = ExactStats::from_rows(&sample_rows(0..50));
-        for cuts in [vec![0, 50], vec![0, 13, 50], vec![0, 1, 2, 49, 50]] {
-            let mut merged = ExactStats::default();
-            for w in cuts.windows(2) {
-                merged.merge_from(&ExactStats::from_rows(&sample_rows(w[0]..w[1])));
-            }
-            assert_eq!(merged.fingerprint(), full.fingerprint());
-            let cell = merged.cell("a").unwrap();
-            assert_eq!(cell.count, 50);
-        }
-    }
-
-    #[test]
-    fn fingerprint_tracks_content() {
-        let a = ExactStats::from_rows(&sample_rows(0..5));
-        let b = ExactStats::from_rows(&sample_rows(0..6));
-        assert_ne!(a.fingerprint(), b.fingerprint());
     }
 }

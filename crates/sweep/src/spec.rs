@@ -154,7 +154,8 @@ impl SweepSpec {
 }
 
 /// FNV-1a, 64-bit. Stable, dependency-free, and plenty for
-/// content-addressing a handful of sweep specs.
+/// content-addressing a handful of sweep specs and for the digest that
+/// catches a damaged shard file.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -8,10 +8,14 @@
 //! lands in a fresh directory.
 //!
 //! Each shard file is self-describing: it embeds the full spec, the
-//! spec hash, its shard id, and its global run range, so a file copied
-//! from another machine can be validated before it is merged.
-//! [`SweepStore::load_merged`] refuses to merge anything that is not
-//! an exact partition of `0..runs` — stale files from a run with a
+//! spec hash, its shard id, its global run range, and one FNV-1a digest
+//! of the spec hash, shard id, run range and every row's cell, run and
+//! value bits, so a file copied from another machine can be validated
+//! before it is merged. [`decode_shard`] is the one reader that
+//! validates a file. What it refuses is recomputed, never merged; that
+//! includes every file of the earlier `fpna-sweep-shard-v1` schema.
+//! [`SweepStore::load_merged`] also refuses anything that is not an
+//! exact partition of `0..runs` — stale files from a run with a
 //! different shard count fail loudly instead of silently double
 //! counting.
 //!
@@ -21,17 +25,17 @@
 
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 use fpna_obs::json::{self, Value};
-use fpna_summation::ExactAccumulator;
 
-use crate::rows::{f64_from_hex, f64_to_hex, CellStats, ExactStats, SweepRows};
-use crate::spec::SweepSpec;
+use crate::rows::{f64_from_hex, f64_to_hex, SweepRows};
+use crate::spec::{fnv1a64, ShardAssignment, SweepSpec};
 
 /// Schema tag written into every shard file.
-const SHARD_SCHEMA: &str = "fpna-sweep-shard-v1";
+const SHARD_SCHEMA: &str = "fpna-sweep-shard-v2";
 
 /// A decoded shard result file.
 #[derive(Debug, Clone)]
@@ -43,11 +47,9 @@ pub struct ShardFile {
     /// Shard index.
     pub shard_id: usize,
     /// Global run range `[run_start, run_end)` the shard computed.
-    pub run_range: std::ops::Range<usize>,
+    pub run_range: Range<usize>,
     /// The shard's rows.
     pub rows: SweepRows,
-    /// Exact per-cell column sums over the shard's rows.
-    pub stats: ExactStats,
 }
 
 /// Handle on a results store root directory.
@@ -93,7 +95,7 @@ impl SweepStore {
         &self,
         spec: &SweepSpec,
         shard_id: usize,
-        run_range: std::ops::Range<usize>,
+        run_range: Range<usize>,
         rows: &SweepRows,
     ) -> io::Result<PathBuf> {
         let path = self.shard_path(spec, shard_id);
@@ -105,15 +107,15 @@ impl SweepStore {
     /// Read and validate one shard file for `(spec, shard_id)`.
     ///
     /// `Ok(None)` means "not usable — compute it": the file is absent,
-    /// unreadable, malformed, or describes a different spec or a
-    /// different run range than `expected_range`. Only an exact match
-    /// is returned, so a store shared between runs with different
-    /// shard counts re-computes rather than mis-merges.
+    /// unreadable, refused by [`decode_shard`], or describes a
+    /// different spec or a different run range than `expected_range`.
+    /// Only an exact match is returned, so a store shared between runs
+    /// with different shard counts re-computes rather than mis-merges.
     pub fn read_valid_shard(
         &self,
         spec: &SweepSpec,
         shard_id: usize,
-        expected_range: std::ops::Range<usize>,
+        expected_range: Range<usize>,
     ) -> Option<ShardFile> {
         let path = self.shard_path(spec, shard_id);
         let text = fs::read_to_string(&path).ok()?;
@@ -125,75 +127,23 @@ impl SweepStore {
     }
 
     /// Load **all** shard files under `spec`'s directory and merge
-    /// them, in shard-index order, into one row set and one exact
-    /// statistic set.
+    /// their rows into one row set.
     ///
-    /// Fails unless the files form an exact partition of
-    /// `0..spec.runs`: wrong hash, overlapping or gapped ranges, and
-    /// duplicate shard ids are all hard errors. (Empty-range shards —
-    /// produced when `shards > runs` — are accepted and contribute
-    /// nothing.)
-    pub fn load_merged(&self, spec: &SweepSpec) -> Result<(SweepRows, ExactStats), String> {
-        let dir = self.sweep_dir(spec);
-        let mut shards: Vec<ShardFile> = Vec::new();
-        let entries = fs::read_dir(&dir)
-            .map_err(|e| format!("no results for spec {}: {e}", spec.hash_hex()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| e.to_string())?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if !(name.starts_with("shard-") && name.ends_with(".json")) {
-                continue;
-            }
-            let text = fs::read_to_string(entry.path())
-                .map_err(|e| format!("{name}: {e}"))?;
-            let shard = decode_shard(&text).map_err(|e| format!("{name}: {e}"))?;
-            if shard.spec_hash != spec.hash_hex() {
-                return Err(format!(
-                    "{name}: spec hash {} does not match {} — stale or foreign file in store",
-                    shard.spec_hash,
-                    spec.hash_hex()
-                ));
-            }
-            shards.push(shard);
-        }
-        shards.sort_by_key(|s| s.shard_id);
-        if shards.windows(2).any(|w| w[0].shard_id == w[1].shard_id) {
-            return Err("duplicate shard ids in store".into());
-        }
-
-        // The non-empty ranges must tile 0..runs exactly.
-        let mut covered = 0usize;
-        let mut ranges: Vec<_> = shards
-            .iter()
-            .filter(|s| !s.run_range.is_empty())
-            .map(|s| s.run_range.clone())
-            .collect();
-        ranges.sort_by_key(|r| r.start);
-        for r in &ranges {
-            if r.start != covered {
-                return Err(format!(
-                    "shard ranges do not tile 0..{}: gap or overlap at run {} (next range starts at {}) — \
-                     remove stale shard files or re-run with --refresh",
-                    spec.runs, covered, r.start
-                ));
-            }
-            covered = r.end;
-        }
-        if covered != spec.runs {
-            return Err(format!(
-                "shard ranges cover only 0..{covered} of 0..{} — missing shards",
-                spec.runs
-            ));
-        }
-
+    /// Fails, naming the file where one is at fault, unless every
+    /// shard file decodes, holds this spec's hash and a distinct shard
+    /// id, and the run ranges form an exact partition of
+    /// `0..spec.runs` — the same check that marks an entry complete in
+    /// [`SweepStore::list_entries`].
+    pub fn load_merged(&self, spec: &SweepSpec) -> Result<SweepRows, String> {
+        let hash = spec.hash_hex();
+        let scan = Scan::of(&self.sweep_dir(spec))
+            .map_err(|e| format!("no results for spec {hash}: {e}"))?;
+        scan.check_partition(&hash, spec.runs)?;
         let mut rows = SweepRows::new();
-        let mut stats = ExactStats::default();
-        for shard in shards {
-            rows.absorb(shard.rows)?;
-            stats.merge_from(&shard.stats);
+        for (_, shard) in scan.shards {
+            rows.absorb(shard?.rows)?;
         }
-        Ok((rows, stats))
+        Ok(rows)
     }
 
     /// Cache the merged report bytes for `spec` (atomic write).
@@ -217,39 +167,126 @@ impl SweepStore {
         }
     }
 
-    /// Remove shard files that do not belong to the given partition —
-    /// run before merging when the shard count changed, so leftovers
-    /// from an earlier partition cannot fail the tiling check.
+    /// Remove every shard file that is unusable or does not belong to
+    /// the given partition — run before merging, so damaged files and
+    /// leftovers from an earlier partition cannot fail the merge.
     pub fn remove_stale_shards(
         &self,
         spec: &SweepSpec,
-        assignments: &[crate::spec::ShardAssignment],
+        assignments: &[ShardAssignment],
     ) -> io::Result<()> {
-        let dir = self.sweep_dir(spec);
-        let entries = match fs::read_dir(&dir) {
+        let scan = match Scan::of(&self.sweep_dir(spec)) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
             other => other?,
         };
-        for entry in entries {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if !(name.starts_with("shard-") && name.ends_with(".json")) {
+        let hash = spec.hash_hex();
+        for (path, shard) in scan.shards {
+            let keep = shard.is_ok_and(|s| {
+                s.spec_hash == hash
+                    && assignments
+                        .iter()
+                        .any(|a| a.shard_id == s.shard_id && a.run_range == s.run_range)
+            });
+            if !keep {
+                fs::remove_file(path)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One walk of a sweep directory: every shard file, decoded or with the
+/// reason it is unusable, and the totals [`StoreEntry`] reports.
+struct Scan {
+    /// `(path, decoded shard or error)` per `shard-*.json`, in path
+    /// order.
+    shards: Vec<(PathBuf, Result<ShardFile, String>)>,
+    /// Total bytes of every file in the directory.
+    total_bytes: u64,
+    /// Newest modification time over the files (directory mtime when
+    /// empty).
+    newest_mtime: SystemTime,
+    /// `true` when a cached merged report is present.
+    has_report: bool,
+}
+
+impl Scan {
+    fn of(dir: &Path) -> io::Result<Scan> {
+        let mut scan = Scan {
+            shards: Vec::new(),
+            total_bytes: 0,
+            newest_mtime: fs::metadata(dir)?.modified()?,
+            has_report: false,
+        };
+        for file in fs::read_dir(dir)? {
+            let file = file?;
+            let meta = file.metadata()?;
+            if !meta.is_file() {
                 continue;
             }
-            let keep = fs::read_to_string(entry.path())
-                .ok()
-                .and_then(|text| decode_shard(&text).ok())
-                .is_some_and(|shard| {
-                    assignments.iter().any(|a| {
-                        a.shard_id == shard.shard_id
-                            && a.run_range == shard.run_range
-                            && shard.spec_hash == spec.hash_hex()
-                    })
-                });
-            if !keep {
-                fs::remove_file(entry.path())?;
+            scan.total_bytes += meta.len();
+            if let Ok(mtime) = meta.modified() {
+                scan.newest_mtime = scan.newest_mtime.max(mtime);
             }
+            let name = file.file_name();
+            let name = name.to_string_lossy();
+            if name == "report.txt" {
+                scan.has_report = true;
+            } else if name.starts_with("shard-") && name.ends_with(".json") {
+                let path = file.path();
+                let shard = fs::read_to_string(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| decode_shard(&text));
+                scan.shards.push((path, shard));
+            }
+        }
+        scan.shards.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(scan)
+    }
+
+    /// The one tiling check. `Ok` when every shard file decodes and
+    /// holds spec hash `hash`, no shard id repeats, and the non-empty
+    /// run ranges tile `0..runs` exactly, so the set merges cleanly.
+    /// Empty-range shards (from `shards > runs`) contribute nothing.
+    fn check_partition(&self, hash: &str, runs: usize) -> Result<(), String> {
+        let mut ids = Vec::new();
+        let mut ranges = Vec::new();
+        for (path, shard) in &self.shards {
+            let shard = shard
+                .as_ref()
+                .map_err(|e| format!("{}: {e}", path.display()))?;
+            if shard.spec_hash != hash {
+                return Err(format!(
+                    "{}: spec hash {} does not match {hash} — stale or foreign file in store",
+                    path.display(),
+                    shard.spec_hash
+                ));
+            }
+            ids.push(shard.shard_id);
+            if !shard.run_range.is_empty() {
+                ranges.push(shard.run_range.clone());
+            }
+        }
+        ids.sort_unstable();
+        if ids.windows(2).any(|w| w[0] == w[1]) {
+            return Err("duplicate shard ids in store".into());
+        }
+        ranges.sort_by_key(|r| r.start);
+        let mut covered = 0usize;
+        for r in &ranges {
+            if r.start != covered {
+                return Err(format!(
+                    "shard ranges do not tile 0..{runs}: gap or overlap at run {covered} \
+                     (next range starts at {}) — remove stale shard files or re-run with --refresh",
+                    r.start
+                ));
+            }
+            covered = r.end;
+        }
+        if covered != runs {
+            return Err(format!(
+                "shard ranges cover only 0..{covered} of 0..{runs} — missing shards"
+            ));
         }
         Ok(())
     }
@@ -262,9 +299,9 @@ impl SweepStore {
 pub struct StoreEntry {
     /// Directory name under the root — the spec's content hash.
     pub hash: String,
-    /// The spec, decoded from the first readable shard file. `None`
-    /// when the entry holds no decodable shard (e.g. report-only or
-    /// corrupt).
+    /// The spec, decoded from the first decodable shard file in name
+    /// order. `None` when the entry holds no decodable shard (e.g.
+    /// report-only or corrupt).
     pub spec: Option<SweepSpec>,
     /// Decodable shard files present.
     pub shard_count: usize,
@@ -273,9 +310,9 @@ pub struct StoreEntry {
     /// Newest modification time over the entry's files (directory
     /// mtime when empty).
     pub newest_mtime: SystemTime,
-    /// `true` when the decodable shards' non-empty run ranges exactly
-    /// tile `0..spec.runs` for a consistent spec hash — i.e. the entry
-    /// merges cleanly and re-running this sweep costs nothing.
+    /// `true` when the entry passes the same partition check as
+    /// [`SweepStore::load_merged`] — i.e. the entry merges cleanly and
+    /// re-running this sweep costs nothing.
     pub complete: bool,
     /// `true` when a cached merged report is present.
     pub has_report: bool,
@@ -310,72 +347,24 @@ impl SweepStore {
                 continue;
             }
             let hash = entry.file_name().to_string_lossy().into_owned();
-            out.push(self.scan_entry(&entry.path(), hash)?);
+            let scan = Scan::of(&entry.path())?;
+            let decoded = || scan.shards.iter().filter_map(|(_, s)| s.as_ref().ok());
+            let spec = decoded().next().map(|s| s.spec.clone());
+            let complete = spec
+                .as_ref()
+                .is_some_and(|s| scan.check_partition(&hash, s.runs).is_ok());
+            out.push(StoreEntry {
+                shard_count: decoded().count(),
+                hash,
+                spec,
+                total_bytes: scan.total_bytes,
+                newest_mtime: scan.newest_mtime,
+                complete,
+                has_report: scan.has_report,
+            });
         }
         out.sort_by(|a, b| b.newest_mtime.cmp(&a.newest_mtime).then(a.hash.cmp(&b.hash)));
         Ok(out)
-    }
-
-    fn scan_entry(&self, dir: &Path, hash: String) -> io::Result<StoreEntry> {
-        let mut total_bytes = 0u64;
-        let mut newest_mtime = fs::metadata(dir)?.modified()?;
-        let mut has_report = false;
-        let mut spec: Option<SweepSpec> = None;
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut shard_count = 0usize;
-        let mut all_match = true;
-        for file in fs::read_dir(dir)? {
-            let file = file?;
-            let meta = file.metadata()?;
-            if !meta.is_file() {
-                continue;
-            }
-            total_bytes += meta.len();
-            if let Ok(mtime) = meta.modified() {
-                newest_mtime = newest_mtime.max(mtime);
-            }
-            let name = file.file_name();
-            let name = name.to_string_lossy();
-            if name == "report.txt" {
-                has_report = true;
-            } else if name.starts_with("shard-") && name.ends_with(".json") {
-                match fs::read_to_string(file.path())
-                    .ok()
-                    .and_then(|text| decode_shard(&text).ok())
-                {
-                    Some(shard) => {
-                        shard_count += 1;
-                        all_match &= shard.spec_hash == hash;
-                        if !shard.run_range.is_empty() {
-                            ranges.push(shard.run_range.clone());
-                        }
-                        spec.get_or_insert(shard.spec);
-                    }
-                    None => all_match = false,
-                }
-            }
-        }
-        ranges.sort_by_key(|r| r.start);
-        let complete = all_match
-            && spec.as_ref().is_some_and(|s| {
-                let mut covered = 0usize;
-                for r in &ranges {
-                    if r.start != covered {
-                        return false;
-                    }
-                    covered = r.end;
-                }
-                covered == s.runs
-            });
-        Ok(StoreEntry {
-            hash,
-            spec,
-            shard_count,
-            total_bytes,
-            newest_mtime,
-            complete,
-            has_report,
-        })
     }
 
     /// Garbage-collect the store at time `now`:
@@ -459,10 +448,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 pub fn encode_shard(
     spec: &SweepSpec,
     shard_id: usize,
-    run_range: std::ops::Range<usize>,
+    run_range: Range<usize>,
     rows: &SweepRows,
 ) -> String {
-    let stats = ExactStats::from_rows(rows);
     let cells = rows
         .iter()
         .map(|(cell, runs)| {
@@ -485,71 +473,57 @@ pub fn encode_shard(
             )
         })
         .collect();
-    let stat_members = stats
-        .iter()
-        .map(|(cell, cs)| {
-            let sums = cs
-                .sums
-                .iter()
-                .map(|acc| Value::Str(bytes_to_hex(&acc.to_wire_bytes())))
-                .collect();
-            (
-                cell.to_string(),
-                Value::Obj(vec![
-                    ("count".into(), Value::Num(cs.count as f64)),
-                    ("sums".into(), Value::Arr(sums)),
-                ]),
-            )
-        })
-        .collect();
+    let spec_hash = spec.hash_hex();
+    let digest = shard_digest(&spec_hash, shard_id, &run_range, rows);
     Value::Obj(vec![
         ("schema".into(), Value::Str(SHARD_SCHEMA.into())),
-        ("spec_hash".into(), Value::Str(spec.hash_hex())),
+        ("spec_hash".into(), Value::Str(spec_hash)),
         ("spec".into(), spec.to_value()),
         ("shard_id".into(), Value::Num(shard_id as f64)),
         ("run_start".into(), Value::Num(run_range.start as f64)),
         ("run_end".into(), Value::Num(run_range.end as f64)),
         ("cells".into(), Value::Obj(cells)),
-        ("stats".into(), Value::Obj(stat_members)),
+        ("digest".into(), Value::Str(digest)),
     ])
     .to_json()
 }
 
-/// Decode a shard file produced by [`encode_shard`].
+/// Decode and validate a shard file produced by [`encode_shard`]: the
+/// one reader of shard files. Any text that is not such a file is a
+/// named `Err`, never a panic: malformed JSON or a missing member, a
+/// wrong schema, an embedded spec that does not hash to `spec_hash`, a
+/// row outside `[run_start, run_end)`, a repeated (cell, run), or a
+/// digest that does not match the contents.
 pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
     let v = json::parse(text)?;
     let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
     if schema != SHARD_SCHEMA {
         return Err(format!("unknown shard schema {schema:?}"));
     }
-    let spec_hash = v
-        .get("spec_hash")
-        .and_then(Value::as_str)
-        .ok_or("missing spec_hash")?
-        .to_string();
-    let spec = SweepSpec::from_value(v.get("spec").ok_or("missing spec")?)?;
-    let shard_id = v
-        .get("shard_id")
-        .and_then(Value::as_usize)
-        .ok_or("missing shard_id")?;
-    let run_start = v
-        .get("run_start")
-        .and_then(Value::as_usize)
-        .ok_or("missing run_start")?;
-    let run_end = v
-        .get("run_end")
-        .and_then(Value::as_usize)
-        .ok_or("missing run_end")?;
+    let member = |key: &str| v.get(key).ok_or_else(|| format!("missing {key}"));
+    let int = |key: &str| {
+        member(key)?
+            .as_usize()
+            .ok_or_else(|| format!("{key} must be a non-negative integer"))
+    };
+    let spec_hash = member("spec_hash")?
+        .as_str()
+        .ok_or("spec_hash must be a string")?;
+    let spec = SweepSpec::from_value(member("spec")?)?;
+    if spec.hash_hex() != spec_hash {
+        return Err(format!(
+            "embedded spec hashes to {}, not to spec_hash {spec_hash:?}",
+            spec.hash_hex()
+        ));
+    }
+    let (shard_id, run_start, run_end) = (int("shard_id")?, int("run_start")?, int("run_end")?);
     if run_end < run_start {
         return Err("run_end < run_start".into());
     }
+    let run_range = run_start..run_end;
 
     let mut rows = SweepRows::new();
-    for (cell, entry) in v
-        .get("cells")
-        .and_then(Value::as_obj)
-        .ok_or("missing cells")?
-    {
+    for (cell, entry) in member("cells")?.as_obj().ok_or("cells must be an object")? {
         let runs = entry
             .get("runs")
             .and_then(Value::as_arr)
@@ -563,6 +537,14 @@ pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
         }
         for (run_v, vals_v) in runs.iter().zip(values) {
             let run = run_v.as_usize().ok_or("run index must be an integer")?;
+            if !run_range.contains(&run) {
+                return Err(format!(
+                    "cell {cell:?} run {run} lies outside [{run_start}, {run_end})"
+                ));
+            }
+            if rows.values(cell, run).is_some() {
+                return Err(format!("cell {cell:?} run {run} appears twice"));
+            }
             let vals = vals_v
                 .as_arr()
                 .ok_or("row values must be an array")?
@@ -577,69 +559,44 @@ pub fn decode_shard(text: &str) -> Result<ShardFile, String> {
         }
     }
 
-    // Recompute stats from rows and cross-check against the recorded
-    // ones — a cheap end-to-end integrity check on the payload.
-    let stats = ExactStats::from_rows(&rows);
-    let recorded = decode_stats(&v)?;
-    if recorded.fingerprint() != stats.fingerprint() {
-        return Err("recorded stats do not match row payload — corrupt shard file".into());
+    let digest = member("digest")?
+        .as_str()
+        .ok_or("digest must be a string")?;
+    if digest != shard_digest(spec_hash, shard_id, &run_range, &rows) {
+        return Err("digest does not match the contents — corrupt shard file".into());
     }
-
     Ok(ShardFile {
-        spec_hash,
+        spec_hash: spec_hash.to_string(),
         spec,
         shard_id,
-        run_range: run_start..run_end,
+        run_range,
         rows,
-        stats,
     })
 }
 
-fn decode_stats(v: &Value) -> Result<ExactStats, String> {
-    let mut out = ExactStats::default();
-    let members = v
-        .get("stats")
-        .and_then(Value::as_obj)
-        .ok_or("missing stats")?;
-    for (cell, entry) in members {
-        let count = entry
-            .get("count")
-            .and_then(Value::as_usize)
-            .ok_or("stats missing count")?;
-        let sums = entry
-            .get("sums")
-            .and_then(Value::as_arr)
-            .ok_or("stats missing sums")?
-            .iter()
-            .map(|s| {
-                let hex = s.as_str().ok_or("stat sum must be a hex string")?;
-                let bytes = bytes_from_hex(hex)?;
-                ExactAccumulator::from_wire_bytes(&bytes)
-                    .ok_or_else(|| "bad accumulator wire bytes".to_string())
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        out.insert_cell(cell.clone(), CellStats { count, sums });
+/// FNV-1a digest, as 16 hex digits, of a shard's spec hash, shard id,
+/// run range and every row's cell, run and value bits. Strings and
+/// rows are length-prefixed, so no two contents share one byte stream.
+fn shard_digest(spec_hash: &str, shard_id: usize, runs: &Range<usize>, rows: &SweepRows) -> String {
+    let word = |b: &mut Vec<u8>, x: usize| b.extend_from_slice(&(x as u64).to_le_bytes());
+    let mut b = Vec::new();
+    word(&mut b, spec_hash.len());
+    b.extend_from_slice(spec_hash.as_bytes());
+    for x in [shard_id, runs.start, runs.end] {
+        word(&mut b, x);
     }
-    Ok(out)
-}
-
-fn bytes_to_hex(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for (cell, cell_runs) in rows.iter() {
+        for (&run, values) in cell_runs {
+            word(&mut b, cell.len());
+            b.extend_from_slice(cell.as_bytes());
+            word(&mut b, run);
+            word(&mut b, values.len());
+            for v in values {
+                b.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
     }
-    out
-}
-
-fn bytes_from_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".into());
-    }
-    (0..s.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&s[2 * i..2 * i + 2], 16).map_err(|e| format!("bad hex: {e}"))
-        })
-        .collect()
+    format!("{:016x}", fnv1a64(&b))
 }
 
 #[cfg(test)]
@@ -676,34 +633,92 @@ mod tests {
         let shard = store.read_valid_shard(&spec(), 1, 3..7).unwrap();
         assert_eq!(shard.rows, rows);
         assert_eq!(shard.spec, spec());
-        assert_eq!(
-            shard.stats.fingerprint(),
-            ExactStats::from_rows(&rows).fingerprint()
-        );
         // wrong range or id -> not usable
         assert!(store.read_valid_shard(&spec(), 1, 3..8).is_none());
         assert!(store.read_valid_shard(&spec(), 0, 3..7).is_none());
         let _ = fs::remove_dir_all(store.root());
     }
 
+    /// The shard file of `spec()`, shard 1, runs `3..7`, byte for byte.
+    const PINNED: &str = concat!(
+        r#"{"schema":"fpna-sweep-shard-v2","spec_hash":"4b51535b85636bd8","#,
+        r#""spec":{"experiment":"selftest","runs":10,"args":{"seed":"7"}},"#,
+        r#""shard_id":1,"run_start":3,"run_end":7,"#,
+        r#""cells":{"cell":{"runs":[3,4,5,6],"values":["#,
+        r#"["3fd3333333333334","bfd0000000000000"],"#,
+        r#"["3fd999999999999a","bfc999999999999a"],"#,
+        r#"["3fe0000000000000","bfc5555555555555"],"#,
+        r#"["3fe3333333333334","bfc2492492492492"]]}},"#,
+        r#""digest":"5405c7c498dcd210"}"#,
+    );
+
     /// Shard files move between processes and machines and are merged
     /// only when they validate, so their encoding must never drift.
     #[test]
     fn shard_encoding_is_pinned() {
-        let want = concat!(
-            r#"{"schema":"fpna-sweep-shard-v1","spec_hash":"4b51535b85636bd8","#,
-            r#""spec":{"experiment":"selftest","runs":10,"args":{"seed":"7"}},"#,
-            r#""shard_id":1,"run_start":3,"run_end":7,"#,
-            r#""cells":{"cell":{"runs":[3,4,5,6],"values":["#,
-            r#"["3fd3333333333334","bfd0000000000000"],"#,
-            r#"["3fd999999999999a","bfc999999999999a"],"#,
-            r#"["3fe0000000000000","bfc5555555555555"],"#,
-            r#"["3fe3333333333334","bfc2492492492492"]]}},"#,
-            r#""stats":{"cell":{"count":4,"sums":["#,
-            r#""1f22000000600000000033333333000000003333070000000000","#,
-            r#""1f22000000f8ffffffff643ff663000000003ff6fcffffffffff"]}}}"#,
-        );
-        assert_eq!(encode_shard(&spec(), 1, 3..7, &rows_for(3..7)), want);
+        assert_eq!(encode_shard(&spec(), 1, 3..7, &rows_for(3..7)), PINNED);
+    }
+
+    /// Every single-bit flip and every truncation of a valid shard file
+    /// is refused with an error or decodes to the same shard: never a
+    /// panic, never a silently different merge.
+    #[test]
+    fn damaged_shard_files_are_refused_or_unchanged() {
+        let bits = |rows: &SweepRows| {
+            let mut out = Vec::new();
+            for (cell, runs) in rows.iter() {
+                for (&run, v) in runs {
+                    out.push((
+                        cell.to_string(),
+                        run,
+                        v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    ));
+                }
+            }
+            out
+        };
+        let orig = decode_shard(PINNED).unwrap();
+        let bytes = PINNED.as_bytes();
+        let flips = (0..bytes.len() * 8).map(|i| {
+            let mut b = bytes.to_vec();
+            b[i / 8] ^= 1 << (i % 8);
+            b
+        });
+        let cuts = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        for (case, damaged) in flips.chain(cuts).enumerate() {
+            // Bytes that are not UTF-8 fail `fs::read_to_string`, before
+            // any decoding.
+            let Ok(text) = std::str::from_utf8(&damaged) else {
+                continue;
+            };
+            match std::panic::catch_unwind(|| decode_shard(text)) {
+                Err(_) => panic!("case {case}: decode_shard panicked on {text}"),
+                Ok(Err(_)) => {}
+                Ok(Ok(s)) => assert!(
+                    s.spec_hash == orig.spec_hash
+                        && s.shard_id == orig.shard_id
+                        && s.run_range == orig.run_range
+                        && bits(&s.rows) == bits(&orig.rows),
+                    "case {case}: {text} decoded to a different shard"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn decoder_names_each_fault() {
+        for (from, to, fault) in [
+            ("shard-v2", "shard-v1", "unknown shard schema"),
+            (r#""seed":"7""#, r#""seed":"8""#, "embedded spec hashes to"),
+            ("[3,4,5,6]", "[3,4,5,7]", "run 7 lies outside [3, 7)"),
+            ("[3,4,5,6]", "[3,3,5,6]", "run 3 appears twice"),
+            ("2492492492", "2492492493", "digest does not match"),
+            (r#","digest""#, r#","digestx""#, "missing digest"),
+        ] {
+            assert_eq!(PINNED.matches(from).count(), 1, "{from}");
+            let err = decode_shard(&PINNED.replace(from, to)).unwrap_err();
+            assert!(err.contains(fault), "{from} -> {to}: {err}");
+        }
     }
 
     #[test]
@@ -714,12 +729,7 @@ mod tests {
         // incomplete -> error
         assert!(store.load_merged(&s).is_err());
         store.write_shard(&s, 1, 5..10, &rows_for(5..10)).unwrap();
-        let (rows, stats) = store.load_merged(&s).unwrap();
-        assert_eq!(rows, rows_for(0..10));
-        assert_eq!(
-            stats.fingerprint(),
-            ExactStats::from_rows(&rows_for(0..10)).fingerprint()
-        );
+        assert_eq!(store.load_merged(&s).unwrap(), rows_for(0..10));
         // stale extra shard from a different partition -> error
         store.write_shard(&s, 2, 6..10, &rows_for(6..10)).unwrap();
         let err = store.load_merged(&s).unwrap_err();

@@ -1,7 +1,8 @@
 //! End-to-end process tests for the `sweep` coordinator, driven
 //! against the `sweep_selftest` experiment binary: byte-identical
 //! sharded reports, warm-cache answers, resume after a killed shard,
-//! and stale-partition recovery when the shard count changes.
+//! recovery from a damaged shard file, and stale-partition recovery
+//! when the shard count changes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -126,6 +127,51 @@ fn killed_shard_resumes_without_redoing_completed_work() {
     assert!(log.contains("shard 1 [3..6) computing"), "{log}");
     assert!(log.contains("shard 2 [6..9) cached"), "{log}");
     assert_eq!(resumed.stdout, full.stdout, "resumed report diverged");
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn damaged_shard_is_named_listed_and_recomputed() {
+    let store = temp_store("damaged");
+    run_sweep(&store, 2, &[]);
+    let sweep_dir = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.is_dir())
+        .unwrap();
+    std::fs::remove_file(sweep_dir.join("report.txt")).unwrap();
+    // Shard 1 of 2 holds runs 5..9; repeat one run index in it.
+    let shard = sweep_dir.join("shard-1.json");
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let (runs, repeated) = ("\"runs\":[5,6,7,8]", "\"runs\":[5,5,7,8]");
+    assert_eq!(text.matches(runs).count(), 1, "{text}");
+    std::fs::write(&shard, text.replace(runs, repeated)).unwrap();
+
+    let list = Command::new(SWEEP)
+        .args(["--list", "--store", &store.display().to_string()])
+        .output()
+        .expect("run sweep --list");
+    assert!(list.status.success(), "--list failed: {}", stderr_of(&list));
+    let listing = String::from_utf8_lossy(&list.stdout);
+    assert!(listing.contains("incomplete"), "{listing}");
+
+    let merge = Command::new(SELFTEST)
+        .args(EXP_ARGS)
+        .args(["--from-shards", &store.display().to_string()])
+        .output()
+        .expect("run selftest --from-shards");
+    let log = stderr_of(&merge);
+    assert_eq!(merge.status.code(), Some(1), "{log}");
+    assert!(merge.stdout.is_empty());
+    assert_eq!(log.lines().count(), 1, "{log}");
+    assert!(log.starts_with("error: "), "{log}");
+    assert!(log.contains("shard-1.json"), "{log}");
+
+    let resumed = run_sweep(&store, 2, &[]);
+    let log = stderr_of(&resumed);
+    assert!(log.contains("shard 0 [0..5) cached"), "{log}");
+    assert!(log.contains("shard 1 [5..9) computing"), "{log}");
+    assert_eq!(resumed.stdout, single_process_report());
     let _ = std::fs::remove_dir_all(&store);
 }
 

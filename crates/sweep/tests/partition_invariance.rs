@@ -13,7 +13,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use fpna_core::rng::{derive_seed, SplitMix64};
-use fpna_sweep::rows::{ExactStats, SweepRows};
+use fpna_sweep::rows::SweepRows;
 use fpna_sweep::spec::{shard_assignments, SweepSpec};
 use fpna_sweep::store::{decode_shard, encode_shard};
 
@@ -33,18 +33,16 @@ fn compute(seed: u64, range: std::ops::Range<usize>) -> SweepRows {
 
 /// Merge a partition (list of cut points) through the real shard-file
 /// wire format.
-fn merge_partition(spec: &SweepSpec, seed: u64, cuts: &[usize]) -> (SweepRows, ExactStats) {
+fn merge_partition(spec: &SweepSpec, seed: u64, cuts: &[usize]) -> SweepRows {
     let mut rows = SweepRows::new();
-    let mut stats = ExactStats::default();
     for (shard_id, w) in cuts.windows(2).enumerate() {
         let shard_rows = compute(seed, w[0]..w[1]);
         let text = encode_shard(spec, shard_id, w[0]..w[1], &shard_rows);
         let decoded = decode_shard(&text).expect("wire round trip");
         assert_eq!(decoded.run_range, w[0]..w[1]);
         rows.absorb(decoded.rows).expect("disjoint shards");
-        stats.merge_from(&decoded.stats);
     }
-    (rows, stats)
+    rows
 }
 
 fn reports_bitwise_equal(a: &SweepRows, b: &SweepRows, cell: &str) -> bool {
@@ -68,7 +66,6 @@ fn fixed_shard_counts_merge_identically() {
     let seed = 0xD15C0;
     let spec = SweepSpec::new("prop", 21).arg("seed", seed);
     let full = compute(seed, 0..21);
-    let full_stats = ExactStats::from_rows(&full);
     for shards in [1usize, 2, 3, 7] {
         let cuts: Vec<usize> = {
             let assignments = shard_assignments(&spec, shards);
@@ -76,9 +73,8 @@ fn fixed_shard_counts_merge_identically() {
             c.push(21);
             c
         };
-        let (rows, stats) = merge_partition(&spec, seed, &cuts);
+        let rows = merge_partition(&spec, seed, &cuts);
         assert_eq!(rows, full, "shards={shards}");
-        assert_eq!(stats.fingerprint(), full_stats.fingerprint(), "shards={shards}");
         assert!(reports_bitwise_equal(&rows, &full, "alpha"));
     }
 }
@@ -102,12 +98,8 @@ proptest! {
         cuts.dedup();
 
         let full = compute(seed, 0..runs);
-        let (rows, stats) = merge_partition(&spec, seed, &cuts);
+        let rows = merge_partition(&spec, seed, &cuts);
         prop_assert_eq!(&rows, &full, "cuts={:?}", &cuts);
-        prop_assert_eq!(
-            stats.fingerprint(),
-            ExactStats::from_rows(&full).fingerprint()
-        );
         prop_assert!(reports_bitwise_equal(&rows, &full, "alpha"));
         let (sa, sb) = (rows.run_summary("beta", 0), full.run_summary("beta", 0));
         prop_assert_eq!(sa.mean.to_bits(), sb.mean.to_bits());

@@ -13,6 +13,10 @@
 #     protocol, with default arguments and with each CI table9
 #     argument list (the spec JSON is what the sweep coordinator reads,
 #     and its hash keys every store entry);
+#   * the merged report of each of those binaries at default arguments,
+#     run through the tree's own `sweep` coordinator with --shards 3
+#     and a fresh store under the temporary directory (this pins the
+#     shard-file round trip against the other tree's bytes);
 #   * the distributed_allreduce, gnn_reproducibility and
 #     deterministic_hardware examples.
 # Every pair of outputs is compared with cmp. The script prints one line
@@ -63,6 +67,9 @@ run_tree() {
     done
     for bin in $protocol_bins; do
         (cd "$tree" && "$target/release/$bin" --emit-spec) > "$out/$side/$bin.spec.out"
+        echo "== $side: sweep --bin $bin --shards 3" >&2
+        (cd "$tree" && "$target/release/sweep" --bin "$bin" --shards 3 --store "$out/store-$side") \
+            > "$out/$side/$bin.shards3.out"
     done
     local i=0
     for args in "${table9_args[@]}"; do
