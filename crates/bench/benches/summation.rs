@@ -12,6 +12,9 @@ fn bench_summation(c: &mut Criterion) {
     let xs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 10.0).collect();
     let mut group = c.benchmark_group("summation");
     group.throughput(Throughput::Elements(n as u64));
+    // The threaded rows run four workers: `reproducible(t=4)`'s four
+    // exact chunks run on this thread's worker budget, so set it to 4.
+    fpna_core::executor::set_threads(4);
     for alg in SumAlgorithm::roster(4) {
         group.bench_with_input(BenchmarkId::from_parameter(alg.name()), &xs, |b, xs| {
             b.iter(|| alg.sum(std::hint::black_box(xs)))

@@ -29,7 +29,7 @@ fn main() {
     let runs = cli.size("runs", 200, 2_000);
     let seed = cli.int("seed", 123);
 
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner("Ablation 1", "scheduler model: wave-biased vs uniform random", "");
     let device = GpuDevice::new(GpuModel::V100);
     let params = KernelParams::new(64, 7813);
@@ -44,7 +44,7 @@ fn main() {
         ("uniform    ", ScheduleKind::UniformRandom(seed)),
     ] {
         let vs: Vec<f64> = device
-            .reduce_runs(ReduceKernel::Spa, &xs, params, &base, runs, &executor)
+            .reduce_runs(ReduceKernel::Spa, &xs, params, &base, 0..runs)
             .unwrap()
             .iter()
             .map(|out| scalar_variability(out.value, det) * 1e16)
@@ -110,8 +110,7 @@ fn main() {
             init_seed: seed,
             aggregation: agg,
         };
-        let wd =
-            weight_divergence_experiment(&ds, &cfg, GpuModel::H100, 3, seed, &executor).unwrap();
+        let wd = weight_divergence_experiment(&ds, &cfg, GpuModel::H100, 3, seed).unwrap();
         let last = wd.per_epoch_vermv.last().unwrap();
         println!(
             "{agg:?}: final weight Vermv mean = {:.3e}, Vc = {:.3}, unique = {}/{}",

@@ -38,12 +38,7 @@ fn cell(di: usize, a: usize) -> String {
 /// `range` only. References (the input arrays and their deterministic
 /// SPTR sums) are pure functions of the spec, recomputed per process —
 /// cheap next to the run sweep they anchor.
-fn compute(
-    range: std::ops::Range<usize>,
-    arrays: usize,
-    seed: u64,
-    executor: &fpna_core::executor::RunExecutor,
-) -> SweepRows {
+fn compute(range: std::ops::Range<usize>, arrays: usize, seed: u64) -> SweepRows {
     let device = GpuDevice::new(GpuModel::V100);
     let params = KernelParams::fig1();
     let mut rows = SweepRows::new();
@@ -56,13 +51,12 @@ fn compute(
                 .unwrap()
                 .value;
             let outcomes = device
-                .reduce_runs_range(
+                .reduce_runs(
                     ReduceKernel::Spa,
                     &xs,
                     params,
                     &ScheduleKind::Seeded(seed ^ (a as u64)),
                     range.clone(),
-                    executor,
                 )
                 .unwrap();
             for (i, out) in outcomes.iter().enumerate() {
@@ -135,7 +129,7 @@ fn main() -> ExitCode {
         .arg("arrays", arrays)
         .arg("bins", bins)
         .arg("seed", seed);
-    cli.sweep(&spec, |range, executor| compute(range, arrays, seed, executor), |rows| {
+    cli.sweep(&spec, |range| compute(range, arrays, seed), |rows| {
         report(rows, arrays, runs, bins);
         true
     })

@@ -32,7 +32,7 @@ fn main() {
         fpna_bench::usage_error("--bins must be at least 1, got 0");
     }
     let seed = cli.int("seed", 20);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig 2",
         "PDF of Vs for the AO kernel, 1M FP64 ~ U(0,10), V100",
@@ -54,8 +54,7 @@ fn main() {
                 &xs,
                 params,
                 &ScheduleKind::Seeded(seed ^ (a as u64)),
-                runs,
-                &executor,
+                0..runs,
             )
             .unwrap();
         vs_samples.extend(

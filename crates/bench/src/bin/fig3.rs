@@ -18,7 +18,7 @@ fn main() {
         fpna_bench::usage_error("--runs must be at least 1, got 0");
     }
     let seed = cli.int("seed", 33);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig 3",
         "heatmaps of Vc vs (input dimension, R)",
@@ -40,7 +40,6 @@ fn main() {
                 r,
                 runs,
                 seed ^ dim as u64,
-                &executor,
             );
             row.push(report.vc.mean);
         }
@@ -62,7 +61,6 @@ fn main() {
                 r,
                 runs,
                 seed ^ (dim as u64) << 8,
-                &executor,
             );
             row.push(report.vc.mean);
         }

@@ -14,12 +14,12 @@ fn main() {
         usage_error(format!("--runs must be at least 2 (run 0 is the reference), got {runs}"));
     }
     let seed = cli.int("seed", 44);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig 4",
         "Vc vs reduction ratio (scatter_reduce n=2000, index_add n=100x100)",
         &format!("{runs} runs per point (paper: 1000)"),
     );
-    fpna_bench::ratio_table(&executor, runs, seed, |_, vc| vc, 0xB007, 5);
+    fpna_bench::ratio_table(runs, seed, |_, vc| vc, 0xB007, 5);
     cli.finish();
 }

@@ -14,12 +14,12 @@ fn main() {
         usage_error(format!("--runs must be at least 2 (run 0 is the reference), got {runs}"));
     }
     let seed = cli.int("seed", 45);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig 5",
         "Vermv vs reduction ratio (x 1e7; scatter_reduce n=2000, index_add n=100x100)",
         &format!("{runs} runs per point (paper: 1000)"),
     );
-    fpna_bench::ratio_table(&executor, runs, seed, |vermv, _| vermv * 1e7, 0xF16, 4);
+    fpna_bench::ratio_table(runs, seed, |vermv, _| vermv * 1e7, 0xF16, 4);
     cli.finish();
 }

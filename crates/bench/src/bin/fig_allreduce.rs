@@ -8,6 +8,7 @@
 //!  [--threads N] [--paper-scale]`
 
 use fpna_collectives::{allreduce, Algorithm, Ordering};
+use fpna_core::executor::map_runs;
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::report::Table;
 use fpna_core::rng::SplitMix64;
@@ -21,7 +22,7 @@ fn main() {
     let len = cli.int("len", 4_096);
     let runs = cli.size("runs", 50, 1_000);
     let seed = cli.int("seed", 12);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig (allreduce)",
         "run-to-run variability of distributed reductions",
@@ -43,7 +44,7 @@ fn main() {
     ];
     for (alg, ord, alg_name, ord_name) in cases {
         let reference = allreduce(&ranks, alg, rekey(ord, 0));
-        let comparisons = executor.map_runs(runs, |run| {
+        let comparisons = map_runs(0..runs, |run| {
             let out = allreduce(&ranks, alg, rekey(ord, run as u64 + 1));
             ArrayComparison::compare(&reference, &out)
         });

@@ -8,6 +8,7 @@
 //!
 //! `cargo run --release -p fpna-bench --bin fig_f32 [--runs 100] [--threads N] [--paper-scale]`
 
+use fpna_core::executor::map_runs;
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::rng::SplitMix64;
 use fpna_gpu_sim::GpuModel;
@@ -22,7 +23,7 @@ fn main() {
     let seed = cli.int("seed", 66);
     let n = 20_000usize;
     let rows = 1_000usize;
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "fp32 magnitude check",
         "Vermv of fp32 vs fp64 accumulation (scatter_reduce / index_add)",
@@ -43,7 +44,7 @@ fn main() {
         .iter()
         .map(|&x| x as f64)
         .collect();
-    let vermv32 = executor.map_runs(runs, |r| {
+    let vermv32 = map_runs(0..runs, |r| {
         let out: Vec<f64> = index_add_f32(&nd.for_run(r as u64), &dst32, &index, &src32)
             .unwrap()
             .iter()
@@ -53,7 +54,7 @@ fn main() {
     });
     // fp64 index_add (same problem)
     let ref64 = index_add(&det, &dst64, &index, &src64).unwrap().into_data();
-    let vermv64 = executor.map_runs(runs, |r| {
+    let vermv64 = map_runs(0..runs, |r| {
         let out = index_add(&nd.for_run(r as u64), &dst64, &index, &src64)
             .unwrap()
             .into_data();
@@ -71,7 +72,7 @@ fn main() {
             .iter()
             .map(|&x| x as f64)
             .collect();
-        let vs = executor.map_runs(runs, |r| {
+        let vs = map_runs(0..runs, |r| {
             let out: Vec<f64> =
                 scatter_reduce_f32(&nd.for_run(2_000 + r as u64), &dst32, &index, &src32, mean_mode)
                     .unwrap()

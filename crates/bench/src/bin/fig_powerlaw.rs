@@ -21,7 +21,7 @@ fn main() {
         fpna_bench::usage_error("--arrays must be at least 1, got 0");
     }
     let seed = cli.int("seed", 30);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig (power law)",
         "max|Vs| ~ beta * n^alpha for SPA (SPTR reference), V100",
@@ -53,8 +53,7 @@ fn main() {
                         &xs,
                         params,
                         &ScheduleKind::Seeded(seed ^ a as u64),
-                        runs,
-                        &executor,
+                        0..runs,
                     )
                     .unwrap();
                 let max_vs = outcomes

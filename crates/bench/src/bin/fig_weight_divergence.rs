@@ -20,7 +20,7 @@ fn main() {
     let runs = cli.size("runs", 5, 1_000);
     let epochs = cli.int("epochs", 10);
     let seed = cli.int("seed", 99);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Fig (weight divergence, §V-B)",
         "weight Vermv vs epoch for ND training, synthetic Cora",
@@ -34,8 +34,7 @@ fn main() {
         init_seed: seed ^ 0x9999,
         aggregation: Aggregation::Mean,
     };
-    let wd = weight_divergence_experiment(&ds, &cfg, GpuModel::H100, runs, seed, &executor)
-        .unwrap();
+    let wd = weight_divergence_experiment(&ds, &cfg, GpuModel::H100, runs, seed).unwrap();
     let mut table = Table::new(["epoch", "weight Vermv mean(std)", "weight Vc mean(std)"]);
     for (e, (s, c)) in wd
         .per_epoch_vermv

@@ -3,6 +3,7 @@
 //!
 //! `cargo run --release -p fpna-bench --bin table1 [--seed S] [--threads N]`
 
+use fpna_core::executor::map_runs;
 use fpna_core::report::{sci, Table};
 use fpna_stats::samplers::{Distribution, Sampler};
 use fpna_summation::serial::{randomly_permuted_sum, serial_sum};
@@ -10,7 +11,7 @@ use fpna_summation::serial::{randomly_permuted_sum, serial_sum};
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let seed = cli.int("seed", 2024);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Table 1",
         "effects of permutations on sums of floating-point numbers",
@@ -22,8 +23,8 @@ fn main() {
         100usize, 1_000, 1_000, 10_000, 10_000, 100_000, 100_000, 1_000_000, 1_000_000,
     ];
     // Each row is independent (sampling and permutation are keyed by
-    // the row), so rows fan out across the executor's workers.
-    let rows = executor.map_runs(sizes.len(), |row| {
+    // the row), so rows fan out across the worker budget.
+    let rows = map_runs(0..sizes.len(), |row| {
         let n = sizes[row];
         let mut sampler = Sampler::new(
             Distribution::standard_normal(),

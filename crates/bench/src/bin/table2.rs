@@ -70,7 +70,7 @@ fn report(rows: &SweepRows) {
 fn main() -> ExitCode {
     let cli = fpna_bench::Cli::parse();
     let spec = SweepSpec::new("table2", ReduceKernel::all().len());
-    cli.sweep(&spec, |range, _| compute(range), |rows| {
+    cli.sweep(&spec, compute, |rows| {
         report(rows);
         true
     })

@@ -20,7 +20,7 @@ fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let repeats = cli.size("repeats", 10, 100);
     let seed = cli.int("seed", 4);
-    let executor = cli.start();
+    cli.start();
     fpna_bench::banner(
         "Table 4",
         "timing and performance penalty of parallel sum implementations",
@@ -58,14 +58,7 @@ fn main() {
         let mut rows = Vec::new();
         for &(kernel, params, geom) in &geometry {
             let outcomes = device
-                .reduce_runs(
-                    kernel,
-                    &xs,
-                    params,
-                    &ScheduleKind::Seeded(seed),
-                    repeats,
-                    &executor,
-                )
+                .reduce_runs(kernel, &xs, params, &ScheduleKind::Seeded(seed), 0..repeats)
                 .expect("kernel supported on this device");
             let times_ms: Vec<f64> = outcomes
                 .iter()

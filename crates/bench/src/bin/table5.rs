@@ -22,14 +22,10 @@ use fpna_tensor::sweep::{table5_cells, table5_reduce};
 /// global runs in `range` only. Cell inputs and references are pure
 /// functions of the spec, recomputed per process — cheap next to the
 /// run sweep they anchor.
-fn compute(
-    range: std::ops::Range<usize>,
-    seed: u64,
-    executor: &fpna_core::executor::RunExecutor,
-) -> SweepRows {
+fn compute(range: std::ops::Range<usize>, seed: u64) -> SweepRows {
     let mut rows = SweepRows::new();
     for cell in table5_cells(GpuModel::H100, seed) {
-        for (i, c) in cell.comparisons_range(range.clone(), executor) {
+        for (i, c) in cell.comparisons_range(range.clone()) {
             rows.push(
                 &cell.name,
                 i,
@@ -83,7 +79,7 @@ fn main() -> ExitCode {
     let seed = cli.int("seed", 55);
 
     let spec = SweepSpec::new("table5", runs).arg("seed", seed);
-    cli.sweep(&spec, |range, executor| compute(range, seed, executor), |rows| {
+    cli.sweep(&spec, |range| compute(range, seed), |rows| {
         report(rows, runs, seed);
         true
     })

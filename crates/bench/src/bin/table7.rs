@@ -38,11 +38,9 @@ fn compute(
     cfg: &TrainConfig,
     models: usize,
     seed: u64,
-    executor: &fpna_core::executor::RunExecutor,
 ) -> SweepRows {
     let per_condition =
-        train_inference_comparisons(ds, cfg, GpuModel::H100, models, seed, range.clone(), executor)
-            .unwrap();
+        train_inference_comparisons(ds, cfg, GpuModel::H100, models, seed, range.clone()).unwrap();
     let mut rows = SweepRows::new();
     for (&(train, infer), comparisons) in MATRIX_CONDITIONS.iter().zip(&per_condition) {
         let cell = cell_name(train, infer);
@@ -95,7 +93,7 @@ fn main() -> ExitCode {
         .arg("seed", seed);
     cli.sweep(
         &spec,
-        |range, executor| {
+        |range| {
             let ds = synthetic_cora(CoraParams::cora(), seed ^ 0xC04A);
             let cfg = TrainConfig {
                 hidden: 16,
@@ -104,7 +102,7 @@ fn main() -> ExitCode {
                 init_seed: seed ^ 0x1717,
                 aggregation: Aggregation::Mean,
             };
-            compute(range, &ds, &cfg, models, seed, executor)
+            compute(range, &ds, &cfg, models, seed)
         },
         |rows| {
             report(rows, models, epochs);

@@ -65,7 +65,7 @@ use std::process::ExitCode;
 
 use fpna_bench::usage_error;
 use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::map_runs;
 use fpna_core::metrics::{scalar_variability, ArrayComparison};
 use fpna_core::report::{mean_std, Table};
 use fpna_core::rng::{derive_seed, SplitMix64};
@@ -163,7 +163,7 @@ fn cell_place(p: usize, ti: usize, li: usize, pl: &str) -> String {
 ///
 /// Row columns: `[vermv, vc, max_abs_diff, len, elapsed_ns]`, plus
 /// `|Vs[0]|` as a sixth column on arrival-order cells.
-fn compute(cfg: &Cfg, range: std::ops::Range<usize>, executor: &RunExecutor) -> SweepRows {
+fn compute(cfg: &Cfg, range: std::ops::Range<usize>) -> SweepRows {
     let alg = cfg.alg();
     let seed = cfg.seed;
     let mut rows = SweepRows::new();
@@ -190,7 +190,7 @@ fn compute(cfg: &Cfg, range: std::ops::Range<usize>, executor: &RunExecutor) -> 
                         .with_route(cfg.route_for(derive_seed(seed, 0xB6)));
                     let reference =
                         allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &base_cfg).values;
-                    let outputs = executor.map_run_range(range.clone(), |_| {
+                    let outputs = map_runs(range.clone(), |_| {
                         let out = allreduce_on(&topo, &ranks, alg, Ordering::RankOrder, &base_cfg);
                         (out.values, out.elapsed_ns)
                     });
@@ -227,8 +227,7 @@ fn compute(cfg: &Cfg, range: std::ops::Range<usize>, executor: &RunExecutor) -> 
                         // Seed 0 is the reference; global run r uses seed
                         // r + 1, matching the unsharded seed list 1..=runs.
                         let (reference, _) = run(0);
-                        let outputs =
-                            executor.map_run_range(range.clone(), |r| run(r as u64 + 1));
+                        let outputs = map_runs(range.clone(), |r| run(r as u64 + 1));
                         for (i, (v, dt)) in outputs.iter().enumerate() {
                             let c = ArrayComparison::compare(&reference, v);
                             let vs0 = scalar_variability(v[0], reference[0]).abs();
@@ -241,7 +240,7 @@ fn compute(cfg: &Cfg, range: std::ops::Range<usize>, executor: &RunExecutor) -> 
                     }
 
                     // -- reproducible: exact accumulators on a jittered fabric --
-                    let outputs = executor.map_run_range(range.clone(), |r| {
+                    let outputs = map_runs(range.clone(), |r| {
                         let s = derive_seed(seed ^ 0xE4A7, r as u64);
                         let net_cfg = NetConfig::default()
                             .with_jitter_seed(s)
@@ -288,7 +287,7 @@ fn compute(cfg: &Cfg, range: std::ops::Range<usize>, executor: &RunExecutor) -> 
                             )
                         };
                         let reference = run(0).values;
-                        let outputs = executor.map_run_range(range.clone(), |r| {
+                        let outputs = map_runs(range.clone(), |r| {
                             let out = run(r as u64 + 1);
                             (out.values, out.elapsed_ns, out.stats.nic_bytes)
                         });
@@ -814,5 +813,5 @@ fn main() -> ExitCode {
     if cfg.link_stats {
         spec = spec.flag("link-stats");
     }
-    cli.sweep(&spec, |range, executor| compute(&cfg, range, executor), |rows| report(&cfg, rows))
+    cli.sweep(&spec, |range| compute(&cfg, range), |rows| report(&cfg, rows))
 }

@@ -14,20 +14,19 @@
 //! Every binary reads its command line once, through [`Cli`]. Four
 //! flags are shared by every fig/table binary:
 //!
-//! * `--threads N` — one shared worker budget: repeated runs fan out
-//!   across `N` OS threads through
-//!   [`fpna_core::executor::RunExecutor`], and a *single* large run
-//!   (one reduction replay, one epoch, one event-driven allreduce)
-//!   fans its hot kernels across the same `N` via the intra-run
-//!   primitives ([`fpna_core::executor::par_chunk_map`] /
-//!   [`fpna_core::executor::par_fill`]); inside a run-fan-out worker
-//!   the intra-run layer collapses to serial, so the two never
-//!   oversubscribe. Defaults to the `FPNA_THREADS` environment
-//!   variable, then 1; the variable, when set, must also be a positive
-//!   integer. Any value produces **bitwise-identical
-//!   output**: run seeding, chunk boundaries and result collection are
-//!   order-invariant by construction, so `--threads` only changes
-//!   wall-clock time.
+//! * `--threads N` — one worker budget, set on the main thread by
+//!   [`Cli::start`] ([`fpna_core::executor::set_threads`]): repeated
+//!   runs fan out across `N` OS threads through
+//!   [`fpna_core::executor::map_runs`], and a *single* large run (one
+//!   reduction replay, one epoch, one event-driven allreduce) fans its
+//!   hot kernels across the same `N` through
+//!   [`fpna_core::executor::par_fill`]; a fan-out started inside a
+//!   worker runs serially, so the two never oversubscribe. Defaults to
+//!   the `FPNA_THREADS` environment variable, then 1; the variable,
+//!   when set, must also be a positive integer. Any value produces
+//!   **bitwise-identical output**: run seeding, chunk boundaries and
+//!   result collection are order-invariant by construction, so
+//!   `--threads` only changes wall-clock time.
 //! * `--paper-scale` — switch run counts / array counts to the paper's
 //!   full experiment sizes (e.g. Table 5's 10 000 runs per
 //!   configuration) instead of the seconds-scale defaults. Explicit
@@ -63,7 +62,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use fpna_core::executor::{RunExecutor, THREADS_ENV};
+use fpna_core::executor::THREADS_ENV;
 use fpna_gpu_sim::GpuModel;
 use fpna_stats::bootstrap::bootstrap_mean;
 pub use fpna_sweep::cli::usage_error;
@@ -159,16 +158,15 @@ impl Cli {
     }
 
     /// End parsing and start the experiment: reject every argument no
-    /// getter read, set the worker budget and start the requested
-    /// recorders. Call after the last getter and before any output.
-    /// Returns the executor for the binary's repeated-run loops.
-    pub fn start(&mut self) -> RunExecutor {
+    /// getter read, set the calling thread's worker budget and start
+    /// the requested recorders. Call on the main thread, after the last
+    /// getter and before any output.
+    pub fn start(&mut self) {
         self.args.finish();
-        // One flag, one budget: the same worker count drives the
-        // repeated-run fan-out (RunExecutor) and the intra-run kernel
-        // primitives; nesting collapses to serial inside workers, so
-        // the two never multiply.
-        fpna_core::executor::set_intra_threads(self.threads);
+        // One flag, one budget: every fan-out on this thread reads it,
+        // and fan-outs nested inside a worker run serially, so the
+        // repeated-run loops and the kernels inside them never multiply.
+        fpna_core::executor::set_threads(self.threads);
         if self.trace.is_some() {
             fpna_obs::trace::start();
         }
@@ -181,7 +179,6 @@ impl Cli {
                 fpna_obs::profile::set_context(Some(format!("shard-{id}")));
             }
         }
-        RunExecutor::new(self.threads)
     }
 
     /// Flush the observability outputs requested on the command line:
@@ -217,21 +214,21 @@ impl Cli {
     /// --shard-end B [--shard-out PATH]`, `--from-shards DIR`), starts
     /// the experiment, hands `spec`, `compute` and `report` to
     /// [`SweepMode::run`], flushes the observability outputs and
-    /// returns the exit status. `compute(range, executor)` computes the
-    /// rows of the global runs in `range`; `report` prints the report
-    /// and returns whether the experiment's own checks passed.
+    /// returns the exit status. `compute(range)` computes the rows of
+    /// the global runs in `range`; `report` prints the report and
+    /// returns whether the experiment's own checks passed.
     pub fn sweep(
         mut self,
         spec: &SweepSpec,
-        compute: impl FnOnce(Range<usize>, &RunExecutor) -> SweepRows,
+        compute: impl FnOnce(Range<usize>) -> SweepRows,
         report: impl FnOnce(&SweepRows) -> bool,
     ) -> ExitCode {
         let mode = SweepMode::from_args(&mut self.args);
         if let SweepMode::Shard { id, .. } = mode {
             self.shard = Some(id);
         }
-        let executor = self.start();
-        let status = mode.run(spec, |range| compute(range, &executor), report);
+        self.start();
+        let status = mode.run(spec, compute, report);
         // An emit-spec process runs nothing, so it must not overwrite
         // the obs files of the runs it describes.
         if mode != SweepMode::EmitSpec {
@@ -276,7 +273,6 @@ pub fn banner(id: &str, paper_ref: &str, scaling_note: &str) {
 /// `metric(vermv, vc)` over `runs` H100 runs, with `precision`
 /// decimals. `salt` keys the bootstrap resampling.
 pub fn ratio_table(
-    executor: &RunExecutor,
     runs: usize,
     seed: u64,
     metric: impl Fn(f64, f64) -> f64,
@@ -295,7 +291,7 @@ pub fn ratio_table(
             (RatioOp::ScatterReduceMean, 2000),
             (RatioOp::IndexAdd, 100),
         ] {
-            let report = ratio_experiment(GpuModel::H100, op, dim, r, runs, seed ^ r10, executor);
+            let report = ratio_experiment(GpuModel::H100, op, dim, r, runs, seed ^ r10);
             let xs: Vec<f64> = report
                 .per_run
                 .iter()

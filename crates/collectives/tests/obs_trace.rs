@@ -9,7 +9,7 @@
 //! returning.
 
 use fpna_collectives::{allreduce_on, Algorithm, NetConfig, Ordering};
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::{map_runs, set_threads};
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_net::{LinkSpec, RouteSelect, Topology};
 use fpna_obs::json::Value;
@@ -68,13 +68,13 @@ fn run_grid(threads: usize) -> Vec<Fingerprint> {
     const LEN: usize = 48;
     const RUNS: usize = 3;
     let ranks = inputs(P, LEN, 11);
-    let executor = RunExecutor::new(threads);
+    set_threads(threads);
     let mut out = Vec::new();
     for topo in topologies(P) {
         for load in [0.0, 0.5] {
             for route in [RouteSelect::Fixed, RouteSelect::SeededEcmp { seed: 0xEC }] {
                 for alg in [Algorithm::KAryTree { fanout: 2 }, Algorithm::Ring] {
-                    let fps = executor.map_runs(RUNS, |i| {
+                    let fps = map_runs(0..RUNS, |i| {
                         let cfg = NetConfig::default()
                             .with_load(load, derive_seed(7, i as u64))
                             .with_route(route);
@@ -358,7 +358,8 @@ fn profile_report_keys_pop_histograms_by_load() {
     counters::set_enabled(true);
     profile::reset();
     profile::set_enabled(true);
-    RunExecutor::new(2).map_runs(2, |i| {
+    set_threads(2);
+    map_runs(0..2, |i| {
         for load in [0.0, 0.5] {
             allreduce_on(
                 &topo,

@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 
 use fpna_collectives::{allreduce, allreduce_on, Algorithm, NetConfig, Ordering};
+use fpna_core::executor::{map_runs, set_threads};
 use fpna_core::rng::SplitMix64;
-use fpna_core::RunExecutor;
 use fpna_net::{LinkSpec, RouteSelect, Topology};
 use fpna_summation::exact::exact_sum;
 
@@ -343,8 +343,10 @@ proptest! {
             )
         };
         let runs = 8usize;
-        let serial = RunExecutor::serial().map_runs(runs, |i| run(i as u64));
-        let threaded = RunExecutor::new(threads).map_runs(runs, |i| run(i as u64));
+        set_threads(1);
+        let serial = map_runs(0..runs, |i| run(i as u64));
+        set_threads(threads);
+        let threaded = map_runs(0..runs, |i| run(i as u64));
         prop_assert_eq!(&serial, &threaded, "thread count must not change contended runs");
     }
 }

@@ -15,13 +15,12 @@
 //! scheduler — the analogue of "launch the kernel again and let the
 //! hardware pick a new interleaving".
 //!
-//! Runs execute through a [`RunExecutor`]: serial by default, fanned
-//! out across OS threads via [`VariabilityHarness::with_executor`].
-//! Because per-run seeds are index-keyed and comparisons are collected
-//! in run-index order, every [`VariabilityReport`] is bit-for-bit
-//! identical at any thread count.
+//! Runs fan out through [`crate::executor::map_runs`] on the calling
+//! thread's worker budget. Because per-run seeds are index-keyed and
+//! comparisons are collected in run-index order, every
+//! [`VariabilityReport`] is bit-for-bit identical at any thread count.
 
-use crate::executor::RunExecutor;
+use crate::executor::map_runs;
 use crate::metrics::ArrayComparison;
 
 /// Descriptive statistics over the per-run metric values.
@@ -122,25 +121,12 @@ impl VariabilityReport {
 pub struct VariabilityHarness {
     /// Number of non-deterministic runs.
     pub runs: usize,
-    /// How runs execute (serial by default). Any thread count produces
-    /// the identical report.
-    pub executor: RunExecutor,
 }
 
 impl VariabilityHarness {
-    /// A harness performing `runs` non-deterministic executions
-    /// serially.
+    /// A harness performing `runs` non-deterministic executions.
     pub fn new(runs: usize) -> Self {
-        VariabilityHarness {
-            runs,
-            executor: RunExecutor::serial(),
-        }
-    }
-
-    /// Execute the runs through `executor` instead of serially.
-    pub fn with_executor(mut self, executor: RunExecutor) -> Self {
-        self.executor = executor;
-        self
+        VariabilityHarness { runs }
     }
 
     /// Scalar experiment: `reference` is the deterministic output,
@@ -150,10 +136,7 @@ impl VariabilityHarness {
     where
         F: Fn(usize) -> f64 + Sync,
     {
-        self.executor
-            .map_runs(self.runs, |i| {
-                crate::metrics::scalar_variability(run(i), reference)
-            })
+        map_runs(0..self.runs, |i| crate::metrics::scalar_variability(run(i), reference))
     }
 
     /// Array experiment with a deterministic reference output.
@@ -182,7 +165,7 @@ impl VariabilityHarness {
         F: Fn(usize) -> Vec<f64> + Sync,
     {
         debug_assert!(range.end <= self.runs, "range beyond the experiment's runs");
-        self.executor.map_run_range(range, |i| {
+        map_runs(range, |i| {
             let out = run(i);
             ArrayComparison::compare(reference, &out)
         })
@@ -197,11 +180,7 @@ impl VariabilityHarness {
     {
         assert!(self.runs >= 1, "self-referenced experiment needs >= 1 run");
         let reference = run(0);
-        let remaining = VariabilityHarness {
-            runs: self.runs - 1,
-            executor: self.executor,
-        };
-        remaining.array(&reference, |i| run(i + 1))
+        VariabilityHarness::new(self.runs - 1).array(&reference, |i| run(i + 1))
     }
 }
 

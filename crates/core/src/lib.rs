@@ -52,6 +52,5 @@ pub mod rng;
 
 pub use determinism::{DeterminismGuard, DeterminismMode};
 pub use error::{FpnaError, Result};
-pub use executor::RunExecutor;
 pub use harness::{RunSummary, VariabilityHarness, VariabilityReport};
 pub use metrics::{count_variability, ermv, scalar_variability, ArrayComparison};

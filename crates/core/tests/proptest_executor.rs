@@ -1,21 +1,23 @@
-//! Property tests for the parallel run executor: the harness's
-//! reports must be **bitwise identical** to the serial (`threads = 1`)
-//! execution at every thread count, for all three experiment entry
-//! points — the invariant that lets every fig/table binary accept
-//! `--threads N` without changing a single printed digit.
+//! Property tests for the parallel run fan-out: the harness's reports
+//! must be **bitwise identical** to the serial (budget 1) execution at
+//! every worker budget, for all three experiment entry points — the
+//! invariant that lets every fig/table binary accept `--threads N`
+//! without changing a single printed digit. Each test sets the budget
+//! on its own thread, so `FPNA_THREADS` cannot make a serial reference
+//! parallel.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::{map_runs, set_threads};
 use fpna_core::harness::{VariabilityHarness, VariabilityReport};
-use fpna_core::rng::SplitMix64;
+use fpna_core::rng::{derive_seed, SplitMix64};
 
 /// A deterministic, run-index-keyed stand-in for a non-deterministic
 /// kernel: perturbs a base vector by an amount drawn from the per-run
 /// seed, exactly the shape real experiments have.
 fn fake_kernel(base: &[f64], experiment_seed: u64, run: usize) -> Vec<f64> {
-    let mut rng = SplitMix64::new(RunExecutor::run_seed(experiment_seed, run));
+    let mut rng = SplitMix64::new(derive_seed(experiment_seed, run as u64));
     base.iter()
         .map(|&x| {
             // roughly half the elements get a tiny seed-dependent nudge
@@ -54,11 +56,12 @@ proptest! {
         runs in 1usize..25,
         seed in any::<u64>(),
     ) {
+        set_threads(1);
         let serial = VariabilityHarness::new(runs)
             .array(&base, |i| fake_kernel(&base, seed, i));
         for threads in [2usize, 4, 7] {
+            set_threads(threads);
             let parallel = VariabilityHarness::new(runs)
-                .with_executor(RunExecutor::new(threads))
                 .array(&base, |i| fake_kernel(&base, seed, i));
             prop_assert!(
                 summaries_identical(&serial, &parallel),
@@ -75,11 +78,12 @@ proptest! {
         runs in 1usize..25,
         seed in any::<u64>(),
     ) {
+        set_threads(1);
         let serial = VariabilityHarness::new(runs)
             .array_self_referenced(|i| fake_kernel(&base, seed, i));
         for threads in [2usize, 4, 7] {
+            set_threads(threads);
             let parallel = VariabilityHarness::new(runs)
-                .with_executor(RunExecutor::new(threads))
                 .array_self_referenced(|i| fake_kernel(&base, seed, i));
             prop_assert!(
                 summaries_identical(&serial, &parallel),
@@ -96,14 +100,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let kernel = |i: usize| {
-            let mut rng = SplitMix64::new(RunExecutor::run_seed(seed, i));
+            let mut rng = SplitMix64::new(derive_seed(seed, i as u64));
             reference + (rng.next_f64() - 0.5) * 1e-10
         };
+        set_threads(1);
         let serial = VariabilityHarness::new(runs).scalar(reference, kernel);
         for threads in [2usize, 4, 7] {
-            let parallel = VariabilityHarness::new(runs)
-                .with_executor(RunExecutor::new(threads))
-                .scalar(reference, kernel);
+            set_threads(threads);
+            let parallel = VariabilityHarness::new(runs).scalar(reference, kernel);
             prop_assert_eq!(serial.len(), parallel.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
@@ -115,7 +119,8 @@ proptest! {
     /// which worker computed what.
     #[test]
     fn map_runs_order_invariant(runs in 0usize..200, threads in 1usize..9) {
-        let out = RunExecutor::new(threads).map_runs(runs, |i| i * 3 + 1);
+        set_threads(threads);
+        let out = map_runs(0..runs, |i| i * 3 + 1);
         prop_assert_eq!(out, (0..runs).map(|i| i * 3 + 1).collect::<Vec<_>>());
     }
 }
@@ -126,17 +131,10 @@ proptest! {
 #[test]
 fn run_seeds_stable_under_thread_count_changes() {
     let base_seed = 0xFEED_F00Du64;
-    let expected: Vec<u64> = (0..64).map(|i| RunExecutor::run_seed(base_seed, i)).collect();
+    let expected: Vec<u64> = (0..64).map(|i| derive_seed(base_seed, i)).collect();
     for threads in [1usize, 2, 4, 7, 16] {
-        let observed =
-            RunExecutor::new(threads).map_runs(64, |i| RunExecutor::run_seed(base_seed, i));
+        set_threads(threads);
+        let observed = map_runs(0..64, |i| derive_seed(base_seed, i as u64));
         assert_eq!(observed, expected, "seed stream changed at threads={threads}");
-    }
-    // and the derivation matches the documented primitive
-    for i in 0..64usize {
-        assert_eq!(
-            RunExecutor::run_seed(base_seed, i),
-            fpna_core::rng::derive_seed(base_seed, i as u64)
-        );
     }
 }

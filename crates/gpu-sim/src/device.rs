@@ -4,7 +4,7 @@
 use std::ops::Range;
 
 use fpna_core::error::FpnaError;
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::map_runs;
 use fpna_core::Result;
 
 use crate::cost::{jittered_time_ns, reduce_time_ns};
@@ -70,47 +70,31 @@ impl GpuDevice {
         Ok(self.plan(kernel, data, params)?.run(kind))
     }
 
-    /// Launch the same reduction `runs` times, re-keying the schedule
-    /// per run (`base.for_run(r)` — the "launch it again" operation),
-    /// and return the outcomes in run-index order. Errors as
-    /// [`GpuDevice::reduce`].
+    /// Launch the same reduction once per **global** run index in
+    /// `range`, re-keying the schedule per run (`base.for_run(r)` — the
+    /// "launch it again" operation), and return the outcomes in
+    /// run-index order. Errors as [`GpuDevice::reduce`].
     ///
     /// The schedule-invariant stage (the block partials, or the value
     /// of a deterministic kernel) is computed once for the whole sweep;
     /// each run replays only its commit order. The runs are
     /// independent by construction (the per-run schedule depends only
-    /// on `(base, run_index)`), so the executor fans them across
-    /// threads with bitwise-identical outcomes at any thread count.
+    /// on `(base, run_index)`), so they fan out through [`map_runs`]
+    /// with bitwise-identical outcomes at any thread count, and any
+    /// partition of `0..runs` across shards reproduces the full sweep
+    /// at the covered indices.
     pub fn reduce_runs(
         &self,
         kernel: ReduceKernel,
         data: &[f64],
         params: KernelParams,
         base: &ScheduleKind,
-        runs: usize,
-        executor: &RunExecutor,
-    ) -> Result<Vec<ReduceOutcome>> {
-        self.reduce_runs_range(kernel, data, params, base, 0..runs, executor)
-    }
-
-    /// [`GpuDevice::reduce_runs`] restricted to the **global** run
-    /// indices in `range` — the process-sharding entry point. The
-    /// schedule of run `r` is `base.for_run(r)` with the global index,
-    /// so any partition of `0..runs` across shards reproduces exactly
-    /// the outcomes of the full sweep at the covered indices.
-    pub fn reduce_runs_range(
-        &self,
-        kernel: ReduceKernel,
-        data: &[f64],
-        params: KernelParams,
-        base: &ScheduleKind,
         range: Range<usize>,
-        executor: &RunExecutor,
     ) -> Result<Vec<ReduceOutcome>> {
         // Built outside the fan-out, so the block partials get the
-        // whole intra-run thread budget.
+        // whole thread budget.
         let plan = self.plan(kernel, data, params)?;
-        Ok(executor.map_run_range(range, |r| plan.run(&base.for_run(r as u64))))
+        Ok(map_runs(range, |r| plan.run(&base.for_run(r as u64))))
     }
 
     /// The schedule-invariant stage of launching `kernel` over `data`,
@@ -283,6 +267,7 @@ mod tests {
         let base = ScheduleKind::Seeded(77);
         for kernel in ReduceKernel::all() {
             for range in [0..12, 5..14] {
+                fpna_core::executor::set_threads(1);
                 let serial: Vec<ReduceOutcome> = range
                     .clone()
                     .map(|r| {
@@ -291,13 +276,10 @@ mod tests {
                     })
                     .collect();
                 for threads in [1usize, 2, 4, 7] {
-                    let executor = RunExecutor::new(threads);
-                    let got = if range.start == 0 {
-                        dev.reduce_runs(kernel, &xs, params, &base, range.end, &executor)
-                    } else {
-                        dev.reduce_runs_range(kernel, &xs, params, &base, range.clone(), &executor)
-                    }
-                    .unwrap();
+                    fpna_core::executor::set_threads(threads);
+                    let got = dev
+                        .reduce_runs(kernel, &xs, params, &base, range.clone())
+                        .unwrap();
                     assert_eq!(got.len(), serial.len());
                     for (a, b) in serial.iter().zip(&got) {
                         let at = format!("{} {range:?} threads={threads}", kernel.name());
@@ -328,9 +310,8 @@ mod tests {
                     .reduce(kernel, &ones, params, &ScheduleKind::InOrder)
                     .unwrap_err();
                 assert!(err.to_string().contains("launch geometry"), "{err}");
-                let (base, executor) = (ScheduleKind::Seeded(1), RunExecutor::new(2));
                 let err = dev
-                    .reduce_runs(kernel, &ones, params, &base, 3, &executor)
+                    .reduce_runs(kernel, &ones, params, &ScheduleKind::Seeded(1), 0..3)
                     .unwrap_err();
                 assert!(err.to_string().contains("launch geometry"), "{err}");
             }
@@ -346,8 +327,7 @@ mod tests {
             &xs,
             KernelParams::new(64, 2),
             &ScheduleKind::Seeded(1),
-            4,
-            &RunExecutor::new(2),
+            0..4,
         );
         assert!(err.is_err());
     }

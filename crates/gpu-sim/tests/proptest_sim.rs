@@ -221,17 +221,16 @@ proptest! {
     }
 
     /// Intra-run parallelism contract: `block_partials` and every
-    /// kernel value are bitwise identical to the serial execution for
-    /// thread-count hints {1, 2, 4, 7}.
+    /// kernel value are bitwise identical to the serial execution at
+    /// worker budgets {1, 2, 4, 7}.
     #[test]
     fn single_run_values_are_intra_thread_invariant(
         n in 1usize..40_000,
         seed in any::<u64>(),
         nb in 1u32..300,
     ) {
-        use fpna_core::executor::{intra_hint_test_guard, set_intra_threads};
+        use fpna_core::executor::set_threads;
         use fpna_gpu_sim::reduce::block_partials;
-        let _hint = intra_hint_test_guard();
 
         let mut rng = fpna_core::rng::SplitMix64::new(seed);
         let xs: Vec<f64> = (0..n).map(|_| rng.next_f64() * 1e6 - 5e5).collect();
@@ -240,12 +239,12 @@ proptest! {
         let kind = ScheduleKind::Seeded(seed);
         let value = |kernel| device.reduce(kernel, &xs, params, &kind).unwrap().value;
 
-        set_intra_threads(1);
+        set_threads(1);
         let partials_ref = block_partials(&xs, params);
         let ao_ref = value(ReduceKernel::Ao);
         let sptr_ref = value(ReduceKernel::Sptr);
         for threads in [2usize, 4, 7] {
-            set_intra_threads(threads);
+            set_threads(threads);
             let partials = block_partials(&xs, params);
             prop_assert_eq!(partials.len(), partials_ref.len());
             for (a, b) in partials.iter().zip(&partials_ref) {

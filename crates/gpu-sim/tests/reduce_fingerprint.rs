@@ -3,8 +3,8 @@
 //! One FNV-1a hash per (`GpuModel`, `ReduceKernel`), folded over a grid
 //! of launch geometries × ragged lengths × the four [`ScheduleKind`]s.
 //! Each grid point contributes [`GpuDevice::reduce`] under every kind
-//! and [`GpuDevice::reduce_runs_range`] over `0..5` and `3..9` at
-//! executor threads 1 and 3: every outcome's value bits, `time_ns` bits
+//! and [`GpuDevice::reduce_runs`] over `0..5` and `3..9` at worker
+//! budgets 1 and 3: every outcome's value bits, `time_ns` bits
 //! and `deterministic` flag, or the error text (AO on the MI250X).
 //! Fig 1's seeded `64 × 7813` launch on one 1M-element array closes
 //! each hash. A kernel rewrite that moves one addition, one timing draw
@@ -15,7 +15,7 @@
 //! this test landed. A moved hash is a change in results, so a hash is
 //! never re-captured to make a change pass.
 
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::set_threads;
 use fpna_core::Result;
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ReduceOutcome, ScheduleKind};
 
@@ -112,7 +112,9 @@ fn kinds(seed: u64) -> [ScheduleKind; 4] {
 }
 
 /// `reduce` under every kind, then the sweep path: runs `0..5` and
-/// `3..9` of a seeded base at executor threads 1 and 3.
+/// `3..9` of a seeded base at worker budgets 1 and 3. The kinds run
+/// at whatever budget the previous launch left; their bits do not
+/// depend on it.
 fn absorb_launch(
     h: &mut Fnv,
     device: &GpuDevice,
@@ -126,9 +128,9 @@ fn absorb_launch(
     }
     let base = ScheduleKind::Seeded(seed);
     for threads in [1, 3] {
-        let executor = RunExecutor::new(threads);
+        set_threads(threads);
         for range in [0..5, 3..9] {
-            h.many(&device.reduce_runs_range(kernel, xs, params, &base, range, &executor));
+            h.many(&device.reduce_runs(kernel, xs, params, &base, range));
         }
     }
 }

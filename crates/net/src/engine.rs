@@ -680,7 +680,7 @@ struct ObsState {
     counting: bool,
     /// Wall-clock pop timing wanted ([`profile::enabled`]).
     profiling: bool,
-    /// Trace process group: `run_index + 1` inside an executor
+    /// Trace process group: `run_index + 1` inside a run
     /// fan-out, 0 elsewhere (see [`trace::current_pid`]).
     pid: u64,
     /// Which link/rank lanes already carry a `thread_name` record

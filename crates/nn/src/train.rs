@@ -10,7 +10,7 @@
 //!   combinations of Table 7, measured on the inference predictions
 //!   against the D/D reference.
 
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::map_runs;
 use fpna_core::harness::RunSummary;
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::Result;
@@ -50,14 +50,13 @@ struct NdTrajectory {
 /// Train `runs` ND models and track weight divergence per epoch against
 /// a deterministic reference training run. The ND runs are independent
 /// (each is seeded from `(seed, run_index)`), so they fan out through
-/// `executor` with bitwise-identical summaries at any thread count.
+/// [`map_runs`] with bitwise-identical summaries at any thread count.
 pub fn weight_divergence_experiment(
     ds: &NodeClassification,
     cfg: &TrainConfig,
     gpu: GpuModel,
     runs: usize,
     seed: u64,
-    executor: &RunExecutor,
 ) -> Result<WeightDivergence> {
     // Reference: deterministic training, weights captured per epoch.
     let det_ctx = GpuContext::new(gpu, seed).with_determinism(Some(true));
@@ -68,32 +67,30 @@ pub fn weight_divergence_experiment(
         ref_weights.push(reference.flat_params());
     }
 
-    let trajectories: Result<Vec<NdTrajectory>> = executor
-        .map_runs(runs, |r| -> Result<NdTrajectory> {
-            let nd_ctx = GpuContext::new(gpu, fpna_core::rng::derive_seed(seed, 1 + r as u64))
-                .with_determinism(Some(false));
-            let mut model =
-                GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, cfg);
-            let mut per_epoch = Vec::with_capacity(cfg.epochs);
-            let mut final_weights_bits = Vec::new();
-            let mut final_loss = f64::NAN;
-            for (epoch, ref_w) in ref_weights.iter().enumerate() {
-                final_loss = model.train_epoch(&nd_ctx.for_run(epoch as u64), ds, cfg.lr)?;
-                let w = model.flat_params();
-                let cmp = ArrayComparison::compare(ref_w, &w);
-                per_epoch.push((cmp.vermv, cmp.vc));
-                if epoch + 1 == cfg.epochs {
-                    final_weights_bits = w.iter().map(|x| x.to_bits()).collect();
-                }
+    let trajectories: Result<Vec<NdTrajectory>> = map_runs(0..runs, |r| -> Result<NdTrajectory> {
+        let nd_ctx = GpuContext::new(gpu, fpna_core::rng::derive_seed(seed, 1 + r as u64))
+            .with_determinism(Some(false));
+        let mut model = GraphSage::new(ds.features().shape()[1], cfg.hidden, ds.num_classes, cfg);
+        let mut per_epoch = Vec::with_capacity(cfg.epochs);
+        let mut final_weights_bits = Vec::new();
+        let mut final_loss = f64::NAN;
+        for (epoch, ref_w) in ref_weights.iter().enumerate() {
+            final_loss = model.train_epoch(&nd_ctx.for_run(epoch as u64), ds, cfg.lr)?;
+            let w = model.flat_params();
+            let cmp = ArrayComparison::compare(ref_w, &w);
+            per_epoch.push((cmp.vermv, cmp.vc));
+            if epoch + 1 == cfg.epochs {
+                final_weights_bits = w.iter().map(|x| x.to_bits()).collect();
             }
-            Ok(NdTrajectory {
-                per_epoch,
-                final_weights_bits,
-                final_loss,
-            })
+        }
+        Ok(NdTrajectory {
+            per_epoch,
+            final_weights_bits,
+            final_loss,
         })
-        .into_iter()
-        .collect();
+    })
+    .into_iter()
+    .collect();
     let trajectories = trajectories?;
 
     let mut per_epoch: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); cfg.epochs];
@@ -179,7 +176,6 @@ pub fn train_inference_comparisons(
     models: usize,
     seed: u64,
     range: std::ops::Range<usize>,
-    executor: &RunExecutor,
 ) -> Result<[Vec<ArrayComparison>; 4]> {
     assert!(range.end <= models, "model range {range:?} exceeds --models {models}");
     let det_ctx = GpuContext::new(gpu, seed).with_determinism(Some(true));
@@ -188,9 +184,8 @@ pub fn train_inference_comparisons(
 
     let mut out: [Vec<ArrayComparison>; 4] = Default::default();
     for (cond_idx, &(train, infer)) in MATRIX_CONDITIONS.iter().enumerate() {
-        let comparisons: Result<Vec<ArrayComparison>> = executor
-            .map_runs(range.len(), |i| -> Result<ArrayComparison> {
-                let m = range.start + i;
+        let comparisons: Result<Vec<ArrayComparison>> =
+            map_runs(range.clone(), |m| -> Result<ArrayComparison> {
                 let run_seed =
                     fpna_core::rng::derive_seed(seed, (cond_idx * models + m + 1) as u64);
                 let train_ctx =
@@ -216,7 +211,7 @@ pub fn train_inference_comparisons(
 /// The Table 7 experiment: predictions of `models` independently
 /// produced pipelines per condition, compared against the
 /// deterministic-train + deterministic-inference reference. Pipelines
-/// within a condition fan out through `executor` (each is seeded from
+/// within a condition fan out through [`map_runs`] (each is seeded from
 /// `(seed, condition, model_index)`); the rows are bitwise identical
 /// at any thread count.
 pub fn train_inference_matrix(
@@ -225,10 +220,8 @@ pub fn train_inference_matrix(
     gpu: GpuModel,
     models: usize,
     seed: u64,
-    executor: &RunExecutor,
 ) -> Result<Vec<MatrixRow>> {
-    let per_condition =
-        train_inference_comparisons(ds, cfg, gpu, models, seed, 0..models, executor)?;
+    let per_condition = train_inference_comparisons(ds, cfg, gpu, models, seed, 0..models)?;
     let mut rows = Vec::with_capacity(4);
     for (&(train, infer), comparisons) in MATRIX_CONDITIONS.iter().zip(&per_condition) {
         let vermv: Vec<f64> = comparisons.iter().map(|c| c.vermv).collect();
@@ -248,6 +241,7 @@ mod tests {
     use super::*;
     use crate::graph::{synthetic_cora, CoraParams};
     use crate::sage::Aggregation;
+    use fpna_core::executor::set_threads;
 
     fn tiny() -> NodeClassification {
         // Slightly denser than CoraParams::tiny so FPNA bites.
@@ -269,15 +263,7 @@ mod tests {
     #[test]
     fn weight_divergence_grows_and_models_are_unique() {
         let ds = tiny();
-        let wd = weight_divergence_experiment(
-            &ds,
-            &cfg(),
-            GpuModel::H100,
-            4,
-            17,
-            &RunExecutor::serial(),
-        )
-        .unwrap();
+        let wd = weight_divergence_experiment(&ds, &cfg(), GpuModel::H100, 4, 17).unwrap();
         assert_eq!(wd.per_epoch_vermv.len(), 5);
         assert_eq!(wd.runs, 4);
         // §V-B: variability present and weights essentially all differ
@@ -300,19 +286,12 @@ mod tests {
     #[test]
     fn experiments_are_thread_count_invariant() {
         let ds = tiny();
-        let serial =
-            weight_divergence_experiment(&ds, &cfg(), GpuModel::H100, 4, 17, &RunExecutor::serial())
-                .unwrap();
+        set_threads(1);
+        let serial = weight_divergence_experiment(&ds, &cfg(), GpuModel::H100, 4, 17).unwrap();
         for threads in [2usize, 7] {
-            let parallel = weight_divergence_experiment(
-                &ds,
-                &cfg(),
-                GpuModel::H100,
-                4,
-                17,
-                &RunExecutor::new(threads),
-            )
-            .unwrap();
+            set_threads(threads);
+            let parallel =
+                weight_divergence_experiment(&ds, &cfg(), GpuModel::H100, 4, 17).unwrap();
             assert_eq!(parallel.unique_models, serial.unique_models);
             for (a, b) in serial.final_losses.iter().zip(&parallel.final_losses) {
                 assert_eq!(a.to_bits(), b.to_bits(), "threads={threads}");
@@ -327,12 +306,10 @@ mod tests {
             );
         }
 
-        let m_serial =
-            train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19, &RunExecutor::serial())
-                .unwrap();
-        let m_parallel =
-            train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19, &RunExecutor::new(4))
-                .unwrap();
+        set_threads(1);
+        let m_serial = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19).unwrap();
+        set_threads(4);
+        let m_parallel = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19).unwrap();
         for (a, b) in m_serial.iter().zip(&m_parallel) {
             assert_eq!(a.vermv.mean.to_bits(), b.vermv.mean.to_bits());
             assert_eq!(a.vc.mean.to_bits(), b.vc.mean.to_bits());
@@ -343,9 +320,7 @@ mod tests {
     #[test]
     fn matrix_dd_row_is_exactly_zero() {
         let ds = tiny();
-        let rows =
-            train_inference_matrix(&ds, &cfg(), GpuModel::H100, 2, 19, &RunExecutor::serial())
-                .unwrap();
+        let rows = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 2, 19).unwrap();
         assert_eq!(rows.len(), 4);
         let dd = &rows[0];
         assert_eq!((dd.train, dd.infer), (Mode::D, Mode::D));
@@ -362,9 +337,7 @@ mod tests {
         // The paper: "training seems to incur more variability" —
         // ND-train/D-infer > D-train/ND-infer in Vermv.
         let ds = tiny();
-        let rows =
-            train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 23, &RunExecutor::serial())
-                .unwrap();
+        let rows = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 23).unwrap();
         let d_nd = rows[1].vermv.mean;
         let nd_d = rows[2].vermv.mean;
         assert!(

@@ -112,7 +112,7 @@ proptest! {
     }
 
     /// Row-blocked matmuls are bitwise identical to the serial loops
-    /// for every intra-run thread-count hint — sizes straddle the
+    /// at every worker budget — sizes straddle the
     /// parallel work floor so both code paths are exercised.
     #[test]
     fn matmuls_are_intra_thread_invariant(
@@ -121,21 +121,20 @@ proptest! {
         k in 1usize..96,
         n in 1usize..96,
     ) {
-        use fpna_core::executor::{intra_hint_test_guard, set_intra_threads};
+        use fpna_core::executor::set_threads;
         use fpna_nn::linalg::{matmul, matmul_nt, matmul_tn};
-        let _hint = intra_hint_test_guard();
 
         let a = Tensor::randn(vec![m, k], seed).map(|v| v * 1e3);
         let b = Tensor::randn(vec![k, n], seed ^ 1).map(|v| v * 1e3);
         let a_t = Tensor::randn(vec![k, m], seed ^ 2).map(|v| v * 1e3);
         let b_t = Tensor::randn(vec![n, k], seed ^ 3).map(|v| v * 1e3);
 
-        set_intra_threads(1);
+        set_threads(1);
         let mm_ref = matmul(&a, &b);
         let tn_ref = matmul_tn(&a_t, &b);
         let nt_ref = matmul_nt(&a, &b_t);
         for threads in [2usize, 4, 7] {
-            set_intra_threads(threads);
+            set_threads(threads);
             prop_assert!(matmul(&a, &b).bitwise_eq(&mm_ref), "matmul threads={}", threads);
             prop_assert!(matmul_tn(&a_t, &b).bitwise_eq(&tn_ref), "matmul_tn threads={}", threads);
             prop_assert!(matmul_nt(&a, &b_t).bitwise_eq(&nt_ref), "matmul_nt threads={}", threads);
@@ -146,15 +145,14 @@ proptest! {
     /// matmuls) is bitwise invariant to the intra-run thread budget.
     #[test]
     fn sage_forward_is_intra_thread_invariant(seed in any::<u64>(), nodes in 3usize..24) {
-        use fpna_core::executor::{intra_hint_test_guard, set_intra_threads};
-        let _hint = intra_hint_test_guard();
+        use fpna_core::executor::set_threads;
         let g = random_graph(nodes, nodes * 6, seed);
         let layer = SageConv::new(6, 4, Aggregation::Mean, true, seed);
         let x = Tensor::randn(vec![nodes, 6], seed ^ 7).map(|v| v * 1e3);
-        set_intra_threads(1);
+        set_threads(1);
         let (reference, _) = layer.forward(&det_ctx(), &g, &x).unwrap();
         for threads in [2usize, 4, 7] {
-            set_intra_threads(threads);
+            set_threads(threads);
             let (out, _) = layer.forward(&det_ctx(), &g, &x).unwrap();
             prop_assert!(out.bitwise_eq(&reference), "threads={}", threads);
         }

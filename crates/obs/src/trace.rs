@@ -7,8 +7,8 @@
 //!
 //! Track conventions used by the FPNA stack:
 //!
-//! * `pid` — one process group per executor run (`run_index + 1`),
-//!   pid 0 for code outside a run fan-out. Set via
+//! * `pid` — one process group per fanned-out run (global
+//!   `run_index + 1`), pid 0 for code outside a run fan-out. Set via
 //!   [`set_current_pid`] / read via [`current_pid`].
 //! * `tid` — links occupy tids `[0, num_links)` so each physical link
 //!   renders as its own lane (queueing and ECMP path choice are
@@ -183,8 +183,8 @@ pub fn current_pid() -> u64 {
     CUR_PID.get()
 }
 
-/// Set the trace pid for this thread; `RunExecutor` points it at
-/// `run_index + 1` for the duration of each run closure.
+/// Set the trace pid for this thread; `fpna_core`'s `map_runs` points
+/// it at the global `run_index + 1` for the duration of each run.
 #[inline]
 pub fn set_current_pid(pid: u64) {
     CUR_PID.set(pid);

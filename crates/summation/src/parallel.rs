@@ -132,10 +132,9 @@ pub fn ordered_threaded_sum(xs: &[f64], threads: usize) -> f64 {
 /// partitioning (unlike [`ordered_threaded_sum`], whose bits change
 /// with the thread count).
 ///
-/// `threads` is the chunk-boundary hint; the executor primitive runs
-/// the chunks on scoped threads, or serially when called inside
-/// another executor worker (one shared budget) — the bits are the same
-/// either way.
+/// `threads` is the chunk-boundary hint; the chunks run on up to the
+/// calling thread's worker budget, or serially inside another fan-out's
+/// worker (one shared budget) — the bits are the same either way.
 pub fn reproducible_threaded_sum(xs: &[f64], threads: usize) -> f64 {
     assert!(threads > 0, "need at least one thread");
     fpna_core::executor::par_reduce_indexed(

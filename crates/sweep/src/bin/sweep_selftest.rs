@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use fpna_core::harness::RunSummary;
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_summation::{kahan_sum, serial_sum, ExactAccumulator};
-use fpna_sweep::cli::Args;
+use fpna_sweep::cli::{usage_error, Args};
 use fpna_sweep::mode::SweepMode;
 use fpna_sweep::rows::{f64_to_hex, SweepRows};
 use fpna_sweep::spec::SweepSpec;
@@ -63,6 +63,9 @@ fn main() -> ExitCode {
     let mode = SweepMode::from_args(&mut args);
     let runs = args.value("runs", "an integer").unwrap_or(12);
     let len = args.value("len", "an integer").unwrap_or(1000);
+    if len == 0 {
+        usage_error("--len must be at least 1, got 0");
+    }
     let seed = args.value("seed", "an integer").unwrap_or(7);
     args.finish();
 

@@ -6,13 +6,15 @@
 //!    binary stays the single source of truth for what it computes;
 //! 2. answers from the cached merged report if the store already has
 //!    one for this spec hash;
-//! 3. otherwise partitions the runs with [`shard_assignments`], skips
-//!    every shard whose valid result file is already in the store
-//!    (resumability), and spawns one OS process per missing shard,
-//!    at most `jobs` at a time;
-//! 4. removes shard files left over from a different partition, then
-//!    spawns the binary once more in `--from-shards` mode to merge and
-//!    print the report — byte-identical to a single-process run;
+//! 3. otherwise partitions the runs with [`shard_assignments`], removes
+//!    every shard file it cannot reuse (damaged, foreign, or left over
+//!    from a different partition), skips every shard whose file it kept
+//!    (resumability), and spawns one OS process per missing shard, at
+//!    most `jobs` at a time;
+//! 4. spawns the binary once more in `--from-shards` mode to merge and
+//!    print the report — byte-identical to a single-process run. The
+//!    merge refuses anything that is not an exact partition with one
+//!    `error:` line, naming the file at fault where there is one;
 //! 5. caches the report bytes for the next identical query.
 //!
 //! Shard boundaries and per-run seeds are pure functions of the spec,
@@ -176,15 +178,14 @@ impl Coordinator {
         }
 
         let assignments = shard_assignments(&spec, self.shards);
+        let kept = self
+            .store
+            .remove_stale_shards(&spec, &assignments)
+            .map_err(|e| format!("cannot prune stale shard files: {e}"))?;
         let mut cached_shards = Vec::new();
         let mut to_compute: Vec<&ShardAssignment> = Vec::new();
         for a in &assignments {
-            let reusable = !self.no_cache
-                && self
-                    .store
-                    .read_valid_shard(&spec, a.shard_id, a.run_range.clone())
-                    .is_some();
-            if reusable {
+            if !self.no_cache && kept.contains(&a.shard_id) {
                 eprintln!(
                     "sweep: shard {} [{}..{}) cached",
                     a.shard_id, a.run_range.start, a.run_range.end
@@ -196,13 +197,6 @@ impl Coordinator {
         }
 
         let computed_shards = self.run_shards(&spec, &to_compute)?;
-        self.store
-            .remove_stale_shards(&spec, &assignments)
-            .map_err(|e| format!("cannot prune stale shard files: {e}"))?;
-
-        // Validate the partition before paying for the merge process.
-        self.store.load_merged(&spec)?;
-
         let (report, merge_status) = self.merge(&spec)?;
         if !self.no_cache && merge_status == 0 {
             self.store

@@ -104,28 +104,6 @@ impl SweepStore {
         Ok(path)
     }
 
-    /// Read and validate one shard file for `(spec, shard_id)`.
-    ///
-    /// `Ok(None)` means "not usable — compute it": the file is absent,
-    /// unreadable, refused by [`decode_shard`], or describes a
-    /// different spec or a different run range than `expected_range`.
-    /// Only an exact match is returned, so a store shared between runs
-    /// with different shard counts re-computes rather than mis-merges.
-    pub fn read_valid_shard(
-        &self,
-        spec: &SweepSpec,
-        shard_id: usize,
-        expected_range: Range<usize>,
-    ) -> Option<ShardFile> {
-        let path = self.shard_path(spec, shard_id);
-        let text = fs::read_to_string(&path).ok()?;
-        let shard = decode_shard(&text).ok()?;
-        let ok = shard.spec_hash == spec.hash_hex()
-            && shard.shard_id == shard_id
-            && shard.run_range == expected_range;
-        ok.then_some(shard)
-    }
-
     /// Load **all** shard files under `spec`'s directory and merge
     /// their rows into one row set.
     ///
@@ -167,31 +145,41 @@ impl SweepStore {
         }
     }
 
-    /// Remove every shard file that is unusable or does not belong to
-    /// the given partition — run before merging, so damaged files and
-    /// leftovers from an earlier partition cannot fail the merge.
+    /// Remove every shard file of `spec` that cannot be reused for
+    /// `assignments`, and return the ids of the shards whose files were
+    /// kept, in id order. A file is kept only when it decodes, holds
+    /// this spec's hash, sits at its own id's
+    /// [`SweepStore::shard_path`], and its id and run range match an
+    /// assignment. Run before computing, so damaged files and leftovers
+    /// from an earlier partition are recomputed instead of merged: a
+    /// store shared between runs with different shard counts
+    /// re-computes rather than mis-merges.
     pub fn remove_stale_shards(
         &self,
         spec: &SweepSpec,
         assignments: &[ShardAssignment],
-    ) -> io::Result<()> {
+    ) -> io::Result<Vec<usize>> {
         let scan = match Scan::of(&self.sweep_dir(spec)) {
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             other => other?,
         };
         let hash = spec.hash_hex();
+        let mut kept = Vec::new();
         for (path, shard) in scan.shards {
-            let keep = shard.is_ok_and(|s| {
+            let reusable = shard.ok().filter(|s| {
                 s.spec_hash == hash
+                    && path == self.shard_path(spec, s.shard_id)
                     && assignments
                         .iter()
                         .any(|a| a.shard_id == s.shard_id && a.run_range == s.run_range)
             });
-            if !keep {
-                fs::remove_file(path)?;
+            match reusable {
+                Some(s) => kept.push(s.shard_id),
+                None => fs::remove_file(path)?,
             }
         }
-        Ok(())
+        kept.sort_unstable();
+        Ok(kept)
     }
 }
 
@@ -629,13 +617,29 @@ mod tests {
     fn shard_files_round_trip_bitwise() {
         let store = temp_store("roundtrip");
         let rows = rows_for(3..7);
-        store.write_shard(&spec(), 1, 3..7, &rows).unwrap();
-        let shard = store.read_valid_shard(&spec(), 1, 3..7).unwrap();
+        let path = store.write_shard(&spec(), 1, 3..7, &rows).unwrap();
+        let shard = decode_shard(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(shard.rows, rows);
         assert_eq!(shard.spec, spec());
+        let prune = |shard_id, run_range| {
+            let only = ShardAssignment {
+                shard_id,
+                base_seed: 7,
+                run_range,
+            };
+            store.remove_stale_shards(&spec(), &[only]).unwrap()
+        };
+        // a copy under another id's name is not usable; the original is
+        let copy = store.shard_path(&spec(), 2);
+        fs::copy(&path, &copy).unwrap();
+        assert_eq!(prune(1, 3..7), [1]);
+        assert!(path.exists() && !copy.exists());
         // wrong range or id -> not usable
-        assert!(store.read_valid_shard(&spec(), 1, 3..8).is_none());
-        assert!(store.read_valid_shard(&spec(), 0, 3..7).is_none());
+        for (id, range) in [(1, 3..8), (0, 3..7)] {
+            store.write_shard(&spec(), 1, 3..7, &rows).unwrap();
+            assert!(prune(id, range).is_empty());
+            assert!(!path.exists());
+        }
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -735,9 +739,8 @@ mod tests {
         let err = store.load_merged(&s).unwrap_err();
         assert!(err.contains("tile"), "{err}");
         // cleaning against the 2-shard partition recovers
-        store
-            .remove_stale_shards(&s, &shard_assignments(&s, 2))
-            .unwrap();
+        let assignments = shard_assignments(&s, 2);
+        assert_eq!(store.remove_stale_shards(&s, &assignments).unwrap(), [0, 1]);
         assert!(store.load_merged(&s).is_ok());
         let _ = fs::remove_dir_all(store.root());
     }
@@ -755,9 +758,10 @@ mod tests {
         let flipped = if orig == b'0' { '1' } else { '0' };
         text.replace_range(pos..pos + 1, &flipped.to_string());
         fs::write(&path, &text).unwrap();
-        assert!(store.read_valid_shard(&s, 0, 0..10).is_none());
         let err = store.load_merged(&s).unwrap_err();
         assert!(err.contains("corrupt") || err.contains("stats"), "{err}");
+        let kept = store.remove_stale_shards(&s, &shard_assignments(&s, 1));
+        assert!(kept.unwrap().is_empty() && !path.exists());
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -1,8 +1,8 @@
 //! End-to-end process tests for the `sweep` coordinator, driven
 //! against the `sweep_selftest` experiment binary: byte-identical
 //! sharded reports, warm-cache answers, resume after a killed shard,
-//! recovery from a damaged shard file, and stale-partition recovery
-//! when the shard count changes.
+//! recovery from a damaged shard file, stale-partition recovery when
+//! the shard count changes, and the experiment's own usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -223,4 +223,24 @@ fn manifest_lists_the_partition() {
     assert!(text.contains("\"base_seed\":\"23\""), "{text}");
     // no store entry is created by a manifest-only invocation
     assert!(!store.exists());
+}
+
+#[test]
+fn zero_length_is_a_usage_error() {
+    let out = Command::new(SELFTEST)
+        .args(["--len", "0"])
+        .output()
+        .expect("run selftest --len 0");
+    let log = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(2), "{log}");
+    assert!(out.stdout.is_empty());
+    assert_eq!(log.lines().count(), 1, "{log}");
+    assert!(log.starts_with("error: "), "{log}");
+    // The smallest usable length still runs.
+    let one = Command::new(SELFTEST)
+        .args(["--runs", "3", "--len", "1"])
+        .output()
+        .expect("run selftest --len 1");
+    assert!(one.status.success(), "{}", stderr_of(&one));
+    assert!(!one.stdout.is_empty());
 }

@@ -10,7 +10,7 @@
 //! Figs 3–5 fix the operation and sweep the *reduction ratio*
 //! `R = output dim / source dim`.
 
-use fpna_core::executor::RunExecutor;
+use fpna_core::executor::map_runs;
 use fpna_core::harness::{VariabilityHarness, VariabilityReport};
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::rng::SplitMix64;
@@ -133,7 +133,6 @@ impl Table5Cell {
     pub fn comparisons_range(
         &self,
         range: std::ops::Range<usize>,
-        executor: &RunExecutor,
     ) -> Vec<(usize, ArrayComparison)> {
         let start = if self.self_referenced {
             range.start.max(1)
@@ -149,7 +148,7 @@ impl Table5Cell {
         } else {
             (self.kernel)(&self.det)
         };
-        let comparisons = executor.map_run_range(range.clone(), |i| {
+        let comparisons = map_runs(range.clone(), |i| {
             ArrayComparison::compare(&reference, &(self.kernel)(&self.nd.for_run(i as u64)))
         });
         range.zip(comparisons).collect()
@@ -314,10 +313,9 @@ pub fn ratio_experiment(
     ratio: f64,
     runs: usize,
     seed: u64,
-    executor: &RunExecutor,
 ) -> VariabilityReport {
     assert!(ratio > 0.0 && ratio <= 1.0, "reduction ratio in (0, 1]");
-    let harness = VariabilityHarness::new(runs).with_executor(*executor);
+    let harness = VariabilityHarness::new(runs);
     let out_rows = ((input_dim as f64 * ratio).round() as usize).max(1);
     let nd = GpuContext::new(model, seed).with_determinism(Some(false));
     match op {
@@ -355,15 +353,16 @@ pub fn ratio_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpna_core::executor::set_threads;
 
     /// Table 5's rows over `runs` runs per cell: each cell's mean
     /// `Vermv` over `0..runs`, folded by [`table5_reduce`].
-    fn table5_rows(runs: usize, executor: &RunExecutor) -> Vec<SweepRow> {
+    fn table5_rows(runs: usize) -> Vec<SweepRow> {
         let means: Vec<(&'static str, f64)> = table5_cells(GpuModel::H100, 123)
             .iter()
             .map(|cell| {
                 let comparisons: Vec<ArrayComparison> = cell
-                    .comparisons_range(0..runs, executor)
+                    .comparisons_range(0..runs)
                     .into_iter()
                     .map(|(_, c)| c)
                     .collect();
@@ -378,7 +377,7 @@ mod tests {
 
     #[test]
     fn table5_sweep_smoke() {
-        let rows = table5_rows(3, &RunExecutor::serial());
+        let rows = table5_rows(3);
         assert_eq!(rows.len(), 9, "one row per Table 5 operation");
         for row in &rows {
             assert!(row.configs > 0, "{}", row.op);
@@ -404,15 +403,7 @@ mod tests {
 
     #[test]
     fn ratio_experiment_scatter_sum() {
-        let report = ratio_experiment(
-            GpuModel::H100,
-            RatioOp::ScatterReduceSum,
-            2000,
-            0.5,
-            5,
-            7,
-            &RunExecutor::serial(),
-        );
+        let report = ratio_experiment(GpuModel::H100, RatioOp::ScatterReduceSum, 2000, 0.5, 5, 7);
         // self-referenced: runs-1 comparisons
         assert_eq!(report.per_run.len(), 4);
         assert!(report.vc.mean >= 0.0);
@@ -420,15 +411,7 @@ mod tests {
 
     #[test]
     fn ratio_experiment_index_add_has_det_reference() {
-        let report = ratio_experiment(
-            GpuModel::H100,
-            RatioOp::IndexAdd,
-            64,
-            0.5,
-            5,
-            8,
-            &RunExecutor::serial(),
-        );
+        let report = ratio_experiment(GpuModel::H100, RatioOp::IndexAdd, 64, 0.5, 5, 8);
         assert_eq!(report.per_run.len(), 5);
         // with duplicates and wide values the ND kernel should differ
         // from the deterministic reference in at least one run
@@ -450,33 +433,21 @@ mod tests {
     fn sweeps_are_thread_count_invariant() {
         // The tentpole guarantee: parallel execution is bitwise
         // indistinguishable from serial, per report and per row.
-        let serial = ratio_experiment(
-            GpuModel::H100,
-            RatioOp::IndexAdd,
-            48,
-            0.5,
-            9,
-            31,
-            &RunExecutor::serial(),
-        );
+        set_threads(1);
+        let serial = ratio_experiment(GpuModel::H100, RatioOp::IndexAdd, 48, 0.5, 9, 31);
         for threads in [2usize, 4, 7] {
-            let parallel = ratio_experiment(
-                GpuModel::H100,
-                RatioOp::IndexAdd,
-                48,
-                0.5,
-                9,
-                31,
-                &RunExecutor::new(threads),
-            );
+            set_threads(threads);
+            let parallel = ratio_experiment(GpuModel::H100, RatioOp::IndexAdd, 48, 0.5, 9, 31);
             assert!(
                 reports_identical(&serial, &parallel),
                 "ratio_experiment diverged at threads={threads}"
             );
         }
 
-        let rows_serial = table5_rows(3, &RunExecutor::serial());
-        let rows_parallel = table5_rows(3, &RunExecutor::new(4));
+        set_threads(1);
+        let rows_serial = table5_rows(3);
+        set_threads(4);
+        let rows_parallel = table5_rows(3);
         assert_eq!(rows_serial.len(), rows_parallel.len());
         for (a, b) in rows_serial.iter().zip(&rows_parallel) {
             assert_eq!(a.op, b.op);
@@ -489,15 +460,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reduction ratio")]
     fn bad_ratio_panics() {
-        ratio_experiment(
-            GpuModel::H100,
-            RatioOp::IndexAdd,
-            10,
-            0.0,
-            2,
-            1,
-            &RunExecutor::serial(),
-        );
+        ratio_experiment(GpuModel::H100, RatioOp::IndexAdd, 10, 0.0, 2, 1);
     }
 
     #[test]

@@ -179,8 +179,7 @@ proptest! {
         len in 1usize..40,
         k in 1usize..4,
     ) {
-        use fpna_core::executor::{intra_hint_test_guard, set_intra_threads};
-        let _hint = intra_hint_test_guard();
+        use fpna_core::executor::set_threads;
         let x = Tensor::rand(vec![n], seed).map(|v| v * 1e6 - 5e5);
         let y = Tensor::rand(vec![n], seed ^ 1);
         let rows = 64usize.min(n);
@@ -191,13 +190,13 @@ proptest! {
         let w = Tensor::rand(vec![c_in, c_out, k], seed ^ 5);
         let params = ConvParams::uniform(1, 1, 0);
 
-        set_intra_threads(1);
+        set_threads(1);
         let map_ref = x.map(|v| v.sqrt().abs() + 1.0);
         let zip_ref = x.zip(&y, |a, b| a * b + 0.5);
         let gather_ref = gather_rows(&table, &index).unwrap();
         let conv_ref = conv_transpose1d(&det_ctx(), &cin, &w, None, &params).unwrap();
         for threads in [2usize, 4, 7] {
-            set_intra_threads(threads);
+            set_threads(threads);
             prop_assert!(x.map(|v| v.sqrt().abs() + 1.0).bitwise_eq(&map_ref), "map threads={}", threads);
             prop_assert!(x.zip(&y, |a, b| a * b + 0.5).bitwise_eq(&zip_ref), "zip threads={}", threads);
             prop_assert!(gather_rows(&table, &index).unwrap().bitwise_eq(&gather_ref), "gather threads={}", threads);

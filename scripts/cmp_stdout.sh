@@ -7,6 +7,8 @@
 # `git clone` at the parent commit). Both trees are built in release,
 # each into its own target directory. Then each tree runs:
 #   * every fig/table binary with default arguments and --threads 1;
+#   * the same binaries at --threads 3, except table3, whose unordered
+#     threaded sums are non-reproducible by design;
 #   * each table9 invocation from .github/workflows/ci.yml, plus the
 #     trace file that CI's observability step writes;
 #   * the --emit-spec output of the binaries that speak the sweep
@@ -48,6 +50,7 @@ table9_args=(
 trace_args="--runs 2 --len 64 --load 0.5 --seed 9"
 
 bins=$(cd "$change/crates/bench/src/bin" && ls ablations.rs fig*.rs table*.rs | sed 's/\.rs$//')
+mask='s/^(training wall time \(.*host simulation\)).*/\1: <host time>/'
 protocol_bins="fig1 table2 table5 table7 table9"
 
 run_tree() {
@@ -61,9 +64,11 @@ run_tree() {
     mkdir -p "$out/$side"
     for bin in $bins; do
         echo "== $side: $bin" >&2
-        (cd "$tree" && "$target/release/$bin" --threads 1) \
-            | sed -E 's/^(training wall time \(.*host simulation\)).*/\1: <host time>/' \
-            > "$out/$side/$bin.out"
+        (cd "$tree" && "$target/release/$bin" --threads 1) | sed -E "$mask" > "$out/$side/$bin.out"
+        if [[ $bin != table3 ]]; then
+            (cd "$tree" && "$target/release/$bin" --threads 3) | sed -E "$mask" \
+                > "$out/$side/$bin.threads3.out"
+        fi
     done
     for bin in $protocol_bins; do
         (cd "$tree" && "$target/release/$bin" --emit-spec) > "$out/$side/$bin.spec.out"

@@ -86,15 +86,7 @@ fn inference_mode_matrix_ordering() {
     // but with compounding training noise the ordering is robust even
     // at small scale for the D rows).
     let ds = dataset();
-    let rows = fpna::nn::train::train_inference_matrix(
-        &ds,
-        &cfg(),
-        GpuModel::H100,
-        2,
-        31,
-        &fpna::core::executor::RunExecutor::serial(),
-    )
-    .unwrap();
+    let rows = fpna::nn::train::train_inference_matrix(&ds, &cfg(), GpuModel::H100, 2, 31).unwrap();
     assert_eq!(rows[0].vc.mean, 0.0, "D/D must be exactly reproducible");
     assert!(rows[3].vc.mean > 0.0, "ND/ND must vary");
     assert!(rows[3].vc.mean >= rows[1].vc.mean * 0.5);
