@@ -11,7 +11,7 @@
 //! already gates the engine end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fpna_net::{FabricConfig, JitterModel, LinkSpec, NetSim, QueueImpl, Topology};
+use fpna_net::{JitterModel, LinkSpec, NetSim, Topology};
 
 fn flat() -> Topology {
     Topology::flat_switch(64, LinkSpec::new(500.0, 25.0))
@@ -64,35 +64,24 @@ fn bench_route_table(c: &mut Criterion) {
 }
 
 /// 1024 random messages through the full event loop: queue churn,
-/// dense link-busy updates, jitter sampling. The `flood` rows run the
-/// default calendar queue; the `flood_heap` rows run the identical
-/// workload on the retained `BinaryHeap` reference, so the pair
-/// isolates the bucket-pop vs heap-pop win (the two engines deliver
-/// bitwise-identically, so any delta is pure queue cost).
+/// dense link-busy updates, jitter sampling.
 fn bench_flood(c: &mut Criterion) {
     const MSGS: usize = 1024;
     let mut group = c.benchmark_group("net_engine");
     group.throughput(Throughput::Elements(MSGS as u64));
-    for (queue, row) in [(QueueImpl::Calendar, "flood"), (QueueImpl::Heap, "flood_heap")] {
-        for (topo, name) in [(flat(), "flat"), (hier(), "hier")] {
-            let traffic = plan(topo.ranks(), MSGS);
-            group.bench_with_input(BenchmarkId::new(row, name), &topo, |b, topo| {
-                b.iter(|| {
-                    let mut sim = NetSim::with_queue(
-                        topo,
-                        JitterModel::uniform(0.3, 42),
-                        FabricConfig::default(),
-                        queue,
-                    );
-                    for (i, &(from, to, bytes, at)) in traffic.iter().enumerate() {
-                        sim.send_at(at, from, to, bytes, i as u64);
-                    }
-                    let mut last = 0.0f64;
-                    sim.run(|_, d| last = d.time);
-                    last
-                })
-            });
-        }
+    for (topo, name) in [(flat(), "flat"), (hier(), "hier")] {
+        let traffic = plan(topo.ranks(), MSGS);
+        group.bench_with_input(BenchmarkId::new("flood", name), &topo, |b, topo| {
+            b.iter(|| {
+                let mut sim = NetSim::new(topo, JitterModel::uniform(0.3, 42));
+                for (i, &(from, to, bytes, at)) in traffic.iter().enumerate() {
+                    sim.send_at(at, from, to, bytes, i as u64);
+                }
+                let mut last = 0.0f64;
+                sim.run(|_, d| last = d.time);
+                last
+            })
+        });
     }
     group.finish();
 }
@@ -128,31 +117,27 @@ fn bench_flood_counted(c: &mut Criterion) {
 
 /// A long callback-driven relay: every delivery injects the next
 /// send, so one recycled message slot carries the whole run — the
-/// chained-send path protocols live on. Like `flood`/`flood_heap`,
-/// the `_heap` row prices the reference queue on the same workload.
+/// chained-send path protocols live on.
 fn bench_relay(c: &mut Criterion) {
     const LEGS: u64 = 4096;
     let topo = hier();
     let p = topo.ranks();
     let mut group = c.benchmark_group("net_engine");
     group.throughput(Throughput::Elements(LEGS));
-    for (queue, row) in [(QueueImpl::Calendar, "relay_chain"), (QueueImpl::Heap, "relay_chain_heap")] {
-        group.bench_function(row, |b| {
-            b.iter(|| {
-                let mut sim =
-                    NetSim::with_queue(&topo, JitterModel::none(), FabricConfig::default(), queue);
-                sim.send_at(0.0, 0, 1, 256, 0);
-                let mut last = 0.0f64;
-                sim.run(|sim, d| {
-                    last = d.time;
-                    if d.tag < LEGS {
-                        sim.send_at(d.time, d.to, (d.to + 1) % p, 256, d.tag + 1);
-                    }
-                });
-                last
-            })
-        });
-    }
+    group.bench_function("relay_chain", |b| {
+        b.iter(|| {
+            let mut sim = NetSim::new(&topo, JitterModel::none());
+            sim.send_at(0.0, 0, 1, 256, 0);
+            let mut last = 0.0f64;
+            sim.run(|sim, d| {
+                last = d.time;
+                if d.tag < LEGS {
+                    sim.send_at(d.time, d.to, (d.to + 1) % p, 256, d.tag + 1);
+                }
+            });
+            last
+        })
+    });
     group.finish();
 }
 

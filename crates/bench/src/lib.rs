@@ -2,14 +2,14 @@
 //!
 //! Regenerators for every table and figure in the paper, plus shared
 //! experiment plumbing. Each `table*`/`fig*` binary prints the same
-//! rows/series the paper reports; `EXPERIMENTS.md` records
-//! paper-vs-measured for each.
+//! rows/series the paper reports; README's "Paper figures and tables →
+//! binaries" maps each binary to the artifact it reproduces.
 //!
 //! All binaries accept `--runs`, `--arrays`, `--models`, … style
 //! overrides; defaults are scaled down from the paper's (e.g. 10 000
 //! runs → hundreds) so a full regeneration finishes in minutes on a
-//! laptop. Scaling factors are documented per experiment in
-//! `EXPERIMENTS.md`.
+//! laptop. Each binary's header comment gives its default and
+//! paper-scale sizes.
 //!
 //! Every binary reads its command line once, through [`Cli`]. Four
 //! flags are shared by every fig/table binary:

@@ -94,6 +94,13 @@ use fpna_obs::counters::{self, Counter};
 use fpna_obs::trace;
 use fpna_summation::exact::ExactVec;
 
+/// Deterministic injection skew: rank `r` enters the collective at
+/// `r · STAGGER_NS` — ranks never hit a collective simultaneously in
+/// practice (kernel-completion skew is typically sub-µs to µs scale).
+/// Arrival order flips only where accumulated path jitter beats this
+/// spacing, which is how variability comes to grow with fabric depth.
+const STAGGER_NS: f64 = 500.0;
+
 /// Fabric-behaviour knobs shared by every ordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
@@ -105,13 +112,6 @@ pub struct NetConfig {
     /// Jitter seed used when the ordering does not carry one
     /// (`Reproducible`): "what the fabric did this run".
     pub jitter_seed: u64,
-    /// Deterministic injection skew: rank `r` enters the collective at
-    /// `r · stagger_ns` — ranks never hit a collective simultaneously
-    /// in practice (kernel-completion skew is typically sub-µs to µs
-    /// scale). Arrival order flips only where accumulated path jitter
-    /// beats this spacing, which is how variability comes to grow with
-    /// fabric depth.
-    pub stagger_ns: f64,
     /// Offered load of the seeded background tenants sharing the
     /// fabric ([`fpna_net::Background`]): `0.0` (the default) is a
     /// quiet fabric, bit-identical to the pre-contention engine.
@@ -137,7 +137,6 @@ impl Default for NetConfig {
         NetConfig {
             jitter_frac: 0.3,
             jitter_seed: 0,
-            stagger_ns: 500.0,
             load: 0.0,
             bg_seed: 0,
             route: RouteSelect::Fixed,
@@ -743,7 +742,7 @@ fn run_trees(
             for c in 0..k {
                 let (lo, hi) = chunk_bounds(tree.lo, tree.hi, k, c);
                 let bytes = raw_wire_bytes(&own[lo..hi], exact);
-                let (at, to) = (config.stagger_ns * r as f64, tree.parent[r] as usize);
+                let (at, to) = (STAGGER_NS * r as f64, tree.parent[r] as usize);
                 sim.send_at(at, r, to, bytes, (((t * k + c) as u64) << 1) | UP);
             }
         }
@@ -856,7 +855,7 @@ fn recursive_doubling_on(
         .map(|r| Rank {
             buf: exact.then(|| pool.values_of(&ranks[r], true)),
             round: 0,
-            ready: config.stagger_ns * r as f64,
+            ready: STAGGER_NS * r as f64,
             pending: (0..rounds).map(|_| None).collect(),
         })
         .collect();

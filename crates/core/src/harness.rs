@@ -1,4 +1,4 @@
-//! Run-to-run variability harness.
+//! Run-to-run variability reports.
 //!
 //! The paper's experimental template (§II, §IV) is always the same:
 //!
@@ -10,17 +10,18 @@
 //!    `B_1 … B_N`;
 //! 4. report the distribution of `Vs` / `Vermv` / `Vc` over the runs.
 //!
-//! [`VariabilityHarness`] packages that template. The closure receives
-//! the run index, which experiments use to reseed the simulated
-//! scheduler — the analogue of "launch the kernel again and let the
-//! hardware pick a new interleaving".
-//!
-//! Runs fan out through [`crate::executor::map_runs`] on the calling
-//! thread's worker budget. Because per-run seeds are index-keyed and
-//! comparisons are collected in run-index order, every
-//! [`VariabilityReport`] is bit-for-bit identical at any thread count.
+//! Experiments run steps 1–3 themselves: the tensor ops through
+//! `fpna_tensor::sweep::OpCell` (Table 5, Figs 3–5), Table 7 through
+//! `fpna_nn::train::train_inference_comparisons`. Each fans its runs out
+//! through [`crate::executor::map_runs`], reseeds the simulated
+//! scheduler from the run index (the analogue of "launch the kernel
+//! again and let the hardware pick a new interleaving"), and collects
+//! one [`ArrayComparison`] per run in run-index order. This module is
+//! step 4: [`VariabilityReport::from_comparisons`] folds those
+//! comparisons, and [`RunSummary`] describes any per-run metric. Because
+//! the comparisons arrive in index order, a report is bit-for-bit
+//! identical at any thread count and under any sharding of the runs.
 
-use crate::executor::map_runs;
 use crate::metrics::ArrayComparison;
 
 /// Descriptive statistics over the per-run metric values.
@@ -116,74 +117,6 @@ impl VariabilityReport {
     }
 }
 
-/// Harness executing the paper's repeated-run experimental template.
-#[derive(Debug, Clone, Copy)]
-pub struct VariabilityHarness {
-    /// Number of non-deterministic runs.
-    pub runs: usize,
-}
-
-impl VariabilityHarness {
-    /// A harness performing `runs` non-deterministic executions.
-    pub fn new(runs: usize) -> Self {
-        VariabilityHarness { runs }
-    }
-
-    /// Scalar experiment: `reference` is the deterministic output,
-    /// `run(i)` the i-th non-deterministic output. Returns the per-run
-    /// `Vs` values.
-    pub fn scalar<F>(&self, reference: f64, run: F) -> Vec<f64>
-    where
-        F: Fn(usize) -> f64 + Sync,
-    {
-        map_runs(0..self.runs, |i| crate::metrics::scalar_variability(run(i), reference))
-    }
-
-    /// Array experiment with a deterministic reference output.
-    pub fn array<F>(&self, reference: &[f64], run: F) -> VariabilityReport
-    where
-        F: Fn(usize) -> Vec<f64> + Sync,
-    {
-        let comparisons = self.comparisons_range(reference, 0..self.runs, run);
-        VariabilityReport::from_comparisons(&comparisons)
-    }
-
-    /// Per-run comparisons for the **global** run indices in `range` —
-    /// the shardable slice of [`VariabilityHarness::array`]. `run(i)`
-    /// receives the global index, so a shard computing `a..b` of an
-    /// `0..runs` experiment produces bit-for-bit the comparisons a
-    /// single process would have produced at those indices; a report
-    /// assembled from the concatenation (in index order) of any
-    /// partition equals the single-process report.
-    pub fn comparisons_range<F>(
-        &self,
-        reference: &[f64],
-        range: std::ops::Range<usize>,
-        run: F,
-    ) -> Vec<ArrayComparison>
-    where
-        F: Fn(usize) -> Vec<f64> + Sync,
-    {
-        debug_assert!(range.end <= self.runs, "range beyond the experiment's runs");
-        map_runs(range, |i| {
-            let out = run(i);
-            ArrayComparison::compare(reference, &out)
-        })
-    }
-
-    /// Array experiment for ops *without* a deterministic kernel: the
-    /// first run becomes the reference (`A = B_0`, paper §IV), and the
-    /// remaining `runs − 1` executions are compared against it.
-    pub fn array_self_referenced<F>(&self, run: F) -> VariabilityReport
-    where
-        F: Fn(usize) -> Vec<f64> + Sync,
-    {
-        assert!(self.runs >= 1, "self-referenced experiment needs >= 1 run");
-        let reference = run(0);
-        VariabilityHarness::new(self.runs - 1).array(&reference, |i| run(i + 1))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,11 +147,18 @@ mod tests {
         assert_eq!(s.mean, 5.0);
     }
 
+    /// The report over `runs` comparisons of `run(i)` against
+    /// `reference`.
+    fn report(reference: &[f64], runs: usize, run: impl Fn(usize) -> Vec<f64>) -> VariabilityReport {
+        let comparisons: Vec<ArrayComparison> = (0..runs)
+            .map(|i| ArrayComparison::compare(reference, &run(i)))
+            .collect();
+        VariabilityReport::from_comparisons(&comparisons)
+    }
+
     #[test]
     fn deterministic_kernel_is_fully_reproducible() {
-        let h = VariabilityHarness::new(10);
-        let reference = vec![1.0, 2.0, 3.0];
-        let report = h.array(&reference, |_| vec![1.0, 2.0, 3.0]);
+        let report = report(&[1.0, 2.0, 3.0], 10, |_| vec![1.0, 2.0, 3.0]);
         assert!(report.fully_reproducible());
         assert_eq!(report.vermv.mean, 0.0);
         assert_eq!(report.vc.max, 0.0);
@@ -226,10 +166,8 @@ mod tests {
 
     #[test]
     fn perturbed_runs_are_detected() {
-        let h = VariabilityHarness::new(4);
-        let reference = vec![1.0, 2.0];
         // runs 0 and 2 perturb the first element
-        let report = h.array(&reference, |i| {
+        let report = report(&[1.0, 2.0], 4, |i| {
             if i % 2 == 0 {
                 vec![1.0 + 1e-12, 2.0]
             } else {
@@ -240,25 +178,5 @@ mod tests {
         assert!(!report.fully_reproducible());
         assert!(report.vc.max > 0.0);
         assert_eq!(report.vc.min, 0.0);
-    }
-
-    #[test]
-    fn scalar_harness_reports_vs_per_run() {
-        let h = VariabilityHarness::new(3);
-        let vs = h.scalar(10.0, |i| 10.0 + i as f64 * 1e-13);
-        assert_eq!(vs[0], 0.0);
-        assert!(vs[1] < 0.0); // larger magnitude => negative Vs
-        assert!(vs[2] < vs[1]);
-    }
-
-    #[test]
-    fn self_referenced_uses_first_run() {
-        let h = VariabilityHarness::new(3);
-        let outputs = [vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 1.0]];
-        let report = h.array_self_referenced(|i| outputs[i].clone());
-        // 2 comparisons: run1 identical, run2 differs in 1 of 2 elements
-        assert_eq!(report.per_run.len(), 2);
-        assert_eq!(report.bitwise_identical_runs, 1);
-        assert_eq!(report.vc.max, 0.5);
     }
 }

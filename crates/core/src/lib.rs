@@ -2,7 +2,7 @@
 //!
 //! Core of the floating-point non-associativity (FPNA) reproducibility
 //! suite: the variability metrics of Shanmugavelu et al. (SC 2024,
-//! arXiv:2408.05148, §II), a run-to-run variability harness, a global
+//! arXiv:2408.05148, §II), run-to-run variability reports, a global
 //! determinism context mirroring `torch.use_deterministic_algorithms`,
 //! and low-level floating-point utilities (error-free transforms, ULP
 //! distances) used by the deterministic summation algorithms.
@@ -52,5 +52,5 @@ pub mod rng;
 
 pub use determinism::{DeterminismGuard, DeterminismMode};
 pub use error::{FpnaError, Result};
-pub use harness::{RunSummary, VariabilityHarness, VariabilityReport};
+pub use harness::{RunSummary, VariabilityReport};
 pub use metrics::{count_variability, ermv, scalar_variability, ArrayComparison};

@@ -1,16 +1,17 @@
-//! Property tests for the parallel run fan-out: the harness's reports
-//! must be **bitwise identical** to the serial (budget 1) execution at
-//! every worker budget, for all three experiment entry points — the
-//! invariant that lets every fig/table binary accept `--threads N`
-//! without changing a single printed digit. Each test sets the budget
-//! on its own thread, so `FPNA_THREADS` cannot make a serial reference
-//! parallel.
+//! Property tests for the parallel run fan-out: a report folded from
+//! `map_runs` comparisons, the shape of every experiment, must be
+//! **bitwise identical** to the serial (budget 1) execution at every
+//! worker budget — the invariant that lets every fig/table binary
+//! accept `--threads N` without changing a single printed digit. Each
+//! test sets the budget on its own thread, so `FPNA_THREADS` cannot
+//! make a serial reference parallel.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use fpna_core::executor::{map_runs, set_threads};
-use fpna_core::harness::{VariabilityHarness, VariabilityReport};
+use fpna_core::harness::VariabilityReport;
+use fpna_core::metrics::ArrayComparison;
 use fpna_core::rng::{derive_seed, SplitMix64};
 
 /// A deterministic, run-index-keyed stand-in for a non-deterministic
@@ -28,6 +29,15 @@ fn fake_kernel(base: &[f64], experiment_seed: u64, run: usize) -> Vec<f64> {
             }
         })
         .collect()
+}
+
+/// Runs `0..runs` of [`fake_kernel`] compared against `base`, fanned
+/// out on the calling thread's budget and folded into one report.
+fn report(base: &[f64], runs: usize, seed: u64) -> VariabilityReport {
+    let comparisons = map_runs(0..runs, |i| {
+        ArrayComparison::compare(base, &fake_kernel(base, seed, i))
+    });
+    VariabilityReport::from_comparisons(&comparisons)
 }
 
 fn summaries_identical(a: &VariabilityReport, b: &VariabilityReport) -> bool {
@@ -49,7 +59,7 @@ fn summaries_identical(a: &VariabilityReport, b: &VariabilityReport) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `array`: parallel report == serial report, bit for bit.
+    /// Parallel report == serial report, bit for bit.
     #[test]
     fn array_reports_thread_invariant(
         base in vec(-1e6..1e6f64, 1..64),
@@ -57,61 +67,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         set_threads(1);
-        let serial = VariabilityHarness::new(runs)
-            .array(&base, |i| fake_kernel(&base, seed, i));
+        let serial = report(&base, runs, seed);
         for threads in [2usize, 4, 7] {
             set_threads(threads);
-            let parallel = VariabilityHarness::new(runs)
-                .array(&base, |i| fake_kernel(&base, seed, i));
+            let parallel = report(&base, runs, seed);
             prop_assert!(
                 summaries_identical(&serial, &parallel),
-                "array diverged at threads={}", threads
+                "report diverged at threads={}", threads
             );
-        }
-    }
-
-    /// `array_self_referenced`: the first run is the reference in both
-    /// modes, and everything downstream matches bitwise.
-    #[test]
-    fn self_referenced_reports_thread_invariant(
-        base in vec(-1e3..1e3f64, 1..64),
-        runs in 1usize..25,
-        seed in any::<u64>(),
-    ) {
-        set_threads(1);
-        let serial = VariabilityHarness::new(runs)
-            .array_self_referenced(|i| fake_kernel(&base, seed, i));
-        for threads in [2usize, 4, 7] {
-            set_threads(threads);
-            let parallel = VariabilityHarness::new(runs)
-                .array_self_referenced(|i| fake_kernel(&base, seed, i));
-            prop_assert!(
-                summaries_identical(&serial, &parallel),
-                "self-referenced diverged at threads={}", threads
-            );
-        }
-    }
-
-    /// `scalar`: per-run Vs sequences match bitwise, in order.
-    #[test]
-    fn scalar_vs_thread_invariant(
-        reference in -1e6..1e6f64,
-        runs in 1usize..40,
-        seed in any::<u64>(),
-    ) {
-        let kernel = |i: usize| {
-            let mut rng = SplitMix64::new(derive_seed(seed, i as u64));
-            reference + (rng.next_f64() - 0.5) * 1e-10
-        };
-        set_threads(1);
-        let serial = VariabilityHarness::new(runs).scalar(reference, kernel);
-        for threads in [2usize, 4, 7] {
-            set_threads(threads);
-            let parallel = VariabilityHarness::new(runs).scalar(reference, kernel);
-            prop_assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "threads={}", threads);
-            }
         }
     }
 

@@ -16,10 +16,11 @@
 //!   orders of magnitude above everything else in Table 4.
 //!
 //! Parameters live in [`crate::profile::DeviceProfile`] and are
-//! calibrated against the paper's Table 4 (see `EXPERIMENTS.md` for
-//! paper-vs-model numbers). Simulated timings get a small seeded,
-//! Gaussian-ish jitter so repeated "measurements" produce the
-//! `mean(std)` cells of the paper's tables.
+//! calibrated against the paper's Table 4 (the `table4` binary prints
+//! the model's side; README, "Paper figures and tables → binaries").
+//! Simulated timings get a small seeded, Gaussian-ish jitter so
+//! repeated "measurements" produce the `mean(std)` cells of the
+//! paper's tables.
 
 use fpna_core::rng::SplitMix64;
 

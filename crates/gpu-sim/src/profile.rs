@@ -6,7 +6,8 @@
 //! [`crate::cost`]. The cost parameters are *calibrated* so the model
 //! reproduces the ranking and relative gaps of the paper's Table 4 —
 //! the role the authors' Summit/Alps/Frontier testbeds played. The
-//! calibration targets are recorded in `EXPERIMENTS.md`.
+//! `table4` binary prints the calibrated model's timings (README,
+//! "Paper figures and tables → binaries").
 
 use serde::{Deserialize, Serialize};
 

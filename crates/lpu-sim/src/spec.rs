@@ -4,7 +4,8 @@ use serde::{Deserialize, Serialize};
 
 /// Cost/shape parameters of the accelerator. The `groq_like` preset is
 /// calibrated so the compiled cycle counts for the paper's kernels land
-//  near the Groq columns of Tables 6 and 8 (see EXPERIMENTS.md).
+/// near the Groq columns of Tables 6 and 8, which the `table6` and
+/// `table8` binaries print.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LpuSpec {
     /// Core clock in GHz.

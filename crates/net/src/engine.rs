@@ -28,12 +28,11 @@
 //! unaffected by recycling). After warm-up, injecting and delivering a
 //! message touches no allocator at all.
 //!
-//! The event queue runs on a calendar/bucket queue by default
-//! ([`QueueImpl::Calendar`]) — amortized O(1) pops with buckets one
-//! link-α wide — popping in *exactly* the `(time, sequence)` order of
-//! the retained `BinaryHeap` reference ([`QueueImpl::Heap`]), so the
-//! two engines are bitwise interchangeable and the property suite
-//! diffs them continuously. Link-drain (queue-depth) accounting needs
+//! The event queue is a calendar/bucket queue — amortized O(1) pops
+//! with buckets one link-α wide — that pops in *exactly* the
+//! `(time, sequence)` order of a `BinaryHeap<Reverse<Event>>`; a unit
+//! test diffs the two on random push/pop/peek sequences with ties,
+//! epoch overflow and restarts. Link-drain (queue-depth) accounting needs
 //! no priority queue at all: each link's serialization-finish times
 //! are already monotone, so they live in per-link FIFOs expired on
 //! entry to that link.
@@ -64,8 +63,7 @@ use crate::topology::Topology;
 use fpna_obs::counters::{self, Counter};
 use fpna_obs::profile::{self, PhaseStat};
 use fpna_obs::trace;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-hop timing noise: uniform in `[0, frac_of_cost · (α + β·b))` —
 /// a fraction of the hop's whole deterministic service time, because
@@ -205,8 +203,8 @@ pub struct FabricConfig {
     pub background: Background,
 }
 
-/// Per-directed-link contention counters (cumulative like
-/// [`RunStats`]; reset together with them by [`NetSim::take_stats`]).
+/// Per-directed-link contention counters, cumulative over every
+/// [`NetSim::run`] like [`RunStats`].
 /// Covers **all** traffic over the link, foreground and background.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkStats {
@@ -240,8 +238,8 @@ pub struct Delivery {
 ///
 /// Stats are **cumulative across every `run` call on the same
 /// engine**: a protocol that alternates injection and `run` phases
-/// keeps adding to the same counters. Use [`NetSim::take_stats`] to
-/// read-and-reset between phases when per-phase numbers are wanted.
+/// keeps adding to the same counters, and the peaks (`makespan_ns`,
+/// `max_wait_ns`, `max_queue_depth`) cover every phase.
 /// The original four counters (`makespan_ns`, `deliveries`,
 /// `bytes_delivered`, `hops_traversed`) cover **foreground** traffic
 /// only, so they are bit-identical to the pre-contention engine at
@@ -358,32 +356,6 @@ impl Ord for Event {
     }
 }
 
-/// Which priority-queue implementation backs the engine's event
-/// queue. The calendar queue is the production default; the
-/// `BinaryHeap` path is retained as the reference the property suite
-/// diffs deliveries and stats against (the PR 5/6 reference-engine
-/// pattern), so the two must stay bitwise interchangeable forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueImpl {
-    /// Calendar/bucket queue: amortized O(1) push/pop with buckets
-    /// sized from the fabric's smallest positive link latency.
-    #[default]
-    Calendar,
-    /// `std::collections::BinaryHeap<Reverse<Event>>` — the original
-    /// engine's queue, kept as the bit-exact reference.
-    Heap,
-}
-
-impl QueueImpl {
-    /// Short name used to key the `net.heap_pop@…` profile histogram.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueImpl::Calendar => "calendar",
-            QueueImpl::Heap => "heap",
-        }
-    }
-}
-
 /// Bucket slots per calendar epoch. With one-α buckets, 256 slots
 /// cover a 256-α window of near-future events; anything beyond lands
 /// on the overflow list and is promoted when the window drains.
@@ -401,7 +373,7 @@ const CAL_BUCKETS: usize = 256;
 /// via an occupancy bitmap, lazily sort it descending on the
 /// cursor's first visit, and take the tail — extracting minima in
 /// the exact `Reverse<Event>` order, `(time.total_cmp, seq)`, so pop
-/// order is bitwise identical to the `BinaryHeap` engine.
+/// order is bitwise that of a `BinaryHeap<Reverse<Event>>`.
 /// When the epoch drains, the queue re-anchors at the earliest
 /// overflow event and promotes everything that now fits the window.
 ///
@@ -599,67 +571,6 @@ impl CalendarQueue {
     }
 }
 
-/// The engine's priority queue behind a common face: the calendar
-/// queue in production, the `BinaryHeap` as the bit-exact reference
-/// (see [`QueueImpl`]).
-#[derive(Debug)]
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<Event>>),
-    Calendar(CalendarQueue),
-}
-
-impl EventQueue {
-    fn new(which: QueueImpl, bucket_width: f64) -> Self {
-        match which {
-            QueueImpl::Heap => EventQueue::Heap(BinaryHeap::new()),
-            QueueImpl::Calendar => EventQueue::Calendar(CalendarQueue::new(bucket_width)),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Calendar(c) => c.push(ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<f64> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|&Reverse(ev)| ev.time),
-            EventQueue::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar(c) => c.len,
-        }
-    }
-
-    /// Take (read and reset) the calendar-side obs tallies:
-    /// `(bucket rotations, overflow promotions)`. Zero for the heap.
-    fn take_cal_tallies(&mut self) -> (u64, u64) {
-        match self {
-            EventQueue::Heap(_) => (0, 0),
-            EventQueue::Calendar(c) => (
-                std::mem::take(&mut c.rotations),
-                std::mem::take(&mut c.promotions),
-            ),
-        }
-    }
-}
-
 /// Per-engine observability capture. The three global switches
 /// (tracing / counters / profiling) are sampled **once at engine
 /// construction** into plain `bool` fields, so the event loop's
@@ -748,9 +659,8 @@ pub struct NetSim<'t> {
     topo: &'t Topology,
     jitter: JitterModel,
     fabric: FabricConfig,
-    /// Which queue implementation `queue` runs on.
-    queue_impl: QueueImpl,
-    queue: EventQueue,
+    /// Pending events, popped in `(time, seq)` order.
+    queue: CalendarQueue,
     /// Slot-addressed in-flight messages; delivered slots are pushed
     /// onto `free` and reused by later sends, so the live set — not
     /// the whole run history — bounds memory.
@@ -802,20 +712,6 @@ impl<'t> NetSim<'t> {
     /// traffic. `FabricConfig::default()` makes this identical to
     /// [`NetSim::new`].
     pub fn with_fabric(topo: &'t Topology, jitter: JitterModel, fabric: FabricConfig) -> Self {
-        NetSim::with_queue(topo, jitter, fabric, QueueImpl::default())
-    }
-
-    /// A fresh engine on an explicit queue implementation — the hook
-    /// the equivalence property tests and `net_engine` bench rows use
-    /// to diff the calendar queue against the `BinaryHeap` reference.
-    /// Every configuration must produce bitwise-identical deliveries
-    /// and stats under either implementation.
-    pub fn with_queue(
-        topo: &'t Topology,
-        jitter: JitterModel,
-        fabric: FabricConfig,
-        queue_impl: QueueImpl,
-    ) -> Self {
         let p = topo.ranks();
         let bgc = fabric.background;
         let bg: Vec<BgSender> = if bgc.load > 0.0 && p > 1 {
@@ -856,8 +752,7 @@ impl<'t> NetSim<'t> {
             jitter,
             fabric,
             obs,
-            queue_impl,
-            queue: EventQueue::new(queue_impl, width),
+            queue: CalendarQueue::new(width),
             messages: Vec::new(),
             free: Vec::new(),
             next_id: 0,
@@ -875,11 +770,6 @@ impl<'t> NetSim<'t> {
         }
     }
 
-    /// The queue implementation this engine runs on.
-    pub fn queue_impl(&self) -> QueueImpl {
-        self.queue_impl
-    }
-
     /// The topology this engine simulates.
     pub fn topology(&self) -> &'t Topology {
         self.topo
@@ -890,8 +780,8 @@ impl<'t> NetSim<'t> {
         self.fabric
     }
 
-    /// Contention counters for one directed link (cumulative; reset by
-    /// [`NetSim::take_stats`] together with the aggregate stats).
+    /// Contention counters for one directed link (cumulative over
+    /// every [`NetSim::run`]).
     ///
     /// # Panics
     ///
@@ -939,7 +829,7 @@ impl<'t> NetSim<'t> {
     fn note_push(&mut self) {
         if self.obs.counting {
             self.obs.pushes += 1;
-            let len = self.queue.len() as u64;
+            let len = self.queue.len as u64;
             if len > self.obs.peak {
                 self.obs.peak = len;
             }
@@ -1125,7 +1015,7 @@ impl<'t> NetSim<'t> {
     /// `on_deliver` for each message that reaches its destination. The
     /// callback may inject further sends. Returns the run statistics
     /// — **cumulative** across multiple `run` calls on the same engine
-    /// (see [`NetSim::take_stats`] for per-phase numbers).
+    /// (see [`RunStats`]).
     pub fn run<F>(&mut self, mut on_deliver: F) -> RunStats
     where
         F: FnMut(&mut NetSim<'t>, Delivery),
@@ -1304,14 +1194,13 @@ impl<'t> NetSim<'t> {
             counters::add(Counter::NetRunWallNs, dt);
             profile::record("net.run", dt);
             if self.obs.pop_stat.count > 0 {
-                // Key the pop histogram by offered load and queue
-                // implementation, so one report answers both "does pop
-                // dominate at high load?" and "did the calendar queue
-                // actually shrink the pop cost?" directly.
+                // Key the pop histogram by offered load, so one report
+                // answers "does pop dominate at high load?" directly.
+                // Profile readers match the whole key, `queue=calendar`
+                // suffix included.
                 let key = format!(
-                    "net.heap_pop@load={:.2},queue={}",
-                    self.fabric.background.load,
-                    self.queue_impl.name()
+                    "net.heap_pop@load={:.2},queue=calendar",
+                    self.fabric.background.load
                 );
                 profile::merge(&key, &self.obs.pop_stat);
                 counters::add(Counter::HeapPopWallNs, self.obs.pop_stat.total_ns);
@@ -1325,23 +1214,9 @@ impl<'t> NetSim<'t> {
             counters::add(Counter::RouteLookup, std::mem::take(&mut self.obs.route_lookups));
             counters::add(Counter::WireBytes, std::mem::take(&mut self.obs.wire_bytes));
             counters::add(Counter::NicCrossBytes, std::mem::take(&mut self.obs.nic_cross_bytes));
-            let (rot_q, promo_q) = self.queue.take_cal_tallies();
-            counters::add(Counter::BucketRotation, rot_q);
-            counters::add(Counter::OverflowPromotion, promo_q);
+            counters::add(Counter::BucketRotation, std::mem::take(&mut self.queue.rotations));
+            counters::add(Counter::OverflowPromotion, std::mem::take(&mut self.queue.promotions));
         }
-    }
-
-    /// The statistics accumulated so far, **resetting** them to zero —
-    /// so a multi-phase protocol (inject, `run`, inject, `run`, …) can
-    /// report per-phase numbers instead of the cumulative totals that
-    /// [`NetSim::run`] returns. Per-link [`LinkStats`] counters reset
-    /// too (read them first if wanted per phase); pending events, link
-    /// busy/queue-depth state and message ids are untouched.
-    pub fn take_stats(&mut self) -> RunStats {
-        self.link_wait_ns.fill(0.0);
-        self.link_msgs.fill(0);
-        self.link_max_depth.fill(0);
-        std::mem::take(&mut self.stats)
     }
 }
 
@@ -1385,8 +1260,8 @@ mod tests {
         let mut sim = NetSim::new(&h, JitterModel::none());
         sim.send_at(0.0, 0, 1, 64, 0);
         let intra = sim.run(|_, _| {});
-        assert_eq!(sim.take_stats(), intra);
         assert_eq!(intra.nic_hops, 0);
+        // Stats are cumulative, and the first message crossed no NIC.
         sim.send_at(0.0, 0, 2, 64, 0);
         let inter = sim.run(|_, _| {});
         assert_eq!(inter.nic_hops, 4);
@@ -1499,24 +1374,22 @@ mod tests {
     }
 
     #[test]
-    fn take_stats_resets_for_per_phase_reporting() {
+    fn run_stats_stay_cumulative_and_ids_keep_counting() {
         let t = topo();
         let mut sim = NetSim::new(&t, JitterModel::none());
         sim.send_at(0.0, 0, 1, 100, 0);
         let phase1 = sim.run(|_, _| {});
         assert_eq!(phase1.deliveries, 1);
-        assert_eq!(sim.take_stats(), phase1);
-        // Counters restart from zero; message ids keep counting up.
+        // Message ids keep counting up across runs.
         let id = sim.send_at(0.0, 1, 2, 50, 0);
         assert_eq!(id, 1);
         let phase2 = sim.run(|_, _| {});
-        assert_eq!(phase2.deliveries, 1);
-        assert_eq!(phase2.bytes_delivered, 50);
-        // run() without take_stats stays cumulative.
+        assert_eq!(phase2.deliveries, 2);
+        assert_eq!(phase2.bytes_delivered, 150);
         sim.send_at(0.0, 2, 3, 25, 0);
         let cumulative = sim.run(|_, _| {});
-        assert_eq!(cumulative.deliveries, 2);
-        assert_eq!(cumulative.bytes_delivered, 75);
+        assert_eq!(cumulative.deliveries, 3);
+        assert_eq!(cumulative.bytes_delivered, 175);
     }
 
     #[test]
@@ -1617,8 +1490,8 @@ mod tests {
             sim.run(|_, _| {})
         };
         // Two phases back to back: the tenants re-arm at each run()
-        // entry, and without take_stats every counter — foreground,
-        // background, and the queue/wait family — keeps accumulating.
+        // entry, and every counter — foreground, background, and the
+        // queue/wait family — keeps accumulating.
         let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
         let first = phase(&mut sim, 0.0);
         let both = phase(&mut sim, 1e9);
@@ -1696,26 +1569,76 @@ mod tests {
         );
     }
 
+    /// The calendar queue against the order it must reproduce bit for
+    /// bit, `BinaryHeap<Reverse<Event>>`, on random push/pop/peek
+    /// sequences in the engine's pattern: pushes at or after the last
+    /// pop (hop arrivals), ties on time, runs of pushes into one bucket
+    /// (also into the bucket the cursor has sorted), pushes past the
+    /// 256-slot epoch, pushes before the last pop (a callback sending
+    /// into the past), and restarts at any time once the queue has
+    /// drained, for several bucket widths. Every pop must agree on
+    /// `(time bits, seq)`, every peek on the time bits, and the lengths
+    /// after every step.
     #[test]
-    fn take_stats_resets_link_counters_too() {
-        let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
-        for r in 1..4 {
-            sim.send_at(0.0, r, 0, 1000, 0);
+    fn calendar_queue_pops_in_binary_heap_order() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let key = |ev: Option<Event>| ev.map(|ev| (ev.time.to_bits(), ev.seq));
+        for width in [0.25, 1.0, 100.0, 1234.5] {
+            let epoch = CAL_BUCKETS as f64 * width;
+            for case in 0..100u64 {
+                let mut rng = SplitMix64::new(case ^ width.to_bits());
+                let mut cal = CalendarQueue::new(width);
+                let mut heap = BinaryHeap::new();
+                let (mut now, mut seq) = (0.0f64, 0u64);
+                let mut times: Vec<f64> = Vec::new();
+                let pop = |cal: &mut CalendarQueue, heap: &mut BinaryHeap<Reverse<Event>>| {
+                    let ev = cal.pop();
+                    let want = heap.pop().map(|Reverse(ev)| ev);
+                    assert_eq!(key(ev), key(want), "width {width}, case {case}");
+                    ev
+                };
+                for _ in 0..300 {
+                    match rng.next_below(10) {
+                        0..=4 => {
+                            let time = match rng.next_below(6) {
+                                0 => times
+                                    .get(rng.next_below(times.len() as u64 + 1) as usize)
+                                    .copied()
+                                    .unwrap_or(now),
+                                1 => ((now / width).floor() + rng.next_f64()) * width,
+                                2 => now + rng.next_f64() * epoch,
+                                3 => now + (1.0 + 3.0 * rng.next_f64()) * epoch,
+                                4 => now * rng.next_f64(),
+                                _ => now,
+                            };
+                            let ev = Event { time, seq, slot: 0, hop: 0 };
+                            seq += 1;
+                            times.push(time);
+                            cal.push(ev);
+                            heap.push(Reverse(ev));
+                        }
+                        5..=7 => {
+                            if let Some(ev) = pop(&mut cal, &mut heap) {
+                                now = ev.time;
+                            }
+                        }
+                        8 => {
+                            let want = heap.peek().map(|Reverse(ev)| ev.time.to_bits());
+                            let got = cal.peek_time().map(f64::to_bits);
+                            assert_eq!(got, want, "width {width}, case {case}");
+                        }
+                        _ => {
+                            while pop(&mut cal, &mut heap).is_some() {}
+                            now = rng.next_f64() * 1e3 * epoch;
+                        }
+                    }
+                    assert_eq!(cal.len, heap.len());
+                }
+                while pop(&mut cal, &mut heap).is_some() {}
+            }
         }
-        sim.run(|_, _| {});
-        let contended = t.route_hops(1, 0)[1].link_id as usize;
-        assert_eq!(sim.link_stats(contended).messages, 3);
-        let phase1 = sim.take_stats();
-        assert_eq!(phase1.max_queue_depth, 3);
-        assert_eq!(sim.link_stats(contended), LinkStats::default());
-        // A quiet second phase reports only itself.
-        sim.send_at(1_000_000.0, 1, 0, 1000, 0);
-        let phase2 = sim.run(|_, _| {});
-        assert_eq!(phase2.deliveries, 1);
-        assert_eq!(phase2.contended_hops, 0);
-        assert_eq!(phase2.max_queue_depth, 1);
-        assert_eq!(sim.link_stats(contended).messages, 1);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use engine::{
-    Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, QueueImpl, RouteSelect,
-    RunStats,
+    Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats,
 };
 pub use topology::{Hop, LinkSpec, NodeKind, Topology};

@@ -340,60 +340,6 @@ proptest! {
         prop_assert_eq!(got, want, "load=0 fabric must equal the reference engine");
     }
 
-    /// The calendar queue is a drop-in replacement for the binary
-    /// heap: across every topology family, offered load in
-    /// {0, 0.5, 0.8}, and both route modes, the two queue
-    /// implementations must produce the identical delivery log (id,
-    /// tag, endpoints, payload, and timestamp bits) **and** the
-    /// identical stats fingerprint. Pop order is the total order
-    /// `(time, seq)` either way; this pins that the bucket/overflow
-    /// machinery never reorders ties or loses events.
-    #[test]
-    fn calendar_queue_is_bitwise_the_heap(
-        kind in 0usize..3,
-        n1 in 2usize..20,
-        n2 in 1usize..7,
-        seed in any::<u64>(),
-        frac in prop_oneof![Just(0.0f64), 0.01..1.2f64],
-        load in prop_oneof![Just(0.0f64), Just(0.5f64), Just(0.8f64)],
-        ecmp in any::<bool>(),
-    ) {
-        use fpna_net::QueueImpl;
-        let topo = make_topo(kind, n1, n2);
-        let plan = messages(topo.ranks(), seed ^ 0xCA1E, 24);
-        let jitter = if frac == 0.0 {
-            JitterModel::none()
-        } else {
-            JitterModel::uniform(frac, seed)
-        };
-        let fabric = FabricConfig {
-            route_select: if ecmp {
-                RouteSelect::SeededEcmp { seed: seed ^ 0xEC }
-            } else {
-                RouteSelect::Fixed
-            },
-            background: if load > 0.0 {
-                Background::with_load(load, seed ^ 0xB6)
-            } else {
-                Background::off()
-            },
-        };
-        let drive = |queue: QueueImpl| {
-            let mut sim = NetSim::with_queue(&topo, jitter, fabric, queue);
-            for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
-                sim.send_at(at, from, to, bytes, i as u64);
-            }
-            let mut log: Vec<(u64, u64, usize, usize, u64, u64)> = Vec::new();
-            let stats = sim
-                .run(|_, d: Delivery| log.push((d.msg, d.tag, d.from, d.to, d.bytes, d.time.to_bits())));
-            (log, stats_fingerprint(&stats))
-        };
-        let cal = drive(QueueImpl::Calendar);
-        let heap = drive(QueueImpl::Heap);
-        prop_assert_eq!(&cal, &heap, "calendar and heap engines must be bitwise identical");
-        prop_assert_eq!(cal.0.len(), plan.len());
-    }
-
     /// Background-flow schedules and seeded ECMP route draws are pure
     /// functions of `(seed, config)`: replaying a contended run — any
     /// offered load, either route mode, multi-spine or not — reproduces

@@ -6,9 +6,11 @@
 //!   the deterministically trained reference. Reproduces the §V-B
 //!   findings: mean `Vermv` grows with epochs, and every ND-trained
 //!   model ends up with a unique weight set (`Vc → 1`).
-//! * [`train_inference_matrix`] — the four D/ND training × inference
-//!   combinations of Table 7, measured on the inference predictions
-//!   against the D/D reference.
+//! * [`train_inference_comparisons`] — the four D/ND training ×
+//!   inference combinations of Table 7, measured on the inference
+//!   predictions against the D/D reference: one comparison per model,
+//!   which `table7` summarises per condition as a [`RunSummary`] of
+//!   `Vermv` and of `Vc`.
 
 use fpna_core::executor::map_runs;
 use fpna_core::harness::RunSummary;
@@ -138,19 +140,6 @@ impl Mode {
     }
 }
 
-/// One row of Table 7.
-#[derive(Debug, Clone)]
-pub struct MatrixRow {
-    /// Training mode.
-    pub train: Mode,
-    /// Inference mode.
-    pub infer: Mode,
-    /// `Vermv` of the predictions vs the D/D reference, across models.
-    pub vermv: RunSummary,
-    /// `Vc` of the predictions vs the D/D reference, across models.
-    pub vc: RunSummary,
-}
-
 /// The four D/ND training × inference conditions of Table 7, in the
 /// paper's row order.
 pub const MATRIX_CONDITIONS: [(Mode, Mode); 4] = [
@@ -160,15 +149,17 @@ pub const MATRIX_CONDITIONS: [(Mode, Mode); 4] = [
     (Mode::Nd, Mode::Nd),
 ];
 
-/// The shardable core of [`train_inference_matrix`]: per-model
-/// prediction comparisons against the D/D reference, computed for the
-/// global model indices in `range` only. Every comparison is a pure
-/// function of `(seed, condition, model_index)` — the D/D reference is
-/// recomputed per process (one deterministic training run, cheap next
-/// to the sweep) and run seeds are keyed by the *global* index — so
-/// any partition of `0..models` concatenates back to the full matrix
-/// bit for bit. Returns one `Vec<ArrayComparison>` per condition of
-/// [`MATRIX_CONDITIONS`], in `range` index order.
+/// The Table 7 experiment: predictions of independently produced
+/// pipelines per condition, compared against the deterministic-train +
+/// deterministic-inference reference, for the global model indices in
+/// `range` only. Pipelines within a condition fan out through
+/// [`map_runs`]. Every comparison is a pure function of
+/// `(seed, condition, model_index)` — the D/D reference is recomputed
+/// per process (one deterministic training run, cheap next to the
+/// sweep) and run seeds are keyed by the *global* index — so any
+/// partition of `0..models` concatenates back to the full matrix bit
+/// for bit, at any thread count. Returns one `Vec<ArrayComparison>` per
+/// condition of [`MATRIX_CONDITIONS`], in `range` index order.
 pub fn train_inference_comparisons(
     ds: &NodeClassification,
     cfg: &TrainConfig,
@@ -208,40 +199,13 @@ pub fn train_inference_comparisons(
     Ok(out)
 }
 
-/// The Table 7 experiment: predictions of `models` independently
-/// produced pipelines per condition, compared against the
-/// deterministic-train + deterministic-inference reference. Pipelines
-/// within a condition fan out through [`map_runs`] (each is seeded from
-/// `(seed, condition, model_index)`); the rows are bitwise identical
-/// at any thread count.
-pub fn train_inference_matrix(
-    ds: &NodeClassification,
-    cfg: &TrainConfig,
-    gpu: GpuModel,
-    models: usize,
-    seed: u64,
-) -> Result<Vec<MatrixRow>> {
-    let per_condition = train_inference_comparisons(ds, cfg, gpu, models, seed, 0..models)?;
-    let mut rows = Vec::with_capacity(4);
-    for (&(train, infer), comparisons) in MATRIX_CONDITIONS.iter().zip(&per_condition) {
-        let vermv: Vec<f64> = comparisons.iter().map(|c| c.vermv).collect();
-        let vc: Vec<f64> = comparisons.iter().map(|c| c.vc).collect();
-        rows.push(MatrixRow {
-            train,
-            infer,
-            vermv: RunSummary::from_values(&vermv),
-            vc: RunSummary::from_values(&vc),
-        });
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{synthetic_cora, CoraParams};
     use crate::sage::Aggregation;
     use fpna_core::executor::set_threads;
+    use fpna_core::harness::VariabilityReport;
 
     fn tiny() -> NodeClassification {
         // Slightly denser than CoraParams::tiny so FPNA bites.
@@ -258,6 +222,17 @@ mod tests {
             init_seed: 3,
             aggregation: Aggregation::Mean,
         }
+    }
+
+    /// Table 7 over models `0..models`: one report per condition of
+    /// [`MATRIX_CONDITIONS`], whose `vermv` and `vc` are the
+    /// `RunSummary`s `table7` prints.
+    fn matrix(ds: &NodeClassification, models: usize, seed: u64) -> Vec<VariabilityReport> {
+        train_inference_comparisons(ds, &cfg(), GpuModel::H100, models, seed, 0..models)
+            .unwrap()
+            .iter()
+            .map(|comparisons| VariabilityReport::from_comparisons(comparisons))
+            .collect()
     }
 
     #[test]
@@ -307,9 +282,9 @@ mod tests {
         }
 
         set_threads(1);
-        let m_serial = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19).unwrap();
+        let m_serial = matrix(&ds, 3, 19);
         set_threads(4);
-        let m_parallel = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 19).unwrap();
+        let m_parallel = matrix(&ds, 3, 19);
         for (a, b) in m_serial.iter().zip(&m_parallel) {
             assert_eq!(a.vermv.mean.to_bits(), b.vermv.mean.to_bits());
             assert_eq!(a.vc.mean.to_bits(), b.vc.mean.to_bits());
@@ -320,10 +295,10 @@ mod tests {
     #[test]
     fn matrix_dd_row_is_exactly_zero() {
         let ds = tiny();
-        let rows = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 2, 19).unwrap();
+        let rows = matrix(&ds, 2, 19);
         assert_eq!(rows.len(), 4);
+        assert_eq!(MATRIX_CONDITIONS[0], (Mode::D, Mode::D));
         let dd = &rows[0];
-        assert_eq!((dd.train, dd.infer), (Mode::D, Mode::D));
         assert_eq!(dd.vermv.mean, 0.0);
         assert_eq!(dd.vc.mean, 0.0);
         // ND conditions produce nonzero divergence
@@ -337,7 +312,7 @@ mod tests {
         // The paper: "training seems to incur more variability" —
         // ND-train/D-infer > D-train/ND-infer in Vermv.
         let ds = tiny();
-        let rows = train_inference_matrix(&ds, &cfg(), GpuModel::H100, 3, 23).unwrap();
+        let rows = matrix(&ds, 3, 23);
         let d_nd = rows[1].vermv.mean;
         let nd_d = rows[2].vermv.mean;
         assert!(

@@ -140,8 +140,8 @@ impl SweepRows {
     }
 
     /// [`VariabilityReport`] over a comparison-convention cell —
-    /// bitwise what `VariabilityHarness::array` would have returned in
-    /// a single process.
+    /// bitwise the report one process folds from the same comparisons
+    /// in run-index order.
     pub fn variability_report(&self, cell: &str) -> VariabilityReport {
         VariabilityReport::from_comparisons(&self.comparisons(cell))
     }

@@ -8,10 +8,12 @@
 //! one exists, else the first non-deterministic run) and record
 //! `Vermv`/`Vc`. Table 5 reports min/max `Vermv` over the sweep;
 //! Figs 3–5 fix the operation and sweep the *reduction ratio*
-//! `R = output dim / source dim`.
+//! `R = output dim / source dim`. Both run that protocol through one
+//! type, [`OpCell`]: an op on fixed inputs, its reference rule, and
+//! its per-run comparisons.
 
 use fpna_core::executor::map_runs;
-use fpna_core::harness::{VariabilityHarness, VariabilityReport};
+use fpna_core::harness::VariabilityReport;
 use fpna_core::metrics::ArrayComparison;
 use fpna_core::rng::SplitMix64;
 use fpna_gpu_sim::GpuModel;
@@ -81,8 +83,9 @@ pub struct SweepRow {
     pub configs: usize,
 }
 
-/// One (operation, hyperparameter configuration) cell of the Table 5
-/// sweep: its inputs, and the kernel that runs on them.
+/// One (operation, configuration) cell of a §IV experiment — a
+/// Table 5 sweep configuration, or one [`ratio_experiment`] point of
+/// Figs 3–5: its inputs, and the kernel that runs on them.
 ///
 /// The kernel runs under a deterministic context for the reference
 /// and under `nd.for_run(i)` for the non-deterministic run at
@@ -91,11 +94,12 @@ pub struct SweepRow {
 /// recompute any slice of any cell bit-for-bit — the unit of work the
 /// `fpna-sweep` shard protocol distributes. Building a cell runs no
 /// kernel, so listing the cells (for their names) is cheap.
-pub struct Table5Cell {
-    /// Table 5 operation this cell belongs to.
+pub struct OpCell {
+    /// Operation this cell belongs to.
     pub op: &'static str,
     /// Stable cell name `"<op>/c<k>"` (`k` = 1-based configuration
-    /// index within the op) — the row key in sharded sweeps.
+    /// index within the op; a ratio point is `c1`) — the row key in
+    /// sharded sweeps.
     pub name: String,
     /// Whether the reference is the first non-deterministic run
     /// (paper §IV protocol for ops without a deterministic kernel).
@@ -109,18 +113,18 @@ pub struct Table5Cell {
 /// A cell's op on its inputs, under a given context.
 type Kernel = Box<dyn Fn(&GpuContext) -> Vec<f64> + Send + Sync>;
 
-impl Table5Cell {
+impl OpCell {
     fn new(
         (model, seed): (GpuModel, u64),
         op: &'static str,
         config: usize,
         self_referenced: bool,
         kernel: impl Fn(&GpuContext) -> Vec<f64> + Send + Sync + 'static,
-    ) -> Table5Cell {
+    ) -> OpCell {
         let det = GpuContext::new(model, seed).with_determinism(Some(true));
         let nd = GpuContext::new(model, seed).with_determinism(Some(false));
         let name = format!("{op}/c{config}");
-        Table5Cell { op, name, self_referenced, det, nd, kernel: Box::new(kernel) }
+        OpCell { op, name, self_referenced, det, nd, kernel: Box::new(kernel) }
     }
 
     /// Comparisons for the global run indices in `range`, as
@@ -157,8 +161,8 @@ impl Table5Cell {
 
 /// Every Table 5 cell, in table order. Only the inputs are built here;
 /// each cell runs its kernels, the reference included, in
-/// [`Table5Cell::comparisons_range`].
-pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
+/// [`OpCell::comparisons_range`].
+pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<OpCell> {
     let mut cells = Vec::new();
     let key = (model, seed);
 
@@ -182,7 +186,7 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
                 let input = wide_random(in_shape, seed ^ (configs as u64) << 8);
                 let weight = wide_random(w_shape, seed ^ 0xABCD ^ (configs as u64));
                 let params = ConvParams::uniform(rank, stride, padding);
-                cells.push(Table5Cell::new(key, name, configs, false, move |c| {
+                cells.push(OpCell::new(key, name, configs, false, move |c| {
                     let out = match rank {
                         1 => conv_transpose1d(c, &input, &weight, None, &params),
                         2 => conv_transpose2d(c, &input, &weight, None, &params),
@@ -197,7 +201,7 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
     // --- cumsum ----------------------------------------------------
     for (config, &n) in (1..).zip(&[128usize, 4096, 65_536]) {
         let x = wide_random(vec![n], seed ^ 0x10 ^ n as u64);
-        cells.push(Table5Cell::new(key, "cumsum", config, false, move |c| {
+        cells.push(OpCell::new(key, "cumsum", config, false, move |c| {
             cumsum(c, &x).expect("cumsum").into_data()
         }));
     }
@@ -207,7 +211,7 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
         let src = wide_random(vec![n], seed ^ 0x20 ^ n as u64);
         let index = random_index(n, rows_out, seed ^ 0x21 ^ n as u64);
         let dst = Tensor::zeros(vec![rows_out]);
-        cells.push(Table5Cell::new(key, "index_add", config, false, move |c| {
+        cells.push(OpCell::new(key, "index_add", config, false, move |c| {
             index_add(c, &dst, &index, &src).expect("index_add").into_data()
         }));
         // Write-race ops get a nearly-unique index tensor (a
@@ -219,12 +223,12 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
         let wide_dst = Tensor::zeros(vec![n]);
         let src2 = bounded_random(vec![n], seed ^ 0x22 ^ n as u64);
         let (copy_dst, copy_index) = (wide_dst.clone(), wide_index.clone());
-        cells.push(Table5Cell::new(key, "index_copy", config, false, move |c| {
+        cells.push(OpCell::new(key, "index_copy", config, false, move |c| {
             index_copy(c, &copy_dst, &copy_index, &src2).expect("index_copy").into_data()
         }));
         // index_put: flat indices into a vector.
         let values: Vec<f64> = bounded_random(vec![n], seed ^ 0x24 ^ n as u64).into_data();
-        cells.push(Table5Cell::new(key, "index_put", config, false, move |c| {
+        cells.push(OpCell::new(key, "index_put", config, false, move |c| {
             index_put(c, &wide_dst, &wide_index, &values).expect("index_put").into_data()
         }));
     }
@@ -236,13 +240,13 @@ pub fn table5_cells(model: GpuModel, seed: u64) -> Vec<Table5Cell> {
         let wide_index = nearly_unique_index(n, 4, seed ^ 0x32 ^ n as u64);
         let wide_dst = Tensor::zeros(vec![n]);
         let wide_src = bounded_random(vec![n], seed ^ 0x33 ^ n as u64);
-        cells.push(Table5Cell::new(key, "scatter", config, true, move |c| {
+        cells.push(OpCell::new(key, "scatter", config, true, move |c| {
             scatter(c, &wide_dst, &wide_index, &wide_src).expect("scatter").into_data()
         }));
         let src = wide_random(vec![n], seed ^ 0x30 ^ n as u64);
         let index = random_index(n, rows_out, seed ^ 0x31 ^ n as u64);
         let dst = Tensor::zeros(vec![rows_out]);
-        cells.push(Table5Cell::new(key, "scatter_reduce", config, true, move |c| {
+        cells.push(OpCell::new(key, "scatter_reduce", config, true, move |c| {
             let out = scatter_reduce(c, &dst, &index, &src, ReduceOp::Sum);
             out.expect("scatter_reduce").into_data()
         }));
@@ -299,13 +303,15 @@ impl RatioOp {
     }
 }
 
-/// One cell of the Figs 3–5 experiments: fix the op, the input
+/// One point of the Figs 3–5 experiments: fix the op, the input
 /// dimension and the reduction ratio `R = output/source`, run the ND
-/// kernel `runs` times and report the variability.
+/// kernel `runs` times and report the variability over the
+/// comparisons of an [`OpCell`] at runs `0..runs`.
 ///
-/// `scatter_reduce` is self-referenced (no deterministic kernel);
-/// `index_add` compares against its deterministic kernel — exactly the
-/// paper's protocol.
+/// `scatter_reduce` is self-referenced (no deterministic kernel), so
+/// its report holds `runs − 1` comparisons; `index_add` compares all
+/// `runs` against its deterministic kernel — exactly the paper's
+/// protocol.
 pub fn ratio_experiment(
     model: GpuModel,
     op: RatioOp,
@@ -315,10 +321,9 @@ pub fn ratio_experiment(
     seed: u64,
 ) -> VariabilityReport {
     assert!(ratio > 0.0 && ratio <= 1.0, "reduction ratio in (0, 1]");
-    let harness = VariabilityHarness::new(runs);
     let out_rows = ((input_dim as f64 * ratio).round() as usize).max(1);
-    let nd = GpuContext::new(model, seed).with_determinism(Some(false));
-    match op {
+    let key = (model, seed);
+    let cell = match op {
         RatioOp::ScatterReduceSum | RatioOp::ScatterReduceMean => {
             let reduce = if op == RatioOp::ScatterReduceSum {
                 ReduceOp::Sum
@@ -328,10 +333,9 @@ pub fn ratio_experiment(
             let src = wide_random(vec![input_dim], seed ^ 0x40);
             let index = random_index(input_dim, out_rows, seed ^ 0x41);
             let dst = Tensor::zeros(vec![out_rows]);
-            harness.array_self_referenced(|i| {
-                scatter_reduce(&nd.for_run(i as u64), &dst, &index, &src, reduce)
-                    .unwrap()
-                    .into_data()
+            OpCell::new(key, op.label(), 1, true, move |c| {
+                let out = scatter_reduce(c, &dst, &index, &src, reduce);
+                out.expect("scatter_reduce").into_data()
             })
         }
         RatioOp::IndexAdd => {
@@ -339,21 +343,21 @@ pub fn ratio_experiment(
             let src = wide_random(vec![input_dim, input_dim], seed ^ 0x42);
             let index = random_index(input_dim, out_rows, seed ^ 0x43);
             let dst = Tensor::zeros(vec![out_rows, input_dim]);
-            let det = GpuContext::new(model, seed).with_determinism(Some(true));
-            let reference = index_add(&det, &dst, &index, &src).unwrap().into_data();
-            harness.array(&reference, |i| {
-                index_add(&nd.for_run(i as u64), &dst, &index, &src)
-                    .unwrap()
-                    .into_data()
+            OpCell::new(key, op.label(), 1, false, move |c| {
+                index_add(c, &dst, &index, &src).expect("index_add").into_data()
             })
         }
-    }
+    };
+    let comparisons: Vec<ArrayComparison> =
+        cell.comparisons_range(0..runs).into_iter().map(|(_, c)| c).collect();
+    VariabilityReport::from_comparisons(&comparisons)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fpna_core::executor::set_threads;
+    use fpna_gpu_sim::ScheduleKind;
 
     /// Table 5's rows over `runs` runs per cell: each cell's mean
     /// `Vermv` over `0..runs`, folded by [`table5_reduce`].
@@ -399,6 +403,28 @@ mod tests {
         };
         assert!(max_of("index_add") > 0.0);
         assert!(max_of("scatter_reduce") > 0.0);
+    }
+
+    #[test]
+    fn self_referenced_uses_first_run() {
+        // A stub kernel returning `outputs[i]` under run i's ND context;
+        // it panics under any other context, the D one included.
+        let base = ScheduleKind::Seeded(9);
+        let outputs = [vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 1.0]];
+        let cell = OpCell::new((GpuModel::H100, 9), "stub", 1, true, move |c| {
+            let run = (0..3).find(|&i| c.schedule == base.for_run(i)).expect("an ND run");
+            outputs[run as usize].clone()
+        });
+        let pairs = cell.comparisons_range(0..3);
+        // Run 0 is the reference: run 1 is identical, run 2 differs in
+        // 1 of 2 elements.
+        assert_eq!(pairs.iter().map(|&(i, _)| i).collect::<Vec<_>>(), [1, 2]);
+        let comparisons: Vec<ArrayComparison> = pairs.into_iter().map(|(_, c)| c).collect();
+        let report = VariabilityReport::from_comparisons(&comparisons);
+        assert_eq!(report.per_run.len(), 2);
+        assert_eq!(report.bitwise_identical_runs, 1);
+        assert_eq!(report.vc.max, 0.5);
+        assert!(cell.comparisons_range(0..1).is_empty());
     }
 
     #[test]

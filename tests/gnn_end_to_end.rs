@@ -2,6 +2,7 @@
 //! inference on GPU-sim and LPU-sim, checking every reproducibility
 //! claim across crate boundaries.
 
+use fpna::core::harness::VariabilityReport;
 use fpna::core::metrics::ArrayComparison;
 use fpna::gpu::GpuModel;
 use fpna::nn::cost::lpu_inference;
@@ -86,7 +87,12 @@ fn inference_mode_matrix_ordering() {
     // but with compounding training noise the ordering is robust even
     // at small scale for the D rows).
     let ds = dataset();
-    let rows = fpna::nn::train::train_inference_matrix(&ds, &cfg(), GpuModel::H100, 2, 31).unwrap();
+    let rows: Vec<VariabilityReport> =
+        fpna::nn::train::train_inference_comparisons(&ds, &cfg(), GpuModel::H100, 2, 31, 0..2)
+            .unwrap()
+            .iter()
+            .map(|comparisons| VariabilityReport::from_comparisons(comparisons))
+            .collect();
     assert_eq!(rows[0].vc.mean, 0.0, "D/D must be exactly reproducible");
     assert!(rows[3].vc.mean > 0.0, "ND/ND must vary");
     assert!(rows[3].vc.mean >= rows[1].vc.mean * 0.5);

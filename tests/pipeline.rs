@@ -1,9 +1,9 @@
 //! Cross-crate integration: the simulated GPU's non-deterministic
-//! kernels feeding the core variability harness and the statistics
+//! kernels feeding the core variability reports and the statistics
 //! substrate — the full §III experimental pipeline in one test file.
 
-use fpna::core::harness::VariabilityHarness;
-use fpna::core::metrics::scalar_variability;
+use fpna::core::harness::VariabilityReport;
+use fpna::core::metrics::{scalar_variability, ArrayComparison};
 use fpna::gpu::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna::stats::describe::Describe;
 use fpna::stats::kl::kl_vs_fitted_normal;
@@ -42,12 +42,14 @@ fn spa_variability_distribution_end_to_end() {
     assert!(kl < 1.0, "SPA KL should be modest, got {kl}");
 }
 
+/// The repeated-run template as `fig1` runs it: 25 seeded runs through
+/// `reduce_runs`, each compared against the in-order reference and
+/// folded into one report.
 #[test]
 fn harness_classifies_kernels_correctly() {
     let xs = array(50_000, 3);
     let device = GpuDevice::new(GpuModel::Gh200);
     let params = KernelParams::new(128, 256);
-    let harness = VariabilityHarness::new(25);
     for kernel in [
         ReduceKernel::Cu,
         ReduceKernel::Sptr,
@@ -59,14 +61,14 @@ fn harness_classifies_kernels_correctly() {
             .reduce(kernel, &xs, params, &ScheduleKind::InOrder)
             .unwrap()
             .value;
-        let report = harness.array(&[reference], |i| {
-            vec![
-                device
-                    .reduce(kernel, &xs, params, &ScheduleKind::Seeded(9).for_run(i as u64))
-                    .unwrap()
-                    .value,
-            ]
-        });
+        let runs = device
+            .reduce_runs(kernel, &xs, params, &ScheduleKind::Seeded(9), 0..25)
+            .unwrap();
+        let comparisons: Vec<ArrayComparison> = runs
+            .iter()
+            .map(|run| ArrayComparison::compare(&[reference], &[run.value]))
+            .collect();
+        let report = VariabilityReport::from_comparisons(&comparisons);
         if kernel.is_deterministic() {
             assert!(
                 report.fully_reproducible(),
