@@ -14,8 +14,10 @@ use fpna_tensor::sweep::{ratio_experiment, RatioOp};
 fn main() {
     let mut cli = fpna_bench::Cli::parse();
     let runs = cli.size("runs", 12, 1_000);
-    if runs == 0 {
-        fpna_bench::usage_error("--runs must be at least 1, got 0");
+    if runs < 2 {
+        fpna_bench::usage_error(format!(
+            "--runs must be at least 2 (run 0 is the reference), got {runs}"
+        ));
     }
     let seed = cli.int("seed", 33);
     cli.start();

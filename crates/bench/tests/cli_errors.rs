@@ -147,12 +147,12 @@ fn bad_gate_thresholds() {
 }
 
 /// Sizes an experiment's own asserts would reject: Jarque–Bera needs 8
-/// samples, `fig4`/`fig5` a reference run plus one, a tree a fanout of
-/// 2, everything else at least 1.
+/// samples, `fig3`/`fig4`/`fig5` a reference run plus one, a tree a
+/// fanout of 2, everything else at least 1.
 #[test]
 fn sizes_a_binary_cannot_use() {
     let fig1 = env!("CARGO_BIN_EXE_fig1");
-    let cases: [(&str, &[&str], &str); 20] = [
+    let cases: [(&str, &[&str], &str); 21] = [
         (fig1, &["--runs", "0"], "--runs"),
         (fig1, &["--arrays", "0"], "--arrays"),
         (fig1, &["--bins", "0"], "--bins"),
@@ -161,6 +161,7 @@ fn sizes_a_binary_cannot_use() {
         (env!("CARGO_BIN_EXE_fig2"), &["--arrays", "0"], "--arrays"),
         (env!("CARGO_BIN_EXE_fig2"), &["--bins", "0"], "--bins"),
         (env!("CARGO_BIN_EXE_fig3"), &["--runs", "0"], "--runs"),
+        (env!("CARGO_BIN_EXE_fig3"), &["--runs", "1"], "--runs"),
         (env!("CARGO_BIN_EXE_fig4"), &["--runs", "0"], "--runs"),
         (env!("CARGO_BIN_EXE_fig4"), &["--runs", "1"], "--runs"),
         (env!("CARGO_BIN_EXE_fig5"), &["--runs", "0"], "--runs"),

@@ -77,8 +77,13 @@
 //! back — the wire encoding laid out in memory. Their in-memory size
 //! therefore follows the priced wire bytes (~16 B per element for
 //! benchmark-range data, against ~26 B on the wire) rather than a
-//! dense 576-byte accumulator per element, and a fold streams both
-//! operands once through a single stack accumulator.
+//! dense 576-byte accumulator per element. A fold streams both
+//! operands once and carries each element in a four-lane `u128`
+//! window: one 128-bit add leaves the canonical digits, and only an
+//! element whose combined span is wider than three limbs (or whose
+//! carry lane would be limb 70) goes through a stack accumulator.
+//! `fpna-summation`'s `proptest_exact` tests diff both paths against
+//! dense accumulators.
 //!
 //! The cheap shuffle-based path in [`crate::allreduce()`](crate::allreduce::allreduce) remains as a
 //! fallback for experiments that don't need a network model.

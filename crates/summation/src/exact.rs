@@ -106,11 +106,9 @@ impl ExactAccumulator {
     /// Add a finite `f64` exactly.
     ///
     /// The hot path is branch-free after the finiteness check: the
-    /// mantissa is placed as one 128-bit chunk, split into three 32-bit
-    /// digits that are always scattered into three consecutive limbs
-    /// (zero digits add zero — cheaper than testing for them), and the
-    /// sign is applied as a ±1 multiplier instead of a branch per
-    /// digit.
+    /// value is split into one signed chunk whose three 32-bit digits
+    /// are always scattered into three consecutive limbs (zero digits
+    /// add zero — cheaper than testing for them).
     ///
     /// # Panics
     ///
@@ -118,26 +116,16 @@ impl ExactAccumulator {
     /// values is undefined.
     #[inline]
     pub fn add(&mut self, x: f64) {
-        assert!(x.is_finite(), "ExactAccumulator::add requires finite input");
-        let bits = x.to_bits();
-        let biased_exp = (bits >> 52) & 0x7ff;
-        let frac = bits & 0x000f_ffff_ffff_ffff;
-        // value = mantissa * 2^(offset - 1074), offset = bit position of
-        // the mantissa's LSB in the accumulator's fixed-point frame.
-        // Normal numbers carry the implicit leading bit and offset
-        // `biased_exp - 1`; subnormals have no leading bit and offset 0
-        // — `saturating_sub` covers both without a branch.
-        let mantissa = frac | ((u64::from(biased_exp != 0)) << 52);
-        let offset = (biased_exp.saturating_sub(1)) as u32;
-        let limb = (offset / LIMB_BITS) as usize;
-        let shift = offset % LIMB_BITS;
-        // Branchless conditional negate of the whole chunk (`(c ^ m) -
-        // m` with an all-ones/zero mask) instead of one sign multiply
-        // per digit; the top digit is extracted with an arithmetic
-        // shift so it carries the sign while the lower digits stay in
-        // [0, 2³²) — the digit sum reassembles the chunk exactly.
-        let neg_mask = -((bits >> 63) as i128);
-        let chunk = ((((mantissa as u128) << shift) as i128) ^ neg_mask) - neg_mask; // <= 85 bits
+        let (limb, chunk) = split(x);
+        self.add_chunk(limb, chunk);
+    }
+
+    /// Scatter a [`split`] chunk into limbs `limb..limb + 3`: the two
+    /// lower digits zero-extended, the top digit taken with an
+    /// arithmetic shift so it carries the sign. The digits sum back to
+    /// the chunk exactly.
+    #[inline]
+    fn add_chunk(&mut self, limb: usize, chunk: i128) {
         // One slice bounds check instead of three element checks.
         let window = &mut self.limbs[limb..limb + 3];
         window[0] += (chunk as u32) as i64;
@@ -440,8 +428,9 @@ impl ExactAccumulator {
     /// carry is the identity), plus however far the final carry
     /// ripples; afterwards the span is tightened to the exact nonzero
     /// hull. The walk is one serial carry chain with no scratch
-    /// arrays, so its cost tracks the span — a handful of limbs for
-    /// the per-element states [`ExactVec`] cycles through.
+    /// arrays, so its cost tracks the span, for a long-lived
+    /// accumulator and for each element [`ExactVec`]'s fallback path
+    /// cycles through alike.
     ///
     /// Public so producers can canonicalize *before* a hand-off (worker
     /// partials, serialized wire messages), which keeps every limb
@@ -659,6 +648,36 @@ impl ExactAccumulator {
     }
 }
 
+/// The exact split of a finite `f64` that [`ExactAccumulator::add`]
+/// scatters and [`ExactVec`] folds: `(limb, chunk)` with
+/// `x = chunk · 2^(32·limb − 1074)`, `|chunk| < 2⁸⁵` and `limb ≤ 63`.
+///
+/// The mantissa is placed as one 128-bit chunk, and the sign applied
+/// as a branchless conditional negate of the whole chunk (`(c ^ m) −
+/// m` with an all-ones/zero mask) instead of a sign multiply per
+/// digit.
+///
+/// # Panics
+///
+/// Panics on NaN or infinite input.
+#[inline]
+fn split(x: f64) -> (usize, i128) {
+    assert!(x.is_finite(), "ExactAccumulator::add requires finite input");
+    let bits = x.to_bits();
+    let biased_exp = (bits >> 52) & 0x7ff;
+    let frac = bits & 0x000f_ffff_ffff_ffff;
+    // value = mantissa * 2^(offset - 1074), offset = bit position of
+    // the mantissa's LSB in the accumulator's fixed-point frame.
+    // Normal numbers carry the implicit leading bit and offset
+    // `biased_exp - 1`; subnormals have no leading bit and offset 0
+    // — `saturating_sub` covers both without a branch.
+    let mantissa = frac | ((u64::from(biased_exp != 0)) << 52);
+    let offset = (biased_exp.saturating_sub(1)) as u32;
+    let neg_mask = -((bits >> 63) as i128);
+    let chunk = ((((mantissa as u128) << (offset % LIMB_BITS)) as i128) ^ neg_mask) - neg_mask; // <= 85 bits
+    ((offset / LIMB_BITS) as usize, chunk)
+}
+
 /// 2^k as f64, valid for the accumulator's exponent range.
 fn pow2(k: i32) -> f64 {
     // f64::powi(2.0, k) is exact for |k| <= 1023; below that we build
@@ -691,11 +710,33 @@ impl FromIterator<f64> for ExactAccumulator {
 /// (~16 B per element in memory, ~26 B priced) instead of a dense
 /// accumulator's 576 B, and [`ExactVec::wire_len`] is O(1).
 ///
-/// Every element-wise operation runs through one stack
-/// [`ExactAccumulator`]: load the element's span, `add` or `merge`,
-/// `normalize`, emit the span, zero it again. Each stored element is
-/// therefore exactly the canonical state the dense accumulator reaches
-/// through the same `add`/`merge` calls followed by a `normalize`.
+/// ## The window pass
+///
+/// `assign`, `add`, `merge` and `wire_len_of` fold each element in a
+/// window of four 32-bit lanes held in one `u128`, instead of a 70-limb
+/// accumulator. The window starts at the lowest limb either operand
+/// occupies. It takes the element's limbs and the incoming value's
+/// split, the signed chunk whose three digits `ExactAccumulator::add`
+/// scatters (for `merge`, the other element's limbs). One 128-bit add
+/// runs the balanced carry, the lanes then hold the canonical digits,
+/// and `trailing_zeros`/`leading_zeros` of that bit pattern give the
+/// nonzero hull. The header and the hull's limbs are appended to the
+/// output; `wire_len_of` only reads the hull's length. Three lanes hold
+/// the combined span and the fourth the carry out of the top, which is
+/// all a sum of two canonical three-limb values can need. Every
+/// element of the `fabric_exact` perfbench workload fits.
+///
+/// An element whose combined span is wider than three limbs, or whose
+/// carry lane would be limb 70 (past the accumulator's last), falls
+/// back to a stack [`ExactAccumulator`]: load the span, `add` or
+/// `merge`, `normalize`, emit, zero it again. Canonical digits are
+/// unique, so both paths store exactly the state the dense accumulator
+/// reaches through the same `add`/`merge` calls followed by a
+/// `normalize`. `tests/proptest_exact.rs` diffs every operation against
+/// dense accumulators on adversarial streams, and a table test walks
+/// every exponent through `assign`/`wire_len_of` and both sides of the
+/// window's width, full cancellation and the top limbs through
+/// `add`/`merge`.
 ///
 /// ```
 /// use fpna_summation::exact::ExactVec;
@@ -732,6 +773,11 @@ impl Clone for ExactVec {
 }
 
 impl ExactVec {
+    /// Widest combined span, in limbs, that `add` and `merge` fold in
+    /// the window; one more lane takes the carry out of the top.
+    #[doc(hidden)]
+    pub const WINDOW: usize = 3;
+
     /// Empty vector.
     pub fn new() -> Self {
         Self::default()
@@ -757,11 +803,9 @@ impl ExactVec {
     pub fn assign(&mut self, xs: &[f64]) {
         self.words.clear();
         self.len = xs.len();
-        let mut acc = ExactAccumulator::new();
         for &x in xs {
-            acc.add(x);
-            acc.normalize();
-            acc.emit_span(&mut self.words);
+            let (limb, chunk) = split(x);
+            emit_window(limb, carry(chunk as u128), &mut self.words);
         }
     }
 
@@ -776,10 +820,17 @@ impl ExactVec {
         out.clear();
         let mut acc = ExactAccumulator::new();
         for ((lo, limbs), &x) in self.spans().zip(xs) {
-            acc.load_span(lo, limbs);
-            acc.add(x);
-            acc.normalize();
-            acc.emit_span(&mut out);
+            let (limb, chunk) = split(x);
+            let base = first_limb(lo, limbs).min(limb);
+            if fits_window(base, (lo + limbs.len()).max(limb + 3)) {
+                let sum = lanes(lo, limbs, base).wrapping_add(chunk as u128);
+                emit_window(base, carry(sum), &mut out);
+            } else {
+                acc.load_span(lo, limbs);
+                acc.add_chunk(limb, chunk);
+                acc.normalize();
+                acc.emit_span(&mut out);
+            }
         }
         self.spare = std::mem::replace(&mut self.words, out);
     }
@@ -795,10 +846,16 @@ impl ExactVec {
         out.clear();
         let mut acc = ExactAccumulator::new();
         for ((lo, limbs), (olo, olimbs)) in self.spans().zip(other.spans()) {
-            acc.load_span(lo, limbs);
-            acc.merge_limbs(olo, olimbs, 0);
-            acc.normalize();
-            acc.emit_span(&mut out);
+            let base = first_limb(lo, limbs).min(first_limb(olo, olimbs));
+            if fits_window(base, (lo + limbs.len()).max(olo + olimbs.len())) {
+                let sum = lanes(lo, limbs, base).wrapping_add(lanes(olo, olimbs, base));
+                emit_window(base, carry(sum), &mut out);
+            } else {
+                acc.load_span(lo, limbs);
+                acc.merge_limbs(olo, olimbs, 0);
+                acc.normalize();
+                acc.emit_span(&mut out);
+            }
         }
         self.spare = std::mem::replace(&mut self.words, out);
     }
@@ -853,14 +910,10 @@ impl ExactVec {
     ///
     /// Panics on NaN or infinite input.
     pub fn wire_len_of(xs: &[f64]) -> usize {
-        let mut acc = ExactAccumulator::new();
         xs.iter()
             .map(|&x| {
-                acc.add(x);
-                acc.normalize();
-                let n = acc.wire_len();
-                acc.clear_span();
-                n
+                let (lo, hi) = hull(carry(split(x).1 as u128));
+                2 + std::mem::size_of::<i64>() * hi.saturating_sub(lo)
             })
             .sum()
     }
@@ -874,6 +927,95 @@ impl ExactVec {
             rest = tail;
             Some(((header & 0xff) as usize, limbs))
         })
+    }
+}
+
+/// First limb of a packed span, `LIMBS` when it is empty, so the
+/// lowest limb of two spans is a plain `min`.
+fn first_limb(lo: usize, limbs: &[i32]) -> usize {
+    if limbs.is_empty() {
+        LIMBS
+    } else {
+        lo
+    }
+}
+
+/// `true` when a combined span `[base, top)` takes the window pass: at
+/// most [`ExactVec::WINDOW`] limbs wide, with the carry lane still
+/// inside the accumulator.
+fn fits_window(base: usize, top: usize) -> bool {
+    top <= base + ExactVec::WINDOW && base + ExactVec::WINDOW < LIMBS
+}
+
+/// 2³¹ in each of a window's four 32-bit lanes.
+const BIAS: u128 = 0x8000_0000_8000_0000_8000_0000_8000_0000;
+
+/// The value of a packed span relative to limb `base`, as a wrapping
+/// `u128`: limb `i` weighs `2^(32·(lo − base + i))`. The span must fit
+/// in lanes `0..WINDOW`.
+///
+/// A canonical limb `d` read as a `u32` and XORed with 2³¹ is
+/// `d + 2³¹`, and an empty lane is digit 0, so the limbs' bit
+/// patterns laid out as lanes, XORed with [`BIAS`], are the value plus
+/// `BIAS`.
+#[inline]
+fn lanes(lo: usize, limbs: &[i32], base: usize) -> u128 {
+    let lane = |l: &i32| u128::from(*l as u32);
+    let packed = match limbs {
+        [] => return 0,
+        [a] => lane(a),
+        [a, b] => lane(a) | lane(b) << 32,
+        [a, b, c] => lane(a) | lane(b) << 32 | lane(c) << 64,
+        _ => unreachable!("a span wider than the window"),
+    };
+    ((packed << (LIMB_BITS as usize * (lo - base))) ^ BIAS).wrapping_sub(BIAS)
+}
+
+/// The canonical digits of a window value `v` (a wrapping `u128`, as
+/// from [`lanes`] and [`split`]), one per 32-bit lane as an `i32` bit
+/// pattern.
+///
+/// This is one 128-bit balanced carry. Balanced digits lie in
+/// `[−2³¹, 2³¹)`, so a value whose digits fit in four lanes has
+/// `v + BIAS` in `[0, 2¹²⁸)`, and the plain base-2³² digits of
+/// `v + BIAS` are its balanced digits plus 2³¹ each: the adder runs
+/// the carries. XOR with `BIAS` leaves each lane's digit. Two
+/// canonical spans of at most three limbs sum to less than 2⁹⁶ in
+/// magnitude, so their digits always fit, the fourth lane taking the
+/// carry out of the top.
+#[inline]
+fn carry(v: u128) -> u128 {
+    v.wrapping_add(BIAS) ^ BIAS
+}
+
+/// Lanes `[lo, hi)` of a window's nonzero hull, read off its digits'
+/// bit pattern; `hi ≤ lo` when every digit is zero.
+#[inline]
+fn hull(digits: u128) -> (usize, usize) {
+    let lanes = u128::BITS / LIMB_BITS;
+    (
+        (digits.trailing_zeros() / LIMB_BITS) as usize,
+        (lanes - digits.leading_zeros() / LIMB_BITS) as usize,
+    )
+}
+
+/// Append a window's canonical digits (limb `base + i` in lane `i`) to
+/// `out` as one packed element: the header and the nonzero hull's
+/// limbs, or a bare zero header.
+#[inline]
+fn emit_window(base: usize, digits: u128, out: &mut Vec<i32>) {
+    if digits == 0 {
+        out.push(0);
+        return;
+    }
+    let (lo, hi) = hull(digits);
+    out.push(((base + lo) | (hi - lo) << 8) as i32);
+    // One push per limb: a variable-length `extend_from_slice` costs a
+    // `memcpy` call per element.
+    let mut rest = digits >> (LIMB_BITS as usize * lo);
+    for _ in lo..hi {
+        out.push(rest as u32 as i32);
+        rest >>= LIMB_BITS;
     }
 }
 

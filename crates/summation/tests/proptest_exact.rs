@@ -324,6 +324,25 @@ proptest! {
         }
     }
 
+    /// `ExactVec::wire_len_of` prices every raw leaf send of a
+    /// reproducible collective without building the payload: it must
+    /// equal the packed vector's length and the sum of the dense
+    /// accumulators' encoded sizes.
+    #[test]
+    fn wire_len_of_matches_packed_and_dense(xs in vec(adversarial(), 0..900)) {
+        let dense: usize = xs
+            .iter()
+            .map(|&x| {
+                let mut acc = ExactAccumulator::new();
+                acc.add(x);
+                acc.normalize();
+                acc.wire_len()
+            })
+            .sum();
+        prop_assert_eq!(ExactVec::from_slice(&xs).wire_len(), dense);
+        prop_assert_eq!(ExactVec::wire_len_of(&xs), dense);
+    }
+
     /// The intra-run parallel reproducible sum is bitwise equal to the
     /// serial sum for every thread-count hint.
     #[test]
@@ -338,5 +357,206 @@ proptest! {
                 "threads={}", threads
             );
         }
+    }
+}
+
+/// `digit · 2^(32·limb − 1074)`: one balanced digit in one limb of the
+/// accumulator's frame. Exact for `|digit| ≤ 2³¹` up to limb 64.
+fn limb_value(limb: usize, digit: i64) -> f64 {
+    let k = 32 * limb as i64 - 1074;
+    let pow2 = if k >= -1022 {
+        f64::from_bits(((k + 1023) as u64) << 52)
+    } else {
+        f64::from_bits(1 << (k + 1074))
+    };
+    digit as f64 * pow2
+}
+
+/// A one-element `ExactVec` and the dense accumulator it must equal,
+/// put through the same operations.
+#[derive(Clone)]
+struct Twin {
+    packed: ExactVec,
+    dense: ExactAccumulator,
+    case: String,
+}
+
+impl Twin {
+    /// The exact sum of `xs`: `from_slice` of the first value, then one
+    /// `add` per value.
+    fn sum(xs: &[f64], case: &str) -> Twin {
+        let mut t = Twin {
+            packed: ExactVec::from_slice(&xs[..1]),
+            dense: ExactAccumulator::new(),
+            case: case.to_string(),
+        };
+        t.dense.add(xs[0]);
+        t.dense.normalize();
+        t.check("from_slice");
+        for &x in &xs[1..] {
+            t.add(x);
+        }
+        t
+    }
+
+    fn add(&mut self, x: f64) {
+        self.packed.add(&[x]);
+        self.dense.add(x);
+        self.dense.normalize();
+        self.check(&format!("add({x:e})"));
+    }
+
+    fn merge(&mut self, other: &Twin) {
+        self.packed.merge(&other.packed);
+        self.dense.merge(&other.dense);
+        self.dense.normalize();
+        self.check("merge");
+    }
+
+    fn check(&self, op: &str) {
+        let element = self.packed.iter().next().expect("one element");
+        assert!(
+            element.state_eq(&self.dense),
+            "{}, {op}: {element:?} != {:?}",
+            self.case,
+            self.dense
+        );
+        assert_eq!(
+            self.packed.wire_len(),
+            self.dense.wire_len(),
+            "{}, {op}",
+            self.case
+        );
+    }
+
+    /// One past the top occupied limb (0 for zero).
+    fn top(&self) -> usize {
+        self.dense.span().map_or(0, |(_, hi)| hi)
+    }
+}
+
+/// Fold `op` into an element summing `elem`, once value by value
+/// through `add` and once as a packed sum through `merge` (both
+/// orders). Returns the `add` result.
+fn add_and_merge(elem: &[f64], op: &[f64], case: &str) -> Twin {
+    let mut added = Twin::sum(elem, case);
+    for &x in op {
+        added.add(x);
+    }
+    let operand = Twin::sum(op, case);
+    let mut merged = Twin::sum(elem, case);
+    merged.merge(&operand);
+    let mut swapped = operand;
+    swapped.merge(&Twin::sum(elem, case));
+    added
+}
+
+/// The window kernel at its edges, checked with `state_eq` against
+/// dense accumulators.
+///
+/// `assign` and `wire_len_of` take every biased exponent 0..=2046, both
+/// signs and three mantissas: the implicit bit alone (zero for the
+/// subnormal exponent), all ones, and one with bits 31 and 63 of the
+/// shifted chunk set where the mantissa reaches them, so the lower
+/// digits carry upward (at shift 11 into the third digit, which the
+/// raw split leaves zero).
+///
+/// `add` and `merge` take an element of extreme digits (`2³¹ − 1`, or
+/// `−2³¹` on the negative side) in limbs `lo..lo + len`, against an
+/// operand whose split starts at `lo − δ` for `δ` in −3..=3 and puts a
+/// digit of the element's sign in each of its three limbs. The combined
+/// span runs from within the window's width through exactly its width,
+/// where the carry ripples through every limb into the fourth lane, to
+/// one limb wider and beyond, where it falls back. Each case is also
+/// cancelled to zero. Last, the top of the range: an element doubled
+/// from ±`f64::MAX` by self-merges until its top limb is 69, with
+/// `add` and `merge` of values at limb 63 and below at every step, so
+/// the window crosses into the limbs near 70 where it must fall back.
+#[test]
+fn window_edges_match_dense_accumulators() {
+    // assign / wire_len_of
+    let mut singles = Vec::new();
+    for biased in 0u64..=2046 {
+        let shift = biased.saturating_sub(1) % 32;
+        let mut carry = 1 << (31 - shift);
+        if shift >= 12 {
+            carry |= 1 << (63 - shift);
+        }
+        for frac in [0, (1 << 52) - 1, carry] {
+            for sign in [0, 1u64 << 63] {
+                singles.push(f64::from_bits(sign | biased << 52 | frac));
+            }
+        }
+    }
+    let packed = ExactVec::from_slice(&singles);
+    assert_eq!(packed.len(), singles.len());
+    let mut total = 0;
+    for (element, &x) in packed.iter().zip(&singles) {
+        let mut want = ExactAccumulator::new();
+        want.add(x);
+        want.normalize();
+        assert!(element.state_eq(&want), "assign({x:e})");
+        assert_eq!(
+            ExactVec::wire_len_of(&[x]),
+            want.wire_len(),
+            "wire_len_of({x:e})"
+        );
+        total += want.wire_len();
+    }
+    assert_eq!(packed.wire_len(), total);
+    assert_eq!(ExactVec::wire_len_of(&singles), total);
+
+    // add / merge on both sides of the window's width
+    let window = ExactVec::WINDOW;
+    let (mut carried_at_width, mut carried_past_width) = (0, 0);
+    for base in [3, 20, 40, 58] {
+        for delta in -3i64..=3 {
+            for len in 1..=window + 1 {
+                for sign in [1i64, -1] {
+                    let lo = (base as i64 + delta) as usize;
+                    let digit = if sign > 0 { (1 << 31) - 1 } else { -(1 << 31) };
+                    let mut elem: Vec<f64> = (lo..lo + len).map(|l| limb_value(l, digit)).collect();
+                    // Split at `base`, shift 12: digits 2¹², 1, 1.
+                    let mantissa = 1.0 + 2f64.powi(-32) + 2f64.powi(-52);
+                    let op = sign as f64 * mantissa * limb_value(base + 2, 1);
+                    let case = format!("base {base}, delta {delta}, len {len}, sign {sign}");
+                    let sum = add_and_merge(&elem, &[op], &case);
+                    let (first, top) = (lo.min(base), (lo + len).max(base + 3));
+                    let carried = sum.top() > top;
+                    carried_at_width += usize::from(carried && top - first == window);
+                    carried_past_width += usize::from(carried && top - first == window + 1);
+                    elem.push(op);
+                    let neg: Vec<f64> = elem.iter().map(|&x| -x).collect();
+                    let zero = add_and_merge(&elem, &neg, &format!("{case}, cancelled"));
+                    assert_eq!(zero.packed.wire_len(), 2, "{case}: cancels to zero");
+                }
+            }
+        }
+    }
+    assert!(
+        carried_at_width > 0,
+        "no case carries out of a span of exactly the window's width"
+    );
+    assert!(
+        carried_past_width > 0,
+        "no case carries out of a span one limb wider"
+    );
+
+    // the top of the range
+    for sign in [1.0, -1.0] {
+        let mut big = Twin::sum(&[sign * f64::MAX], "top");
+        while big.top() < 70 {
+            let copy = big.clone();
+            big.merge(&copy);
+            big.case = format!("top {} (sign {sign})", big.top());
+            for op in [f64::MAX, -f64::MAX, limb_value(63, 1), -1.0, 1e-300] {
+                let mut added = big.clone();
+                added.add(op);
+                let mut merged = big.clone();
+                merged.merge(&Twin::sum(&[op, sign * f64::MAX], &big.case));
+            }
+        }
+        let (lo, hi) = big.dense.span().expect("nonzero");
+        assert!(lo >= 67 && hi == 70, "the top element spans {lo}..{hi}");
     }
 }
