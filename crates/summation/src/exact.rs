@@ -805,7 +805,7 @@ impl ExactVec {
         self.len = xs.len();
         for &x in xs {
             let (limb, chunk) = split(x);
-            emit_window(limb, carry(chunk as u128), &mut self.words);
+            emit_window(limb, chunk as u128, &mut self.words);
         }
     }
 
@@ -823,8 +823,8 @@ impl ExactVec {
             let (limb, chunk) = split(x);
             let base = first_limb(lo, limbs).min(limb);
             if fits_window(base, (lo + limbs.len()).max(limb + 3)) {
-                let sum = lanes(lo, limbs, base).wrapping_add(chunk as u128);
-                emit_window(base, carry(sum), &mut out);
+                let v = lanes(lo, limbs, base).wrapping_add(chunk as u128);
+                emit_window(base, v, &mut out);
             } else {
                 acc.load_span(lo, limbs);
                 acc.add_chunk(limb, chunk);
@@ -848,8 +848,8 @@ impl ExactVec {
         for ((lo, limbs), (olo, olimbs)) in self.spans().zip(other.spans()) {
             let base = first_limb(lo, limbs).min(first_limb(olo, olimbs));
             if fits_window(base, (lo + limbs.len()).max(olo + olimbs.len())) {
-                let sum = lanes(lo, limbs, base).wrapping_add(lanes(olo, olimbs, base));
-                emit_window(base, carry(sum), &mut out);
+                let v = lanes(lo, limbs, base).wrapping_add(lanes(olo, olimbs, base));
+                emit_window(base, v, &mut out);
             } else {
                 acc.load_span(lo, limbs);
                 acc.merge_limbs(olo, olimbs, 0);
@@ -999,11 +999,12 @@ fn hull(digits: u128) -> (usize, usize) {
     )
 }
 
-/// Append a window's canonical digits (limb `base + i` in lane `i`) to
-/// `out` as one packed element: the header and the nonzero hull's
-/// limbs, or a bare zero header.
+/// Carry a window value `v` (limb `base + i` in lane `i`) and append
+/// it to `out` as one packed element: the header and the nonzero
+/// hull's limbs, or a bare zero header.
 #[inline]
-fn emit_window(base: usize, digits: u128, out: &mut Vec<i32>) {
+fn emit_window(base: usize, v: u128, out: &mut Vec<i32>) {
+    let digits = carry(v);
     if digits == 0 {
         out.push(0);
         return;
