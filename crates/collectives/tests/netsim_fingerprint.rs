@@ -32,8 +32,11 @@ impl Fnv {
 
     /// Every observable bit of one run. The destructuring patterns
     /// list every field, so a new stats field fails to compile here
-    /// until it is hashed too.
-    fn absorb(&mut self, out: &NetAllreduce) {
+    /// until it is hashed too. The per-link counters are hashed only
+    /// when `links` is set (the config that reads them, as
+    /// `table9 --link-stats` does) and the run has any; otherwise one
+    /// `u64::MAX` word stands in for them.
+    fn absorb(&mut self, out: &NetAllreduce, links: bool) {
         self.word(out.values.len() as u64);
         for v in &out.values {
             self.word(v.to_bits());
@@ -73,15 +76,16 @@ impl Fnv {
         ] {
             self.word(w);
         }
-        match &out.link_stats {
-            None => self.word(u64::MAX),
-            Some(links) => {
-                self.word(links.len() as u64);
-                for &LinkStats { wait_ns, messages, max_depth } in links {
-                    self.word(wait_ns.to_bits());
-                    self.word(messages);
-                    self.word(u64::from(max_depth));
-                }
+        let links: &[LinkStats] =
+            if links { out.link_stats.as_deref().unwrap_or_default() } else { &[] };
+        if links.is_empty() {
+            self.word(u64::MAX);
+        } else {
+            self.word(links.len() as u64);
+            for &LinkStats { wait_ns, messages, max_depth } in links {
+                self.word(wait_ns.to_bits());
+                self.word(messages);
+                self.word(u64::from(max_depth));
             }
         }
     }
@@ -168,7 +172,8 @@ fn fingerprint(alg: Algorithm, net: Net) -> u64 {
                     Ordering::RankOrder,
                     Ordering::Reproducible,
                 ] {
-                    h.absorb(&allreduce_on(topo, &ranks, alg, ordering, &cfg));
+                    let out = allreduce_on(topo, &ranks, alg, ordering, &cfg);
+                    h.absorb(&out, matches!(net, Net::Tenants));
                 }
             }
         }
