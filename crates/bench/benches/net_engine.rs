@@ -11,7 +11,7 @@
 //! already gates the engine end to end.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fpna_net::{JitterModel, LinkSpec, NetSim, Topology};
+use fpna_net::{LinkSpec, NetConfig, NetSim, Topology};
 
 fn flat() -> Topology {
     Topology::flat_switch(64, LinkSpec::new(500.0, 25.0))
@@ -25,6 +25,11 @@ fn hier() -> Topology {
         LinkSpec::new(500.0, 50.0),
         LinkSpec::new(5_000.0, 25.0),
     )
+}
+
+/// Jitter of 0.3 of each hop's service time on a quiet fabric.
+fn jittered() -> NetConfig {
+    NetConfig { jitter_frac: 0.3, jitter_seed: 42, ..NetConfig::default() }
 }
 
 /// `(from, to, bytes, inject_ns)` random traffic over `p` ranks.
@@ -73,7 +78,7 @@ fn bench_flood(c: &mut Criterion) {
         let traffic = plan(topo.ranks(), MSGS);
         group.bench_with_input(BenchmarkId::new("flood", name), &topo, |b, topo| {
             b.iter(|| {
-                let mut sim = NetSim::new(topo, JitterModel::uniform(0.3, 42));
+                let mut sim = NetSim::new(topo, &jittered());
                 for (i, &(from, to, bytes, at)) in traffic.iter().enumerate() {
                     sim.send_at(at, from, to, bytes, i as u64);
                 }
@@ -101,7 +106,7 @@ fn bench_flood_counted(c: &mut Criterion) {
     fpna_obs::counters::set_enabled(true);
     group.bench_with_input(BenchmarkId::new("flood_counted", "flat"), &topo, |b, topo| {
         b.iter(|| {
-            let mut sim = NetSim::new(topo, JitterModel::uniform(0.3, 42));
+            let mut sim = NetSim::new(topo, &jittered());
             for (i, &(from, to, bytes, at)) in traffic.iter().enumerate() {
                 sim.send_at(at, from, to, bytes, i as u64);
             }
@@ -126,7 +131,7 @@ fn bench_relay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(LEGS));
     group.bench_function("relay_chain", |b| {
         b.iter(|| {
-            let mut sim = NetSim::new(&topo, JitterModel::none());
+            let mut sim = NetSim::new(&topo, &NetConfig { jitter_frac: 0.0, ..NetConfig::default() });
             sim.send_at(0.0, 0, 1, 256, 0);
             let mut last = 0.0f64;
             sim.run(|sim, d| {

@@ -556,8 +556,7 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                     ..NetConfig::default()
                 }
                 .with_load(load, derive_seed(seed, 0x10AD))
-                .with_route(cfg.route_for(seed))
-                .with_link_stats(true);
+                .with_route(cfg.route_for(seed));
                 let out = allreduce_on(
                     &topo,
                     &ranks,
@@ -565,11 +564,8 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
                     Ordering::ArrivalOrder { seed: derive_seed(seed, 1) },
                     &net_cfg,
                 );
-                let stats = out
-                    .link_stats
-                    .expect("with_link_stats(true) collects per-link stats");
                 let mut busiest: Vec<(usize, &fpna_net::LinkStats)> =
-                    stats.iter().enumerate().filter(|(_, s)| s.messages > 0).collect();
+                    out.link_stats.iter().enumerate().filter(|(_, s)| s.messages > 0).collect();
                 busiest.sort_by(|(la, a), (lb, b)| {
                     b.wait_ns
                         .partial_cmp(&a.wait_ns)

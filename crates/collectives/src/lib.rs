@@ -50,4 +50,5 @@ pub mod allreduce;
 pub mod netsim;
 
 pub use allreduce::{allreduce, Algorithm, Ordering};
-pub use netsim::{allreduce_on, NetAllreduce, NetConfig, MAX_SEGMENTS};
+pub use fpna_net::NetConfig;
+pub use netsim::{allreduce_on, NetAllreduce, MAX_SEGMENTS};

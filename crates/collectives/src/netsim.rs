@@ -7,8 +7,8 @@
 //! Combine order is no longer injected by a seeded shuffle; it
 //! **emerges from message timing**:
 //!
-//! * [`Ordering::ArrivalOrder`] — links carry seeded jitter (the seed
-//!   drives the [`fpna_net::JitterModel`]); each tree node folds child
+//! * [`Ordering::ArrivalOrder`] — links carry seeded jitter (the
+//!   ordering's seed keys every jitter draw); each tree node folds child
 //!   contributions in the order their messages actually land. This is
 //!   MPI on a busy fabric. Ring and recursive doubling have a fixed
 //!   combine order by construction, so only their *timing* varies —
@@ -92,9 +92,7 @@
 //! [`ExactAccumulator::WIRE_BYTES`]: fpna_summation::exact::ExactAccumulator::WIRE_BYTES
 
 use crate::allreduce::{validate, Algorithm, Ordering};
-use fpna_net::{
-    Background, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats, Topology,
-};
+use fpna_net::{LinkStats, NetConfig, NetSim, RunStats, Topology};
 use fpna_obs::counters::{self, Counter};
 use fpna_obs::trace;
 use fpna_summation::exact::ExactVec;
@@ -106,92 +104,6 @@ use fpna_summation::exact::ExactVec;
 /// spacing, which is how variability comes to grow with fabric depth.
 const STAGGER_NS: f64 = 500.0;
 
-/// Fabric-behaviour knobs shared by every ordering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetConfig {
-    /// Per-hop jitter amplitude as a fraction of the hop's
-    /// deterministic service time — serialization plus latency
-    /// (applies to `ArrivalOrder` and `Reproducible`; `RankOrder`
-    /// always runs jitter-free).
-    pub jitter_frac: f64,
-    /// Jitter seed used when the ordering does not carry one
-    /// (`Reproducible`): "what the fabric did this run".
-    pub jitter_seed: u64,
-    /// Offered load of the seeded background tenants sharing the
-    /// fabric ([`fpna_net::Background`]): `0.0` (the default) is a
-    /// quiet fabric, bit-identical to the pre-contention engine.
-    pub load: f64,
-    /// Seed of the background tenants' schedule: "what the other jobs
-    /// did this run". Applies to every ordering — contention reorders
-    /// arrivals through link queueing, not through jitter.
-    pub bg_seed: u64,
-    /// Route selection among equal-cost paths
-    /// ([`fpna_net::RouteSelect`]): `Fixed` (the default) or seeded
-    /// ECMP on a multi-spine fabric.
-    pub route: RouteSelect,
-    /// Copy the engine's per-link contention counters into
-    /// [`NetAllreduce::link_stats`] when the protocol finishes (one
-    /// `LinkStats` per directed link id). Off by default: the copy is
-    /// one allocation per collective, which the allocation-free
-    /// discipline only pays when asked (`table9 --link-stats`).
-    pub collect_link_stats: bool,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            jitter_frac: 0.3,
-            jitter_seed: 0,
-            load: 0.0,
-            bg_seed: 0,
-            route: RouteSelect::Fixed,
-            collect_link_stats: false,
-        }
-    }
-}
-
-impl NetConfig {
-    /// This configuration with a different jitter seed — the per-run
-    /// rekeying used by seed sweeps over `Reproducible`.
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
-    /// This configuration with background tenants at offered load
-    /// `load`, scheduled by `bg_seed`.
-    pub fn with_load(mut self, load: f64, bg_seed: u64) -> Self {
-        self.load = load;
-        self.bg_seed = bg_seed;
-        self
-    }
-
-    /// This configuration with a different route-selection policy.
-    pub fn with_route(mut self, route: RouteSelect) -> Self {
-        self.route = route;
-        self
-    }
-
-    /// This configuration with per-link contention counters copied
-    /// into [`NetAllreduce::link_stats`].
-    pub fn with_link_stats(mut self, on: bool) -> Self {
-        self.collect_link_stats = on;
-        self
-    }
-
-    /// The [`FabricConfig`] this configuration induces.
-    fn fabric(&self) -> FabricConfig {
-        FabricConfig {
-            route_select: self.route,
-            background: if self.load > 0.0 {
-                Background::with_load(self.load, self.bg_seed)
-            } else {
-                Background::off()
-            },
-        }
-    }
-}
-
 /// Result of one simulated allreduce.
 #[derive(Debug, Clone)]
 pub struct NetAllreduce {
@@ -201,18 +113,11 @@ pub struct NetAllreduce {
     pub elapsed_ns: f64,
     /// Engine statistics (messages, bytes, hops, makespan).
     pub stats: RunStats,
-    /// Per-directed-link contention counters, indexed by link id —
-    /// populated only under [`NetConfig::collect_link_stats`]
-    /// (`None` otherwise, including the trivial single-rank path).
-    pub link_stats: Option<Vec<LinkStats>>,
-}
-
-/// Per-link counter copy for [`NetAllreduce::link_stats`]; `None`
-/// unless the config asked for it.
-fn collect_link_stats(sim: &NetSim<'_>, config: &NetConfig) -> Option<Vec<LinkStats>> {
-    config
-        .collect_link_stats
-        .then(|| (0..sim.topology().num_links()).map(|l| sim.link_stats(l)).collect())
+    /// Per-directed-link contention counters, indexed by link id
+    /// ([`NetSim::link_stats`] for every link of the topology, foreground
+    /// and background traffic alike). Empty on the single-rank path,
+    /// which sends nothing.
+    pub link_stats: Vec<LinkStats>,
 }
 
 /// Reduction state: plain floats, or span-packed exact values for the
@@ -420,14 +325,6 @@ impl Payloads {
     }
 }
 
-fn jitter_for(ordering: Ordering, config: &NetConfig) -> JitterModel {
-    match ordering {
-        Ordering::ArrivalOrder { seed } => JitterModel::uniform(config.jitter_frac, seed),
-        Ordering::RankOrder => JitterModel::none(),
-        Ordering::Reproducible => JitterModel::uniform(config.jitter_frac, config.jitter_seed),
-    }
-}
-
 /// Largest supported segment (chunk) count. It bounds per-chunk
 /// protocol state: every chunk of every tree is its own message
 /// stream, with its own fold state at each node that has two or more
@@ -441,12 +338,19 @@ pub const MAX_SEGMENTS: usize = 1 << 12;
 /// and the segmented variants are bitwise identical to their
 /// unsegmented bases at every segment count.
 ///
+/// `config` describes the fabric; the ordering sets its jitter:
+/// [`Ordering::ArrivalOrder`] keys the jitter draws by its own seed in
+/// place of `config.jitter_seed`, [`Ordering::RankOrder`] runs with no
+/// jitter at all, and [`Ordering::Reproducible`] takes `config` as it
+/// is. Tenant load, tenant seed and route choice apply under every
+/// ordering.
+///
 /// # Panics
 ///
 /// Panics on empty input, mismatched vector lengths, a rank count
 /// different from `topo.ranks()`, fanout < 2, a segment count of 0 or
-/// above [`MAX_SEGMENTS`], or a non-power-of-two rank count for
-/// recursive doubling.
+/// above [`MAX_SEGMENTS`], a non-power-of-two rank count for recursive
+/// doubling, or a config [`NetSim::new`] rejects.
 pub fn allreduce_on(
     topo: &Topology,
     ranks: &[Vec<f64>],
@@ -468,14 +372,21 @@ pub fn allreduce_on(
             values: BufferPool::default().values_of(&ranks[0], exact).round(),
             elapsed_ns: 0.0,
             stats: RunStats::default(),
-            link_stats: None,
+            link_stats: Vec::new(),
         };
     }
-    let sim = NetSim::with_fabric(topo, jitter_for(ordering, config), config.fabric());
-    let Some((trees, k)) = schedule(topo, algorithm, ranks[0].len()) else {
-        return recursive_doubling_on(sim, ranks, exact, config);
+    let config = match ordering {
+        Ordering::ArrivalOrder { seed } => NetConfig { jitter_seed: seed, ..*config },
+        Ordering::RankOrder => NetConfig { jitter_frac: 0.0, ..*config },
+        Ordering::Reproducible => *config,
     };
-    run_trees(sim, ranks, &trees, k, ordering, config)
+    let mut sim = NetSim::new(topo, &config);
+    let (values, elapsed_ns, stats) = match schedule(topo, algorithm, ranks[0].len()) {
+        Some((trees, k)) => run_trees(&mut sim, ranks, &trees, k, ordering),
+        None => recursive_doubling_on(&mut sim, ranks, exact),
+    };
+    let link_stats = (0..topo.num_links()).map(|l| sim.link_stats(l)).collect();
+    NetAllreduce { values, elapsed_ns, stats, link_stats }
 }
 
 /// The trees `algorithm` runs on `topo` over `m` columns, and the
@@ -685,16 +596,16 @@ struct Fold {
 
 /// Runs any tree schedule on the engine, each tree's columns cut into
 /// `k` chunks (chunk `c` of tree `t` is flow `t·k + c`). Each flow's
-/// root rounds once and broadcasts `(hi − lo)·8` payload-free bytes;
-/// `elapsed_ns` is the last delivery's time.
+/// root rounds once and broadcasts `(hi − lo)·8` payload-free bytes.
+/// Returns the reduced values, the last delivery's time and the run
+/// statistics.
 fn run_trees(
-    mut sim: NetSim<'_>,
+    sim: &mut NetSim<'_>,
     ranks: &[Vec<f64>],
     trees: &[Tree],
     k: usize,
     ordering: Ordering,
-    config: &NetConfig,
-) -> NetAllreduce {
+) -> (Vec<f64>, f64, RunStats) {
     let p = ranks.len();
     let exact = matches!(ordering, Ordering::Reproducible);
     let rank_order = matches!(ordering, Ordering::RankOrder);
@@ -818,12 +729,7 @@ fn run_trees(
     });
 
     assert_eq!(roots_done, flows, "allreduce never completed");
-    NetAllreduce {
-        values: result,
-        elapsed_ns: elapsed,
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
+    (result, elapsed, stats)
 }
 
 /// Recursive doubling: `log₂ p` rounds of symmetric pairwise
@@ -836,13 +742,13 @@ fn run_trees(
 /// and their sizes set the timing. The plain orderings carry no
 /// payload: every message is `m·8` bytes whatever it holds, and the
 /// values are the balanced block fold that every rank's in-protocol
-/// folding would produce, computed once by [`block_fold`].
+/// folding would produce, computed once by [`block_fold`]. Returns
+/// what [`run_trees`] does.
 fn recursive_doubling_on(
-    mut sim: NetSim<'_>,
+    sim: &mut NetSim<'_>,
     ranks: &[Vec<f64>],
     exact: bool,
-    config: &NetConfig,
-) -> NetAllreduce {
+) -> (Vec<f64>, f64, RunStats) {
     let p = ranks.len();
     let rounds = p.trailing_zeros() as usize;
     let plain_bytes = std::mem::size_of_val(ranks[0].as_slice()) as u64;
@@ -925,12 +831,7 @@ fn recursive_doubling_on(
         Some(b) => b.round(),
         None => block_fold(ranks, 0, p),
     };
-    NetAllreduce {
-        values,
-        elapsed_ns: final_time.iter().copied().fold(0.0f64, f64::max),
-        stats,
-        link_stats: collect_link_stats(&sim, config),
-    }
+    (values, final_time.iter().copied().fold(0.0f64, f64::max), stats)
 }
 
 /// Balanced block fold `sum(block) = sum(lower half) + sum(upper
@@ -958,7 +859,7 @@ mod tests {
     use super::*;
     use crate::allreduce::allreduce;
     use fpna_core::rng::SplitMix64;
-    use fpna_net::LinkSpec;
+    use fpna_net::{LinkSpec, RouteSelect};
 
     fn make_ranks(p: usize, m: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut rng = SplitMix64::new(seed);

@@ -76,8 +76,7 @@ impl Fnv {
         ] {
             self.word(w);
         }
-        let links: &[LinkStats] =
-            if links { out.link_stats.as_deref().unwrap_or_default() } else { &[] };
+        let links: &[LinkStats] = if links { &out.link_stats } else { &[] };
         if links.is_empty() {
             self.word(u64::MAX);
         } else {
@@ -122,7 +121,8 @@ fn fabrics(p: usize) -> Vec<Topology> {
 enum Net {
     /// The default config.
     Quiet,
-    /// Tenants at 0.5 with seeded ECMP and link stats.
+    /// Tenants at 0.5 with seeded ECMP; its per-link counters are
+    /// hashed too.
     Tenants,
     /// Zero jitter under tenants at 0.7.
     ZeroJitter,
@@ -133,8 +133,7 @@ fn config(net: Net, seed: u64) -> NetConfig {
         Net::Quiet => NetConfig::default(),
         Net::Tenants => NetConfig::default()
             .with_load(0.5, seed ^ 0xB6)
-            .with_route(RouteSelect::SeededEcmp { seed: seed ^ 0xEC })
-            .with_link_stats(true),
+            .with_route(RouteSelect::SeededEcmp { seed: seed ^ 0xEC }),
         Net::ZeroJitter => NetConfig {
             jitter_frac: 0.0,
             ..NetConfig::default()

@@ -9,8 +9,10 @@
 //!
 //! Links are store-and-forward and serialize: a directed link carries
 //! one message at a time, so fan-in through a shared switch port
-//! spaces arrivals out even without jitter. The *only* nondeterminism
-//! is the seeded [`JitterModel`]; with [`JitterModel::none`] the
+//! spaces arrivals out even without jitter. Every run-to-run
+//! difference comes from one [`NetConfig`] — per-hop jitter,
+//! background tenants and equal-cost route choice, each driven by its
+//! own seed. With `jitter_frac: 0.0` on a quiet, fixed-route fabric the
 //! engine is bit-for-bit deterministic — that zero-jitter mode is the
 //! suite's model of a software-scheduled interconnect (the LPU
 //! multiprocessor of the paper's conclusion), and the jittered mode is
@@ -39,22 +41,23 @@
 //!
 //! ## Multi-tenant contention
 //!
-//! Beyond jitter, [`FabricConfig`] adds the *other* source of arrival
-//! reordering real fabrics have — contention:
+//! Beyond jitter, [`NetConfig`] sets the *other* sources of arrival
+//! reordering real fabrics have — contention and routing:
 //!
-//! * [`Background`] traffic: seeded on/off senders (one per rank)
-//!   inject bursts of bystander messages through the **same event
-//!   queue**, so foreground messages are reordered by link
-//!   `busy_until` queueing, not by an injected timestamp fudge. The
-//!   whole schedule is a pure function of `(seed, config)`.
+//! * Background tenants ([`NetConfig::load`]): seeded on/off senders
+//!   (one per rank) inject bursts of bystander messages through the
+//!   **same event queue**, so foreground messages are reordered by
+//!   link `busy_until` queueing, not by an injected timestamp fudge.
+//!   The whole schedule is a pure function of the config.
 //! * [`RouteSelect::SeededEcmp`]: per-message seeded route choice
 //!   among the equal-cost paths a multi-spine fabric exposes
 //!   ([`Topology::route_hops_nth`]) — adaptive/ECMP routing as
 //!   another seeded, replayable nondeterminism source.
 //!
 //! With `load = 0` and [`RouteSelect::Fixed`] the engine is
-//! bit-for-bit the plain engine: same events, same timestamps, same
-//! stats. Per-link wait/queue-depth counters ([`LinkStats`],
+//! bit-for-bit the pre-contention engine, whatever the tenant seed:
+//! same events, same timestamps, same stats (`proptest_net` diffs it
+//! against a reference engine). Per-link wait/queue-depth counters ([`LinkStats`],
 //! [`RunStats::wait_ns`] and friends) observe contention without
 //! perturbing it.
 
@@ -64,58 +67,6 @@ use fpna_obs::counters::{self, Counter};
 use fpna_obs::profile::{self, PhaseStat};
 use fpna_obs::trace;
 use std::collections::VecDeque;
-
-/// Per-hop timing noise: uniform in `[0, frac_of_cost · (α + β·b))` —
-/// a fraction of the hop's whole deterministic service time, because
-/// real fabric noise (congestion, retransmits, adaptive detours)
-/// scales with how long the message occupies the path, not just with
-/// propagation delay. Samples are drawn from a stream keyed by
-/// `(seed, message, hop)` so a run is replayable from its seed alone.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JitterModel {
-    /// Jitter amplitude as a fraction of each hop's deterministic
-    /// service time (serialization + latency).
-    pub frac_of_cost: f64,
-    /// Seed standing in for "what the fabric did this run".
-    pub seed: u64,
-}
-
-impl JitterModel {
-    /// The software-scheduled fabric: no jitter at all.
-    pub fn none() -> Self {
-        JitterModel {
-            frac_of_cost: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// Jitter of `frac` of each hop's service time, driven by `seed`.
-    pub fn uniform(frac: f64, seed: u64) -> Self {
-        assert!(frac >= 0.0, "jitter fraction must be non-negative");
-        JitterModel {
-            frac_of_cost: frac,
-            seed,
-        }
-    }
-
-    /// `true` when this model can never perturb a timestamp.
-    pub fn is_zero(&self) -> bool {
-        self.frac_of_cost == 0.0
-    }
-
-    fn sample_ns(&self, msg: u64, hop: u64, hop_cost_ns: f64) -> f64 {
-        if self.frac_of_cost == 0.0 {
-            return 0.0;
-        }
-        let mut g = SplitMix64::new(
-            self.seed
-                ^ msg.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ hop.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-        );
-        g.next_u64(); // decorrelate nearby keys
-        self.frac_of_cost * hop_cost_ns * g.next_f64()
-    }
-}
 
 /// How a sender picks among equal-cost shortest paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,73 +85,96 @@ pub enum RouteSelect {
     },
 }
 
-/// Seeded on/off background ("bystander tenant") traffic: every rank
-/// hosts a sender that alternates ON bursts of `burst` messages with
-/// OFF pauses, tuned so its uplink sees utilization ≈ `load`. All
-/// inter-send gaps are drawn from a per-sender [`SplitMix64`] stream
-/// (`derive_seed(seed, rank)`), so the full schedule is a pure
-/// function of `(seed, config)`. Background flows ride the same event
-/// queue and the same `busy_until` link state as foreground traffic —
-/// they reorder foreground arrivals through *queueing*, not through
-/// timestamp noise — but are never handed to the delivery callback.
+/// Bytes per background tenant message.
+const BG_BYTES: u64 = 16 * 1024;
+
+/// Messages per background tenant ON burst.
+const BG_BURST: u32 = 4;
+
+/// The fabric's seeded sources of run-to-run variation: per-hop
+/// jitter, background tenants and equal-cost route choice. Each has
+/// its own seed, so a run replays exactly from its config. The default
+/// is jitter of 0.3 of each hop's service time on a quiet fabric with
+/// fixed routing; with `jitter_frac: 0.0` as well, the engine is the
+/// software-scheduled fabric, bit-for-bit deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Background {
-    /// Offered-load factor: target utilization of each sender's
-    /// uplink. `0.0` disables background traffic entirely.
+pub struct NetConfig {
+    /// Per-hop jitter amplitude as a fraction of the hop's whole
+    /// deterministic service time, serialization plus latency: each
+    /// hop of a `b`-byte message adds a draw uniform in
+    /// `[0, jitter_frac · (α + β·b))`, because real fabric noise
+    /// (congestion, retransmits, adaptive detours) scales with how
+    /// long the message occupies the path, not just with propagation
+    /// delay. `0.0` is no jitter at all.
+    pub jitter_frac: f64,
+    /// Seed standing in for "what the fabric did this run". Each
+    /// jitter draw comes from a stream keyed by `(seed, message, hop)`.
+    pub jitter_seed: u64,
+    /// Offered load of the seeded background ("bystander tenant")
+    /// traffic: the target utilization of each rank's uplink. Every
+    /// rank hosts a sender that alternates ON bursts of 4 messages of
+    /// 16 KiB with OFF pauses. The tenants ride the same event queue
+    /// and the same `busy_until` link state as foreground traffic —
+    /// they reorder foreground arrivals through *queueing*, not
+    /// through timestamp noise — but never reach the delivery
+    /// callback. `0.0` is a quiet fabric, bit-identical to the
+    /// pre-contention engine.
     pub load: f64,
     /// Seed standing in for "what the other tenants did this run".
-    pub seed: u64,
-    /// Bytes per background message.
-    pub bytes: u64,
-    /// Messages per ON burst.
-    pub burst: u32,
+    /// Sender `r` draws its gaps from `derive_seed(bg_seed, r)`.
+    pub bg_seed: u64,
+    /// Route selection among equal-cost paths.
+    pub route: RouteSelect,
 }
 
-impl Background {
-    /// No background traffic (the default).
-    pub fn off() -> Self {
-        Background {
-            load: 0.0,
-            seed: 0,
-            bytes: 16 * 1024,
-            burst: 4,
-        }
-    }
-
-    /// Background senders at offered load `load`, driven by `seed`,
-    /// with default message size and burst length.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `load` is negative or not finite.
-    pub fn with_load(load: f64, seed: u64) -> Self {
-        assert!(
-            load.is_finite() && load >= 0.0,
-            "offered load must be finite and non-negative"
-        );
-        Background {
-            load,
-            seed,
-            ..Background::off()
-        }
-    }
-}
-
-impl Default for Background {
+impl Default for NetConfig {
     fn default() -> Self {
-        Background::off()
+        NetConfig {
+            jitter_frac: 0.3,
+            jitter_seed: 0,
+            load: 0.0,
+            bg_seed: 0,
+            route: RouteSelect::Fixed,
+        }
     }
 }
 
-/// Everything the fabric does besides jitter: route selection policy
-/// and background tenant traffic. The default (`Fixed` routing, no
-/// background load) reproduces the plain engine bit for bit.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FabricConfig {
-    /// Equal-cost route selection policy.
-    pub route_select: RouteSelect,
-    /// Background tenant traffic.
-    pub background: Background,
+impl NetConfig {
+    /// This configuration with a different jitter seed — the per-run
+    /// rekeying used by seed sweeps.
+    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
+        self.jitter_seed = seed;
+        self
+    }
+
+    /// This configuration with background tenants at offered load
+    /// `load`, scheduled by `bg_seed`.
+    pub fn with_load(mut self, load: f64, bg_seed: u64) -> Self {
+        self.load = load;
+        self.bg_seed = bg_seed;
+        self
+    }
+
+    /// This configuration with a different route-selection policy.
+    pub fn with_route(mut self, route: RouteSelect) -> Self {
+        self.route = route;
+        self
+    }
+
+    /// Jitter of one hop of message `msg` whose deterministic service
+    /// time is `hop_cost_ns`.
+    fn jitter_ns(&self, msg: u64, hop: u64, hop_cost_ns: f64) -> f64 {
+        if self.jitter_frac == 0.0 {
+            return 0.0;
+        }
+        let mut g = SplitMix64::new(
+            self.jitter_seed
+                ^ msg.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ hop.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+        );
+        g.next_u64(); // decorrelate nearby keys
+        self.jitter_frac * hop_cost_ns * g.next_f64()
+    }
 }
 
 /// Per-directed-link contention counters, cumulative over every
@@ -657,8 +631,7 @@ struct BgSender {
 #[derive(Debug)]
 pub struct NetSim<'t> {
     topo: &'t Topology,
-    jitter: JitterModel,
-    fabric: FabricConfig,
+    config: NetConfig,
     /// Pending events, popped in `(time, seq)` order.
     queue: CalendarQueue,
     /// Slot-addressed in-flight messages; delivered slots are pushed
@@ -702,32 +675,39 @@ pub struct NetSim<'t> {
 }
 
 impl<'t> NetSim<'t> {
-    /// A fresh engine over `topo` with the given timing-noise model,
-    /// fixed routing, and no background traffic.
-    pub fn new(topo: &'t Topology, jitter: JitterModel) -> Self {
-        NetSim::with_fabric(topo, jitter, FabricConfig::default())
-    }
-
-    /// A fresh engine with explicit routing policy and background
-    /// traffic. `FabricConfig::default()` makes this identical to
-    /// [`NetSim::new`].
-    pub fn with_fabric(topo: &'t Topology, jitter: JitterModel, fabric: FabricConfig) -> Self {
+    /// A fresh engine over `topo` whose jitter, background tenants and
+    /// route choice follow `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.load` is negative or not finite, or when
+    /// `config.jitter_frac` is negative or NaN.
+    pub fn new(topo: &'t Topology, config: &NetConfig) -> Self {
+        assert!(
+            config.load.is_finite() && config.load >= 0.0,
+            "offered load must be finite and non-negative, got {}",
+            config.load
+        );
+        assert!(
+            config.jitter_frac >= 0.0,
+            "jitter fraction must be non-negative, got {}",
+            config.jitter_frac
+        );
         let p = topo.ranks();
-        let bgc = fabric.background;
-        let bg: Vec<BgSender> = if bgc.load > 0.0 && p > 1 {
+        let bg: Vec<BgSender> = if config.load > 0.0 && p > 1 {
             (0..p)
                 .map(|r| {
                     // Calibrate off the sender's uplink (first hop of
                     // any route out of rank r).
                     let uplink = topo.route_hops(r, usize::from(r == 0))[0].link;
-                    let serialize = (uplink.ns_per_byte * bgc.bytes as f64).max(1.0);
-                    let gap_ns = serialize / (2.0 * bgc.load);
+                    let serialize = (uplink.ns_per_byte * BG_BYTES as f64).max(1.0);
+                    let gap_ns = serialize / (2.0 * config.load);
                     BgSender {
                         rank: r,
-                        rng: SplitMix64::new(derive_seed(bgc.seed, r as u64)),
+                        rng: SplitMix64::new(derive_seed(config.bg_seed, r as u64)),
                         gap_ns,
-                        pause_ns: bgc.burst as f64 * gap_ns,
-                        burst_left: bgc.burst,
+                        pause_ns: BG_BURST as f64 * gap_ns,
+                        burst_left: BG_BURST,
                     }
                 })
                 .collect()
@@ -749,8 +729,7 @@ impl<'t> NetSim<'t> {
         let width = topo.min_latency_ns().unwrap_or(1.0);
         NetSim {
             topo,
-            jitter,
-            fabric,
+            config: *config,
             obs,
             queue: CalendarQueue::new(width),
             messages: Vec::new(),
@@ -773,11 +752,6 @@ impl<'t> NetSim<'t> {
     /// The topology this engine simulates.
     pub fn topology(&self) -> &'t Topology {
         self.topo
-    }
-
-    /// The routing/background configuration this engine runs under.
-    pub fn fabric(&self) -> FabricConfig {
-        self.fabric
     }
 
     /// Contention counters for one directed link (cumulative over
@@ -808,7 +782,7 @@ impl<'t> NetSim<'t> {
     /// Seeded equal-cost route pick for message `id`: a pure function
     /// of `(route seed, id)`, independent of event interleaving.
     fn pick_route(&self, id: u64, from: usize, to: usize) -> u32 {
-        match self.fabric.route_select {
+        match self.config.route {
             RouteSelect::Fixed => 0,
             RouteSelect::SeededEcmp { seed } => {
                 let n = self.topo.route_count(from, to);
@@ -976,7 +950,7 @@ impl<'t> NetSim<'t> {
             self.obs.route_lookups += 1;
         }
         if admitted {
-            self.inject(at_ns, from, to, self.fabric.background.bytes, 0, true);
+            self.inject(at_ns, from, to, BG_BYTES, 0, true);
         } else {
             self.stats.bg_dropped += 1;
             if self.obs.tracing {
@@ -994,7 +968,7 @@ impl<'t> NetSim<'t> {
         let s = &mut self.bg[sender];
         s.burst_left -= 1;
         let base = if s.burst_left == 0 {
-            s.burst_left = self.fabric.background.burst;
+            s.burst_left = BG_BURST;
             s.pause_ns
         } else {
             s.gap_ns
@@ -1102,8 +1076,7 @@ impl<'t> NetSim<'t> {
             let serialize = hop.link.ns_per_byte * m.bytes as f64;
             *busy = start + serialize;
             let jitter =
-                self.jitter
-                    .sample_ns(m.id, u64::from(ev.hop), serialize + hop.link.latency_ns);
+                self.config.jitter_ns(m.id, u64::from(ev.hop), serialize + hop.link.latency_ns);
             let arrive = start + serialize + hop.link.latency_ns + jitter;
             self.link_drains[l].push_back(start + serialize);
             let depth = self.link_drains[l].len() as u32;
@@ -1197,10 +1170,11 @@ impl<'t> NetSim<'t> {
                 // Key the pop histogram by offered load, so one report
                 // answers "does pop dominate at high load?" directly.
                 // Profile readers match the whole key, `queue=calendar`
-                // suffix included.
+                // suffix included. Adding 0.0 turns a load of -0.0
+                // into 0.0, so the key never reads "-0.00".
                 let key = format!(
                     "net.heap_pop@load={:.2},queue=calendar",
-                    self.fabric.background.load
+                    self.config.load + 0.0
                 );
                 profile::merge(&key, &self.obs.pop_stat);
                 counters::add(Counter::HeapPopWallNs, self.obs.pop_stat.total_ns);
@@ -1229,10 +1203,16 @@ mod tests {
         Topology::flat_switch(4, LinkSpec::new(100.0, 1.0))
     }
 
+    /// The software-scheduled fabric: no jitter, no tenants, fixed
+    /// routes.
+    fn quiet() -> NetConfig {
+        NetConfig { jitter_frac: 0.0, ..NetConfig::default() }
+    }
+
     #[test]
     fn single_message_cost_matches_path_cost() {
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         sim.send_at(0.0, 0, 1, 8, 0);
         let mut seen = Vec::new();
         let stats = sim.run(|_, d| seen.push(d));
@@ -1249,7 +1229,7 @@ mod tests {
     fn nic_counters_tally_only_cross_group_foreground_hops() {
         // Flat switch: no cross-group links at all.
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         sim.send_at(0.0, 0, 1, 64, 0);
         let stats = sim.run(|_, _| {});
         assert_eq!(stats.nic_hops, 0);
@@ -1257,7 +1237,7 @@ mod tests {
         // Hierarchical: a same-node message never crosses; a cross-node
         // message crosses on its 4 middle (sw→nic→top→nic→sw) hops.
         let h = Topology::hierarchical(2, 2, LinkSpec::new(100.0, 1.0), LinkSpec::new(100.0, 1.0), LinkSpec::new(100.0, 1.0));
-        let mut sim = NetSim::new(&h, JitterModel::none());
+        let mut sim = NetSim::new(&h, &quiet());
         sim.send_at(0.0, 0, 1, 64, 0);
         let intra = sim.run(|_, _| {});
         assert_eq!(intra.nic_hops, 0);
@@ -1273,7 +1253,7 @@ mod tests {
         // Ranks 1, 2, 3 all send to 0 at t=0: the switch→rank-0 link is
         // shared, so arrivals are spaced by the serialization time.
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         for r in 1..4 {
             sim.send_at(0.0, r, 0, 1000, 0);
         }
@@ -1291,7 +1271,7 @@ mod tests {
     fn zero_jitter_replays_identically() {
         let t = topo();
         let run = || {
-            let mut sim = NetSim::new(&t, JitterModel::none());
+            let mut sim = NetSim::new(&t, &quiet());
             for r in 1..4 {
                 sim.send_at(r as f64, r, 0, 64, r as u64);
             }
@@ -1306,7 +1286,7 @@ mod tests {
     fn jitter_seeds_change_timing_but_not_payloads() {
         let t = topo();
         let run = |seed| {
-            let mut sim = NetSim::new(&t, JitterModel::uniform(0.5, seed));
+            let mut sim = NetSim::new(&t, &NetConfig { jitter_frac: 0.5, jitter_seed: seed, ..quiet() });
             for r in 1..4 {
                 sim.send_at(0.0, r, 0, 64, r as u64);
             }
@@ -1338,7 +1318,7 @@ mod tests {
     fn callback_can_chain_sends() {
         // 1 → 0, then on delivery 0 → 2: a two-leg relay.
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         sim.send_at(0.0, 1, 0, 8, 7);
         let mut legs = Vec::new();
         sim.run(|sim, d| {
@@ -1359,7 +1339,7 @@ mod tests {
         // message after the first reuses the same recycled slot. Ids
         // must still count up in injection order.
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         let first = sim.send_at(0.0, 0, 1, 8, 0);
         assert_eq!(first, 0);
         let mut ids = Vec::new();
@@ -1376,7 +1356,7 @@ mod tests {
     #[test]
     fn run_stats_stay_cumulative_and_ids_keep_counting() {
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         sim.send_at(0.0, 0, 1, 100, 0);
         let phase1 = sim.run(|_, _| {});
         assert_eq!(phase1.deliveries, 1);
@@ -1393,29 +1373,9 @@ mod tests {
     }
 
     #[test]
-    fn default_fabric_is_bitwise_the_plain_engine() {
-        let t = topo();
-        let run = |mut sim: NetSim<'_>| {
-            for r in 1..4 {
-                sim.send_at(r as f64, r, 0, 777, r as u64);
-            }
-            let mut log = Vec::new();
-            let stats = sim.run(|_, d| log.push((d.msg, d.tag, d.time.to_bits())));
-            (log, stats)
-        };
-        let plain = run(NetSim::new(&t, JitterModel::uniform(0.4, 11)));
-        let fabric = run(NetSim::with_fabric(
-            &t,
-            JitterModel::uniform(0.4, 11),
-            FabricConfig::default(),
-        ));
-        assert_eq!(plain, fabric);
-    }
-
-    #[test]
     fn fan_in_queue_depth_and_wait_are_counted() {
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::none());
+        let mut sim = NetSim::new(&t, &quiet());
         for r in 1..4 {
             sim.send_at(0.0, r, 0, 1000, 0);
         }
@@ -1442,10 +1402,7 @@ mod tests {
     #[test]
     fn background_traffic_contends_but_never_reaches_the_callback() {
         let t = topo();
-        let fabric = FabricConfig {
-            background: Background::with_load(0.6, 42),
-            ..FabricConfig::default()
-        };
+        let tenants = NetConfig { load: 0.6, bg_seed: 42, ..quiet() };
         // Modest staggered sends: in a quiet fabric they never touch,
         // so every bit of foreground wait is inflicted by the tenants.
         let workload = |sim: &mut NetSim<'_>| {
@@ -1453,7 +1410,7 @@ mod tests {
                 sim.send_at(i as f64 * 30_000.0, 1 + (i as usize % 3), 0, 20_000, i);
             }
         };
-        let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
+        let mut sim = NetSim::new(&t, &tenants);
         workload(&mut sim);
         let mut log = Vec::new();
         let stats = sim.run(|_, d| log.push(d.tag));
@@ -1467,7 +1424,7 @@ mod tests {
         assert_eq!(stats.bg_bytes_delivered, stats.bg_deliveries * 16 * 1024);
         assert!(stats.bg_hops_traversed >= 2 * stats.bg_deliveries);
         // Contention from the bystanders delays the foreground run.
-        let mut quiet = NetSim::new(&t, JitterModel::none());
+        let mut quiet = NetSim::new(&t, &quiet());
         workload(&mut quiet);
         let quiet_stats = quiet.run(|_, _| {});
         assert_eq!(quiet_stats.wait_ns, 0.0, "workload must be self-contention-free");
@@ -1479,10 +1436,7 @@ mod tests {
     #[test]
     fn multi_phase_stats_stay_cumulative_with_tenants_live() {
         let t = topo();
-        let fabric = FabricConfig {
-            background: Background::with_load(0.6, 42),
-            ..FabricConfig::default()
-        };
+        let tenants = NetConfig { load: 0.6, bg_seed: 42, ..quiet() };
         let phase = |sim: &mut NetSim<'_>, base: f64| {
             for i in 0..10u64 {
                 sim.send_at(base + i as f64 * 30_000.0, 1 + (i as usize % 3), 0, 20_000, i);
@@ -1492,7 +1446,7 @@ mod tests {
         // Two phases back to back: the tenants re-arm at each run()
         // entry, and every counter — foreground, background, and the
         // queue/wait family — keeps accumulating.
-        let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
+        let mut sim = NetSim::new(&t, &tenants);
         let first = phase(&mut sim, 0.0);
         let both = phase(&mut sim, 1e9);
         assert_eq!(first.deliveries, 10);
@@ -1503,7 +1457,7 @@ mod tests {
         assert!(both.wait_ns >= first.wait_ns);
         assert!(both.max_queue_depth >= first.max_queue_depth);
         // The same two phases replay bitwise on a fresh engine.
-        let mut replay = NetSim::with_fabric(&t, JitterModel::none(), fabric);
+        let mut replay = NetSim::new(&t, &tenants);
         phase(&mut replay, 0.0);
         assert_eq!(phase(&mut replay, 1e9), both);
     }
@@ -1512,11 +1466,7 @@ mod tests {
     fn background_schedule_replays_from_its_seed() {
         let t = topo();
         let run = |bg_seed: u64| {
-            let fabric = FabricConfig {
-                background: Background::with_load(0.5, bg_seed),
-                ..FabricConfig::default()
-            };
-            let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
+            let mut sim = NetSim::new(&t, &NetConfig { load: 0.5, bg_seed, ..quiet() });
             for i in 0..30u64 {
                 sim.send_at(i as f64 * 30_000.0, 1 + (i as usize % 3), 0, 20_000, i);
             }
@@ -1533,11 +1483,7 @@ mod tests {
         let spec = LinkSpec::new(100.0, 1.0);
         let t = crate::topology::Topology::fat_tree_spines(8, 4, 4, spec, spec);
         let run = |route: RouteSelect| {
-            let fabric = FabricConfig {
-                route_select: route,
-                ..FabricConfig::default()
-            };
-            let mut sim = NetSim::with_fabric(&t, JitterModel::none(), fabric);
+            let mut sim = NetSim::new(&t, &NetConfig { route, ..quiet() });
             // Cross-group shuffle to *distinct* destinations: the only
             // shared resource is the sending group's spine uplink, so
             // Fixed routing piles all four onto the canonical spine
@@ -1644,12 +1590,36 @@ mod tests {
     #[test]
     fn self_send_delivers_immediately() {
         let t = topo();
-        let mut sim = NetSim::new(&t, JitterModel::uniform(1.0, 3));
+        let mut sim = NetSim::new(&t, &NetConfig { jitter_frac: 1.0, jitter_seed: 3, ..quiet() });
         sim.send_at(42.0, 2, 2, 8, 0);
         let mut seen = Vec::new();
         let stats = sim.run(|_, d| seen.push(d));
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].time, 42.0);
         assert_eq!(stats.hops_traversed, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be finite and non-negative")]
+    fn negative_load_is_rejected() {
+        NetSim::new(&topo(), &NetConfig { load: -0.5, ..quiet() });
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be finite and non-negative")]
+    fn nan_load_is_rejected() {
+        NetSim::new(&topo(), &NetConfig { load: f64::NAN, ..quiet() });
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be finite and non-negative")]
+    fn infinite_load_is_rejected() {
+        NetSim::new(&topo(), &NetConfig { load: f64::INFINITY, ..quiet() });
+    }
+
+    #[test]
+    #[should_panic(expected = "jitter fraction must be non-negative")]
+    fn negative_jitter_is_rejected() {
+        NetSim::new(&topo(), &NetConfig { jitter_frac: -0.1, ..quiet() });
     }
 }

@@ -16,15 +16,16 @@
 //!   distinct intra-node vs inter-node links
 //!   ([`Topology::hierarchical`]), all parameterised by `α + β·bytes`
 //!   [`LinkSpec`]s;
-//! * [`engine`] — the event engine: store-and-forward hops, per-link
-//!   serialization, and a seeded [`JitterModel`]. Zero jitter is the
-//!   software-scheduled fabric (bit-for-bit replayable); nonzero
-//!   jitter is MPI on a busy cluster. [`FabricConfig`] layers on
-//!   multi-tenant *contention*: seeded [`Background`] tenant traffic
-//!   that reorders foreground arrivals through link queueing, and
-//!   seeded ECMP route choice ([`RouteSelect`]) over the equal-cost
-//!   paths of a multi-spine fat tree
-//!   ([`Topology::fat_tree_spines`]);
+//! * [`engine`] — the event engine: store-and-forward hops and
+//!   per-link serialization, with every seeded source of run-to-run
+//!   variation in one [`NetConfig`]: per-hop jitter, background
+//!   tenant traffic that reorders foreground arrivals through link
+//!   queueing, and ECMP route choice ([`RouteSelect`]) over the
+//!   equal-cost paths of a multi-spine fat tree
+//!   ([`Topology::fat_tree_spines`]). Zero jitter on a quiet,
+//!   fixed-route fabric is the software-scheduled interconnect
+//!   (bit-for-bit replayable); jitter and tenants are MPI on a busy
+//!   cluster;
 //! * [`cost`] — analytic α–β allreduce cost models, including the
 //!   bandwidth-inflation price of shipping exact accumulators
 //!   (the network half of the paper's "cost of reproducibility").
@@ -34,11 +35,12 @@
 //! topology × jitter into the variability-vs-cost table.
 //!
 //! ```
-//! use fpna_net::{JitterModel, LinkSpec, NetSim, Topology};
+//! use fpna_net::{LinkSpec, NetConfig, NetSim, Topology};
 //!
 //! // 8 ranks on one switch; rank 1..8 all message rank 0.
 //! let topo = Topology::flat_switch(8, LinkSpec::new(500.0, 12.0));
-//! let mut sim = NetSim::new(&topo, JitterModel::uniform(0.4, 7));
+//! let config = NetConfig { jitter_frac: 0.4, jitter_seed: 7, ..NetConfig::default() };
+//! let mut sim = NetSim::new(&topo, &config);
 //! for r in 1..8 {
 //!     sim.send_at(0.0, r, 0, 1024, r as u64);
 //! }
@@ -56,7 +58,5 @@ pub mod engine;
 pub mod topology;
 
 pub use cost::CostModel;
-pub use engine::{
-    Background, Delivery, FabricConfig, JitterModel, LinkStats, NetSim, RouteSelect, RunStats,
-};
+pub use engine::{Delivery, LinkStats, NetConfig, NetSim, RouteSelect, RunStats};
 pub use topology::{Hop, LinkSpec, NodeKind, Topology};

@@ -4,16 +4,14 @@
 //! their reference implementations — the precomputed route table vs
 //! on-demand BFS, and the dense link-busy vector vs a `HashMap`-keyed
 //! reference engine. The multi-tenant fabric rides the same reference:
-//! any config at `load == 0` with fixed routing must be bit-for-bit
-//! the pre-contention engine, and contended runs (background tenants,
-//! seeded ECMP) must replay bitwise from `(seed, config)` alone.
+//! a config at `load == 0` with fixed routing must be bit-for-bit the
+//! pre-contention engine whatever its tenant seed, and contended runs
+//! (background tenants, seeded ECMP) must replay bitwise from their
+//! config alone.
 
 use proptest::prelude::*;
 
-use fpna_net::{
-    Background, Delivery, FabricConfig, Hop, JitterModel, LinkSpec, NetSim, RouteSelect, RunStats,
-    Topology,
-};
+use fpna_net::{Delivery, Hop, LinkSpec, NetConfig, NetSim, RouteSelect, RunStats, Topology};
 use std::collections::HashMap;
 
 /// Build a topology from one of the three builder families; `kind`
@@ -59,7 +57,7 @@ fn messages(p: usize, rng_seed: u64, count: usize) -> Vec<(usize, usize, u64, f6
 /// stream. The fast engine must reproduce its deliveries bit for bit.
 fn reference_run(
     topo: &Topology,
-    jitter: JitterModel,
+    config: &NetConfig,
     plan: &[(usize, usize, u64, f64)],
 ) -> Vec<(u64, usize, usize, u64, u64)> {
     struct Ev {
@@ -103,7 +101,7 @@ fn reference_run(
         let start = ev.time.max(*b);
         let serialize = hop.link.ns_per_byte * bytes as f64;
         *b = start + serialize;
-        let j = sample_jitter(&jitter, ev.msg as u64, ev.hop as u64, serialize + hop.link.latency_ns);
+        let j = sample_jitter(config, ev.msg as u64, ev.hop as u64, serialize + hop.link.latency_ns);
         events.push(Ev {
             time: start + serialize + hop.link.latency_ns + j,
             seq,
@@ -137,17 +135,22 @@ fn stats_fingerprint(stats: &RunStats) -> Vec<u64> {
 /// The engine's documented jitter stream, reproduced independently:
 /// uniform in `[0, frac · hop_cost)` from a SplitMix64 keyed by
 /// `(seed, message, hop)` with one warm-up draw.
-fn sample_jitter(model: &JitterModel, msg: u64, hop: u64, hop_cost_ns: f64) -> f64 {
-    if model.frac_of_cost == 0.0 {
+fn sample_jitter(config: &NetConfig, msg: u64, hop: u64, hop_cost_ns: f64) -> f64 {
+    if config.jitter_frac == 0.0 {
         return 0.0;
     }
     let mut g = fpna_core::rng::SplitMix64::new(
-        model.seed
+        config.jitter_seed
             ^ msg.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ hop.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
     );
     g.next_u64();
-    model.frac_of_cost * hop_cost_ns * g.next_f64()
+    config.jitter_frac * hop_cost_ns * g.next_f64()
+}
+
+/// A quiet, fixed-route fabric with jitter `frac` seeded by `seed`.
+fn jittered(frac: f64, seed: u64) -> NetConfig {
+    NetConfig { jitter_frac: frac, jitter_seed: seed, ..NetConfig::default() }
 }
 
 proptest! {
@@ -192,7 +195,7 @@ proptest! {
         let topo = make_topo(kind, n1, n2);
         let plan = messages(topo.ranks(), seed, 24);
         let run = || {
-            let mut sim = NetSim::new(&topo, JitterModel::none());
+            let mut sim = NetSim::new(&topo, &jittered(0.0, 0));
             for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
                 sim.send_at(at, from, to, bytes, i as u64);
             }
@@ -216,7 +219,7 @@ proptest! {
     ) {
         let topo = make_topo(kind, n1, n2);
         let plan = messages(topo.ranks(), seed ^ 0xABCD, 24);
-        let mut sim = NetSim::new(&topo, JitterModel::uniform(frac, seed));
+        let mut sim = NetSim::new(&topo, &jittered(frac, seed));
         for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
             sim.send_at(at, from, to, bytes, i as u64);
         }
@@ -275,26 +278,23 @@ proptest! {
     ) {
         let topo = make_topo(kind, n1, n2);
         let plan = messages(topo.ranks(), seed ^ 0x7777, 24);
-        let jitter = if frac == 0.0 {
-            JitterModel::none()
-        } else {
-            JitterModel::uniform(frac, seed)
-        };
-        let mut sim = NetSim::new(&topo, jitter);
+        let config = jittered(frac, seed);
+        let mut sim = NetSim::new(&topo, &config);
         for &(from, to, bytes, at) in &plan {
             sim.send_at(at, from, to, bytes, 0);
         }
         let mut got: Vec<(u64, usize, usize, u64, u64)> = Vec::new();
         sim.run(|_, d: Delivery| got.push((d.msg, d.from, d.to, d.bytes, d.time.to_bits())));
-        let want = reference_run(&topo, jitter, &plan);
+        let want = reference_run(&topo, &config, &plan);
         prop_assert_eq!(got, want);
     }
 
-    /// **Any** fabric config with the tenants silenced (`load == 0`)
-    /// and fixed routing is bit-for-bit the pre-contention engine:
-    /// same deliveries and legacy stats as `NetSim::new`, and the same
-    /// delivery log as the retained `HashMap`-reference engine. The
-    /// multi-tenant machinery must be a strict no-op until switched on.
+    /// A fabric with the tenants silenced (`load == 0`) and fixed
+    /// routing is bit-for-bit the pre-contention engine whatever its
+    /// tenant seed: the same delivery log as the retained
+    /// `HashMap`-reference engine, and no tenant traffic in the stats.
+    /// The multi-tenant machinery must be a strict no-op until switched
+    /// on.
     #[test]
     fn quiet_fixed_fabric_is_bitwise_the_pr5_reference(
         kind in 0usize..3,
@@ -303,41 +303,24 @@ proptest! {
         seed in any::<u64>(),
         frac in prop_oneof![Just(0.0f64), 0.01..1.2f64],
         bg_seed in any::<u64>(),
-        bg_bytes in 1u64..(1 << 20),
-        bg_burst in 1u32..64,
     ) {
         let topo = make_topo(kind, n1, n2);
         let plan = messages(topo.ranks(), seed ^ 0x51E7, 24);
-        let jitter = if frac == 0.0 {
-            JitterModel::none()
-        } else {
-            JitterModel::uniform(frac, seed)
-        };
-        let fabric = FabricConfig {
-            route_select: RouteSelect::Fixed,
-            background: Background {
-                load: 0.0,
-                seed: bg_seed,
-                bytes: bg_bytes,
-                burst: bg_burst,
-            },
-        };
-        let drive = |mut sim: NetSim<'_>| {
-            for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
-                sim.send_at(at, from, to, bytes, i as u64);
-            }
-            let mut log: Vec<(u64, u64, usize, usize, u64, u64)> = Vec::new();
-            let stats =
-                sim.run(|_, d: Delivery| log.push((d.msg, d.tag, d.from, d.to, d.bytes, d.time.to_bits())));
-            (log, stats_fingerprint(&stats))
-        };
-        let quiet = drive(NetSim::with_fabric(&topo, jitter, fabric));
-        let plain = drive(NetSim::new(&topo, jitter));
-        prop_assert_eq!(&quiet, &plain, "load=0 fabric must equal the plain engine");
-        let want = reference_run(&topo, jitter, &plan);
-        let got: Vec<(u64, usize, usize, u64, u64)> =
-            quiet.0.iter().map(|&(m, _, f, t, b, ts)| (m, f, t, b, ts)).collect();
+        let config = NetConfig { bg_seed, ..jittered(frac, seed) };
+        let mut sim = NetSim::new(&topo, &config);
+        for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
+            sim.send_at(at, from, to, bytes, i as u64);
+        }
+        let mut got: Vec<(u64, usize, usize, u64, u64)> = Vec::new();
+        let stats =
+            sim.run(|_, d: Delivery| got.push((d.msg, d.from, d.to, d.bytes, d.time.to_bits())));
+        let want = reference_run(&topo, &config, &plan);
         prop_assert_eq!(got, want, "load=0 fabric must equal the reference engine");
+        prop_assert_eq!(
+            (stats.bg_deliveries, stats.bg_hops_traversed, stats.bg_dropped),
+            (0, 0, 0),
+            "a quiet fabric carries no tenant traffic"
+        );
     }
 
     /// Background-flow schedules and seeded ECMP route draws are pure
@@ -362,21 +345,14 @@ proptest! {
             LinkSpec::new(1_500.0, 50.0),
         );
         let plan = messages(p, seed ^ 0xBEEF, 24);
-        let jitter = if frac == 0.0 {
-            JitterModel::none()
+        let route = if ecmp {
+            RouteSelect::SeededEcmp { seed: seed ^ 0xEC }
         } else {
-            JitterModel::uniform(frac, seed)
+            RouteSelect::Fixed
         };
-        let fabric = FabricConfig {
-            route_select: if ecmp {
-                RouteSelect::SeededEcmp { seed: seed ^ 0xEC }
-            } else {
-                RouteSelect::Fixed
-            },
-            background: Background::with_load(load, seed ^ 0xB6),
-        };
+        let config = NetConfig { load, bg_seed: seed ^ 0xB6, route, ..jittered(frac, seed) };
         let run = || {
-            let mut sim = NetSim::with_fabric(&topo, jitter, fabric);
+            let mut sim = NetSim::new(&topo, &config);
             for (i, &(from, to, bytes, at)) in plan.iter().enumerate() {
                 sim.send_at(at, from, to, bytes, i as u64);
             }

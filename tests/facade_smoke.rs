@@ -10,7 +10,7 @@ use fpna::collectives::{allreduce, Algorithm, Ordering};
 use fpna::core::metrics::scalar_variability;
 use fpna::gpu::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna::lpu::{Lpu, LpuSpec, Program, Tensor2, TensorShape};
-use fpna::net::{JitterModel, LinkSpec, NetSim, Topology};
+use fpna::net::{LinkSpec, NetConfig, NetSim, Topology};
 use fpna::nn::Graph;
 use fpna::solvers::{conjugate_gradient, CgConfig, Csr};
 use fpna::stats::Describe;
@@ -97,7 +97,7 @@ fn facade_reexports_collectives() {
 #[test]
 fn facade_reexports_net() {
     let topo = Topology::flat_switch(2, LinkSpec::new(100.0, 10.0));
-    let mut sim = NetSim::new(&topo, JitterModel::none());
+    let mut sim = NetSim::new(&topo, &NetConfig { jitter_frac: 0.0, ..NetConfig::default() });
     sim.send_at(0.0, 0, 1, 8, 0);
     let stats = sim.run(|_, _| {});
     assert_eq!(stats.deliveries, 1);
