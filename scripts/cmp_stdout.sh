@@ -42,6 +42,7 @@ table9_args=(
     "--runs 5 --len 256 --segments 8"
     "--runs 5 --len 256 --load 0,0.5"
     "--runs 5 --len 256 --load 0,0.5 --route ecmp"
+    "--runs 5 --len 256 --load 0,0.5 --route ecmp --link-stats"
     "--runs 5 --len 256 --load 0,0.5 --route ecmp --threads 4"
     "--runs 5 --len 256 --load 0,0.5 --place aware"
     "--runs 4 --len 96 --load 0,0.5 --seed 9"
