@@ -86,11 +86,12 @@ impl ExactAccumulator {
     /// accumulator occupies on a wire. `WIRE_BYTES / 8` is the
     /// worst-case bandwidth inflation over shipping a plain `f64`.
     ///
-    /// The actual wire format ([`ExactAccumulator::to_wire_bytes`]) is
-    /// span-encoded — a 2-byte `[lo, hi)` header plus only the
-    /// occupied limbs — so real payloads are far smaller for
-    /// small-dynamic-range data (`2 + 8·span ≤ 2 + WIRE_BYTES` bytes);
-    /// [`ExactAccumulator::wire_len`] reports the exact encoded size.
+    /// The wire format the fabric prices is span-encoded — a 2-byte
+    /// `[lo, hi)` header plus only the occupied limbs — so real
+    /// payloads are far smaller for small-dynamic-range data
+    /// (`2 + 8·span ≤ 2 + WIRE_BYTES` bytes);
+    /// [`ExactAccumulator::wire_len`] reports the encoded size, and
+    /// [`ExactVec`] holds values in that layout.
     pub const WIRE_BYTES: usize = LIMBS * std::mem::size_of::<i64>();
 
     /// Empty accumulator (value zero).
@@ -550,74 +551,15 @@ impl ExactAccumulator {
         sum + comp
     }
 
-    /// Exact encoded size in bytes of [`ExactAccumulator::to_wire_bytes`]
-    /// for the current span: `2 + 8·(hi − lo)`. Tight after a
-    /// [`ExactAccumulator::normalize`]; a loose span only overestimates
-    /// (never under), so cost models stay safe.
+    /// Encoded size in bytes of the span-encoded wire format — a
+    /// 2-byte `[lo, hi)` header followed by the occupied limbs as
+    /// `i64`s — for the current span: `2 + 8·(hi − lo)`, and 2 for
+    /// zero. Tight after a [`ExactAccumulator::normalize`]; a loose
+    /// span only overestimates (never under), so cost models stay
+    /// safe.
     pub fn wire_len(&self) -> usize {
         let span = self.hi.saturating_sub(self.lo) as usize;
         2 + std::mem::size_of::<i64>() * span
-    }
-
-    /// Span-encoded wire serialization: a 2-byte `[lo, hi)` header
-    /// followed by the occupied limbs as little-endian `i64`s. The
-    /// state is canonicalized first (on a copy when needed), so the
-    /// encoding is a pure function of the accumulated value and at
-    /// most `2 + WIRE_BYTES` bytes; the zero value encodes as the
-    /// 2-byte header `[0, 0]`.
-    pub fn to_wire_bytes(&self) -> Vec<u8> {
-        let probe;
-        let acc = if self.pending == 0 {
-            self
-        } else {
-            probe = {
-                let mut p = self.clone();
-                p.normalize();
-                p
-            };
-            &probe
-        };
-        if acc.lo >= acc.hi {
-            return vec![0u8, 0u8];
-        }
-        let (lo, hi) = (acc.lo as usize, acc.hi as usize);
-        let mut out = Vec::with_capacity(2 + 8 * (hi - lo));
-        out.push(lo as u8);
-        out.push(hi as u8);
-        for &l in &acc.limbs[lo..hi] {
-            out.extend_from_slice(&l.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decode a [`ExactAccumulator::to_wire_bytes`] message. Returns
-    /// `None` unless the bytes have exactly the form the encoder
-    /// emits: the bare header `[0, 0]` for zero, otherwise a span
-    /// `lo < hi ≤ 70` with a matching length, a nonzero first and last
-    /// limb, and every limb canonical (in `[−2³¹, 2³¹)`). Whatever the
-    /// bytes, a decoded state is one `normalize` leaves unchanged, so
-    /// a corrupted message cannot decode to a value outside the
-    /// accumulator's range or overflow a later carry walk.
-    pub fn from_wire_bytes(bytes: &[u8]) -> Option<Self> {
-        let ([lo, hi], body) = bytes.split_first_chunk::<2>()?;
-        let (lo, hi) = (*lo as usize, *hi as usize);
-        if (lo, hi) == (0, 0) {
-            return body.is_empty().then(ExactAccumulator::new);
-        }
-        if lo >= hi || hi > LIMBS || body.len() != 8 * (hi - lo) {
-            return None;
-        }
-        let mut acc = ExactAccumulator::new();
-        for (limb, raw) in acc.limbs[lo..hi].iter_mut().zip(body.chunks_exact(8)) {
-            let l = i64::from_le_bytes(raw.try_into().expect("8-byte chunk"));
-            *limb = i64::from(i32::try_from(l).ok()?);
-        }
-        if acc.limbs[lo] == 0 || acc.limbs[hi - 1] == 0 {
-            return None;
-        }
-        acc.lo = lo as u32;
-        acc.hi = hi as u32;
-        Some(acc)
     }
 
     /// The occupied limb span `[lo, hi)`, or `None` for the empty
@@ -637,8 +579,8 @@ impl ExactAccumulator {
             .all(|(i, &l)| l == 0 || ((self.lo as usize) <= i && i < self.hi as usize))
     }
 
-    /// Bitwise state equality (limbs, span, pending) — for the wire
-    /// round-trip tests.
+    /// Bitwise state equality (limbs, span, pending) — for the tests
+    /// that diff two paths' canonical states.
     #[doc(hidden)]
     pub fn state_eq(&self, other: &ExactAccumulator) -> bool {
         self.limbs == other.limbs
@@ -703,8 +645,8 @@ impl FromIterator<f64> for ExactAccumulator {
 /// header word `lo | len << 8` followed by that element's `len`
 /// occupied limbs, all in one contiguous buffer.
 ///
-/// This is [`ExactAccumulator::to_wire_bytes`] laid out in memory —
-/// the same span header and occupied limbs, the limbs held as `i32`
+/// This is the span-encoded wire format of [`ExactAccumulator::wire_len`]
+/// laid out in memory — the same span header and occupied limbs, the limbs held as `i32`
 /// because canonical limbs lie in `[−2³¹, 2³¹)` — so a vector of
 /// small-dynamic-range values occupies about what it costs on a wire
 /// (~16 B per element in memory, ~26 B priced) instead of a dense
@@ -1328,24 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_round_trip_is_bitwise_lossless() {
-        let mut rng = SplitMix64::new(44);
-        for n in [0usize, 1, 10, 500] {
-            let xs: Vec<f64> = (0..n)
-                .map(|_| (rng.next_f64() - 0.5) * 10f64.powi((rng.next_below(60) as i32) - 30))
-                .collect();
-            let mut acc: ExactAccumulator = xs.iter().copied().collect();
-            acc.normalize();
-            let bytes = acc.to_wire_bytes();
-            assert_eq!(bytes.len(), acc.wire_len(), "n={n}");
-            assert!(bytes.len() <= 2 + ExactAccumulator::WIRE_BYTES);
-            let decoded = ExactAccumulator::from_wire_bytes(&bytes).unwrap();
-            assert!(decoded.state_eq(&acc), "n={n}");
-            assert_eq!(decoded.round().to_bits(), acc.round().to_bits());
-        }
-    }
-
-    #[test]
     fn wire_encoding_is_small_for_small_dynamic_range() {
         let mut rng = SplitMix64::new(45);
         let mut acc = ExactAccumulator::new();
@@ -1358,74 +1282,6 @@ mod tests {
             "narrow-range data should occupy few limbs, got {}",
             acc.wire_len()
         );
-    }
-
-    #[test]
-    fn wire_rejects_malformed_messages() {
-        assert!(ExactAccumulator::from_wire_bytes(&[]).is_none());
-        assert!(ExactAccumulator::from_wire_bytes(&[0]).is_none());
-        // span says 2 limbs but only one limb of payload
-        let mut short = vec![10u8, 12u8];
-        short.extend_from_slice(&1i64.to_le_bytes());
-        assert!(ExactAccumulator::from_wire_bytes(&short).is_none());
-        // hi beyond the limb count
-        let mut oob = vec![69u8, 71u8];
-        oob.extend_from_slice(&1i64.to_le_bytes());
-        oob.extend_from_slice(&1i64.to_le_bytes());
-        assert!(ExactAccumulator::from_wire_bytes(&oob).is_none());
-        // zero value round-trips through the bare header
-        let zero = ExactAccumulator::new().to_wire_bytes();
-        assert_eq!(zero, vec![0u8, 0u8]);
-        assert!(ExactAccumulator::from_wire_bytes(&zero).unwrap().is_zero());
-        // ...and is the only empty-span header the encoder emits
-        assert!(ExactAccumulator::from_wire_bytes(&[5, 3]).is_none());
-        assert!(ExactAccumulator::from_wire_bytes(&[7, 7]).is_none());
-        assert!(ExactAccumulator::from_wire_bytes(&[0, 0, 0]).is_none());
-        // 1.0 with bit 6 of its last byte flipped: the limb becomes
-        // 2⁶² + 1, far outside the canonical digit range
-        let mut one = [1.0]
-            .into_iter()
-            .collect::<ExactAccumulator>()
-            .to_wire_bytes();
-        assert_eq!(one.len(), 10);
-        assert!(ExactAccumulator::from_wire_bytes(&one).is_some());
-        one[9] ^= 1 << 6;
-        assert!(ExactAccumulator::from_wire_bytes(&one).is_none());
-        // a single non-canonical limb of 2⁴⁰ at the top of the range
-        let mut top = vec![69u8, 70u8];
-        top.extend_from_slice(&(1i64 << 40).to_le_bytes());
-        assert!(ExactAccumulator::from_wire_bytes(&top).is_none());
-        // zero first or last limb: a loose span the encoder never emits
-        for limbs in [[0i64, 1], [1, 0]] {
-            let mut loose = vec![33u8, 35u8];
-            for l in limbs {
-                loose.extend_from_slice(&l.to_le_bytes());
-            }
-            assert!(ExactAccumulator::from_wire_bytes(&loose).is_none());
-        }
-    }
-
-    #[test]
-    fn wire_bit_flips_decode_canonical_or_not_at_all() {
-        let mut acc: ExactAccumulator = [1e300, -3.25, 1e-300, 7e10].into_iter().collect();
-        acc.normalize();
-        let valid = acc.to_wire_bytes();
-        let (lo, hi) = acc.span().unwrap();
-        assert!(hi - lo > 3, "want a multi-limb encoding");
-        for bit in 0..8 * valid.len() {
-            let mut bytes = valid.clone();
-            bytes[bit / 8] ^= 1 << (bit % 8);
-            let Some(decoded) = ExactAccumulator::from_wire_bytes(&bytes) else {
-                continue;
-            };
-            let mut renormalized = decoded.clone();
-            renormalized.normalize();
-            assert!(
-                renormalized.state_eq(&decoded),
-                "bit {bit}: decoded a non-canonical state"
-            );
-            assert_eq!(decoded.to_wire_bytes(), bytes, "bit {bit}");
-        }
     }
 
     #[test]
@@ -1442,8 +1298,7 @@ mod tests {
         assert_eq!(v.round(), vec![2.5, 0.0, 0.0]);
         v.merge(&ExactVec::from_slice(&[-2.5, 1e300, 1e-300]));
         assert_eq!(v.round(), vec![0.0, 1e300, 1e-300]);
-        let dense: Vec<Vec<u8>> = v.iter().map(|a| a.to_wire_bytes()).collect();
-        assert_eq!(v.wire_len(), dense.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(v.wire_len(), v.iter().map(|a| a.wire_len()).sum::<usize>());
         // a pooled buffer reassigned to a shorter input
         v.assign(&[4.0]);
         assert_eq!(v.len(), 1);
