@@ -77,7 +77,8 @@ fn report(rows: &SweepRows, models: usize, epochs: usize) {
     println!(
         "\nNote: the paper's fp32 pipeline reports Vermv at 1e-6; this f64 \
          pipeline shows the same ordering of conditions with magnitudes at \
-         the f64 rounding scale (see the fig_f32 note in EXPERIMENTS.md)."
+         the f64 rounding scale (see fig_f32 in README, \"Paper figures and \
+         tables → binaries\")."
     );
 }
 
