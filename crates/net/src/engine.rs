@@ -57,9 +57,9 @@
 //! With `load = 0` and [`RouteSelect::Fixed`] the engine is
 //! bit-for-bit the pre-contention engine, whatever the tenant seed:
 //! same events, same timestamps, same stats (`proptest_net` diffs it
-//! against a reference engine). Per-link wait/queue-depth counters ([`LinkStats`],
-//! [`RunStats::wait_ns`] and friends) observe contention without
-//! perturbing it.
+//! against a reference engine). Per-link wait/queue-depth counters
+//! ([`LinkStats`], [`RunStats::wait_ns`] and friends) observe
+//! contention without perturbing it.
 
 use fpna_core::rng::{derive_seed, SplitMix64};
 use crate::topology::Topology;
@@ -749,17 +749,13 @@ impl<'t> NetSim<'t> {
         }
     }
 
-    /// The topology this engine simulates.
-    pub fn topology(&self) -> &'t Topology {
-        self.topo
-    }
-
     /// Contention counters for one directed link (cumulative over
     /// every [`NetSim::run`]).
     ///
     /// # Panics
     ///
-    /// Panics when `link_id >= topology().num_links()`.
+    /// Panics when `link_id` is not below the topology's
+    /// [`Topology::num_links`].
     pub fn link_stats(&self, link_id: usize) -> LinkStats {
         LinkStats {
             wait_ns: self.link_wait_ns[link_id],
