@@ -21,8 +21,9 @@
 //! core (spine) switches, giving every cross-group rank pair `spines`
 //! **equal-cost paths** — the substrate for the engine's seeded
 //! ECMP/adaptive routing ([`crate::engine::RouteSelect`]). All timing
-//! variation stays owned by the [`engine`](crate::engine): the seeded
-//! jitter model, seeded route choice, and seeded background traffic.
+//! variation stays owned by the [`engine`](crate::engine) and its
+//! [`NetConfig`](crate::engine::NetConfig): seeded jitter, seeded route
+//! choice, and seeded background traffic.
 //!
 //! Construction is two-phase under the hood: the builders add vertices
 //! and links, then `finalize` assigns every **directed** link a dense
