@@ -767,7 +767,10 @@ fn main() -> ExitCode {
     if segments.contains(&0) {
         usage_error("--segments expects a comma-separated list of positive chunk counts");
     }
+    // Adding 0.0 turns `-0` into 0, so the report and the spec (whose
+    // hash keys the sweep store) read one zero load.
     let loads: Vec<f64> = cli.list("load", "offered-load factors", vec![0.0]);
+    let loads: Vec<f64> = loads.into_iter().map(|l| l + 0.0).collect();
     if !loads.iter().all(|&l| l.is_finite() && l >= 0.0) {
         usage_error("--load expects a comma-separated list of non-negative offered-load factors");
     }

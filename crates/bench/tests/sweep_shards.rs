@@ -130,3 +130,15 @@ fn fig1_shards_merge_to_the_single_process_bytes() {
     assert_eq!(single, merged, "fig1 diverged at 2 shards");
     std::fs::remove_dir_all(&store).expect("clear store");
 }
+
+#[test]
+fn table9_negative_zero_load_is_the_zero_load_sweep() {
+    // One computation, one spec: `-0` must not key a second store entry.
+    let spec = |load: &str| {
+        stdout_of(
+            env!("CARGO_BIN_EXE_table9"),
+            &["--runs", "2", "--len", "64", "--load", load, "--emit-spec"],
+        )
+    };
+    assert_eq!(spec("-0,0.5"), spec("0,0.5"));
+}

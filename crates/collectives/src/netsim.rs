@@ -367,6 +367,12 @@ pub fn allreduce_on(
         ranks.len()
     );
     let exact = matches!(ordering, Ordering::Reproducible);
+    let config = match ordering {
+        Ordering::ArrivalOrder { seed } => NetConfig { jitter_seed: seed, ..*config },
+        Ordering::RankOrder => NetConfig { jitter_frac: 0.0, ..*config },
+        Ordering::Reproducible => *config,
+    };
+    let mut sim = NetSim::new(topo, &config);
     if ranks.len() == 1 {
         return NetAllreduce {
             values: BufferPool::default().values_of(&ranks[0], exact).round(),
@@ -375,12 +381,6 @@ pub fn allreduce_on(
             link_stats: Vec::new(),
         };
     }
-    let config = match ordering {
-        Ordering::ArrivalOrder { seed } => NetConfig { jitter_seed: seed, ..*config },
-        Ordering::RankOrder => NetConfig { jitter_frac: 0.0, ..*config },
-        Ordering::Reproducible => *config,
-    };
-    let mut sim = NetSim::new(topo, &config);
     let (values, elapsed_ns, stats) = match schedule(topo, algorithm, ranks[0].len()) {
         Some((trees, k)) => run_trees(&mut sim, ranks, &trees, k, ordering),
         None => recursive_doubling_on(&mut sim, ranks, exact),
@@ -1473,6 +1473,14 @@ mod tests {
             Ordering::RankOrder,
             &NetConfig::default(),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "offered load must be finite")]
+    fn one_rank_rejects_a_bad_config_too() {
+        let ranks = make_ranks(1, 8, 8);
+        let config = NetConfig { load: f64::NAN, ..NetConfig::default() };
+        allreduce_on(&flat(1), &ranks, Algorithm::Ring, Ordering::RankOrder, &config);
     }
 
     #[test]

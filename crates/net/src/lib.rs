@@ -11,18 +11,19 @@
 //! multiprocessor) removes it. The pieces:
 //!
 //! * [`topology`] — fabric descriptions: a flat crossbar
-//!   ([`Topology::flat_switch`]), a two-level fat tree
-//!   ([`Topology::fat_tree`]) and a node/NIC/switch hierarchy with
-//!   distinct intra-node vs inter-node links
+//!   ([`Topology::flat_switch`]), a two-level fat tree with one or
+//!   more spines ([`Topology::fat_tree_spines`]) and a node/NIC/switch
+//!   hierarchy with distinct intra-node vs inter-node links
 //!   ([`Topology::hierarchical`]), all parameterised by `α + β·bytes`
-//!   [`LinkSpec`]s;
+//!   [`LinkSpec`]s. One route table holds every equal-cost shortest
+//!   path of every rank pair, canonical first;
 //! * [`engine`] — the event engine: store-and-forward hops and
 //!   per-link serialization, with every seeded source of run-to-run
 //!   variation in one [`NetConfig`]: per-hop jitter, background
 //!   tenant traffic that reorders foreground arrivals through link
-//!   queueing, and ECMP route choice ([`RouteSelect`]) over the
-//!   equal-cost paths of a multi-spine fat tree
-//!   ([`Topology::fat_tree_spines`]). Zero jitter on a quiet,
+//!   queueing, and ECMP route choice ([`RouteSelect`]) over those
+//!   equal-cost paths (several per cross-group pair on a multi-spine
+//!   fat tree). Zero jitter on a quiet,
 //!   fixed-route fabric is the software-scheduled interconnect
 //!   (bit-for-bit replayable); jitter and tenants are MPI on a busy
 //!   cluster;

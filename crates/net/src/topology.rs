@@ -3,42 +3,39 @@
 //! A [`Topology`] is an undirected graph of [`NodeKind`] vertices
 //! (rank endpoints, NICs, switches) whose edges carry a [`LinkSpec`]
 //! — the `α + β·bytes` cost model of the classic LogP/Hockney family.
-//! Three builders cover the shapes the paper's future-work section
+//! Four builders cover the shapes the paper's future-work section
 //! names:
 //!
 //! * [`Topology::flat_switch`] — every rank one hop from a single
 //!   crossbar; the shallowest interesting fabric (depth 1);
-//! * [`Topology::fat_tree`] — ranks under edge switches under one core
-//!   switch (a folded two-level Clos; depth 2);
+//! * [`Topology::fat_tree_spines`] — ranks under edge switches under
+//!   one or more core (spine) switches (a folded two-level Clos;
+//!   depth 2). With `spines > 1` every cross-group rank pair has
+//!   `spines` **equal-cost paths** — the substrate for the engine's
+//!   seeded ECMP routing ([`crate::engine::RouteSelect`]);
 //! * [`Topology::hierarchical`] — the cluster reality: ranks share an
 //!   intra-node switch, leave through a NIC, and cross a top-of-rack
 //!   switch, with distinct intra-node vs inter-node latency and
-//!   bandwidth (depth 3).
+//!   bandwidth (depth 3);
+//! * [`Topology::hierarchical_cyclic`] — the same fabric with ranks
+//!   placed round-robin across nodes.
 //!
-//! Routes are shortest paths computed by BFS. The three builders above
-//! produce tree-shaped fabrics, so their shortest paths are unique;
-//! [`Topology::fat_tree_spines`] generalises the fat tree to several
-//! core (spine) switches, giving every cross-group rank pair `spines`
-//! **equal-cost paths** — the substrate for the engine's seeded
-//! ECMP/adaptive routing ([`crate::engine::RouteSelect`]). All timing
-//! variation stays owned by the [`engine`](crate::engine) and its
-//! [`NetConfig`](crate::engine::NetConfig): seeded jitter, seeded route
-//! choice, and seeded background traffic.
+//! All timing variation stays owned by the [`engine`](crate::engine)
+//! and its [`NetConfig`](crate::engine::NetConfig): seeded jitter,
+//! seeded route choice, and seeded background traffic.
 //!
 //! Construction is two-phase under the hood: the builders add vertices
-//! and links, then `finalize` assigns every **directed** link a dense
-//! id (`0..`[`Topology::num_links`], the index the engine uses for its
-//! busy-state vector) and precomputes every rank-pair route into one
-//! shared hop arena. [`Topology::route_hops`] returns a borrowed
-//! `&[Hop]` slice from that arena — the allocation-free lookup the
-//! event engine rides — while [`Topology::route`] recomputes the same
-//! path by on-demand BFS (the reference implementation the property
-//! tests diff against the table). Where several equal-cost shortest
-//! paths exist, `finalize` enumerates them all:
-//! [`Topology::route_count`] reports how many and
-//! [`Topology::route_hops_nth`] returns the `k`-th (index 0 is always
-//! the canonical BFS route that [`Topology::route_hops`] returns, so
-//! fixed routing is unchanged by the enumeration).
+//! and links, each **directed** link getting a dense id
+//! (`0..`[`Topology::num_links`], the index of the engine's busy-state
+//! vector); then `finalize` enumerates every equal-cost shortest path
+//! of every rank pair into one shared hop arena, canonical first, so a
+//! new fabric gets its routes from its vertices and links alone.
+//! [`Topology::route_hops_nth`] returns the `k`-th of a pair's
+//! [`Topology::route_count`] routes as a borrowed `&[Hop]` slice — the
+//! allocation-free lookup the event engine rides.
+//! [`Topology::route_hops`] is slot 0, the route fixed routing takes
+//! and the one [`Topology::route`] recomputes by on-demand BFS (the
+//! reference the tests diff the table against).
 
 /// Cost model for one link: a message of `b` bytes occupies the link
 /// for `b · ns_per_byte` (serialization, β) and then lands after
@@ -117,17 +114,11 @@ pub struct Topology {
     /// Shared arena of precomputed route hops; rank-pair routes are
     /// contiguous slices of this vector.
     route_arena: Vec<Hop>,
-    /// `(offset, len)` into `route_arena` for the route `from → to`,
-    /// stored at `from · ranks + to`.
-    route_index: Vec<(u32, u32)>,
-    /// Per rank pair (same layout as `route_index`): `u32::MAX` when
-    /// the shortest path is unique, else an index into `ecmp_groups`.
-    ecmp_index: Vec<u32>,
-    /// `(offset, count)` into `ecmp_slots` for a multi-path pair.
-    ecmp_groups: Vec<(u32, u32)>,
-    /// `(offset, len)` into `route_arena` per equal-cost route; slot 0
-    /// of every group is the canonical BFS route.
-    ecmp_slots: Vec<(u32, u32)>,
+    /// `(offset, len, count)` for the rank pair `from → to`, stored at
+    /// `from · ranks + to`: the pair's `count` equal-cost routes sit
+    /// back to back in `route_arena` from `offset`, each `len` hops
+    /// long, canonical first.
+    routes: Vec<(u32, u32, u32)>,
     /// Fabric group of each rank (see [`Topology::group_of`]).
     rank_group: Vec<u32>,
     /// CSR offsets into `group_members`: group `g` owns
@@ -152,10 +143,7 @@ impl Topology {
             num_links: 0,
             link_ends: Vec::new(),
             route_arena: Vec::new(),
-            route_index: Vec::new(),
-            ecmp_index: Vec::new(),
-            ecmp_groups: Vec::new(),
-            ecmp_slots: Vec::new(),
+            routes: Vec::new(),
             rank_group: Vec::new(),
             group_offsets: Vec::new(),
             group_members: Vec::new(),
@@ -183,54 +171,31 @@ impl Topology {
         self.link_ends.push((b as u32, a as u32));
     }
 
-    /// Precompute the dense route table: one BFS per source rank (the
-    /// discovered canonical paths match the on-demand
-    /// [`Topology::route`] exactly), with all hops packed into one
-    /// arena so [`Topology::route_hops`] is a slice lookup — then
-    /// enumerate every *equal-cost* shortest path per rank pair for
-    /// the engine's seeded ECMP routing. Called by every builder as
-    /// its final step.
+    /// Precompute the route table: one BFS per rank gives every
+    /// vertex's hop distance to that rank, then one walk per rank pair
+    /// appends all of the pair's equal-cost shortest paths to the
+    /// shared arena, so every route lookup is a slice of it. Called by
+    /// every builder as its final step.
     fn finalize(&mut self) {
         let p = self.rank_vertex.len();
-        self.route_index = Vec::with_capacity(p * p);
-        let mut scratch = Vec::new();
+        let dist_to: Vec<Vec<u32>> = self.rank_vertex.iter().map(|&v| self.bfs_dist(v)).collect();
+        self.routes = Vec::with_capacity(p * p);
+        let mut path = Vec::new();
         for from in 0..p {
             let src = self.rank_vertex[from];
-            // Full BFS from `src`; prev pointers are identical to the
-            // early-exit BFS in `route` (continuing a BFS never rewrites
-            // an already-set predecessor).
-            let mut prev: Vec<Option<(usize, LinkSpec, u32)>> = vec![None; self.nodes.len()];
-            let mut seen = vec![false; self.nodes.len()];
-            let mut queue = std::collections::VecDeque::from([src]);
-            seen[src] = true;
-            while let Some(v) = queue.pop_front() {
-                for &(w, spec, id) in &self.adj[v] {
-                    if !seen[w] {
-                        seen[w] = true;
-                        prev[w] = Some((v, spec, id));
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for to in 0..p {
-                let dst = self.rank_vertex[to];
-                if dst == src {
-                    self.route_index.push((self.route_arena.len() as u32, 0));
-                    continue;
-                }
-                scratch.clear();
-                let mut v = dst;
-                while let Some((u, spec, id)) = prev[v] {
-                    scratch.push(Hop { from: u, to: v, link: spec, link_id: id });
-                    v = u;
-                }
-                assert!(v == src, "no route between ranks {from} and {to}");
+            for (to, dist) in dist_to.iter().enumerate() {
+                let len = dist[src];
+                assert!(len != u32::MAX, "no route between ranks {from} and {to}");
                 let offset = self.route_arena.len() as u32;
-                self.route_arena.extend(scratch.iter().rev());
-                self.route_index.push((offset, scratch.len() as u32));
+                let count =
+                    walk_shortest_paths(&self.adj, dist, src, &mut path, &mut self.route_arena);
+                self.routes.push((offset, len, count));
             }
         }
-        self.enumerate_equal_cost_routes();
+        assert!(
+            u32::try_from(self.route_arena.len()).is_ok(),
+            "route arena exceeds u32 offsets"
+        );
         self.classify_groups();
     }
 
@@ -307,64 +272,6 @@ impl Topology {
         dist
     }
 
-    /// Enumerate every shortest path for every rank pair. Pairs with a
-    /// unique path (all of flat/hierarchical, and intra-group fat-tree
-    /// pairs) stay implicit; multi-path pairs get an `ecmp_groups`
-    /// entry whose slot 0 is the canonical BFS route — so
-    /// [`Topology::route_hops`] (and any `Fixed`-routing consumer) is
-    /// untouched by the enumeration, and the alternates live after it.
-    fn enumerate_equal_cost_routes(&mut self) {
-        let p = self.rank_vertex.len();
-        self.ecmp_index = vec![u32::MAX; p * p];
-        let dists: Vec<Vec<u32>> = (0..p).map(|r| self.bfs_dist(self.rank_vertex[r])).collect();
-        let mut paths: Vec<Vec<Hop>> = Vec::new();
-        let mut prefix: Vec<Hop> = Vec::new();
-        for from in 0..p {
-            for to in 0..p {
-                if from == to {
-                    continue;
-                }
-                let (src, dst) = (self.rank_vertex[from], self.rank_vertex[to]);
-                paths.clear();
-                prefix.clear();
-                dfs_shortest_paths(
-                    &self.adj,
-                    &dists[from],
-                    &dists[to],
-                    dists[from][dst],
-                    src,
-                    dst,
-                    &mut prefix,
-                    &mut paths,
-                );
-                if paths.len() <= 1 {
-                    continue;
-                }
-                // Slot 0 is the canonical route already in the arena;
-                // every other enumerated path is appended after it.
-                let canonical = self.route_index[from * p + to];
-                let canonical_ids: Vec<u32> = self.route_arena
-                    [canonical.0 as usize..(canonical.0 + canonical.1) as usize]
-                    .iter()
-                    .map(|h| h.link_id)
-                    .collect();
-                let group_offset = self.ecmp_slots.len() as u32;
-                self.ecmp_slots.push(canonical);
-                for path in &paths {
-                    if path.iter().map(|h| h.link_id).eq(canonical_ids.iter().copied()) {
-                        continue;
-                    }
-                    let offset = self.route_arena.len() as u32;
-                    self.route_arena.extend_from_slice(path);
-                    self.ecmp_slots.push((offset, path.len() as u32));
-                }
-                self.ecmp_index[from * p + to] = self.ecmp_groups.len() as u32;
-                self.ecmp_groups
-                    .push((group_offset, (self.ecmp_slots.len() as u32) - group_offset));
-            }
-        }
-    }
-
     /// `p` ranks hanging off one crossbar switch — depth 1.
     ///
     /// # Panics
@@ -382,25 +289,13 @@ impl Topology {
         t
     }
 
-    /// Two-level folded-Clos fat tree — depth 2: `radix` ranks per edge
-    /// switch over `edge` links; edge switches meet at one core switch
-    /// over `core` links. A single-spine [`Topology::fat_tree_spines`]
-    /// (routes are unique, no ECMP).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p == 0` or `radix < 2`.
-    pub fn fat_tree(p: usize, radix: usize, edge: LinkSpec, core: LinkSpec) -> Self {
-        Self::fat_tree_spines(p, radix, 1, edge, core)
-    }
-
-    /// Two-level folded Clos with `spines` core switches: every edge
-    /// switch uplinks to every spine over `core` links, so each
+    /// Two-level folded Clos (fat tree) — depth 2: `radix` ranks per
+    /// edge switch over `edge` links, and every edge switch uplinks to
+    /// each of `spines` core switches over `core` links, so each
     /// cross-group rank pair has exactly `spines` equal-cost four-hop
     /// paths — the substrate for seeded ECMP routing
-    /// ([`crate::engine::RouteSelect::SeededEcmp`]). `spines == 1` is
-    /// byte-for-byte the classic [`Topology::fat_tree`] (same name,
-    /// same vertex and link-id assignment order).
+    /// ([`crate::engine::RouteSelect::SeededEcmp`]). With one spine
+    /// every route is unique and the name is `fat-tree(p=…,radix=…)`.
     ///
     /// # Panics
     ///
@@ -645,20 +540,17 @@ impl Topology {
         format!("{}→{}", self.node_label(a), self.node_label(b))
     }
 
-    /// The precomputed unique shortest path from rank `from` to rank
-    /// `to`: a borrowed slice into the shared route arena — no
-    /// allocation, no search. Empty when `from == to`. Identical hop
-    /// for hop to [`Topology::route`].
+    /// The canonical shortest path from rank `from` to rank `to`
+    /// (route slot 0): a borrowed slice into the shared route arena —
+    /// no allocation, no search. Empty when `from == to`. Identical
+    /// hop for hop to [`Topology::route`].
     ///
     /// # Panics
     ///
     /// Panics when either rank is out of range.
     #[inline]
     pub fn route_hops(&self, from: usize, to: usize) -> &[Hop] {
-        let p = self.rank_vertex.len();
-        assert!(from < p && to < p, "rank out of range");
-        let (offset, len) = self.route_index[from * p + to];
-        &self.route_arena[offset as usize..offset as usize + len as usize]
+        self.route_hops_nth(from, to, 0)
     }
 
     /// Number of equal-cost shortest paths between ranks `from` and
@@ -671,20 +563,15 @@ impl Topology {
     /// Panics when either rank is out of range.
     #[inline]
     pub fn route_count(&self, from: usize, to: usize) -> usize {
-        let p = self.rank_vertex.len();
-        assert!(from < p && to < p, "rank out of range");
-        match self.ecmp_index[from * p + to] {
-            u32::MAX => 1,
-            g => self.ecmp_groups[g as usize].1 as usize,
-        }
+        self.pair(from, to).2 as usize
     }
 
     /// The `k`-th equal-cost shortest path from rank `from` to rank
     /// `to` — a borrowed arena slice like [`Topology::route_hops`].
-    /// Slot `0` is always the canonical route (`route_hops_nth(f, t,
-    /// 0) == route_hops(f, t)`); slots `1..route_count(f, t)` are the
+    /// Slot `0` is the canonical route (`route_hops_nth(f, t, 0) ==
+    /// route_hops(f, t)`); slots `1..route_count(f, t)` are the
     /// alternates a [`crate::engine::RouteSelect::SeededEcmp`] sender
-    /// picks among.
+    /// picks among, in lexicographic order by adjacency index.
     ///
     /// # Panics
     ///
@@ -692,23 +579,7 @@ impl Topology {
     /// `k >= route_count(from, to)`.
     #[inline]
     pub fn route_hops_nth(&self, from: usize, to: usize, k: usize) -> &[Hop] {
-        if k == 0 {
-            return self.route_hops(from, to);
-        }
-        let p = self.rank_vertex.len();
-        assert!(from < p && to < p, "rank out of range");
-        let g = self.ecmp_index[from * p + to];
-        assert!(
-            g != u32::MAX,
-            "route {k} out of range for rank pair ({from}, {to}): path is unique"
-        );
-        let (group_offset, count) = self.ecmp_groups[g as usize];
-        assert!(
-            k < count as usize,
-            "route {k} out of range for rank pair ({from}, {to}): {count} equal-cost paths"
-        );
-        let (offset, len) = self.ecmp_slots[group_offset as usize + k];
-        &self.route_arena[offset as usize..offset as usize + len as usize]
+        self.route_slice(self.route_handle(from, to, k))
     }
 
     /// `(offset, len)` handle of the `k`-th equal-cost route into the
@@ -724,22 +595,12 @@ impl Topology {
     /// `k >= route_count(from, to)`.
     #[inline]
     pub fn route_handle(&self, from: usize, to: usize, k: usize) -> (u32, u32) {
-        let p = self.rank_vertex.len();
-        assert!(from < p && to < p, "rank out of range");
-        if k == 0 {
-            return self.route_index[from * p + to];
-        }
-        let g = self.ecmp_index[from * p + to];
-        assert!(
-            g != u32::MAX,
-            "route {k} out of range for rank pair ({from}, {to}): path is unique"
-        );
-        let (group_offset, count) = self.ecmp_groups[g as usize];
+        let (offset, len, count) = self.pair(from, to);
         assert!(
             k < count as usize,
             "route {k} out of range for rank pair ({from}, {to}): {count} equal-cost paths"
         );
-        self.ecmp_slots[group_offset as usize + k]
+        (offset + k as u32 * len, len)
     }
 
     /// The hops a [`Topology::route_handle`] refers to.
@@ -748,11 +609,19 @@ impl Topology {
         &self.route_arena[offset as usize..offset as usize + len as usize]
     }
 
+    /// The `(offset, len, count)` table entry of a rank pair.
+    #[inline]
+    fn pair(&self, from: usize, to: usize) -> (u32, u32, u32) {
+        let p = self.rank_vertex.len();
+        assert!(from < p && to < p, "rank out of range");
+        self.routes[from * p + to]
+    }
+
     /// Canonical shortest path from rank `from` to rank `to` as a freshly
-    /// computed hop list — the on-demand BFS reference implementation
-    /// (the property tests diff it against the precomputed
-    /// [`Topology::route_hops`] table, which is what the engine uses).
-    /// Empty when `from == to`.
+    /// computed hop list — the on-demand BFS reference implementation,
+    /// built independently of the route table (the tests diff it
+    /// against [`Topology::route_hops`], which is what the engine
+    /// uses). Empty when `from == to`.
     ///
     /// # Panics
     ///
@@ -763,9 +632,9 @@ impl Topology {
         if src == dst {
             return Vec::new();
         }
-        // BFS from src; adjacency order is deterministic, so the first
-        // path found is exactly the canonical one `finalize` stored
-        // (continuing a BFS never rewrites an already-set predecessor).
+        // BFS from src in adjacency order: each vertex keeps its first
+        // discoverer, so the path found is the lexicographically
+        // smallest shortest path by adjacency index — the table's slot 0.
         let mut prev: Vec<Option<(usize, LinkSpec, u32)>> = vec![None; self.nodes.len()];
         let mut queue = std::collections::VecDeque::from([src]);
         let mut seen = vec![false; self.nodes.len()];
@@ -804,46 +673,37 @@ impl Topology {
         // rank realises the diameter; scan rank 0 against all others.
         (1..p).map(|r| self.route_hops(0, r).len()).max().unwrap_or(0)
     }
-
-    /// Deterministic (jitter-free, contention-free) one-way cost of a
-    /// `bytes`-byte message between two ranks.
-    pub fn path_cost_ns(&self, from: usize, to: usize, bytes: u64) -> f64 {
-        self.route_hops(from, to)
-            .iter()
-            .map(|h| h.link.cost_ns(bytes))
-            .sum()
-    }
 }
 
-/// Collect every shortest `v → dst` path into `out`, walking the
-/// shortest-path DAG forward: a directed edge `(v, w)` lies on some
-/// shortest path iff it advances the distance from the source
-/// (`d_src[w] == d_src[v] + 1`) and the detour through `w` still totals
-/// the shortest length (`d_src[w] + d_dst[w] == total`). The forward
-/// walk matters: `adj[v]` carries the `v → w` directed link id, which
-/// is the id the engine charges serialization against.
-#[allow(clippy::too_many_arguments)]
-fn dfs_shortest_paths(
+/// Append to `out` every shortest path from vertex `v` to the vertex
+/// that `dist` holds hop distances to, each prefixed by `path`, and
+/// return how many. A link lies on a shortest path exactly when it
+/// brings the walk one hop closer, and links are taken in adjacency
+/// order, so the paths come out in lexicographic order by adjacency
+/// index: the first is the path BFS finds, which [`Topology::route`]
+/// recomputes. The walk runs forward because `adj[v]` carries the
+/// `v → w` directed link id, the id the engine charges serialization
+/// against.
+fn walk_shortest_paths(
     adj: &[Vec<(usize, LinkSpec, u32)>],
-    d_src: &[u32],
-    d_dst: &[u32],
-    total: u32,
+    dist: &[u32],
     v: usize,
-    dst: usize,
-    prefix: &mut Vec<Hop>,
-    out: &mut Vec<Vec<Hop>>,
-) {
-    if v == dst {
-        out.push(prefix.clone());
-        return;
+    path: &mut Vec<Hop>,
+    out: &mut Vec<Hop>,
+) -> u32 {
+    if dist[v] == 0 {
+        out.extend_from_slice(path);
+        return 1;
     }
-    for &(w, spec, id) in &adj[v] {
-        if d_src[w] == d_src[v] + 1 && d_src[w] + d_dst[w] == total {
-            prefix.push(Hop { from: v, to: w, link: spec, link_id: id });
-            dfs_shortest_paths(adj, d_src, d_dst, total, w, dst, prefix, out);
-            prefix.pop();
+    let mut count = 0;
+    for &(w, link, link_id) in &adj[v] {
+        if dist[w] == dist[v] - 1 {
+            path.push(Hop { from: v, to: w, link, link_id });
+            count += walk_shortest_paths(adj, dist, w, path, out);
+            path.pop();
         }
     }
+    count
 }
 
 #[cfg(test)]
@@ -875,7 +735,7 @@ mod tests {
 
     #[test]
     fn fat_tree_depth_and_locality() {
-        let t = Topology::fat_tree(16, 4, link(), link());
+        let t = Topology::fat_tree_spines(16, 4, 1, link(), link());
         assert_eq!(t.ranks(), 16);
         // same edge switch: 2 hops; across the core: 4 hops
         assert_eq!(t.route(0, 1).len(), 2);
@@ -898,14 +758,8 @@ mod tests {
     fn route_to_self_is_empty_and_costs_nothing() {
         let t = Topology::flat_switch(4, link());
         assert!(t.route(2, 2).is_empty());
-        assert_eq!(t.path_cost_ns(2, 2, 1 << 20), 0.0);
-    }
-
-    #[test]
-    fn path_cost_accumulates_per_hop() {
-        let t = Topology::flat_switch(4, LinkSpec::new(100.0, 1.0));
-        // 2 hops, each 100 + 8 ns for 8 bytes
-        assert!((t.path_cost_ns(0, 1, 8) - 216.0).abs() < 1e-9);
+        assert!(t.route_hops(2, 2).is_empty());
+        assert_eq!(t.route_count(2, 2), 1);
     }
 
     #[test]
@@ -918,7 +772,7 @@ mod tests {
     fn link_ids_are_dense_and_direction_distinct() {
         for t in [
             Topology::flat_switch(5, link()),
-            Topology::fat_tree(9, 3, link(), link()),
+            Topology::fat_tree_spines(9, 3, 1, link(), link()),
             Topology::hierarchical(2, 3, link(), link(), link()),
         ] {
             let mut seen = vec![false; t.num_links()];
@@ -941,10 +795,20 @@ mod tests {
 
     #[test]
     fn precomputed_routes_match_on_demand_bfs() {
-        let t = Topology::hierarchical(3, 4, link(), link(), link());
-        for a in 0..t.ranks() {
-            for b in 0..t.ranks() {
-                assert_eq!(t.route(a, b).as_slice(), t.route_hops(a, b), "{a}->{b}");
+        // Slot 0 of the table is the BFS route on every builder,
+        // including the multi-spine fabrics where a pair has several.
+        for t in [
+            Topology::flat_switch(5, link()),
+            Topology::fat_tree_spines(9, 3, 1, link(), link()),
+            Topology::fat_tree_spines(16, 4, 4, link(), link()),
+            Topology::hierarchical(3, 4, link(), link(), link()),
+            Topology::hierarchical_cyclic(3, 4, link(), link(), link()),
+        ] {
+            for a in 0..t.ranks() {
+                for b in 0..t.ranks() {
+                    let (bfs, table) = (t.route(a, b), t.route_hops(a, b));
+                    assert_eq!(bfs.as_slice(), table, "{} {a}->{b}", t.name());
+                }
             }
         }
     }
@@ -953,13 +817,12 @@ mod tests {
     fn single_path_fabrics_report_one_route_everywhere() {
         for t in [
             Topology::flat_switch(6, link()),
-            Topology::fat_tree(8, 4, link(), link()),
+            Topology::fat_tree_spines(8, 4, 1, link(), link()),
             Topology::hierarchical(2, 4, link(), link(), link()),
         ] {
             for a in 0..t.ranks() {
                 for b in 0..t.ranks() {
                     assert_eq!(t.route_count(a, b), 1, "{} {a}->{b}", t.name());
-                    assert_eq!(t.route_hops_nth(a, b, 0), t.route_hops(a, b));
                 }
             }
         }
@@ -985,12 +848,11 @@ mod tests {
         for a in 0..t.ranks() {
             for b in 0..t.ranks() {
                 let n = t.route_count(a, b);
-                let canonical = t.route_hops(a, b);
-                assert_eq!(t.route_hops_nth(a, b, 0), canonical);
+                let shortest = t.route(a, b).len();
                 let mut signatures = Vec::new();
                 for k in 0..n {
                     let hops = t.route_hops_nth(a, b, k);
-                    assert_eq!(hops.len(), canonical.len(), "{a}->{b} route {k}");
+                    assert_eq!(hops.len(), shortest, "{a}->{b} route {k}");
                     if !hops.is_empty() {
                         assert_eq!(hops[0].from, t.rank_vertex(a));
                         assert_eq!(hops[hops.len() - 1].to, t.rank_vertex(b));
@@ -1020,7 +882,7 @@ mod tests {
         assert_eq!(flat.num_groups(), 1);
         assert_eq!(flat.group_ranks(0), &[0, 1, 2, 3, 4, 5]);
 
-        let ft = Topology::fat_tree(16, 4, link(), link());
+        let ft = Topology::fat_tree_spines(16, 4, 1, link(), link());
         assert_eq!(ft.num_groups(), 4);
         for r in 0..16 {
             assert_eq!(ft.group_of(r), r / 4);
@@ -1059,7 +921,7 @@ mod tests {
             .collect();
         assert_eq!(crossing, [false, true, true, true, true, false]);
         // Fat tree: only the edge↔core uplinks cross.
-        let ft = Topology::fat_tree(8, 4, link(), link());
+        let ft = Topology::fat_tree_spines(8, 4, 1, link(), link());
         let crossing: Vec<bool> = ft
             .route_hops(0, 5)
             .iter()
@@ -1109,20 +971,5 @@ mod tests {
         assert_eq!(a.num_groups(), b.num_groups());
         // Cross-node pairs cost the same either way (uniform specs).
         assert_eq!(a.route_hops(0, 4).len(), b.route_hops(0, 1).len());
-    }
-
-    #[test]
-    fn single_spine_fat_tree_is_bitwise_the_classic_builder() {
-        let classic = Topology::fat_tree(9, 3, link(), link());
-        let spined = Topology::fat_tree_spines(9, 3, 1, link(), link());
-        assert_eq!(classic.name(), spined.name());
-        assert_eq!(classic.nodes.len(), spined.nodes.len());
-        assert_eq!(classic.num_links(), spined.num_links());
-        for a in 0..classic.ranks() {
-            assert_eq!(classic.rank_vertex(a), spined.rank_vertex(a));
-            for b in 0..classic.ranks() {
-                assert_eq!(classic.route_hops(a, b), spined.route_hops(a, b), "{a}->{b}");
-            }
-        }
     }
 }

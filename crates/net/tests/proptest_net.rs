@@ -14,17 +14,15 @@ use proptest::prelude::*;
 use fpna_net::{Delivery, Hop, LinkSpec, NetConfig, NetSim, RouteSelect, RunStats, Topology};
 use std::collections::HashMap;
 
-/// Build a topology from one of the three builder families; `kind`
-/// selects the family, `n1`/`n2` shape it.
+/// Build a topology from one of four builder families; `kind`
+/// selects the family, `n1`/`n2` shape it. Family 2 is the multi-spine
+/// fat tree, whose cross-group pairs have 2–4 equal-cost routes.
 fn make_topo(kind: usize, n1: usize, n2: usize) -> Topology {
-    match kind % 3 {
-        0 => Topology::flat_switch(n1, LinkSpec::new(500.0, 25.0)),
-        1 => Topology::fat_tree(
-            n1,
-            n2.max(2),
-            LinkSpec::new(500.0, 25.0),
-            LinkSpec::new(1_500.0, 50.0),
-        ),
+    let (edge, core) = (LinkSpec::new(500.0, 25.0), LinkSpec::new(1_500.0, 50.0));
+    match kind % 4 {
+        0 => Topology::flat_switch(n1, edge),
+        1 => Topology::fat_tree_spines(n1, n2.max(2), 1, edge, core),
+        2 => Topology::fat_tree_spines(n1, n2.max(2), n2 % 3 + 2, edge, core),
         _ => Topology::hierarchical(
             (n1 - 1) % 4 + 1,
             n2.max(1),
@@ -160,7 +158,7 @@ proptest! {
     /// exceed the fabric diameter.
     #[test]
     fn routes_are_wellformed(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 1usize..20,
         n2 in 1usize..7,
         pair in any::<u64>(),
@@ -187,7 +185,7 @@ proptest! {
     /// that makes "software-scheduled interconnect" a meaningful model.
     #[test]
     fn zero_jitter_is_deterministic(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 1usize..20,
         n2 in 1usize..7,
         seed in any::<u64>(),
@@ -211,7 +209,7 @@ proptest! {
     /// physics: arrival ≥ injection + Σ(α + β·bytes) along its route.
     #[test]
     fn jitter_preserves_messages_and_respects_lower_bound(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 1usize..20,
         n2 in 1usize..7,
         seed in any::<u64>(),
@@ -231,7 +229,8 @@ proptest! {
         for d in &seen {
             let (from, to, bytes, at) = plan[d.tag as usize];
             prop_assert_eq!((d.from, d.to, d.bytes), (from, to, bytes));
-            let floor = at + topo.path_cost_ns(from, to, bytes);
+            let floor = at
+                + topo.route_hops(from, to).iter().map(|h| h.link.cost_ns(bytes)).sum::<f64>();
             prop_assert!(
                 d.time >= floor - 1e-9,
                 "message {} arrived at {} before its physical floor {}",
@@ -242,12 +241,13 @@ proptest! {
         prop_assert_eq!(stats.makespan_ns.to_bits(), max_time.to_bits());
     }
 
-    /// The precomputed route table (what the engine rides) is hop-for-
-    /// hop identical to the on-demand BFS for **every** `(from, to)`
-    /// pair in all three topology families.
+    /// The precomputed route table's slot 0 (what fixed routing rides)
+    /// is hop-for-hop identical to the on-demand BFS for **every**
+    /// `(from, to)` pair in all four topology families, multi-spine
+    /// fat trees included.
     #[test]
     fn precomputed_route_table_matches_on_demand_bfs(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 1usize..20,
         n2 in 1usize..7,
     ) {
@@ -270,7 +270,7 @@ proptest! {
     /// random traffic, jittered and jitter-free.
     #[test]
     fn dense_link_busy_matches_hashmap_reference(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 1usize..20,
         n2 in 1usize..7,
         seed in any::<u64>(),
@@ -297,7 +297,7 @@ proptest! {
     /// on.
     #[test]
     fn quiet_fixed_fabric_is_bitwise_the_pr5_reference(
-        kind in 0usize..3,
+        kind in 0usize..4,
         n1 in 2usize..20,
         n2 in 1usize..7,
         seed in any::<u64>(),

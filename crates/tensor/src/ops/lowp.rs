@@ -13,6 +13,7 @@ use fpna_core::Result;
 
 use crate::context::GpuContext;
 use crate::ops::index::check_index;
+use crate::ops::scatter::check_no_deterministic;
 
 /// fp32 `index_add` on 1-D buffers: `out[index[k]] += src[k]`, with
 /// f32 accumulation in the device's commit order (ND) or ascending `k`
@@ -62,11 +63,7 @@ pub fn scatter_reduce_f32(
         )));
     }
     check_index(index, dst.len(), "scatter_reduce_f32")?;
-    if ctx.determinism == Some(true) {
-        return Err(FpnaError::NoDeterministicImplementation {
-            op: "scatter_reduce",
-        });
-    }
+    check_no_deterministic(ctx, "scatter_reduce")?;
     let order = ctx.device.scatter_commit_order(index.len(), &ctx.schedule);
     let mut out = dst.to_vec();
     let mut counts = vec![0u32; dst.len()];

@@ -62,7 +62,9 @@ impl ReduceOp {
     }
 }
 
-fn check_no_deterministic(ctx: &GpuContext, op: &'static str) -> Result<()> {
+/// The gate of an op with no deterministic kernel: errors or warns as
+/// `ctx`, or the global switch it defers to, asks.
+pub(crate) fn check_no_deterministic(ctx: &GpuContext, op: &'static str) -> Result<()> {
     match ctx.determinism {
         Some(true) => Err(FpnaError::NoDeterministicImplementation { op }),
         Some(false) => Ok(()),

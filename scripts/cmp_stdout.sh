@@ -19,8 +19,10 @@
 #     run through the tree's own `sweep` coordinator with --shards 3
 #     and a fresh store under the temporary directory (this pins the
 #     shard-file round trip against the other tree's bytes);
-#   * the distributed_allreduce, gnn_reproducibility and
-#     deterministic_hardware examples.
+#   * the distributed_allreduce, gnn_reproducibility,
+#     deterministic_hardware and trace_allreduce examples, plus the
+#     trace file trace_allreduce writes (its seeded-ECMP run is the one
+#     trace whose messages take route slots above 0).
 # Every pair of outputs is compared with cmp. The script prints one line
 # per comparison and exits 1 if any pair differs.
 #
@@ -61,7 +63,7 @@ run_tree() {
     (cd "$tree" && CARGO_TARGET_DIR="$target" cargo build --release --offline -q \
         && CARGO_TARGET_DIR="$target" cargo build --release --offline -q \
             --example distributed_allreduce --example gnn_reproducibility \
-            --example deterministic_hardware)
+            --example deterministic_hardware --example trace_allreduce)
     mkdir -p "$out/$side"
     for bin in $bins; do
         echo "== $side: $bin" >&2
@@ -89,10 +91,11 @@ run_tree() {
     # shellcheck disable=SC2086
     (cd "$tree" && "$target/release/table9" $trace_args --trace "$out/$side/table9.trace.json") \
         > /dev/null
-    for example in distributed_allreduce gnn_reproducibility deterministic_hardware; do
+    for example in distributed_allreduce gnn_reproducibility deterministic_hardware trace_allreduce; do
         echo "== $side: example $example" >&2
         (cd "$tree" && "$target/release/examples/$example") > "$out/$side/$example.out"
     done
+    cp "$tree/target/obs/trace_allreduce.json" "$out/$side/trace_allreduce.trace.json"
 }
 
 run_tree "$parent" parent

@@ -14,6 +14,7 @@ use fpna::core::error::FpnaError;
 use fpna::gpu::GpuModel;
 use fpna::tensor::context::GpuContext;
 use fpna::tensor::ops::index::index_add;
+use fpna::tensor::ops::lowp::scatter_reduce_f32;
 use fpna::tensor::ops::scatter::{scatter_reduce, ReduceOp};
 use fpna::tensor::Tensor;
 
@@ -28,6 +29,12 @@ fn problem() -> (Tensor, Vec<u32>, Tensor) {
     );
     let index: Vec<u32> = (0..n).map(|_| rng.next_below(4) as u32).collect();
     (Tensor::zeros(vec![4]), index, src)
+}
+
+/// [`problem`] rounded to f32, for the single-precision variants.
+fn problem_f32() -> (Vec<f32>, Vec<u32>, Vec<f32>) {
+    let (_, index, src) = problem();
+    (vec![0.0; 4], index, src.data().iter().map(|&x| x as f32).collect())
 }
 
 #[test]
@@ -53,11 +60,18 @@ fn global_deterministic_mode_errors_on_scatter_reduce() {
         err,
         FpnaError::NoDeterministicImplementation { op: "scatter_reduce" }
     ));
+    let (dst32, index32, src32) = problem_f32();
+    let err = scatter_reduce_f32(&ctx, &dst32, &index32, &src32, false).unwrap_err();
+    assert!(matches!(
+        err,
+        FpnaError::NoDeterministicImplementation { op: "scatter_reduce" }
+    ));
     // the same documented gap the paper hit: flipping the switch back
     // makes the op run (non-deterministically)
     drop(_guard);
     let _guard = DeterminismGuard::new(DeterminismMode::NonDeterministic);
     assert!(scatter_reduce(&ctx, &dst, &index, &src, ReduceOp::Sum).is_ok());
+    assert!(scatter_reduce_f32(&ctx, &dst32, &index32, &src32, false).is_ok());
 }
 
 #[test]
@@ -69,6 +83,10 @@ fn warn_only_mode_runs_and_counts() {
     let before = fpna::core::determinism::warning_count();
     assert!(scatter_reduce(&ctx, &dst, &index, &src, ReduceOp::Sum).is_ok());
     assert!(fpna::core::determinism::warning_count() > before);
+    let (dst32, index32, src32) = problem_f32();
+    let before = fpna::core::determinism::warning_count();
+    assert!(scatter_reduce_f32(&ctx, &dst32, &index32, &src32, false).is_ok());
+    assert!(fpna::core::determinism::warning_count() > before, "the f32 variant warns too");
 }
 
 #[test]
