@@ -56,8 +56,10 @@ fn bench_route_table(c: &mut Criterion) {
                 let mut acc = 0.0f64;
                 for from in 0..p {
                     for to in 0..p {
-                        for h in topo.route_hops(from, to) {
-                            acc += h.link.cost_ns(std::hint::black_box(4096));
+                        for &l in topo.route_hops(from, to) {
+                            acc += topo
+                                .link_spec(l as usize)
+                                .cost_ns(std::hint::black_box(4096));
                         }
                     }
                 }

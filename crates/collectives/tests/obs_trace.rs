@@ -343,10 +343,10 @@ fn nic_cross_counter_mirrors_run_stats() {
     );
 }
 
-/// The profile report answers the ROADMAP's calendar-queue question:
-/// one `net.heap_pop@load=…,queue=…` histogram per offered-load level
-/// and queue implementation, plus the executor phase and the counter
-/// snapshot with the pop-time share.
+/// The profile report says where the engine's time goes: one
+/// `net.heap_pop@load=…,queue=radix` histogram per offered-load level,
+/// plus the executor phase and the counter snapshot with the pop-time
+/// share.
 #[test]
 fn profile_report_keys_pop_histograms_by_load() {
     let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -376,8 +376,8 @@ fn profile_report_keys_pop_histograms_by_load() {
     let doc = fpna_obs::json::parse(&report).expect("the profile report must be one JSON document");
     let phases = doc.get("phases").expect("report has phases");
     for key in [
-        "net.heap_pop@load=0.00,queue=calendar",
-        "net.heap_pop@load=0.50,queue=calendar",
+        "net.heap_pop@load=0.00,queue=radix",
+        "net.heap_pop@load=0.50,queue=radix",
         "net.run",
         "executor.run",
     ] {

@@ -68,8 +68,14 @@ impl CostModel {
                     continue;
                 }
                 let route = topo.route_hops(a, b);
-                let ra: f64 = route.iter().map(|h| h.link.latency_ns).sum();
-                let rb: f64 = route.iter().map(|h| h.link.ns_per_byte).sum();
+                let ra: f64 = route
+                    .iter()
+                    .map(|&l| topo.link_spec(l as usize).latency_ns)
+                    .sum();
+                let rb: f64 = route
+                    .iter()
+                    .map(|&l| topo.link_spec(l as usize).ns_per_byte)
+                    .sum();
                 if ra + rb > alpha + beta {
                     alpha = ra;
                     beta = rb;

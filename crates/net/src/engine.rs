@@ -18,26 +18,29 @@
 //! multiprocessor of the paper's conclusion), and the jittered mode is
 //! "MPI on a busy fabric".
 //!
-//! Events with equal timestamps resolve by injection sequence number,
-//! so a given seed always replays the identical schedule.
+//! Events with equal timestamps resolve by push sequence number, so a
+//! given seed always replays the identical schedule.
 //!
 //! The hot path is allocation-free and index-based: routes are
-//! borrowed `&[Hop]` slices from the topology's precomputed arena
-//! ([`Topology::route_hops`]), per-link busy state lives in a dense
-//! `Vec<f64>` indexed by [`crate::topology::Hop::link_id`], and message
+//! borrowed `&[u32]` slices of directed link ids from the topology's
+//! precomputed arena ([`Topology::route_hops`]), each hop reads its
+//! link's spec by id ([`Topology::link_spec`]), per-link busy state
+//! lives in a dense `Vec<f64>` indexed by the same id, and message
 //! slots are recycled once a message delivers (external message ids
 //! stay injection-ordered, so jitter streams and tie-breaking are
 //! unaffected by recycling). After warm-up, injecting and delivering a
 //! message touches no allocator at all.
 //!
-//! The event queue is a calendar/bucket queue — amortized O(1) pops
-//! with buckets one link-α wide — that pops in *exactly* the
+//! The event queue is a radix heap keyed by each event's time bits: it
+//! pops a monotone event stream without sorting, in *exactly* the
 //! `(time, sequence)` order of a `BinaryHeap<Reverse<Event>>`; a unit
 //! test diffs the two on random push/pop/peek sequences with ties,
-//! epoch overflow and restarts. Link-drain (queue-depth) accounting needs
-//! no priority queue at all: each link's serialization-finish times
-//! are already monotone, so they live in per-link FIFOs expired on
-//! entry to that link.
+//! ±0.0, power-of-two neighbours, pushes into the past and restarts.
+//! A background tenant's arrival reaches no callback, so it takes no
+//! event: the message is counted delivered as it enters its last hop.
+//! Link-drain (queue-depth) accounting needs no priority queue at all:
+//! each link's serialization-finish times are already monotone, so
+//! they live in per-link FIFOs expired on entry to that link.
 //!
 //! ## Multi-tenant contention
 //!
@@ -250,7 +253,8 @@ pub struct RunStats {
     /// Peak queue depth over every link (any traffic): most messages
     /// simultaneously queued on or serializing through one link.
     pub max_queue_depth: u32,
-    /// Background messages delivered.
+    /// Background messages delivered. Each is counted as it enters
+    /// its last hop, and arrives before `run` returns.
     pub bg_deliveries: u64,
     /// Background payload bytes delivered.
     pub bg_bytes_delivered: u64,
@@ -275,14 +279,15 @@ struct Message {
     /// Arena offset of the chosen route `from → to`
     /// ([`Topology::route_handle`], resolved once at injection).
     route_off: u32,
-    /// Hop count of the chosen route (the hops themselves are read
+    /// Number of hops on the chosen route (the hops themselves are read
     /// from the topology's arena per event).
     route_len: u32,
     /// Which equal-cost route this message rides
     /// ([`Topology::route_hops_nth`] slot; 0 = canonical).
     route_k: u32,
     /// Background (bystander-tenant) message: contends for links but
-    /// is never handed to the delivery callback.
+    /// is never handed to the delivery callback, and is counted
+    /// delivered as it enters its last hop.
     background: bool,
 }
 
@@ -301,247 +306,192 @@ const BG_TICK: u32 = u32::MAX;
 const BG_DROP_HORIZON_PAUSES: f64 = 8.0;
 
 /// One scheduled step: the message in `slot` is ready to enter hop
-/// `hop` (or, when `hop == route_len`, to be delivered) at `time`.
-/// `slot == BG_TICK` is a background-sender tick instead.
+/// `hop` (or, when `hop == route_len`, to be delivered) at
+/// [`Event::time`]. `slot == BG_TICK` is a background-sender tick
+/// instead.
 #[derive(Debug, Clone, Copy)]
 struct Event {
-    time: f64,
+    /// [`time_key`] of the event's time.
+    key: u64,
+    /// Push order, stamped by the queue: the tie-break between equal
+    /// times.
     seq: u64,
     slot: u32,
     hop: u32,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time).is_eq() && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then_with(|| self.seq.cmp(&other.seq))
+impl Event {
+    #[inline]
+    fn time(&self) -> f64 {
+        key_time(self.key)
     }
 }
 
-/// Bucket slots per calendar epoch. With one-α buckets, 256 slots
-/// cover a 256-α window of near-future events; anything beyond lands
-/// on the overflow list and is promoted when the window drains.
-const CAL_BUCKETS: usize = 256;
+/// Order key of a time: its bits with the sign bit set for a positive
+/// sign and every bit flipped for a negative one, so keys compare as
+/// unsigned integers exactly as times compare under `f64::total_cmp`
+/// (−0.0 before +0.0).
+#[inline]
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
 
-/// Calendar (bucket) queue over [`Event`]s — the classic amortized
-/// O(1) discrete-event queue. Simulated time is cut into fixed-width
-/// buckets (`width` = the fabric's smallest positive link α); an
-/// *epoch* is the `CAL_BUCKETS`-slot window starting at
-/// `epoch_start`. Inserts map a timestamp to its slot: slots inside
-/// the epoch go to `buckets[slot % CAL_BUCKETS]`, slots beyond it to
-/// the `overflow` far-future list, and slots **before** the scan
-/// cursor are clamped into the cursor's bucket (in-bucket ordering
-/// still pops them first). Pops leap to the first non-empty bucket
-/// via an occupancy bitmap, lazily sort it descending on the
-/// cursor's first visit, and take the tail — extracting minima in
-/// the exact `Reverse<Event>` order, `(time.total_cmp, seq)`, so pop
-/// order is bitwise that of a `BinaryHeap<Reverse<Event>>`.
-/// When the epoch drains, the queue re-anchors at the earliest
-/// overflow event and promotes everything that now fits the window.
+/// The time whose [`time_key`] is `key`.
+#[inline]
+fn key_time(key: u64) -> f64 {
+    if key >> 63 == 1 {
+        f64::from_bits(key & !(1 << 63))
+    } else {
+        f64::from_bits(!key)
+    }
+}
+
+/// Radix heap over [`Event`]s (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM
+/// 1990): a monotone priority queue that pops without sorting.
+/// `floor` is the key of the last pop. An event whose key equals it
+/// waits in `fifo`; any other waits in `buckets[i]`, where `i` is the
+/// highest bit at which its key differs from `floor`, so every key in
+/// bucket `i` lies below every key in a higher bucket. A pop takes the
+/// front of `fifo`; when `fifo` is empty, the lowest non-empty bucket
+/// (one `trailing_zeros` on `occupied`) raises `floor` to its minimum
+/// key and is redistributed, in order, into `fifo` and the buckets
+/// below it.
 ///
-/// Why the epoch is **fixed** rather than sliding per insert: with a
-/// per-insert sliding window, an event parked in overflow (slot just
-/// past the window) could be leap-frogged by a later-slot insert
-/// that the slid window accepts into a bucket, and the bucket scan
-/// would pop the later event first. Anchoring the window only at
-/// re-anchor time makes "in overflow" a monotone property: nothing
-/// in a bucket is ever later than anything in overflow.
-/// Marker for "no bucket is currently sorted".
-const CAL_NO_SORTED: u64 = u64::MAX;
-
+/// Pop order is `(time.total_cmp, seq)`, bit for bit that of a
+/// `BinaryHeap<Reverse<Event>>`. The queue stamps each push with the
+/// next `seq`, and every container holds its events in `seq` order: a
+/// push appends the largest `seq` so far, and a bucket is redistributed
+/// only when `fifo` and every lower bucket are empty, so its events
+/// land, in order, in empty containers. Equal keys always share a
+/// container, so they pop in `seq` order.
+///
+/// A push below `floor` (a callback sending into the past) re-anchors
+/// the queue: `floor` drops to the new key and every waiting event is
+/// filed again in `seq` order. An empty queue moves `floor` to its next
+/// push.
 #[derive(Debug)]
-struct CalendarQueue {
-    /// `1 / width` where `width` is the bucket width in simulated ns
-    /// (> 0). Stored inverted: multiplying is cheaper than dividing
-    /// and equally monotone.
-    inv_width: f64,
-    buckets: Vec<Vec<Event>>,
-    /// Bit `i` set ⇔ `buckets[i]` is non-empty — lets the pop scan
-    /// leap empty slots with `trailing_zeros` instead of walking them.
-    occupied: [u64; CAL_BUCKETS / 64],
-    /// Events whose slot falls beyond the current epoch.
-    overflow: Vec<Event>,
-    /// Next slot the pop scan starts from.
-    cur_slot: u64,
-    /// First slot of the current epoch; slots in
-    /// `[epoch_start, epoch_start + CAL_BUCKETS)` map to buckets.
-    epoch_start: u64,
-    /// Slot whose bucket is currently sorted descending (min at the
-    /// tail, so pops are `Vec::pop`); [`CAL_NO_SORTED`] when none.
-    /// Buckets are sorted lazily, once, when the cursor reaches them;
-    /// later same-slot inserts keep order via binary insertion.
-    sorted_slot: u64,
+struct RadixQueue {
+    floor: u64,
+    fifo: VecDeque<Event>,
+    buckets: [Vec<Event>; 64],
+    /// Bit `i` set ⇔ `buckets[i]` is non-empty.
+    occupied: u64,
     len: usize,
-    /// Empty slots the scan cursor leapt over (obs tally).
-    rotations: u64,
-    /// Events promoted overflow → bucket at re-anchor (obs tally).
-    promotions: u64,
+    next_seq: u64,
+    /// Buckets redistributed (obs tally).
+    refills: u64,
+    /// Events those redistributions moved (obs tally).
+    moved: u64,
 }
 
-impl CalendarQueue {
-    fn new(width: f64) -> Self {
-        debug_assert!(width > 0.0 && width.is_finite());
-        CalendarQueue {
-            inv_width: 1.0 / width,
-            buckets: (0..CAL_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; CAL_BUCKETS / 64],
-            overflow: Vec::new(),
-            cur_slot: 0,
-            epoch_start: 0,
-            sorted_slot: CAL_NO_SORTED,
+impl RadixQueue {
+    fn new() -> Self {
+        RadixQueue {
+            floor: 0,
+            fifo: VecDeque::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
             len: 0,
-            rotations: 0,
-            promotions: 0,
+            next_seq: 0,
+            refills: 0,
+            moved: 0,
         }
     }
 
-    /// Slot of timestamp `t`. Monotone non-decreasing in `t` (IEEE
-    /// multiplication by a positive constant is monotone, truncation
-    /// is monotone, and the `as u64` cast saturates), which is all
-    /// the ordering proof needs — exact bucket boundaries don't
-    /// matter.
+    /// Queue step `hop` of `slot` at `time`, stamped with the next
+    /// `seq`.
     #[inline]
-    fn slot_of(&self, t: f64) -> u64 {
-        (t * self.inv_width) as u64
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event) {
+    fn push(&mut self, time: f64, slot: u32, hop: u32) {
+        let ev = Event {
+            key: time_key(time),
+            seq: self.next_seq,
+            slot,
+            hop,
+        };
+        self.next_seq += 1;
         if self.len == 0 {
-            // Fresh (or drained) queue: re-anchor the epoch here so
-            // multi-phase protocols restart with a tight window.
-            let s = self.slot_of(ev.time);
-            self.epoch_start = s;
-            self.cur_slot = s;
-            self.sorted_slot = CAL_NO_SORTED;
+            self.floor = ev.key;
+        } else if ev.key < self.floor {
+            self.reanchor(ev.key);
         }
         self.len += 1;
-        let s = self.slot_of(ev.time);
-        if s >= self.epoch_start + CAL_BUCKETS as u64 {
-            self.overflow.push(ev);
-            return;
-        }
-        // Timestamps at or before the cursor clamp into the cursor's
-        // bucket; in-bucket ordering still pops them first.
-        let s = s.max(self.cur_slot);
-        let b = (s % CAL_BUCKETS as u64) as usize;
-        self.occupied[b >> 6] |= 1 << (b & 63);
-        let bucket = &mut self.buckets[b];
-        if s == self.sorted_slot {
-            // The active bucket stays sorted descending: insert before
-            // the first element that orders below `ev`.
-            let pos = bucket.partition_point(|e| ev < *e);
-            bucket.insert(pos, ev);
+        self.place(ev);
+    }
+
+    /// File `ev`, whose key is at or above `floor`.
+    #[inline]
+    fn place(&mut self, ev: Event) {
+        let diff = ev.key ^ self.floor;
+        if diff == 0 {
+            self.fifo.push_back(ev);
         } else {
-            bucket.push(ev);
+            let i = 63 - diff.leading_zeros() as usize;
+            self.buckets[i].push(ev);
+            self.occupied |= 1 << i;
         }
     }
 
-    /// First occupied slot in `[cur_slot, end)`, via the bitmap.
-    /// Every set bit belongs to that range (pushes clamp to
-    /// `>= cur_slot`, skipped slots can never refill), so any hit in
-    /// a word at or after the cursor's bit position is the answer.
-    #[inline]
-    fn next_occupied(&self, end: u64) -> Option<u64> {
-        let mut s = self.cur_slot;
-        while s < end {
-            let idx = (s % CAL_BUCKETS as u64) as usize;
-            let w = self.occupied[idx >> 6] >> (idx & 63);
-            if w != 0 {
-                return Some(s + u64::from(w.trailing_zeros()));
-            }
-            s += 64 - (idx & 63) as u64; // next word boundary
+    /// Lower `floor` to `key`, below every waiting event, and file them
+    /// all again in `seq` order.
+    #[cold]
+    fn reanchor(&mut self, key: u64) {
+        let mut waiting: Vec<Event> = self.fifo.drain(..).collect();
+        for bucket in &mut self.buckets {
+            waiting.append(bucket);
         }
-        None
-    }
-
-    /// Advance the cursor to the first non-empty bucket (re-anchoring
-    /// from overflow when the epoch drains), sort it if this is the
-    /// cursor's first visit, and return its index — the minimum event
-    /// is then that bucket's tail.
-    #[inline]
-    fn find_min(&mut self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            let end = self.epoch_start + CAL_BUCKETS as u64;
-            if let Some(s) = self.next_occupied(end) {
-                self.rotations += s - self.cur_slot;
-                self.cur_slot = s;
-                let b = (s % CAL_BUCKETS as u64) as usize;
-                if self.sorted_slot != s {
-                    self.sorted_slot = s;
-                    if self.buckets[b].len() > 1 {
-                        self.buckets[b].sort_unstable_by(|x, y| y.cmp(x));
-                    }
-                }
-                return Some(b);
-            }
-            // Epoch drained: everything left is in overflow.
-            // Re-anchor at the earliest overflow event and promote
-            // whatever now fits the fresh window.
-            debug_assert!(!self.overflow.is_empty());
-            let mut best = 0;
-            for i in 1..self.overflow.len() {
-                if self.overflow[i] < self.overflow[best] {
-                    best = i;
-                }
-            }
-            let anchor = self.slot_of(self.overflow[best].time);
-            self.epoch_start = anchor;
-            self.cur_slot = anchor;
-            self.sorted_slot = CAL_NO_SORTED;
-            let end = anchor + CAL_BUCKETS as u64;
-            let mut i = 0;
-            while i < self.overflow.len() {
-                let s = self.slot_of(self.overflow[i].time);
-                if s < end {
-                    let ev = self.overflow.swap_remove(i);
-                    let b = (s % CAL_BUCKETS as u64) as usize;
-                    self.occupied[b >> 6] |= 1 << (b & 63);
-                    self.buckets[b].push(ev);
-                    self.promotions += 1;
-                } else {
-                    i += 1;
-                }
-            }
+        waiting.sort_unstable_by_key(|ev| ev.seq);
+        self.occupied = 0;
+        self.floor = key;
+        for ev in waiting {
+            self.place(ev);
         }
     }
 
-    /// Remove the tail (minimum) of bucket `b`, maintaining the
-    /// occupancy bitmap.
+    /// Make `fifo` non-empty unless the whole queue is empty, by
+    /// redistributing the lowest non-empty bucket under its minimum
+    /// key. Returns whether an event waits.
     #[inline]
-    fn take_tail(&mut self, b: usize) -> Event {
-        let ev = self.buckets[b].pop().expect("find_min returned a non-empty bucket");
-        if self.buckets[b].is_empty() {
-            self.occupied[b >> 6] &= !(1 << (b & 63));
+    fn refill(&mut self) -> bool {
+        if !self.fifo.is_empty() {
+            return true;
         }
-        self.len -= 1;
-        ev
+        if self.occupied == 0 {
+            return false;
+        }
+        let i = self.occupied.trailing_zeros() as usize;
+        self.occupied &= !(1 << i);
+        let mut bucket = std::mem::take(&mut self.buckets[i]);
+        self.floor = bucket
+            .iter()
+            .map(|ev| ev.key)
+            .min()
+            .expect("occupied bucket");
+        self.refills += 1;
+        self.moved += bucket.len() as u64;
+        for ev in bucket.drain(..) {
+            self.place(ev);
+        }
+        // Hand the emptied bucket back so it keeps its capacity.
+        self.buckets[i] = bucket;
+        true
     }
 
     #[inline]
     fn pop(&mut self) -> Option<Event> {
-        let b = self.find_min()?;
-        Some(self.take_tail(b))
+        if !self.refill() {
+            return None;
+        }
+        self.len -= 1;
+        self.fifo.pop_front()
     }
 
     fn peek_time(&mut self) -> Option<f64> {
-        let b = self.find_min()?;
-        Some(self.buckets[b].last().expect("non-empty").time)
+        self.refill().then(|| self.fifo[0].time())
     }
 }
 
@@ -633,7 +583,7 @@ pub struct NetSim<'t> {
     topo: &'t Topology,
     config: NetConfig,
     /// Pending events, popped in `(time, seq)` order.
-    queue: CalendarQueue,
+    queue: RadixQueue,
     /// Slot-addressed in-flight messages; delivered slots are pushed
     /// onto `free` and reused by later sends, so the live set — not
     /// the whole run history — bounds memory.
@@ -643,7 +593,6 @@ pub struct NetSim<'t> {
     next_id: u64,
     /// `link_busy_until[link_id]`: time the directed link becomes free.
     link_busy_until: Vec<f64>,
-    seq: u64,
     stats: RunStats,
     /// Foreground messages in flight; background ticks stop
     /// rescheduling once this hits zero, so `run` always terminates.
@@ -699,7 +648,8 @@ impl<'t> NetSim<'t> {
                 .map(|r| {
                     // Calibrate off the sender's uplink (first hop of
                     // any route out of rank r).
-                    let uplink = topo.route_hops(r, usize::from(r == 0))[0].link;
+                    let uplink =
+                        topo.link_spec(topo.route_hops(r, usize::from(r == 0))[0] as usize);
                     let serialize = (uplink.ns_per_byte * BG_BYTES as f64).max(1.0);
                     let gap_ns = serialize / (2.0 * config.load);
                     BgSender {
@@ -723,20 +673,15 @@ impl<'t> NetSim<'t> {
             };
             trace::name_process(obs.pid, label);
         }
-        // Bucket width for the calendar queue: the smallest positive
-        // link α (causally related events are at least one α apart),
-        // falling back to 1 ns on a latency-free fabric.
-        let width = topo.min_latency_ns().unwrap_or(1.0);
         NetSim {
             topo,
             config: *config,
             obs,
-            queue: CalendarQueue::new(width),
+            queue: RadixQueue::new(),
             messages: Vec::new(),
             free: Vec::new(),
             next_id: 0,
             link_busy_until: vec![0.0; topo.num_links()],
-            seq: 0,
             stats: RunStats::default(),
             fg_live: 0,
             bg,
@@ -772,13 +717,21 @@ impl<'t> NetSim<'t> {
     pub fn send_at(&mut self, at_ns: f64, from: usize, to: usize, bytes: u64, tag: u64) -> u64 {
         assert!(at_ns.is_finite() && at_ns >= 0.0, "send time must be finite and non-negative");
         self.fg_live += 1;
-        self.inject(at_ns, from, to, bytes, tag, false)
+        let m = Message {
+            bytes,
+            tag,
+            ..self.new_message(from, to)
+        };
+        self.inject(at_ns, m)
     }
 
-    /// Seeded equal-cost route pick for message `id`: a pure function
-    /// of `(route seed, id)`, independent of event interleaving.
-    fn pick_route(&self, id: u64, from: usize, to: usize) -> u32 {
-        match self.config.route {
+    /// Message `next_id` from rank `from` to rank `to` on its seeded
+    /// equal-cost route, as a foreground message with no payload yet.
+    /// The route slot is a pure function of `(route seed, id)`,
+    /// independent of event interleaving.
+    fn new_message(&self, from: usize, to: usize) -> Message {
+        let id = self.next_id;
+        let route_k = match self.config.route {
             RouteSelect::Fixed => 0,
             RouteSelect::SeededEcmp { seed } => {
                 let n = self.topo.route_count(from, to);
@@ -790,6 +743,18 @@ impl<'t> NetSim<'t> {
                     g.next_below(n as u64) as u32
                 }
             }
+        };
+        let (route_off, route_len) = self.topo.route_handle(from, to, route_k as usize);
+        Message {
+            id,
+            from,
+            to,
+            bytes: 0,
+            tag: 0,
+            route_off,
+            route_len,
+            route_k,
+            background: false,
         }
     }
 
@@ -825,25 +790,16 @@ impl<'t> NetSim<'t> {
         l as u64
     }
 
-    fn inject(
-        &mut self,
-        at_ns: f64,
-        from: usize,
-        to: usize,
-        bytes: u64,
-        tag: u64,
-        background: bool,
-    ) -> u64 {
-        let id = self.next_id;
+    /// Queue message `m`, whose id is `next_id`, to enter its first hop
+    /// at `at_ns`, and return its id.
+    fn inject(&mut self, at_ns: f64, m: Message) -> u64 {
         self.next_id += 1;
-        let route_k = self.pick_route(id, from, to);
-        let (route_off, route_len) = self.topo.route_handle(from, to, route_k as usize);
         if self.obs.counting {
             self.obs.route_lookups += 1;
         }
         if self.obs.tracing {
-            let lane = self.rank_lane(from);
-            let (name, cat) = if background { ("bg_inject", "bg") } else { ("inject", "net") };
+            let lane = self.rank_lane(m.from);
+            let (name, cat) = if m.background { ("bg_inject", "bg") } else { ("inject", "net") };
             trace::instant(
                 self.obs.pid,
                 lane,
@@ -851,45 +807,27 @@ impl<'t> NetSim<'t> {
                 name,
                 cat,
                 vec![
-                    ("msg", id.into()),
-                    ("to", to.into()),
-                    ("bytes", bytes.into()),
-                    ("tag", tag.into()),
-                    ("route", route_k.into()),
+                    ("msg", m.id.into()),
+                    ("to", m.to.into()),
+                    ("bytes", m.bytes.into()),
+                    ("tag", m.tag.into()),
+                    ("route", m.route_k.into()),
                 ],
             );
         }
-        let message = Message {
-            id,
-            from,
-            to,
-            bytes,
-            tag,
-            route_off,
-            route_len,
-            route_k,
-            background,
-        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.messages[s as usize] = message;
+                self.messages[s as usize] = m;
                 s
             }
             None => {
-                self.messages.push(message);
+                self.messages.push(m);
                 (self.messages.len() - 1) as u32
             }
         };
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event {
-            time: at_ns,
-            seq,
-            slot,
-            hop: 0,
-        });
+        self.queue.push(at_ns, slot, 0);
         self.note_push();
-        id
+        m.id
     }
 
     /// Put one tick per background sender into the queue, anchored to
@@ -905,14 +843,7 @@ impl<'t> NetSim<'t> {
         };
         for s in 0..self.bg.len() {
             let delay = self.bg[s].rng.next_f64() * self.bg[s].pause_ns;
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(Event {
-                time: t0 + delay,
-                seq,
-                slot: BG_TICK,
-                hop: s as u32,
-            });
+            self.queue.push(t0 + delay, BG_TICK, s as u32);
             self.note_push();
             self.live_ticks += 1;
         }
@@ -935,18 +866,22 @@ impl<'t> NetSim<'t> {
         if to >= from {
             to += 1;
         }
-        let route_k = self.pick_route(self.next_id, from, to);
+        let m = Message {
+            bytes: BG_BYTES,
+            background: true,
+            ..self.new_message(from, to)
+        };
         let horizon = BG_DROP_HORIZON_PAUSES * self.bg[sender].pause_ns;
         let admitted = self
             .topo
-            .route_hops_nth(from, to, route_k as usize)
+            .route_slice((m.route_off, m.route_len))
             .iter()
-            .all(|h| self.link_busy_until[h.link_id as usize] - at_ns <= horizon);
+            .all(|&l| self.link_busy_until[l as usize] - at_ns <= horizon);
         if self.obs.counting {
             self.obs.route_lookups += 1;
         }
         if admitted {
-            self.inject(at_ns, from, to, BG_BYTES, 0, true);
+            self.inject(at_ns, m);
         } else {
             self.stats.bg_dropped += 1;
             if self.obs.tracing {
@@ -957,7 +892,7 @@ impl<'t> NetSim<'t> {
                     at_ns,
                     "bg_drop",
                     "bg",
-                    vec![("to", to.into()), ("route", route_k.into())],
+                    vec![("to", to.into()), ("route", m.route_k.into())],
                 );
             }
         }
@@ -970,14 +905,7 @@ impl<'t> NetSim<'t> {
             s.gap_ns
         };
         let next = at_ns + base * (0.5 + s.rng.next_f64());
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event {
-            time: next,
-            seq,
-            slot: BG_TICK,
-            hop: sender as u32,
-        });
+        self.queue.push(next, BG_TICK, sender as u32);
         self.note_push();
     }
 
@@ -1010,20 +938,18 @@ impl<'t> NetSim<'t> {
             if self.obs.counting {
                 self.obs.pops += 1;
             }
+            let time = ev.time();
             if ev.slot == BG_TICK {
-                self.bg_tick(ev.time, ev.hop as usize);
+                self.bg_tick(time, ev.hop as usize);
                 continue;
             }
             let m = self.messages[ev.slot as usize];
             if ev.hop == m.route_len {
-                // Retire the slot before the callback runs so chained
-                // sends can reuse it immediately.
+                // Only foreground messages get here (tenants are counted
+                // at their last hop). Retire the slot before the
+                // callback runs so chained sends can reuse it
+                // immediately.
                 self.free.push(ev.slot);
-                if m.background {
-                    self.stats.bg_deliveries += 1;
-                    self.stats.bg_bytes_delivered += m.bytes;
-                    continue;
-                }
                 self.fg_live -= 1;
                 let delivery = Delivery {
                     msg: m.id,
@@ -1031,17 +957,17 @@ impl<'t> NetSim<'t> {
                     to: m.to,
                     bytes: m.bytes,
                     tag: m.tag,
-                    time: ev.time,
+                    time,
                 };
                 self.stats.deliveries += 1;
                 self.stats.bytes_delivered += m.bytes;
-                self.stats.makespan_ns = self.stats.makespan_ns.max(ev.time);
+                self.stats.makespan_ns = self.stats.makespan_ns.max(time);
                 if self.obs.tracing {
                     let lane = self.rank_lane(m.to);
                     trace::instant(
                         self.obs.pid,
                         lane,
-                        ev.time,
+                        time,
                         "deliver",
                         "net",
                         vec![
@@ -1057,23 +983,24 @@ impl<'t> NetSim<'t> {
             }
             // Enter the next link: wait for it to free, hold it for the
             // serialization time, then propagate (+ jitter).
-            let hop = self.topo.route_slice((m.route_off, m.route_len))[ev.hop as usize];
-            let l = hop.link_id as usize;
+            let l = self.topo.route_slice((m.route_off, m.route_len))[ev.hop as usize] as usize;
+            let link = self.topo.link_spec(l);
             // Queue-depth accounting: retire every serialization on
             // *this* link that finished by now, then count this
             // message as queued.
             let dq = &mut self.link_drains[l];
-            while dq.front().is_some_and(|&t| t <= ev.time) {
+            while dq.front().is_some_and(|&t| t <= time) {
                 dq.pop_front();
             }
             let busy = &mut self.link_busy_until[l];
-            let start = ev.time.max(*busy);
-            let wait = start - ev.time;
-            let serialize = hop.link.ns_per_byte * m.bytes as f64;
+            let start = time.max(*busy);
+            let wait = start - time;
+            let serialize = link.ns_per_byte * m.bytes as f64;
             *busy = start + serialize;
             let jitter =
-                self.config.jitter_ns(m.id, u64::from(ev.hop), serialize + hop.link.latency_ns);
-            let arrive = start + serialize + hop.link.latency_ns + jitter;
+                self.config
+                    .jitter_ns(m.id, u64::from(ev.hop), serialize + link.latency_ns);
+            let arrive = start + serialize + link.latency_ns + jitter;
             self.link_drains[l].push_back(start + serialize);
             let depth = self.link_drains[l].len() as u32;
             self.link_depth[l] = depth;
@@ -1107,15 +1034,18 @@ impl<'t> NetSim<'t> {
             if self.obs.any() {
                 self.note_hop(&m, ev.hop, l, start, wait, serialize);
             }
-            let seq = self.seq;
-            self.seq += 1;
-            self.queue.push(Event {
-                time: arrive,
-                seq,
-                slot: ev.slot,
-                hop: ev.hop + 1,
-            });
-            self.note_push();
+            let next = ev.hop + 1;
+            if m.background && next == m.route_len {
+                // A tenant's arrival reaches no callback and no stat
+                // is read before `run` returns, so count it now and
+                // free its slot instead of queueing the arrival.
+                self.stats.bg_deliveries += 1;
+                self.stats.bg_bytes_delivered += m.bytes;
+                self.free.push(ev.slot);
+            } else {
+                self.queue.push(arrive, ev.slot, next);
+                self.note_push();
+            }
         }
         self.flush_obs(run_t0);
         self.stats
@@ -1165,11 +1095,11 @@ impl<'t> NetSim<'t> {
             if self.obs.pop_stat.count > 0 {
                 // Key the pop histogram by offered load, so one report
                 // answers "does pop dominate at high load?" directly.
-                // Profile readers match the whole key, `queue=calendar`
+                // Profile readers match the whole key, `queue=radix`
                 // suffix included. Adding 0.0 turns a load of -0.0
                 // into 0.0, so the key never reads "-0.00".
                 let key = format!(
-                    "net.heap_pop@load={:.2},queue=calendar",
+                    "net.heap_pop@load={:.2},queue=radix",
                     self.config.load + 0.0
                 );
                 profile::merge(&key, &self.obs.pop_stat);
@@ -1184,8 +1114,8 @@ impl<'t> NetSim<'t> {
             counters::add(Counter::RouteLookup, std::mem::take(&mut self.obs.route_lookups));
             counters::add(Counter::WireBytes, std::mem::take(&mut self.obs.wire_bytes));
             counters::add(Counter::NicCrossBytes, std::mem::take(&mut self.obs.nic_cross_bytes));
-            counters::add(Counter::BucketRotation, std::mem::take(&mut self.queue.rotations));
-            counters::add(Counter::OverflowPromotion, std::mem::take(&mut self.queue.promotions));
+            counters::add(Counter::BucketRotation, std::mem::take(&mut self.queue.refills));
+            counters::add(Counter::OverflowPromotion, std::mem::take(&mut self.queue.moved));
         }
     }
 }
@@ -1385,12 +1315,12 @@ mod tests {
         assert!((stats.max_wait_ns - 2000.0).abs() < 1e-9);
         // Per-link: the contended link saw all 3 messages and all the
         // wait; each rank→sw uplink saw exactly its own message.
-        let contended = t.route_hops(1, 0)[1].link_id as usize;
+        let contended = t.route_hops(1, 0)[1] as usize;
         let ls = sim.link_stats(contended);
         assert_eq!(ls.messages, 3);
         assert_eq!(ls.max_depth, 3);
         assert!((ls.wait_ns - 3000.0).abs() < 1e-9);
-        let uplink = t.route_hops(1, 0)[0].link_id as usize;
+        let uplink = t.route_hops(1, 0)[0] as usize;
         assert_eq!(sim.link_stats(uplink).messages, 1);
         assert_eq!(sim.link_stats(uplink).max_depth, 1);
     }
@@ -1511,74 +1441,111 @@ mod tests {
         );
     }
 
-    /// The calendar queue against the order it must reproduce bit for
-    /// bit, `BinaryHeap<Reverse<Event>>`, on random push/pop/peek
-    /// sequences in the engine's pattern: pushes at or after the last
-    /// pop (hop arrivals), ties on time, runs of pushes into one bucket
-    /// (also into the bucket the cursor has sorted), pushes past the
-    /// 256-slot epoch, pushes before the last pop (a callback sending
-    /// into the past), and restarts at any time once the queue has
-    /// drained, for several bucket widths. Every pop must agree on
-    /// `(time bits, seq)`, every peek on the time bits, and the lengths
-    /// after every step.
+    /// The oracle's order: `time.total_cmp`, then `seq`.
+    impl PartialEq for Event {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
+    impl Eq for Event {}
+    impl PartialOrd for Event {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Event {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.time()
+                .total_cmp(&other.time())
+                .then_with(|| self.seq.cmp(&other.seq))
+        }
+    }
+
+    /// The radix queue against the order it must reproduce bit for bit,
+    /// `BinaryHeap<Reverse<Event>>`, on random push/pop/peek sequences
+    /// in the engine's pattern: pushes at or after the last pop (hop
+    /// arrivals), ties on time, near- and far-future pushes, ±0.0 (which
+    /// differ in key and tie with themselves), times at and one ulp
+    /// either side of a power of two (keys that differ in their high
+    /// bits), pushes before the last pop (a callback sending into the
+    /// past) and restarts once the queue has drained, at four time
+    /// scales. Every pop must agree on `(time bits, seq)` and return the
+    /// time it was pushed with, every peek on the time bits, and the
+    /// lengths after every step.
     #[test]
-    fn calendar_queue_pops_in_binary_heap_order() {
+    fn radix_queue_pops_in_binary_heap_order() {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        let key = |ev: Option<Event>| ev.map(|ev| (ev.time.to_bits(), ev.seq));
-        for width in [0.25, 1.0, 100.0, 1234.5] {
-            let epoch = CAL_BUCKETS as f64 * width;
+        let key = |ev: Option<Event>| ev.map(|ev| (ev.time().to_bits(), ev.seq));
+        for scale in [0.25f64, 1.0, 100.0, 1234.5] {
+            let span = 256.0 * scale;
             for case in 0..100u64 {
-                let mut rng = SplitMix64::new(case ^ width.to_bits());
-                let mut cal = CalendarQueue::new(width);
+                let mut rng = SplitMix64::new(case ^ scale.to_bits());
+                let mut queue = RadixQueue::new();
                 let mut heap = BinaryHeap::new();
-                let (mut now, mut seq) = (0.0f64, 0u64);
+                let mut now = 0.0f64;
                 let mut times: Vec<f64> = Vec::new();
-                let pop = |cal: &mut CalendarQueue, heap: &mut BinaryHeap<Reverse<Event>>| {
-                    let ev = cal.pop();
+                let pop = |queue: &mut RadixQueue,
+                           heap: &mut BinaryHeap<Reverse<Event>>,
+                           times: &[f64]| {
+                    let ev = queue.pop();
                     let want = heap.pop().map(|Reverse(ev)| ev);
-                    assert_eq!(key(ev), key(want), "width {width}, case {case}");
+                    assert_eq!(key(ev), key(want), "scale {scale}, case {case}");
+                    if let Some(ev) = ev {
+                        assert_eq!(ev.time().to_bits(), times[ev.seq as usize].to_bits());
+                    }
                     ev
                 };
                 for _ in 0..300 {
                     match rng.next_below(10) {
                         0..=4 => {
-                            let time = match rng.next_below(6) {
+                            let time = match rng.next_below(8) {
                                 0 => times
                                     .get(rng.next_below(times.len() as u64 + 1) as usize)
                                     .copied()
                                     .unwrap_or(now),
-                                1 => ((now / width).floor() + rng.next_f64()) * width,
-                                2 => now + rng.next_f64() * epoch,
-                                3 => now + (1.0 + 3.0 * rng.next_f64()) * epoch,
+                                1 => ((now / scale).floor() + rng.next_f64()) * scale,
+                                2 => now + rng.next_f64() * span,
+                                3 => now + (1.0 + 3.0 * rng.next_f64()) * span,
                                 4 => now * rng.next_f64(),
+                                5 => [0.0, -0.0][rng.next_below(2) as usize],
+                                6 => {
+                                    let below = (now + scale).to_bits() & !((1 << 52) - 1);
+                                    let pow2 =
+                                        f64::from_bits(below) * (1 << rng.next_below(3)) as f64;
+                                    f64::from_bits(pow2.to_bits() + rng.next_below(3) - 1)
+                                }
                                 _ => now,
                             };
-                            let ev = Event { time, seq, slot: 0, hop: 0 };
-                            seq += 1;
+                            let seq = times.len() as u64;
                             times.push(time);
-                            cal.push(ev);
-                            heap.push(Reverse(ev));
+                            queue.push(time, 0, 0);
+                            heap.push(Reverse(Event {
+                                key: time_key(time),
+                                seq,
+                                slot: 0,
+                                hop: 0,
+                            }));
                         }
                         5..=7 => {
-                            if let Some(ev) = pop(&mut cal, &mut heap) {
-                                now = ev.time;
+                            if let Some(ev) = pop(&mut queue, &mut heap, &times) {
+                                now = ev.time();
                             }
                         }
                         8 => {
-                            let want = heap.peek().map(|Reverse(ev)| ev.time.to_bits());
-                            let got = cal.peek_time().map(f64::to_bits);
-                            assert_eq!(got, want, "width {width}, case {case}");
+                            let want = heap.peek().map(|Reverse(ev)| ev.time().to_bits());
+                            let got = queue.peek_time().map(f64::to_bits);
+                            assert_eq!(got, want, "scale {scale}, case {case}");
                         }
                         _ => {
-                            while pop(&mut cal, &mut heap).is_some() {}
-                            now = rng.next_f64() * 1e3 * epoch;
+                            while pop(&mut queue, &mut heap, &times).is_some() {}
+                            now = rng.next_f64() * 1e3 * span;
                         }
                     }
-                    assert_eq!(cal.len, heap.len());
+                    assert_eq!(queue.len, heap.len());
                 }
-                while pop(&mut cal, &mut heap).is_some() {}
+                while pop(&mut queue, &mut heap, &times).is_some() {}
             }
         }
     }

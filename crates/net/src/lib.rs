@@ -16,17 +16,18 @@
 //!   hierarchy with distinct intra-node vs inter-node links
 //!   ([`Topology::hierarchical`]), all parameterised by `α + β·bytes`
 //!   [`LinkSpec`]s. One route table holds every equal-cost shortest
-//!   path of every rank pair, canonical first;
+//!   path of every rank pair, canonical first, each as a slice of
+//!   directed link ids;
 //! * [`engine`] — the event engine: store-and-forward hops and
 //!   per-link serialization, with every seeded source of run-to-run
 //!   variation in one [`NetConfig`]: per-hop jitter, background
 //!   tenant traffic that reorders foreground arrivals through link
 //!   queueing, and ECMP route choice ([`RouteSelect`]) over those
 //!   equal-cost paths (several per cross-group pair on a multi-spine
-//!   fat tree). Zero jitter on a quiet,
-//!   fixed-route fabric is the software-scheduled interconnect
-//!   (bit-for-bit replayable); jitter and tenants are MPI on a busy
-//!   cluster;
+//!   fat tree), all ordered by one radix-heap event queue. Zero
+//!   jitter on a quiet, fixed-route fabric is the software-scheduled
+//!   interconnect (bit-for-bit replayable); jitter and tenants are MPI
+//!   on a busy cluster;
 //! * [`cost`] — analytic α–β allreduce cost models, including the
 //!   bandwidth-inflation price of shipping exact accumulators
 //!   (the network half of the paper's "cost of reproducibility").
@@ -60,4 +61,4 @@ pub mod topology;
 
 pub use cost::CostModel;
 pub use engine::{Delivery, LinkStats, NetConfig, NetSim, RouteSelect, RunStats};
-pub use topology::{Hop, LinkSpec, NodeKind, Topology};
+pub use topology::{LinkSpec, NodeKind, Topology};

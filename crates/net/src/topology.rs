@@ -26,13 +26,15 @@
 //!
 //! Construction is two-phase under the hood: the builders add vertices
 //! and links, each **directed** link getting a dense id
-//! (`0..`[`Topology::num_links`], the index of the engine's busy-state
-//! vector); then `finalize` enumerates every equal-cost shortest path
-//! of every rank pair into one shared hop arena, canonical first, so a
-//! new fabric gets its routes from its vertices and links alone.
+//! (`0..`[`Topology::num_links`], the index of the engine's per-link
+//! state) whose spec is stored once ([`Topology::link_spec`]); then
+//! `finalize` enumerates every equal-cost shortest path of every rank
+//! pair into one shared arena of link ids, canonical first, so a new
+//! fabric gets its routes from its vertices and links alone.
 //! [`Topology::route_hops_nth`] returns the `k`-th of a pair's
-//! [`Topology::route_count`] routes as a borrowed `&[Hop]` slice — the
-//! allocation-free lookup the event engine rides.
+//! [`Topology::route_count`] routes as a borrowed `&[u32]` slice of
+//! directed link ids — the allocation-free lookup the event engine
+//! rides; [`Topology::link_endpoints`] names a hop's vertices.
 //! [`Topology::route_hops`] is slot 0, the route fixed routing takes
 //! and the one [`Topology::route`] recomputes by on-demand BFS (the
 //! reference the tests diff the table against).
@@ -79,41 +81,24 @@ pub enum NodeKind {
     Switch,
 }
 
-/// One hop of a route: the directed link `(from, to)`, its spec, and
-/// the link's dense id.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hop {
-    /// Source vertex index.
-    pub from: usize,
-    /// Destination vertex index.
-    pub to: usize,
-    /// Cost model of the traversed link.
-    pub link: LinkSpec,
-    /// Dense id of the directed link `(from, to)` in
-    /// `0..`[`Topology::num_links`] — the index the engine uses for
-    /// its link-busy vector (each undirected edge contributes two
-    /// directed ids).
-    pub link_id: u32,
-}
-
 /// An interconnect: vertices, links, and the rank→vertex mapping.
 #[derive(Debug, Clone)]
 pub struct Topology {
     name: String,
     nodes: Vec<NodeKind>,
-    /// Adjacency: `adj[v]` lists `(neighbour, link spec, directed link id)`.
-    adj: Vec<Vec<(usize, LinkSpec, u32)>>,
+    /// Adjacency: `adj[v]` lists `(neighbour, directed link id)`.
+    adj: Vec<Vec<(usize, u32)>>,
     /// `rank_vertex[r]` is the vertex index of rank `r`.
     rank_vertex: Vec<usize>,
-    /// Number of directed links (two per undirected edge).
-    num_links: usize,
     /// `link_ends[link_id]` is the `(from, to)` vertex pair of the
-    /// directed link — the reverse of [`Hop::link_id`], used by
-    /// observability surfaces (trace lane names, link-stats tables).
+    /// directed link (two per undirected edge), used to name a hop
+    /// (trace lane names, link-stats tables, the tests).
     link_ends: Vec<(u32, u32)>,
-    /// Shared arena of precomputed route hops; rank-pair routes are
-    /// contiguous slices of this vector.
-    route_arena: Vec<Hop>,
+    /// `link_specs[link_id]` is the directed link's cost model.
+    link_specs: Vec<LinkSpec>,
+    /// Shared arena of precomputed route hops, each a directed link
+    /// id; rank-pair routes are contiguous slices of this vector.
+    route_arena: Vec<u32>,
     /// `(offset, len, count)` for the rank pair `from → to`, stored at
     /// `from · ranks + to`: the pair's `count` equal-cost routes sit
     /// back to back in `route_arena` from `offset`, each `len` hops
@@ -140,8 +125,8 @@ impl Topology {
             nodes: Vec::new(),
             adj: Vec::new(),
             rank_vertex: Vec::new(),
-            num_links: 0,
             link_ends: Vec::new(),
+            link_specs: Vec::new(),
             route_arena: Vec::new(),
             routes: Vec::new(),
             rank_group: Vec::new(),
@@ -163,12 +148,12 @@ impl Topology {
     }
 
     fn link(&mut self, a: usize, b: usize, spec: LinkSpec) {
-        let id = self.num_links as u32;
-        self.num_links += 2;
-        self.adj[a].push((b, spec, id));
-        self.adj[b].push((a, spec, id + 1));
+        let id = self.link_ends.len() as u32;
+        self.adj[a].push((b, id));
+        self.adj[b].push((a, id + 1));
         self.link_ends.push((a as u32, b as u32));
         self.link_ends.push((b as u32, a as u32));
+        self.link_specs.extend([spec, spec]);
     }
 
     /// Precompute the route table: one BFS per rank gives every
@@ -209,9 +194,10 @@ impl Topology {
     /// hierarchical: one group per compute node. Groups are numbered
     /// by their smallest member rank.
     fn classify_groups(&mut self) {
-        self.cross_group = (0..self.num_links)
-            .map(|id| {
-                let (a, b) = self.link_ends[id];
+        self.cross_group = self
+            .link_ends
+            .iter()
+            .map(|&(a, b)| {
                 !matches!(self.nodes[a as usize], NodeKind::Rank(_))
                     && !matches!(self.nodes[b as usize], NodeKind::Rank(_))
             })
@@ -228,7 +214,7 @@ impl Topology {
             next += 1;
             let mut queue = std::collections::VecDeque::from([start]);
             while let Some(v) = queue.pop_front() {
-                for &(w, _, id) in &self.adj[v] {
+                for &(w, id) in &self.adj[v] {
                     if !self.cross_group[id as usize] && comp[w] == u32::MAX {
                         comp[w] = comp[start];
                         queue.push_back(w);
@@ -262,7 +248,7 @@ impl Topology {
         dist[src] = 0;
         let mut queue = std::collections::VecDeque::from([src]);
         while let Some(v) = queue.pop_front() {
-            for &(w, _, _) in &self.adj[v] {
+            for &(w, _) in &self.adj[v] {
                 if dist[w] == u32::MAX {
                     dist[w] = dist[v] + 1;
                     queue.push_back(w);
@@ -487,33 +473,14 @@ impl Topology {
         self.rank_vertex[r]
     }
 
-    /// Number of **directed** links (two per undirected edge). Link
-    /// ids in [`Hop::link_id`] are dense in `0..num_links()`, so a
+    /// Number of **directed** links (two per undirected edge). The
+    /// link ids a route holds are dense in `0..num_links()`, so a
     /// `Vec` of this length indexes any per-link state.
     pub fn num_links(&self) -> usize {
-        self.num_links
+        self.link_ends.len()
     }
 
-    /// Smallest strictly-positive link propagation latency (α) in the
-    /// fabric, or `None` when there are no links (or every link has
-    /// zero latency). The engine's calendar queue sizes its bucket
-    /// width from this: α is the natural spacing between causally
-    /// related events, so one-α buckets stay shallow without
-    /// scattering a burst across thousands of empty slots.
-    pub fn min_latency_ns(&self) -> Option<f64> {
-        let mut best = f64::INFINITY;
-        for row in &self.adj {
-            for &(_, spec, _) in row {
-                if spec.latency_ns > 0.0 && spec.latency_ns < best {
-                    best = spec.latency_ns;
-                }
-            }
-        }
-        (best != f64::INFINITY).then_some(best)
-    }
-
-    /// The `(from, to)` vertex pair of a directed link — the inverse
-    /// of [`Hop::link_id`].
+    /// The `(from, to)` vertex pair of a directed link.
     ///
     /// # Panics
     ///
@@ -521,6 +488,17 @@ impl Topology {
     pub fn link_endpoints(&self, link_id: usize) -> (usize, usize) {
         let (a, b) = self.link_ends[link_id];
         (a as usize, b as usize)
+    }
+
+    /// Cost model of a directed link (both directions of an edge share
+    /// the spec the builder gave it).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `link_id >= num_links()`.
+    #[inline]
+    pub fn link_spec(&self, link_id: usize) -> LinkSpec {
+        self.link_specs[link_id]
     }
 
     /// Human-readable label of vertex `v`: `rank3`, `nic12`, `sw7`
@@ -541,15 +519,16 @@ impl Topology {
     }
 
     /// The canonical shortest path from rank `from` to rank `to`
-    /// (route slot 0): a borrowed slice into the shared route arena —
-    /// no allocation, no search. Empty when `from == to`. Identical
-    /// hop for hop to [`Topology::route`].
+    /// (route slot 0) as its directed link ids in hop order: a
+    /// borrowed slice into the shared route arena — no allocation, no
+    /// search. Empty when `from == to`. Identical hop for hop to
+    /// [`Topology::route`].
     ///
     /// # Panics
     ///
     /// Panics when either rank is out of range.
     #[inline]
-    pub fn route_hops(&self, from: usize, to: usize) -> &[Hop] {
+    pub fn route_hops(&self, from: usize, to: usize) -> &[u32] {
         self.route_hops_nth(from, to, 0)
     }
 
@@ -578,7 +557,7 @@ impl Topology {
     /// Panics when either rank is out of range or
     /// `k >= route_count(from, to)`.
     #[inline]
-    pub fn route_hops_nth(&self, from: usize, to: usize, k: usize) -> &[Hop] {
+    pub fn route_hops_nth(&self, from: usize, to: usize, k: usize) -> &[u32] {
         self.route_slice(self.route_handle(from, to, k))
     }
 
@@ -603,9 +582,10 @@ impl Topology {
         (offset + k as u32 * len, len)
     }
 
-    /// The hops a [`Topology::route_handle`] refers to.
+    /// The hops (directed link ids) a [`Topology::route_handle`] refers
+    /// to.
     #[inline]
-    pub fn route_slice(&self, (offset, len): (u32, u32)) -> &[Hop] {
+    pub fn route_slice(&self, (offset, len): (u32, u32)) -> &[u32] {
         &self.route_arena[offset as usize..offset as usize + len as usize]
     }
 
@@ -618,15 +598,15 @@ impl Topology {
     }
 
     /// Canonical shortest path from rank `from` to rank `to` as a freshly
-    /// computed hop list — the on-demand BFS reference implementation,
-    /// built independently of the route table (the tests diff it
-    /// against [`Topology::route_hops`], which is what the engine
-    /// uses). Empty when `from == to`.
+    /// computed list of directed link ids — the on-demand BFS reference
+    /// implementation, built independently of the route table (the
+    /// tests diff it against [`Topology::route_hops`], which is what
+    /// the engine uses). Empty when `from == to`.
     ///
     /// # Panics
     ///
     /// Panics when either rank is out of range or no path exists.
-    pub fn route(&self, from: usize, to: usize) -> Vec<Hop> {
+    pub fn route(&self, from: usize, to: usize) -> Vec<u32> {
         let src = self.rank_vertex[from];
         let dst = self.rank_vertex[to];
         if src == dst {
@@ -635,15 +615,15 @@ impl Topology {
         // BFS from src in adjacency order: each vertex keeps its first
         // discoverer, so the path found is the lexicographically
         // smallest shortest path by adjacency index — the table's slot 0.
-        let mut prev: Vec<Option<(usize, LinkSpec, u32)>> = vec![None; self.nodes.len()];
+        let mut prev: Vec<Option<(usize, u32)>> = vec![None; self.nodes.len()];
         let mut queue = std::collections::VecDeque::from([src]);
         let mut seen = vec![false; self.nodes.len()];
         seen[src] = true;
         'bfs: while let Some(v) = queue.pop_front() {
-            for &(w, spec, id) in &self.adj[v] {
+            for &(w, id) in &self.adj[v] {
                 if !seen[w] {
                     seen[w] = true;
-                    prev[w] = Some((v, spec, id));
+                    prev[w] = Some((v, id));
                     if w == dst {
                         break 'bfs;
                     }
@@ -653,8 +633,8 @@ impl Topology {
         }
         let mut hops = Vec::new();
         let mut v = dst;
-        while let Some((u, spec, id)) = prev[v] {
-            hops.push(Hop { from: u, to: v, link: spec, link_id: id });
+        while let Some((u, id)) = prev[v] {
+            hops.push(id);
             v = u;
         }
         assert!(v == src, "no route between ranks {from} and {to}");
@@ -685,20 +665,20 @@ impl Topology {
 /// `v → w` directed link id, the id the engine charges serialization
 /// against.
 fn walk_shortest_paths(
-    adj: &[Vec<(usize, LinkSpec, u32)>],
+    adj: &[Vec<(usize, u32)>],
     dist: &[u32],
     v: usize,
-    path: &mut Vec<Hop>,
-    out: &mut Vec<Hop>,
+    path: &mut Vec<u32>,
+    out: &mut Vec<u32>,
 ) -> u32 {
     if dist[v] == 0 {
         out.extend_from_slice(path);
         return 1;
     }
     let mut count = 0;
-    for &(w, link, link_id) in &adj[v] {
+    for &(w, link_id) in &adj[v] {
         if dist[w] == dist[v] - 1 {
-            path.push(Hop { from: v, to: w, link, link_id });
+            path.push(link_id);
             count += walk_shortest_paths(adj, dist, w, path, out);
             path.pop();
         }
@@ -722,15 +702,35 @@ mod tests {
     }
 
     #[test]
+    fn link_specs_follow_the_builders_wiring() {
+        let (intra, nic, inter) = (
+            LinkSpec::new(100.0, 8.0),
+            LinkSpec::new(200.0, 4.0),
+            LinkSpec::new(300.0, 2.0),
+        );
+        let h = Topology::hierarchical(2, 2, intra, nic, inter);
+        let specs: Vec<LinkSpec> = h
+            .route_hops(0, 2)
+            .iter()
+            .map(|&l| h.link_spec(l as usize))
+            .collect();
+        assert_eq!(specs, [intra, nic, inter, inter, nic, intra]);
+    }
+
+    #[test]
     fn flat_switch_routes_are_two_hops() {
         let t = Topology::flat_switch(8, link());
         assert_eq!(t.ranks(), 8);
         assert_eq!(t.diameter_hops(), 2);
         let r = t.route(3, 5);
         assert_eq!(r.len(), 2);
-        assert_eq!(r[0].from, t.rank_vertex(3));
-        assert_eq!(r[1].to, t.rank_vertex(5));
-        assert!(matches!(t.kind(r[0].to), NodeKind::Switch));
+        let (first, last) = (
+            t.link_endpoints(r[0] as usize),
+            t.link_endpoints(r[1] as usize),
+        );
+        assert_eq!(first.0, t.rank_vertex(3));
+        assert_eq!(last.1, t.rank_vertex(5));
+        assert!(matches!(t.kind(first.1), NodeKind::Switch));
     }
 
     #[test]
@@ -778,9 +778,9 @@ mod tests {
             let mut seen = vec![false; t.num_links()];
             for a in 0..t.ranks() {
                 for b in 0..t.ranks() {
-                    for h in t.route_hops(a, b) {
-                        assert!((h.link_id as usize) < t.num_links(), "{}", t.name());
-                        seen[h.link_id as usize] = true;
+                    for &l in t.route_hops(a, b) {
+                        assert!((l as usize) < t.num_links(), "{}", t.name());
+                        seen[l as usize] = true;
                     }
                 }
             }
@@ -788,7 +788,7 @@ mod tests {
             // opposite directions of the same edge never share one.
             let fwd = t.route_hops(0, 1);
             let back = t.route_hops(1, 0);
-            assert_ne!(fwd[0].link_id, back[back.len() - 1].link_id);
+            assert_ne!(fwd[0], back[back.len() - 1]);
             assert!(seen.iter().filter(|&&s| s).count() > 0);
         }
     }
@@ -853,14 +853,15 @@ mod tests {
                 for k in 0..n {
                     let hops = t.route_hops_nth(a, b, k);
                     assert_eq!(hops.len(), shortest, "{a}->{b} route {k}");
-                    if !hops.is_empty() {
-                        assert_eq!(hops[0].from, t.rank_vertex(a));
-                        assert_eq!(hops[hops.len() - 1].to, t.rank_vertex(b));
-                        for pair in hops.windows(2) {
-                            assert_eq!(pair[0].to, pair[1].from, "{a}->{b} route {k}");
+                    let ends: Vec<_> = hops.iter().map(|&l| t.link_endpoints(l as usize)).collect();
+                    if !ends.is_empty() {
+                        assert_eq!(ends[0].0, t.rank_vertex(a));
+                        assert_eq!(ends[ends.len() - 1].1, t.rank_vertex(b));
+                        for pair in ends.windows(2) {
+                            assert_eq!(pair[0].1, pair[1].0, "{a}->{b} route {k}");
                         }
                     }
-                    signatures.push(hops.iter().map(|h| h.link_id).collect::<Vec<_>>());
+                    signatures.push(hops.to_vec());
                 }
                 signatures.sort();
                 signatures.dedup();
@@ -911,13 +912,13 @@ mod tests {
         // Hierarchical: a same-node route never crosses; a cross-node
         // route crosses on exactly the sw→nic→top→nic→sw middle hops.
         let h = Topology::hierarchical(2, 4, link(), link(), link());
-        for h_hop in h.route_hops(0, 3) {
-            assert!(!h.is_cross_group_link(h_hop.link_id as usize));
+        for &l in h.route_hops(0, 3) {
+            assert!(!h.is_cross_group_link(l as usize));
         }
         let cross = h.route_hops(0, 4);
         let crossing: Vec<bool> = cross
             .iter()
-            .map(|hop| h.is_cross_group_link(hop.link_id as usize))
+            .map(|&l| h.is_cross_group_link(l as usize))
             .collect();
         assert_eq!(crossing, [false, true, true, true, true, false]);
         // Fat tree: only the edge↔core uplinks cross.
@@ -925,7 +926,7 @@ mod tests {
         let crossing: Vec<bool> = ft
             .route_hops(0, 5)
             .iter()
-            .map(|hop| ft.is_cross_group_link(hop.link_id as usize))
+            .map(|&l| ft.is_cross_group_link(l as usize))
             .collect();
         assert_eq!(crossing, [false, true, true, false]);
     }

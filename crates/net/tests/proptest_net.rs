@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 
-use fpna_net::{Delivery, Hop, LinkSpec, NetConfig, NetSim, RouteSelect, RunStats, Topology};
+use fpna_net::{Delivery, LinkSpec, NetConfig, NetSim, RouteSelect, RunStats, Topology};
 use std::collections::HashMap;
 
 /// Build a topology from one of four builder families; `kind`
@@ -64,7 +64,7 @@ fn reference_run(
         msg: usize,
         hop: usize,
     }
-    let routes: Vec<Vec<Hop>> = plan.iter().map(|&(f, t, _, _)| topo.route(f, t)).collect();
+    let routes: Vec<Vec<u32>> = plan.iter().map(|&(f, t, _, _)| topo.route(f, t)).collect();
     let mut events: Vec<Ev> = Vec::new();
     let mut seq = 0u64;
     for (i, &(_, _, _, at)) in plan.iter().enumerate() {
@@ -94,14 +94,20 @@ fn reference_run(
             out.push((ev.msg as u64, from, to, bytes, ev.time.to_bits()));
             continue;
         }
-        let hop = route[ev.hop];
-        let b = busy.entry((hop.from, hop.to)).or_insert(0.0);
+        let l = route[ev.hop] as usize;
+        let link = topo.link_spec(l);
+        let b = busy.entry(topo.link_endpoints(l)).or_insert(0.0);
         let start = ev.time.max(*b);
-        let serialize = hop.link.ns_per_byte * bytes as f64;
+        let serialize = link.ns_per_byte * bytes as f64;
         *b = start + serialize;
-        let j = sample_jitter(config, ev.msg as u64, ev.hop as u64, serialize + hop.link.latency_ns);
+        let j = sample_jitter(
+            config,
+            ev.msg as u64,
+            ev.hop as u64,
+            serialize + link.latency_ns,
+        );
         events.push(Ev {
-            time: start + serialize + hop.link.latency_ns + j,
+            time: start + serialize + link.latency_ns + j,
             seq,
             msg: ev.msg,
             hop: ev.hop + 1,
@@ -171,10 +177,12 @@ proptest! {
         if a == b {
             prop_assert!(route.is_empty());
         } else {
-            prop_assert_eq!(route[0].from, topo.rank_vertex(a));
-            prop_assert_eq!(route[route.len() - 1].to, topo.rank_vertex(b));
-            for w in route.windows(2) {
-                prop_assert_eq!(w[0].to, w[1].from, "hops must chain");
+            let ends: Vec<(usize, usize)> =
+                route.iter().map(|&l| topo.link_endpoints(l as usize)).collect();
+            prop_assert_eq!(ends[0].0, topo.rank_vertex(a));
+            prop_assert_eq!(ends[ends.len() - 1].1, topo.rank_vertex(b));
+            for w in ends.windows(2) {
+                prop_assert_eq!(w[0].1, w[1].0, "hops must chain");
             }
             prop_assert!(route.len() <= topo.diameter_hops());
         }
@@ -230,7 +238,11 @@ proptest! {
             let (from, to, bytes, at) = plan[d.tag as usize];
             prop_assert_eq!((d.from, d.to, d.bytes), (from, to, bytes));
             let floor = at
-                + topo.route_hops(from, to).iter().map(|h| h.link.cost_ns(bytes)).sum::<f64>();
+                + topo
+                    .route_hops(from, to)
+                    .iter()
+                    .map(|&l| topo.link_spec(l as usize).cost_ns(bytes))
+                    .sum::<f64>();
             prop_assert!(
                 d.time >= floor - 1e-9,
                 "message {} arrived at {} before its physical floor {}",

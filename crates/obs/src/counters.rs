@@ -34,15 +34,16 @@ pub enum Counter {
     PoolHit,
     /// Buffer-pool requests that had to allocate fresh.
     PoolMiss,
-    /// Route-arena lookups (`route_hops_nth` calls).
+    /// Route-arena lookups: one per injection, tenant admission check
+    /// and hop.
     RouteLookup,
     /// Bytes serialized onto links (every hop counts the full message).
     WireBytes,
-    /// Calendar-queue scan-cursor advances over empty bucket slots
-    /// ("rotations") — the price of sparse occupancy.
+    /// Radix-queue buckets redistributed: each time the queue's floor
+    /// rises to the lowest non-empty bucket's minimum and spreads that
+    /// bucket over the ones below it.
     BucketRotation,
-    /// Calendar-queue events promoted from the far-future overflow
-    /// list into buckets when an epoch drains and re-anchors.
+    /// Events those radix-queue redistributions moved.
     OverflowPromotion,
     /// Foreground payload bytes carried over cross-group fabric links
     /// (switch↔switch / switch↔NIC hops) — the NIC/spine crossings

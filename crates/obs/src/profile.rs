@@ -8,9 +8,9 @@
 //! harness). Hot loops accumulate a local [`PhaseStat`] and merge it
 //! once per run via [`merge`]; coarse phases use the RAII [`scope`].
 //!
-//! The report is what answers the ROADMAP's calendar-queue question:
-//! the engine records a `net.heap_pop@load=…` phase per offered-load
-//! level, giving a pop-time histogram vs load in one run.
+//! The net engine records a `net.heap_pop@load=…,queue=radix` phase
+//! per offered-load level, giving a pop-time histogram vs load in one
+//! run.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,6 +18,8 @@ use fpna::tensor::ops::lowp::scatter_reduce_f32;
 use fpna::tensor::ops::scatter::{scatter_reduce, ReduceOp};
 use fpna::tensor::Tensor;
 
+/// A failing test poisons this lock; the others take it anyway, since
+/// each test's `DeterminismGuard` restores the mode while unwinding.
 static GLOBAL_SWITCH: Mutex<()> = Mutex::new(());
 
 fn problem() -> (Tensor, Vec<u32>, Tensor) {
@@ -39,7 +41,7 @@ fn problem_f32() -> (Vec<f32>, Vec<u32>, Vec<f32>) {
 
 #[test]
 fn global_deterministic_mode_makes_index_add_stable() {
-    let _lock = GLOBAL_SWITCH.lock().unwrap();
+    let _lock = GLOBAL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = DeterminismGuard::new(DeterminismMode::Deterministic);
     let (dst, index, src) = problem();
     // context defers to the global switch (determinism: None)
@@ -51,7 +53,7 @@ fn global_deterministic_mode_makes_index_add_stable() {
 
 #[test]
 fn global_deterministic_mode_errors_on_scatter_reduce() {
-    let _lock = GLOBAL_SWITCH.lock().unwrap();
+    let _lock = GLOBAL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = DeterminismGuard::new(DeterminismMode::Deterministic);
     let (dst, index, src) = problem();
     let ctx = GpuContext::new(GpuModel::H100, 7);
@@ -76,7 +78,7 @@ fn global_deterministic_mode_errors_on_scatter_reduce() {
 
 #[test]
 fn warn_only_mode_runs_and_counts() {
-    let _lock = GLOBAL_SWITCH.lock().unwrap();
+    let _lock = GLOBAL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = DeterminismGuard::new(DeterminismMode::WarnOnly);
     let (dst, index, src) = problem();
     let ctx = GpuContext::new(GpuModel::H100, 7);
@@ -91,7 +93,7 @@ fn warn_only_mode_runs_and_counts() {
 
 #[test]
 fn default_mode_is_nondeterministic_like_pytorch() {
-    let _lock = GLOBAL_SWITCH.lock().unwrap();
+    let _lock = GLOBAL_SWITCH.lock().unwrap_or_else(|e| e.into_inner());
     let _guard = DeterminismGuard::new(DeterminismMode::NonDeterministic);
     let (dst, index, src) = problem();
     let ctx = GpuContext::new(GpuModel::H100, 7);
