@@ -70,7 +70,7 @@ use fpna_core::metrics::{scalar_variability, ArrayComparison};
 use fpna_core::report::{mean_std, Table};
 use fpna_core::rng::{derive_seed, SplitMix64};
 use fpna_net::{CostModel, LinkSpec, RouteSelect, Topology};
-use fpna_summation::exact::ExactAccumulator;
+use fpna_summation::exact::{ExactAccumulator, ExactVec};
 use fpna_sweep::{SweepRows, SweepSpec};
 
 /// Index of the fat tree in [`topologies`] — the fabric the
@@ -366,28 +366,12 @@ fn report(cfg: &Cfg, rows: &SweepRows) -> bool {
         // (all-ranks) accumulator is the widest payload any hop sees.
         // Both sit far below the dense WIRE_BYTES upper bound for
         // narrow-dynamic-range data.
-        let mean_wire = |per_elem: &dyn Fn(usize) -> ExactAccumulator| -> f64 {
-            let total: usize = (0..cfg.len)
-                .map(|i| {
-                    let mut acc = per_elem(i);
-                    acc.normalize();
-                    acc.wire_len()
-                })
-                .sum();
-            total as f64 / cfg.len as f64
-        };
-        let leaf_payload = mean_wire(&|i| {
-            let mut a = ExactAccumulator::new();
-            a.add(ranks[0][i]);
-            a
-        });
-        let converged_payload = mean_wire(&|i| {
-            let mut a = ExactAccumulator::new();
-            for r in &ranks {
-                a.add(r[i]);
-            }
-            a
-        });
+        let mut converged = ExactVec::from_slice(&ranks[0]);
+        for r in &ranks[1..] {
+            converged.add(r);
+        }
+        let leaf_payload = ExactVec::wire_len_of(&ranks[0]) as f64 / cfg.len as f64;
+        let converged_payload = converged.wire_len() as f64 / cfg.len as f64;
         println!(
             "measured wire payload (span-encoded): leaf {leaf_payload:.1} B/elem, \
              converged {converged_payload:.1} B/elem; dense upper bound {} B/elem",

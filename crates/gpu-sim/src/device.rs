@@ -130,11 +130,14 @@ impl GpuDevice {
     /// (lane order preserved), warps into blocks of 256 threads, and
     /// blocks interleave under the wave scheduler. `f` receives each
     /// warp's contiguous range of flat item indices in commit order;
-    /// the ranges partition `0..n_items`.
+    /// the ranges partition `0..n_items`. Under
+    /// [`ScheduleKind::InOrder`] the warps commit in launch order, so
+    /// the whole launch is handed over as one range, `0..n_items`.
     ///
-    /// This is the primitive `fpna-tensor`'s non-deterministic kernels
+    /// This is the primitive `fpna-tensor`'s atomic-order kernels
     /// (`index_add`, `scatter_reduce`, `conv_transpose*`, …) use to
-    /// order their accumulations. Streaming the warps lets a kernel
+    /// order their accumulations, in both modes: a deterministic
+    /// launch is the in-order walk. Streaming the warps lets a kernel
     /// add each range as contiguous row slices, with no contribution
     /// list and no permutation of `0..n_items` in memory.
     ///
@@ -156,6 +159,10 @@ impl GpuDevice {
         let n_warps = n_items.div_ceil(ww);
         let n_blocks = n_warps.div_ceil(warps_per_block);
         assert!(n_blocks <= u32::MAX as usize, "scatter too large");
+        if matches!(kind, ScheduleKind::InOrder) {
+            f(0..n_items);
+            return;
+        }
         let queues: Vec<u32> = (0..n_blocks)
             .map(|b| warps_per_block.min(n_warps - b * warps_per_block) as u32)
             .collect();
@@ -367,6 +374,23 @@ mod tests {
                 seen[i as usize] = true;
             }
             assert_eq!(order.len(), n);
+        }
+    }
+
+    #[test]
+    fn in_order_launch_is_one_range() {
+        // Launch order partitions `0..n` into ascending warp ranges,
+        // so the in-order walk hands the launch over in one call.
+        for model in [GpuModel::V100, GpuModel::Mi250x] {
+            let dev = GpuDevice::new(model);
+            for n in [1usize, 31, 32, 33, 64, 1000, 4097] {
+                let mut calls = Vec::new();
+                dev.for_each_commit_warp(n, &ScheduleKind::InOrder, |warp| calls.push(warp));
+                assert_eq!(calls, vec![0..n], "{model:?}, n = {n}");
+            }
+            let mut called = false;
+            dev.for_each_commit_warp(0, &ScheduleKind::InOrder, |_| called = true);
+            assert!(!called, "an empty launch commits nothing");
         }
     }
 

@@ -48,6 +48,8 @@
 //! whole sweep, so Fig 1's 10 000 runs per array compute its block
 //! partials once.
 
+use fpna_summation::serial::{permuted_sum, serial_sum};
+
 use crate::schedule::{ScheduleKind, Scheduler};
 
 /// Launch geometry: threads per block and blocks per grid.
@@ -174,15 +176,25 @@ pub fn block_partial_with(chunk: &[f64], threads_per_block: u32, lanes: &mut Vec
             *lane += x;
         }
     }
-    // pairwise tree over the lane values
-    let mut offset = nt / 2;
-    while offset > 0 {
-        for i in 0..offset {
-            lanes[i] += lanes[i + offset];
+    fold_pow2(lanes)
+}
+
+/// The power-of-two pairwise tree, `buf[i] += buf[i + half]` for
+/// `half = len/2, len/4, …, 1`, returning `buf[0]`: the in-block lane
+/// tree of [`block_partial_with`] and the index-order tree of SPTR's
+/// last block and CU's final stage. `buf.len()` must be a power of
+/// two.
+fn fold_pow2(buf: &mut [f64]) -> f64 {
+    debug_assert!(buf.len().is_power_of_two());
+    let mut half = buf.len() / 2;
+    while half > 0 {
+        let (lo, hi) = buf.split_at_mut(half);
+        for (a, &b) in lo.iter_mut().zip(&*hi) {
+            *a += b;
         }
-        offset /= 2;
+        half /= 2;
     }
-    lanes[0]
+    buf[0]
 }
 
 /// Contiguous chunk boundaries for `num_blocks` blocks over `n`
@@ -225,31 +237,15 @@ pub fn block_partials(data: &[f64], params: KernelParams) -> Vec<f64> {
     out
 }
 
-/// Power-of-two tree sum in index order — the last-block reduction of
-/// SPTR and the final stage of CU.
+/// Power-of-two tree sum in index order, zero-padded to the next power
+/// of two — the last-block reduction of SPTR and the final stage of
+/// CU.
 fn tree_sum(xs: &[f64]) -> f64 {
     let m = xs.len().next_power_of_two();
     let mut buf = Vec::with_capacity(m);
     buf.extend_from_slice(xs);
     buf.resize(m, 0.0);
-    let mut half = m / 2;
-    while half > 0 {
-        for i in 0..half {
-            buf[i] += buf[i + half];
-        }
-        half /= 2;
-    }
-    buf[0]
-}
-
-/// Serial sum in index order — SPRG's `res[0] += res[i]` loop and
-/// TPRC's host loop.
-fn serial_sum(xs: &[f64]) -> f64 {
-    let mut s = 0.0;
-    for &x in xs {
-        s += x;
-    }
-    s
+    fold_pow2(&mut buf)
 }
 
 /// Geometry the modelled vendor library picks for itself (the paper
@@ -313,6 +309,7 @@ impl<'a> Stage<'a> {
             }
             ReduceKernel::Spa => Stage::Partials(block_partials(data, params)),
             ReduceKernel::Sptr => Stage::Value(tree_sum(&block_partials(data, params))),
+            // SPRG's `res[0] += res[i]` loop and TPRC's host loop.
             ReduceKernel::Sprg | ReduceKernel::Tprc => {
                 Stage::Value(serial_sum(&block_partials(data, params)))
             }
@@ -327,13 +324,10 @@ impl<'a> Stage<'a> {
     pub(crate) fn replay(&self, scheduler: &Scheduler, kind: &ScheduleKind) -> f64 {
         match self {
             Stage::Value(v) => *v,
-            Stage::Partials(partials) => {
-                let mut s = 0.0f64;
-                for b in scheduler.block_finish_order(partials.len() as u32, kind) {
-                    s += partials[b as usize];
-                }
-                s
-            }
+            Stage::Partials(partials) => permuted_sum(
+                partials,
+                &scheduler.block_finish_order(partials.len() as u32, kind),
+            ),
             // `Nt = warps · ww`, so event `e` of a block is lanes
             // `e · ww ..` of its chunk: the warp-synchronous lanes
             // commit in order, cut short at the chunk's end. The value

@@ -601,16 +601,11 @@ pub struct NetSim<'t> {
     bg: Vec<BgSender>,
     /// Background tick events currently in the queue.
     live_ticks: u32,
-    /// Per-link cumulative wait (ns), all traffic.
-    link_wait_ns: Vec<f64>,
-    /// Per-link message count, all traffic.
-    link_msgs: Vec<u64>,
-    /// Per-link *current* queue depth (messages queued on or
-    /// serializing through the link) — physical state, not a stat.
-    link_depth: Vec<u32>,
-    /// Per-link peak of `link_depth`.
-    link_max_depth: Vec<u32>,
-    /// Per-link serialization-finish times, oldest first. Because a
+    /// Per-link contention counters, all traffic, indexed by link id.
+    link_stats: Vec<LinkStats>,
+    /// Per-link serialization-finish times, oldest first; a link's
+    /// current queue depth (messages queued on or serializing through
+    /// it) is its entry's length once expired ones are popped. Because a
     /// link's `busy_until` only ever grows, each link's finish times
     /// are pushed in non-decreasing order — so expiring them is a
     /// front-pop walk on entry to that link, no priority queue needed.
@@ -686,10 +681,7 @@ impl<'t> NetSim<'t> {
             fg_live: 0,
             bg,
             live_ticks: 0,
-            link_wait_ns: vec![0.0; topo.num_links()],
-            link_msgs: vec![0; topo.num_links()],
-            link_depth: vec![0; topo.num_links()],
-            link_max_depth: vec![0; topo.num_links()],
+            link_stats: vec![LinkStats::default(); topo.num_links()],
             link_drains: vec![VecDeque::new(); topo.num_links()],
         }
     }
@@ -702,11 +694,7 @@ impl<'t> NetSim<'t> {
     /// Panics when `link_id` is not below the topology's
     /// [`Topology::num_links`].
     pub fn link_stats(&self, link_id: usize) -> LinkStats {
-        LinkStats {
-            wait_ns: self.link_wait_ns[link_id],
-            messages: self.link_msgs[link_id],
-            max_depth: self.link_max_depth[link_id],
-        }
+        self.link_stats[link_id]
     }
 
     /// Inject a `bytes`-byte message from rank `from` to rank `to` at
@@ -1003,15 +991,13 @@ impl<'t> NetSim<'t> {
             let arrive = start + serialize + link.latency_ns + jitter;
             self.link_drains[l].push_back(start + serialize);
             let depth = self.link_drains[l].len() as u32;
-            self.link_depth[l] = depth;
-            if depth > self.link_max_depth[l] {
-                self.link_max_depth[l] = depth;
-            }
+            let ls = &mut self.link_stats[l];
+            ls.max_depth = ls.max_depth.max(depth);
+            ls.wait_ns += wait;
+            ls.messages += 1;
             if depth > self.stats.max_queue_depth {
                 self.stats.max_queue_depth = depth;
             }
-            self.link_wait_ns[l] += wait;
-            self.link_msgs[l] += 1;
             if m.background {
                 self.stats.bg_hops_traversed += 1;
             } else {
@@ -1079,7 +1065,7 @@ impl<'t> NetSim<'t> {
                     ("bytes", m.bytes.into()),
                     ("wait_ns", wait.into()),
                     ("route", m.route_k.into()),
-                    ("depth", self.link_depth[l].into()),
+                    ("depth", (self.link_drains[l].len() as u32).into()),
                 ],
             );
         }

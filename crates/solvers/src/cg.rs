@@ -14,6 +14,7 @@ use fpna_core::metrics::ArrayComparison;
 use fpna_core::Result;
 use fpna_gpu_sim::{GpuDevice, GpuModel, KernelParams, ReduceKernel, ScheduleKind};
 use fpna_summation::exact::exact_sum;
+use fpna_summation::serial::serial_sum;
 
 use crate::csr::Csr;
 
@@ -97,13 +98,7 @@ impl DotEngine {
         debug_assert_eq!(a.len(), b.len());
         let products: Vec<f64> = a.iter().zip(b).map(|(&x, &y)| x * y).collect();
         match self.mode {
-            ReductionMode::Deterministic => {
-                let mut s = 0.0;
-                for &p in &products {
-                    s += p;
-                }
-                s
-            }
+            ReductionMode::Deterministic => serial_sum(&products),
             ReductionMode::Reproducible => exact_sum(&products),
             ReductionMode::GpuNonDeterministic { seed, .. } => {
                 self.counter += 1;

@@ -24,23 +24,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use fpna_core::executor::fixed_chunks;
+
 use crate::exact::ExactAccumulator;
 use crate::serial::serial_sum;
-
-/// Split `n` elements into `pieces` nearly-equal contiguous ranges.
-fn chunk_ranges(n: usize, pieces: usize) -> Vec<(usize, usize)> {
-    assert!(pieces > 0, "need at least one chunk");
-    let base = n / pieces;
-    let extra = n % pieces;
-    let mut out = Vec::with_capacity(pieces);
-    let mut start = 0;
-    for i in 0..pieces {
-        let len = base + usize::from(i < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
 
 /// Parallel sum with partials combined in **thread finish order** — the
 /// OpenMP "normal reduction". Non-deterministic across runs whenever
@@ -51,12 +38,11 @@ pub fn unordered_threaded_sum(xs: &[f64], threads: usize) -> f64 {
         return serial_sum(xs);
     }
     let total = Mutex::new(0.0f64);
-    let ranges = chunk_ranges(xs.len(), threads);
     std::thread::scope(|scope| {
-        for &(lo, hi) in &ranges {
+        for chunk in fixed_chunks(xs.len(), threads) {
             let total = &total;
             scope.spawn(move || {
-                let partial = serial_sum(&xs[lo..hi]);
+                let partial = serial_sum(&xs[chunk]);
                 // Combine in completion order: whichever thread gets
                 // here first folds in first. This is where the
                 // non-determinism lives.
@@ -79,12 +65,11 @@ pub fn atomic_cas_sum(xs: &[f64], threads: usize) -> f64 {
         return serial_sum(xs);
     }
     let total = AtomicU64::new(0.0f64.to_bits());
-    let ranges = chunk_ranges(xs.len(), threads);
     std::thread::scope(|scope| {
-        for &(lo, hi) in &ranges {
+        for chunk in fixed_chunks(xs.len(), threads) {
             let total = &total;
             scope.spawn(move || {
-                for &x in &xs[lo..hi] {
+                for &x in &xs[chunk] {
                     let mut current = total.load(Ordering::Relaxed);
                     loop {
                         let updated = (f64::from_bits(current) + x).to_bits();
@@ -113,12 +98,12 @@ pub fn ordered_threaded_sum(xs: &[f64], threads: usize) -> f64 {
     if threads == 1 || xs.len() < 2 {
         return serial_sum(xs);
     }
-    let ranges = chunk_ranges(xs.len(), threads);
-    let mut partials = vec![0.0f64; ranges.len()];
+    let chunks = fixed_chunks(xs.len(), threads);
+    let mut partials = vec![0.0f64; chunks.len()];
     std::thread::scope(|scope| {
-        for (slot, &(lo, hi)) in partials.iter_mut().zip(&ranges) {
+        for (slot, chunk) in partials.iter_mut().zip(chunks) {
             scope.spawn(move || {
-                *slot = serial_sum(&xs[lo..hi]);
+                *slot = serial_sum(&xs[chunk]);
             });
         }
     });
@@ -165,19 +150,6 @@ mod tests {
     fn test_data(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = SplitMix64::new(seed);
         (0..n).map(|_| rng.next_f64() * 1e6 - 5e5).collect()
-    }
-
-    #[test]
-    fn chunk_ranges_cover_exactly() {
-        for (n, p) in [(10, 3), (0, 2), (7, 7), (100, 1), (5, 8)] {
-            let r = chunk_ranges(n, p);
-            assert_eq!(r.len(), p);
-            assert_eq!(r[0].0, 0);
-            assert_eq!(r.last().unwrap().1, n);
-            for w in r.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous");
-            }
-        }
     }
 
     #[test]

@@ -16,6 +16,10 @@ use fpna_gpu_sim::{GpuDevice, GpuModel, ScheduleKind};
 ///   switch ([`fpna_core::determinism::use_deterministic_algorithms`]),
 ///   mirroring the PyTorch API; `Some(choice)` overrides it, which
 ///   experiments use to avoid global state races.
+///
+/// Atomic-order kernels walk [`GpuContext::commit_schedule`], so a
+/// deterministic request is one more schedule; only `cumsum` and
+/// `conv_transpose*d` branch on [`GpuContext::deterministic_requested`].
 #[derive(Debug, Clone)]
 pub struct GpuContext {
     /// The simulated device.
@@ -64,6 +68,19 @@ impl GpuContext {
             None => determinism::deterministic_requested(),
         }
     }
+
+    /// The order this launch's atomics commit in:
+    /// [`ScheduleKind::InOrder`] when the deterministic variant is
+    /// requested, the context's schedule otherwise. Under `InOrder`
+    /// every output element receives its contributions in ascending
+    /// item order, the fixed order of a deterministic kernel.
+    pub fn commit_schedule(&self) -> ScheduleKind {
+        if self.deterministic_requested() {
+            ScheduleKind::InOrder
+        } else {
+            self.schedule
+        }
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +93,15 @@ mod tests {
         assert!(ctx.deterministic_requested());
         let ctx = ctx.with_determinism(Some(false));
         assert!(!ctx.deterministic_requested());
+    }
+
+    #[test]
+    fn deterministic_request_commits_in_order() {
+        let ctx = GpuContext::new(GpuModel::H100, 1).with_schedule(ScheduleKind::Reverse);
+        let d = ctx.clone().with_determinism(Some(true));
+        assert_eq!(d.commit_schedule(), ScheduleKind::InOrder);
+        let nd = ctx.with_determinism(Some(false));
+        assert_eq!(nd.commit_schedule(), ScheduleKind::Reverse);
     }
 
     #[test]

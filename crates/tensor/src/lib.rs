@@ -22,7 +22,9 @@
 //!   kernels commit an explicit `(address, value)` list
 //!   ([`fpna_gpu_sim::GpuDevice::atomic_scatter_add`]);
 //! * the **deterministic** variant (where PyTorch has one) accumulates
-//!   in a fixed order;
+//!   in a fixed order: the same kernel under the in-order schedule
+//!   ([`context::GpuContext::commit_schedule`]), except for `cumsum`
+//!   and `conv_transpose*d`, whose deterministic kernels differ;
 //! * `scatter` and `scatter_reduce` have **no** deterministic kernel:
 //!   requesting one via
 //!   [`fpna_core::determinism::use_deterministic_algorithms`] produces

@@ -5,19 +5,21 @@
 //! along dimension 0 (the dimension the paper sweeps).
 //!
 //! * `index_add`: `out[index[k], :] += src[k, :]`. Duplicate indices
-//!   make the sum order-sensitive — the non-deterministic kernel
-//!   commits contributions in the device's atomic order, streamed one
-//!   warp at a time as contiguous row slices (no contribution list,
-//!   no permutation in memory).
+//!   make the sum order-sensitive — the kernel commits contributions
+//!   in the device's atomic order, streamed one warp at a time as
+//!   contiguous row slices (no contribution list, no permutation in
+//!   memory).
 //! * `gather_index_add`: the fused gather → `index_add`,
 //!   `out[dst_index[k], :] += src[src_index[k], :]` into zeros —
 //!   bitwise `index_add` of `gather_rows`, without the gathered
 //!   tensor. GraphSAGE's aggregation and `embedding_bag` run on it;
-//!   both ops share one accumulation loop per mode.
+//!   both ops share one accumulation loop.
 //! * `index_copy` / `index_put`: racy *writes*; with duplicate indices
 //!   the winner is the last committed write, which the schedule picks.
 //! * `gather`: reads only — deterministic in both modes (present for
 //!   completeness and for building GNN layers).
+//!
+//! Each kernel serves both modes through [`GpuContext::commit_schedule`].
 
 use fpna_core::error::FpnaError;
 use fpna_core::Result;
@@ -66,10 +68,11 @@ fn validate_dim0_index(
 /// the identity) and [`gather_index_add`] (`src_row` reads
 /// `src_index`). Indices must be validated by the caller.
 ///
-/// Deterministic kernel: whole rows in ascending `k`. Non-deterministic
-/// kernel: the flat items `k·w + j` commit in the device's atomic
-/// order, one warp at a time; each warp's range is added as one
-/// contiguous slice per row it touches, in lane order.
+/// The flat items `k·w + j` commit in the order of
+/// [`GpuContext::commit_schedule`], one warp at a time; each warp's
+/// range is added as one contiguous slice per row it touches, in lane
+/// order. A deterministic launch is one range, so it adds whole rows
+/// in ascending `k`.
 fn accumulate_rows(
     ctx: &GpuContext,
     out: &mut [f64],
@@ -78,31 +81,22 @@ fn accumulate_rows(
     src: &[f64],
     src_row: impl Fn(usize) -> usize,
 ) {
-    let mut add_slice = |k: usize, j: usize, len: usize| {
-        let o = dst_index[k] as usize * w + j;
-        let s = src_row(k) * w + j;
-        for (o, &v) in out[o..o + len].iter_mut().zip(&src[s..s + len]) {
-            *o += v;
-        }
-    };
-    if ctx.deterministic_requested() {
-        for k in 0..dst_index.len() {
-            add_slice(k, 0, w);
-        }
-    } else {
-        ctx.device
-            .for_each_commit_warp(dst_index.len() * w, &ctx.schedule, |warp| {
-                let (mut k, mut j) = (warp.start / w, warp.start % w);
-                let mut left = warp.len();
-                while left > 0 {
-                    let len = left.min(w - j);
-                    add_slice(k, j, len);
-                    left -= len;
-                    k += 1;
-                    j = 0;
+    ctx.device
+        .for_each_commit_warp(dst_index.len() * w, &ctx.commit_schedule(), |warp| {
+            let (mut k, mut j) = (warp.start / w, warp.start % w);
+            let mut left = warp.len();
+            while left > 0 {
+                let len = left.min(w - j);
+                let o = dst_index[k] as usize * w + j;
+                let s = src_row(k) * w + j;
+                for (o, &v) in out[o..o + len].iter_mut().zip(&src[s..s + len]) {
+                    *o += v;
                 }
-            });
-    }
+                left -= len;
+                k += 1;
+                j = 0;
+            }
+        });
 }
 
 /// `out[index[k], :] += src[k, :]` (PyTorch `index_add_`, dim 0).
@@ -170,17 +164,14 @@ pub fn index_copy(ctx: &GpuContext, dst: &Tensor, index: &[u32], src: &Tensor) -
     validate_dim0_index(dst, index, src, "index_copy")?;
     let w = dst.row_len();
     let mut out = dst.clone();
-    let write_order: Vec<u32> = if ctx.deterministic_requested() {
-        (0..index.len() as u32).collect()
-    } else {
-        ctx.device
-            .scatter_commit_order(index.len(), &ctx.schedule)
-    };
-    for &k in &write_order {
-        let row = index[k as usize] as usize;
-        let s = src.row(k as usize);
-        out.data_mut()[row * w..(row + 1) * w].copy_from_slice(s);
-    }
+    let data = out.data_mut();
+    ctx.device
+        .for_each_commit_warp(index.len(), &ctx.commit_schedule(), |warp| {
+            for k in warp {
+                let row = index[k] as usize;
+                data[row * w..(row + 1) * w].copy_from_slice(src.row(k));
+            }
+        });
     Ok(out)
 }
 
@@ -197,15 +188,13 @@ pub fn index_put(ctx: &GpuContext, dst: &Tensor, index: &[u32], values: &[f64]) 
     }
     check_index(index, dst.numel(), "index_put")?;
     let mut out = dst.clone();
-    let write_order: Vec<u32> = if ctx.deterministic_requested() {
-        (0..index.len() as u32).collect()
-    } else {
-        ctx.device
-            .scatter_commit_order(index.len(), &ctx.schedule)
-    };
-    for &k in &write_order {
-        out.data_mut()[index[k as usize] as usize] = values[k as usize];
-    }
+    let data = out.data_mut();
+    ctx.device
+        .for_each_commit_warp(index.len(), &ctx.commit_schedule(), |warp| {
+            for k in warp {
+                data[index[k] as usize] = values[k];
+            }
+        });
     Ok(out)
 }
 

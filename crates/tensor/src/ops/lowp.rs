@@ -16,8 +16,8 @@ use crate::ops::index::check_index;
 use crate::ops::scatter::check_no_deterministic;
 
 /// fp32 `index_add` on 1-D buffers: `out[index[k]] += src[k]`, with
-/// f32 accumulation in the device's commit order (ND) or ascending `k`
-/// (deterministic).
+/// f32 accumulation in the order of [`GpuContext::commit_schedule`]:
+/// the device's commit order (ND) or ascending `k` (deterministic).
 pub fn index_add_f32(
     ctx: &GpuContext,
     dst: &[f32],
@@ -33,16 +33,12 @@ pub fn index_add_f32(
     }
     check_index(index, dst.len(), "index_add_f32")?;
     let mut out = dst.to_vec();
-    if ctx.deterministic_requested() {
-        for (k, &row) in index.iter().enumerate() {
-            out[row as usize] += src[k];
-        }
-    } else {
-        let order = ctx.device.scatter_commit_order(index.len(), &ctx.schedule);
-        for &k in &order {
-            out[index[k as usize] as usize] += src[k as usize];
-        }
-    }
+    ctx.device
+        .for_each_commit_warp(index.len(), &ctx.commit_schedule(), |warp| {
+            for (&row, &x) in index[warp.clone()].iter().zip(&src[warp]) {
+                out[row as usize] += x;
+            }
+        });
     Ok(out)
 }
 

@@ -4,13 +4,17 @@
 //!
 //! | op | deterministic kernel | non-deterministic kernel |
 //! |----|----------------------|--------------------------|
-//! | `index_add` | fixed accumulation order | atomic commit order |
-//! | `index_copy` | last index wins | last *commit* wins |
-//! | `index_put` | last index wins | last *commit* wins |
-//! | `cumsum` | serial scan | block scan, look-back combine order |
-//! | `conv_transpose1d/2d/3d` | output-gather order | input-scatter atomics |
+//! | `index_add` | atomic kernel, in-order schedule (ascending `k`) | atomic commit order |
+//! | `index_copy` | atomic kernel, in-order schedule (last index wins) | last *commit* wins |
+//! | `index_put` | atomic kernel, in-order schedule (last index wins) | last *commit* wins |
+//! | `cumsum` | serial scan (its own algorithm) | block scan, look-back combine order |
+//! | `conv_transpose1d/2d/3d` | output-gather order (its own algorithm) | input-scatter atomics |
 //! | `scatter` | **none** (runtime error) | last commit wins |
 //! | `scatter_reduce` | **none** (runtime error) | atomic commit order |
+//!
+//! `gather_index_add`, `embedding_bag`, `bincount`, `histc` and
+//! `index_add_f32` follow the `index_add` row: one kernel walks
+//! [`crate::context::GpuContext::commit_schedule`] in both modes.
 //!
 //! `scatter`/`scatter_reduce` erroring under
 //! `use_deterministic_algorithms(Deterministic)` reproduces the

@@ -23,6 +23,7 @@ use fpna_core::error::FpnaError;
 use fpna_core::Result;
 
 use crate::context::GpuContext;
+use crate::ops::index::check_index;
 use crate::tensor::Tensor;
 
 /// Reduction applied by [`scatter_reduce`].
@@ -87,17 +88,7 @@ fn validate(dst: &Tensor, index: &[u32], src: &Tensor, op: &'static str) -> Resu
             src.row_len()
         )));
     }
-    let rows = dst.shape().first().copied().unwrap_or(0);
-    for &i in index {
-        if i as usize >= rows {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: i as usize,
-                bound: rows,
-                context: op,
-            });
-        }
-    }
-    Ok(())
+    check_index(index, dst.shape().first().copied().unwrap_or(0), op)
 }
 
 /// `out[index[k], :] = src[k, :]` (PyTorch `scatter_` with a source

@@ -77,30 +77,18 @@ pub fn embedding_bag(
 }
 
 /// `bincount`: count occurrences of each value in `0..bins`. Integer
-/// atomics are exactly associative, so both kernels agree bitwise —
-/// asserted by tests, and the reason the "non-determinism" of this op
-/// never shows up in output values.
+/// atomics are exactly associative, so every commit order agrees
+/// bitwise — asserted by tests, and the reason the "non-determinism"
+/// of this op never shows up in output values.
 pub fn bincount(ctx: &GpuContext, values: &[u32], bins: usize) -> Result<Vec<u64>> {
-    for &v in values {
-        if v as usize >= bins {
-            return Err(FpnaError::IndexOutOfBounds {
-                index: v as usize,
-                bound: bins,
-                context: "bincount",
-            });
-        }
-    }
+    check_index(values, bins, "bincount")?;
     let mut counts = vec![0u64; bins];
-    if ctx.deterministic_requested() {
-        for &v in values {
-            counts[v as usize] += 1;
-        }
-    } else {
-        let order = ctx.device.scatter_commit_order(values.len(), &ctx.schedule);
-        for &k in &order {
-            counts[values[k as usize] as usize] += 1;
-        }
-    }
+    ctx.device
+        .for_each_commit_warp(values.len(), &ctx.commit_schedule(), |warp| {
+            for &v in &values[warp] {
+                counts[v as usize] += 1;
+            }
+        });
     Ok(counts)
 }
 
@@ -127,20 +115,12 @@ pub fn histc(
         Some((((v - min) / width) as usize).min(bins - 1))
     };
     let mut counts = vec![0u64; bins];
-    if ctx.deterministic_requested() {
-        for &v in values {
-            if let Some(b) = bin_of(v) {
+    ctx.device
+        .for_each_commit_warp(values.len(), &ctx.commit_schedule(), |warp| {
+            for b in values[warp].iter().filter_map(|&v| bin_of(v)) {
                 counts[b] += 1;
             }
-        }
-    } else {
-        let order = ctx.device.scatter_commit_order(values.len(), &ctx.schedule);
-        for &k in &order {
-            if let Some(b) = bin_of(values[k as usize]) {
-                counts[b] += 1;
-            }
-        }
-    }
+        });
     Ok(counts)
 }
 

@@ -1,7 +1,8 @@
 //! Property tests for the tensor kernels: shape laws, conservation
 //! laws, D/ND value agreement, order-invariance of the exactly
-//! associative reductions, and the streamed atomic commit order of the
-//! `index_add` family against explicit contribution lists.
+//! associative reductions, the streamed atomic commit order of the
+//! `index_add` family against explicit contribution lists, and the
+//! deterministic kernels as the in-order walk of the atomic ones.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -11,9 +12,10 @@ use fpna_gpu_sim::{GpuModel, ScheduleKind};
 use fpna_tensor::context::GpuContext;
 use fpna_tensor::ops::conv::{conv_transpose1d, ConvParams};
 use fpna_tensor::ops::cumsum::cumsum;
-use fpna_tensor::ops::index::{gather_index_add, gather_rows, index_add};
+use fpna_tensor::ops::index::{gather_index_add, gather_rows, index_add, index_copy, index_put};
+use fpna_tensor::ops::lowp::index_add_f32;
 use fpna_tensor::ops::scatter::{reference_scatter_reduce, scatter_reduce, ReduceOp};
-use fpna_tensor::ops::segment::{embedding_bag, BagMode};
+use fpna_tensor::ops::segment::{bincount, embedding_bag, histc, BagMode};
 use fpna_tensor::Tensor;
 
 fn det_ctx() -> GpuContext {
@@ -47,13 +49,9 @@ fn any_ctx(wide_warps: bool, kind: usize, seed: u64, deterministic: bool) -> Gpu
 /// context's atomic order (ND) or in list order (D, the in-order
 /// schedule) — the accumulation the tensor kernels are defined by.
 fn commit_list(ctx: &GpuContext, base: &[f64], contribs: &[(u32, f64)]) -> Vec<f64> {
-    let kind = if ctx.deterministic_requested() {
-        ScheduleKind::InOrder
-    } else {
-        ctx.schedule
-    };
     let mut out = base.to_vec();
-    ctx.device.atomic_scatter_add(&mut out, contribs, &kind);
+    ctx.device
+        .atomic_scatter_add(&mut out, contribs, &ctx.commit_schedule());
     out
 }
 
@@ -295,6 +293,64 @@ proptest! {
         prop_assert_eq!(out.shape(), &[bag_sizes.len(), dim][..]);
         let zeros = vec![0.0; bag_sizes.len() * dim];
         prop_assert_eq!(bits(out.data()), bits(&commit_list(&ctx, &zeros, &contribs)));
+    }
+
+    /// A deterministic request runs the atomic kernel in launch order:
+    /// under D (on any context schedule) every op that has no separate
+    /// deterministic algorithm gives the bits it gives under ND with
+    /// the `InOrder` schedule. Duplicate indices, 32- and 64-lane
+    /// warps, ragged row widths.
+    #[test]
+    fn deterministic_kernels_are_the_in_order_walk(
+        w in 1usize..70,
+        n in 0usize..80,
+        rows in 1usize..6,
+        kind in 0usize..4,
+        wide_warps in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let d = any_ctx(wide_warps, kind, seed, true);
+        let in_order = any_ctx(wide_warps, 2, seed, false);
+        prop_assert_eq!(in_order.schedule, ScheduleKind::InOrder);
+        let mut rng = fpna_core::rng::SplitMix64::new(seed);
+        let mut draw = |bound: usize| rng.next_below(bound as u64) as u32;
+        let index: Vec<u32> = (0..n).map(|_| draw(rows)).collect();
+        let src_index: Vec<u32> = (0..n).map(|_| draw(rows)).collect();
+        let flat: Vec<u32> = (0..n).map(|_| draw(rows * w)).collect();
+        let dst = messy(vec![rows, w], seed ^ 1);
+        let src = messy(vec![n, w], seed ^ 2);
+        let table = messy(vec![rows, w], seed ^ 3);
+        let offsets = [0, n / 3, n];
+        let values = &src.data()[..n];
+        let same = |a: &Tensor, b: &Tensor| a.shape() == b.shape() && bits(a.data()) == bits(b.data());
+        for (op, a, b) in [
+            ("index_add", index_add(&d, &dst, &index, &src), index_add(&in_order, &dst, &index, &src)),
+            (
+                "gather_index_add",
+                gather_index_add(&d, rows, &index, &table, &src_index),
+                gather_index_add(&in_order, rows, &index, &table, &src_index),
+            ),
+            (
+                "embedding_bag",
+                embedding_bag(&d, &table, &src_index, &offsets, BagMode::Mean),
+                embedding_bag(&in_order, &table, &src_index, &offsets, BagMode::Mean),
+            ),
+            ("index_copy", index_copy(&d, &dst, &index, &src), index_copy(&in_order, &dst, &index, &src)),
+            ("index_put", index_put(&d, &dst, &flat, values), index_put(&in_order, &dst, &flat, values)),
+        ] {
+            prop_assert!(same(&a.unwrap(), &b.unwrap()), "{}", op);
+        }
+        prop_assert_eq!(bincount(&d, &flat, rows * w).unwrap(), bincount(&in_order, &flat, rows * w).unwrap());
+        prop_assert_eq!(histc(&d, values, 7, -1.0, 1.0).unwrap(), histc(&in_order, values, 7, -1.0, 1.0).unwrap());
+        let (dst32, src32): (Vec<f32>, Vec<f32>) = (
+            dst.data().iter().take(rows).map(|&x| x as f32).collect(),
+            values.iter().map(|&x| x as f32).collect(),
+        );
+        let f32_bits = |xs: Vec<f32>| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(
+            f32_bits(index_add_f32(&d, &dst32, &index, &src32).unwrap()),
+            f32_bits(index_add_f32(&in_order, &dst32, &index, &src32).unwrap())
+        );
     }
 
     /// Bad indices are an `FpnaError`, never a panic: an out-of-range
