@@ -136,10 +136,10 @@ impl GpuDevice {
     ///
     /// This is the primitive `fpna-tensor`'s atomic-order kernels
     /// (`index_add`, `scatter_reduce`, `conv_transpose*`, …) use to
-    /// order their accumulations, in both modes: a deterministic
-    /// launch is the in-order walk. Streaming the warps lets a kernel
-    /// add each range as contiguous row slices, with no contribution
-    /// list and no permutation of `0..n_items` in memory.
+    /// order their accumulations; the deterministic variant of
+    /// `index_add` and its kin is the in-order walk. Streaming the
+    /// warps lets a kernel add each range as contiguous row slices,
+    /// with no contribution list or permutation in memory.
     ///
     /// # Panics
     ///
