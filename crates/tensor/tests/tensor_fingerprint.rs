@@ -6,11 +6,14 @@
 //! shapes under the four [`ScheduleKind`]s, in the deterministic and
 //! the non-deterministic mode, at worker budgets 1 and 3: every
 //! output's shape and value bits, or the error text (the D request of
-//! an op that has no D kernel, and one malformed call per op). Two more
-//! hashes pin the sweep paths: the `ratio_experiment` reports behind
-//! Figs 3–5, and the comparisons of every Table 5 cell over runs `0..3`
-//! and `1..4`. A kernel or sweep rewrite that moves one addition, one
-//! committed write or one error changes the hash it touched.
+//! an op that has no D kernel, and one malformed call per op). One more
+//! hash per model pins launches wider than one wave: the ND ops that
+//! walk the commit order, over more blocks than the device keeps
+//! resident. Two more hashes pin the sweep paths: the
+//! `ratio_experiment` reports behind Figs 3–5, and the comparisons of
+//! every Table 5 cell over runs `0..3` and `1..4`. A kernel or sweep
+//! rewrite that moves one addition, one committed write or one error
+//! changes the hash it touched.
 //!
 //! Each hash was captured once, from the ops as they stood when this
 //! test landed. A moved hash is a change in results, so a hash is
@@ -501,6 +504,49 @@ fn every_mi250x_tensor_op_bit_is_pinned() {
             0x4c8a_5ca4_2cbc_2325, // bincount
             0xda61_dfed_1ef2_f0c5, // histc
         ],
+    );
+}
+
+/// Items in each wide launch: 586 scan blocks for `cumsum` and 586
+/// blocks of 256 threads for the scatters, more than the H100 (456)
+/// or the MI250X (440) keeps resident.
+const WIDE: usize = 150_000;
+
+/// The ND ops whose commit order spans more than one wave, under both
+/// stochastic kinds; `index_add` is the control.
+fn wide_fingerprint(model: GpuModel) -> u64 {
+    let rows = 1_000;
+    let x = tensor(vec![WIDE], 0xA1);
+    let x32 = f32s(WIDE, 0xA1);
+    let idx = index(WIDE, rows, 0xA2);
+    let dst = tensor(vec![rows], 0xA3);
+    let dst32 = f32s(rows, 0xA3);
+    let mut h = Fnv::new();
+    for kind in [ScheduleKind::Seeded(0x31DE), ScheduleKind::UniformRandom(0x31DF)] {
+        let ctx = GpuContext::new(model, 0)
+            .with_schedule(kind)
+            .with_determinism(Some(false));
+        assert!(WIDE.div_ceil(256) > ctx.device.scheduler().concurrent_blocks as usize);
+        h.absorb(&cumsum(&ctx, &x));
+        h.absorb(&scatter(&ctx, &dst, &idx, &x));
+        for op in [ReduceOp::Sum, ReduceOp::Mean] {
+            h.absorb(&scatter_reduce(&ctx, &dst, &idx, &x, op));
+        }
+        for mean in [false, true] {
+            h.absorb(&scatter_reduce_f32(&ctx, &dst32, &idx, &x32, mean));
+        }
+        h.absorb(&index_add(&ctx, &dst, &idx, &x));
+    }
+    h.0
+}
+
+#[test]
+fn launches_wider_than_one_wave_are_pinned() {
+    let have = [GpuModel::H100, GpuModel::Mi250x].map(wide_fingerprint);
+    assert_eq!(
+        have,
+        [0xb5b9_93f3_6087_4562, 0x7cbf_717e_3aaf_44ab],
+        "H100, MI250X wide-launch fingerprints moved: {have:#018x?}"
     );
 }
 
