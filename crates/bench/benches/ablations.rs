@@ -36,10 +36,11 @@ fn bench_accumulators(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
+    // SPA's block finish order: one one-item queue per block.
     let scheduler = Scheduler::new(320);
-    let nb = 7_813u32;
+    let blocks = vec![1u32; 7_813];
     let mut group = c.benchmark_group("ablation_scheduler");
-    group.throughput(Throughput::Elements(nb as u64));
+    group.throughput(Throughput::Elements(blocks.len() as u64));
     for (name, kind) in [
         ("wave_biased", ScheduleKind::Seeded(7)),
         ("uniform", ScheduleKind::UniformRandom(7)),
@@ -49,7 +50,9 @@ fn bench_scheduler(c: &mut Criterion) {
             let mut run = 0u64;
             b.iter(|| {
                 run += 1;
-                scheduler.block_finish_order(nb, &kind.for_run(run))
+                scheduler.interleave(&blocks, &kind.for_run(run), |block, _| {
+                    std::hint::black_box(block);
+                })
             })
         });
     }

@@ -1,5 +1,8 @@
 //! [`GpuDevice`]: the façade tying profile, scheduler, kernels and cost
 //! model together — the object experiments talk to.
+//! Reduction replays and [`GpuDevice::for_each_commit_warp`] stream
+//! their commit orders from [`Scheduler::interleave`]; neither builds
+//! an order vector.
 
 use std::ops::Range;
 
@@ -135,11 +138,12 @@ impl GpuDevice {
     /// the whole launch is handed over as one range, `0..n_items`.
     ///
     /// This is the primitive `fpna-tensor`'s atomic-order kernels
-    /// (`index_add`, `scatter_reduce`, `conv_transpose*`, …) use to
-    /// order their accumulations; the deterministic variant of
-    /// `index_add` and its kin is the in-order walk. Streaming the
-    /// warps lets a kernel add each range as contiguous row slices,
-    /// with no contribution list or permutation in memory.
+    /// (`index_add`, `scatter`, `scatter_reduce`, `conv_transpose*`, …)
+    /// use to order their accumulations and racy writes; the
+    /// deterministic variant of `index_add` and its kin is the in-order
+    /// walk. Streaming the warps lets a kernel add each range as
+    /// contiguous row slices, with no contribution list or permutation
+    /// in memory.
     ///
     /// # Panics
     ///
@@ -163,29 +167,14 @@ impl GpuDevice {
             f(0..n_items);
             return;
         }
-        let queues: Vec<u32> = (0..n_blocks)
+        let events: Vec<u32> = (0..n_blocks)
             .map(|b| warps_per_block.min(n_warps - b * warps_per_block) as u32)
             .collect();
-        for (block, warp_in_block) in self.scheduler.interleave(&queues, kind) {
-            let start = (block as usize * warps_per_block + warp_in_block as usize) * ww;
-            f(start..(start + ww).min(n_items));
-        }
-    }
-
-    /// The commit order of [`GpuDevice::for_each_commit_warp`] as a
-    /// permutation of `0..n_items`, for kernels that index a per-item
-    /// array (racy writes, integer atomics).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_items > u32::MAX`.
-    pub fn scatter_commit_order(&self, n_items: usize, kind: &ScheduleKind) -> Vec<u32> {
-        assert!(n_items <= u32::MAX as usize, "scatter too large");
-        let mut order = Vec::with_capacity(n_items);
-        self.for_each_commit_warp(n_items, kind, |warp| {
-            order.extend(warp.map(|i| i as u32));
-        });
-        order
+        let bounds = |b: usize| {
+            let lo = b * threads_per_block;
+            (lo, (lo + threads_per_block).min(n_items))
+        };
+        self.scheduler.for_each_warp(&events, ww, bounds, kind, f);
     }
 
     /// Commit `(address, value)` contributions into `dst` with
@@ -363,15 +352,23 @@ mod tests {
             .is_ok());
     }
 
+    /// The items of [`GpuDevice::for_each_commit_warp`], in commit
+    /// order.
+    fn commit_order(dev: &GpuDevice, n: usize, kind: &ScheduleKind) -> Vec<usize> {
+        let mut order = Vec::new();
+        dev.for_each_commit_warp(n, kind, |warp| order.extend(warp));
+        order
+    }
+
     #[test]
     fn scatter_order_is_permutation() {
         let dev = GpuDevice::new(GpuModel::V100);
         for n in [0usize, 1, 31, 32, 33, 1000, 4097] {
-            let order = dev.scatter_commit_order(n, &ScheduleKind::Seeded(3));
+            let order = commit_order(&dev, n, &ScheduleKind::Seeded(3));
             let mut seen = vec![false; n];
             for &i in &order {
-                assert!(!seen[i as usize]);
-                seen[i as usize] = true;
+                assert!(!seen[i]);
+                seen[i] = true;
             }
             assert_eq!(order.len(), n);
         }
@@ -398,7 +395,7 @@ mod tests {
     fn scatter_order_preserves_lanes() {
         // Within a warp-aligned group of 32, indices stay consecutive.
         let dev = GpuDevice::new(GpuModel::V100);
-        let order = dev.scatter_commit_order(320, &ScheduleKind::Seeded(5));
+        let order = commit_order(&dev, 320, &ScheduleKind::Seeded(5));
         for chunk in order.chunks(32) {
             for w in chunk.windows(2) {
                 assert_eq!(w[1], w[0] + 1, "lanes must commit in order");

@@ -41,14 +41,15 @@
 //! `(kernel, data, params)`: the value itself for SPTR, SPRG, TPRC and
 //! CU; the `Nb` block partials for SPA; each block's chunk bounds and
 //! warp-event count for AO, which keeps a borrow of the data. A run
-//! replays the rest under its schedule: SPA folds the partials in block
-//! finish order, AO interleaves the warp events and adds each event's
-//! lanes in that order, and the deterministic kernels return their
-//! value. [`crate::GpuDevice::reduce_runs`] builds the stage once for a
-//! whole sweep, so Fig 1's 10 000 runs per array compute its block
-//! partials once.
+//! replays the rest under its schedule, streamed from
+//! [`Scheduler::interleave`]: SPA folds the partials as one-item
+//! queues finish, AO adds each warp event's lanes as it commits (the
+//! tensor atomics' event → lanes map), and the deterministic kernels
+//! return their value. [`crate::GpuDevice::reduce_runs`] builds the
+//! stage once for a whole sweep, so Fig 1's 10 000 runs per array
+//! compute its block partials once.
 
-use fpna_summation::serial::{permuted_sum, serial_sum};
+use fpna_summation::serial::serial_sum;
 
 use crate::schedule::{ScheduleKind, Scheduler};
 
@@ -324,15 +325,17 @@ impl<'a> Stage<'a> {
     pub(crate) fn replay(&self, scheduler: &Scheduler, kind: &ScheduleKind) -> f64 {
         match self {
             Stage::Value(v) => *v,
-            Stage::Partials(partials) => permuted_sum(
-                partials,
-                &scheduler.block_finish_order(partials.len() as u32, kind),
-            ),
+            // One-item queues: the queue sequence is the finish order.
+            Stage::Partials(partials) => {
+                let mut s = 0.0f64;
+                scheduler.interleave(&vec![1; partials.len()], kind, |block, _| {
+                    s += partials[block as usize];
+                });
+                s
+            }
             // `Nt = warps · ww`, so event `e` of a block is lanes
-            // `e · ww ..` of its chunk: the warp-synchronous lanes
-            // commit in order, cut short at the chunk's end. The value
-            // is the serial sum in global commit order, which can
-            // never be parallelized.
+            // `e · ww ..` of its chunk. The value is the serial sum in
+            // global commit order, which can never be parallelized.
             Stage::Atomics {
                 data,
                 bounds,
@@ -340,13 +343,12 @@ impl<'a> Stage<'a> {
                 ww,
             } => {
                 let mut s = 0.0f64;
-                for (block, e) in scheduler.interleave(events, kind) {
-                    let (lo, hi) = bounds[block as usize];
-                    let start = (lo + e as usize * ww).min(hi);
-                    for &x in &data[start..(start + ww).min(hi)] {
+                let chunk = |b: usize| bounds[b];
+                scheduler.for_each_warp(events, *ww, chunk, kind, |lanes| {
+                    for &x in &data[lanes] {
                         s += x;
                     }
-                }
+                });
                 s
             }
         }

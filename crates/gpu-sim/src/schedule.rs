@@ -25,6 +25,12 @@
 //! [`ScheduleKind`] selects the policy: the realistic seeded wave model,
 //! a uniform random permutation (ablation), and two deterministic
 //! adversarial orders used for failure injection in tests.
+//! Every simulated order streams through one walk,
+//! [`Scheduler::interleave`]: block finish orders (SPA, `cumsum`) over
+//! one-item queues, warp commit orders (AO, the tensor atomics) over
+//! each block's warp events.
+
+use std::ops::Range;
 
 use fpna_core::rng::{shuffle, SplitMix64};
 
@@ -86,80 +92,54 @@ impl Scheduler {
         Scheduler::new(profile.concurrent_blocks())
     }
 
-    /// The order in which `nb` blocks finish (and therefore commit
-    /// their block-level atomic, e.g. SPA's partial `atomicAdd`).
-    pub fn block_finish_order(&self, nb: u32, kind: &ScheduleKind) -> Vec<u32> {
-        match *kind {
-            ScheduleKind::InOrder => (0..nb).collect(),
-            ScheduleKind::Reverse => (0..nb).rev().collect(),
-            ScheduleKind::UniformRandom(seed) => {
-                let mut order: Vec<u32> = (0..nb).collect();
-                let mut rng = SplitMix64::new(seed);
-                shuffle(&mut order, &mut rng);
-                order
-            }
-            ScheduleKind::Seeded(seed) => {
-                let mut rng = SplitMix64::new(seed);
-                let window = self.concurrent_blocks.min(nb.max(1)) as usize;
-                let mut active: Vec<u32> = (0..nb.min(window as u32)).collect();
-                let mut next = active.len() as u32;
-                let mut order = Vec::with_capacity(nb as usize);
-                while !active.is_empty() {
-                    let pick = rng.next_below(active.len() as u64) as usize;
-                    order.push(active.swap_remove(pick));
-                    if next < nb {
-                        active.push(next);
-                        next += 1;
-                    }
-                }
-                order
-            }
-        }
-    }
-
     /// Interleave items from `queues.len()` FIFO queues, where queue
     /// `q` holds `queues[q]` items, under the residency model: at most
     /// `concurrent_blocks` queues active, one random active queue pops
-    /// per step, exhausted queues admit the next. Returns the sequence
-    /// of `(queue, item)` pairs in commit order.
+    /// per step, exhausted queues admit the next. Hands each committed
+    /// `(queue, item)` to `commit`, in commit order.
     ///
-    /// This is the primitive behind the AO element order and the tensor
-    /// library's atomic scatter unit.
-    pub fn interleave(&self, queues: &[u32], kind: &ScheduleKind) -> Vec<(u32, u32)> {
-        let total: usize = queues.iter().map(|&c| c as usize).sum();
-        let nq = queues.len();
-        let mut order = Vec::with_capacity(total);
+    /// This is the only code that turns a [`ScheduleKind`] into an
+    /// order. One-item queues give the order in which blocks finish
+    /// (SPA's partial commits, `cumsum`'s look-back).
+    pub fn interleave(
+        &self,
+        queues: &[u32],
+        kind: &ScheduleKind,
+        mut commit: impl FnMut(u32, u32),
+    ) {
         match *kind {
             ScheduleKind::InOrder => {
                 for (q, &count) in queues.iter().enumerate() {
                     for i in 0..count {
-                        order.push((q as u32, i));
+                        commit(q as u32, i);
                     }
                 }
             }
             ScheduleKind::Reverse => {
                 for (q, &count) in queues.iter().enumerate().rev() {
                     for i in 0..count {
-                        order.push((q as u32, i));
+                        commit(q as u32, i);
                     }
                 }
             }
             ScheduleKind::UniformRandom(seed) => {
                 // Uniform over all interleavings that preserve
                 // per-queue order: random shuffle of queue labels.
+                let total: usize = queues.iter().map(|&c| c as usize).sum();
                 let mut labels: Vec<u32> = Vec::with_capacity(total);
                 for (q, &count) in queues.iter().enumerate() {
                     labels.extend(std::iter::repeat_n(q as u32, count as usize));
                 }
                 let mut rng = SplitMix64::new(seed);
                 shuffle(&mut labels, &mut rng);
-                let mut cursor = vec![0u32; nq];
+                let mut cursor = vec![0u32; queues.len()];
                 for q in labels {
-                    order.push((q, cursor[q as usize]));
+                    commit(q, cursor[q as usize]);
                     cursor[q as usize] += 1;
                 }
             }
             ScheduleKind::Seeded(seed) => {
+                let nq = queues.len();
                 let mut rng = SplitMix64::new(seed);
                 let window = (self.concurrent_blocks as usize).min(nq.max(1));
                 // Active set of (queue index, items remaining).
@@ -171,12 +151,10 @@ impl Scheduler {
                     }
                     next += 1;
                 }
-                let mut cursor = vec![0u32; nq];
                 while !active.is_empty() {
                     let pick = rng.next_below(active.len() as u64) as usize;
                     let (q, remaining) = active[pick];
-                    order.push((q, cursor[q as usize]));
-                    cursor[q as usize] += 1;
+                    commit(q, queues[q as usize] - remaining);
                     if remaining == 1 {
                         active.swap_remove(pick);
                         while next < nq {
@@ -193,14 +171,47 @@ impl Scheduler {
                 }
             }
         }
-        debug_assert_eq!(order.len(), total);
-        order
+    }
+
+    /// Walk a launch's warp events in commit order, handing `f` each
+    /// event's items: block `b` owns items `bounds(b) = (lo, hi)` and
+    /// issues `events[b]` events of `ww` lanes, event `e` covering
+    /// `min(lo + e·ww, hi)..min(lo + (e + 1)·ww, hi)`. AO and
+    /// `GpuDevice::for_each_commit_warp` share this one mapping.
+    pub(crate) fn for_each_warp(
+        &self,
+        events: &[u32],
+        ww: usize,
+        bounds: impl Fn(usize) -> (usize, usize),
+        kind: &ScheduleKind,
+        mut f: impl FnMut(Range<usize>),
+    ) {
+        self.interleave(events, kind, |block, e| {
+            let (lo, hi) = bounds(block as usize);
+            let start = (lo + e as usize * ww).min(hi);
+            f(start..(start + ww).min(hi));
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The order in which `nb` blocks finish: the queue sequence of
+    /// `nb` one-item queues.
+    fn finish_order(s: &Scheduler, nb: u32, kind: &ScheduleKind) -> Vec<u32> {
+        let mut order = Vec::new();
+        s.interleave(&vec![1; nb as usize], kind, |block, _| order.push(block));
+        order
+    }
+
+    /// Every `(queue, item)` commit, in order.
+    fn commits(s: &Scheduler, queues: &[u32], kind: &ScheduleKind) -> Vec<(u32, u32)> {
+        let mut order = Vec::new();
+        s.interleave(queues, kind, |q, i| order.push((q, i)));
+        order
+    }
 
     fn is_permutation(order: &[u32], n: u32) -> bool {
         let mut seen = vec![false; n as usize];
@@ -222,7 +233,7 @@ mod tests {
             ScheduleKind::InOrder,
             ScheduleKind::Reverse,
         ] {
-            let order = s.block_finish_order(100, &kind);
+            let order = finish_order(&s, 100, &kind);
             assert!(is_permutation(&order, 100), "{kind:?}");
         }
     }
@@ -230,9 +241,12 @@ mod tests {
     #[test]
     fn deterministic_kinds_are_fixed() {
         let s = Scheduler::new(4);
-        assert_eq!(s.block_finish_order(5, &ScheduleKind::InOrder), vec![0, 1, 2, 3, 4]);
         assert_eq!(
-            s.block_finish_order(5, &ScheduleKind::Reverse),
+            finish_order(&s, 5, &ScheduleKind::InOrder),
+            vec![0, 1, 2, 3, 4]
+        );
+        assert_eq!(
+            finish_order(&s, 5, &ScheduleKind::Reverse),
             vec![4, 3, 2, 1, 0]
         );
     }
@@ -244,7 +258,7 @@ mod tests {
         // after 5 admissions).
         let s = Scheduler::new(4);
         for seed in 0..50 {
-            let order = s.block_finish_order(16, &ScheduleKind::Seeded(seed));
+            let order = finish_order(&s, 16, &ScheduleKind::Seeded(seed));
             let pos_of = |b: u32| order.iter().position(|&x| x == b).unwrap();
             assert!(
                 pos_of(8) >= 5,
@@ -256,10 +270,10 @@ mod tests {
     #[test]
     fn seeded_schedules_vary_with_seed_and_replay() {
         let s = Scheduler::new(16);
-        let a = s.block_finish_order(200, &ScheduleKind::Seeded(1));
-        let b = s.block_finish_order(200, &ScheduleKind::Seeded(2));
+        let a = finish_order(&s, 200, &ScheduleKind::Seeded(1));
+        let b = finish_order(&s, 200, &ScheduleKind::Seeded(2));
         assert_ne!(a, b);
-        assert_eq!(a, s.block_finish_order(200, &ScheduleKind::Seeded(1)));
+        assert_eq!(a, finish_order(&s, 200, &ScheduleKind::Seeded(1)));
     }
 
     #[test]
@@ -279,7 +293,7 @@ mod tests {
             ScheduleKind::InOrder,
             ScheduleKind::Reverse,
         ] {
-            let order = s.interleave(&queues, &kind);
+            let order = commits(&s, &queues, &kind);
             assert_eq!(order.len(), 12);
             let mut last: Vec<i64> = vec![-1; queues.len()];
             for &(q, i) in &order {
@@ -298,7 +312,7 @@ mod tests {
     #[test]
     fn interleave_handles_empty_queues() {
         let s = Scheduler::new(2);
-        let order = s.interleave(&[0, 3, 0, 2, 0], &ScheduleKind::Seeded(1));
+        let order = commits(&s, &[0, 3, 0, 2, 0], &ScheduleKind::Seeded(1));
         assert_eq!(order.len(), 5);
         assert!(order.iter().all(|&(q, _)| q == 1 || q == 3));
     }
@@ -308,7 +322,7 @@ mod tests {
         // window 1 => strictly sequential queues == InOrder modulo
         // empty queues.
         let s = Scheduler::new(1);
-        let order = s.interleave(&[2, 2, 2], &ScheduleKind::Seeded(5));
+        let order = commits(&s, &[2, 2, 2], &ScheduleKind::Seeded(5));
         assert_eq!(
             order,
             vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]

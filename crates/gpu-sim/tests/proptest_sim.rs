@@ -73,11 +73,11 @@ mod literal {
         let nb = params.num_blocks as usize;
         match kernel {
             ReduceKernel::Spa => {
+                // Blocks finish in the queue order of one-item queues.
                 let p = partials(xs, nt, nb);
                 let mut s = 0.0;
-                for b in device.scheduler().block_finish_order(nb as u32, kind) {
-                    s += p[b as usize];
-                }
+                let scheduler = device.scheduler();
+                scheduler.interleave(&vec![1; nb], kind, |b, _| s += p[b as usize]);
                 s
             }
             ReduceKernel::Sptr => tree(&partials(xs, nt, nb)),
@@ -93,7 +93,8 @@ mod literal {
                     .map(|&(lo, hi)| ((hi - lo).div_ceil(nt) * warps) as u32)
                     .collect();
                 let mut s = 0.0;
-                for (block, event) in device.scheduler().interleave(&queues, kind) {
+                let scheduler = device.scheduler();
+                scheduler.interleave(&queues, kind, |block, event| {
                     let (lo, hi) = bounds[block as usize];
                     let round = event as usize / warps;
                     let warp = event as usize % warps;
@@ -104,7 +105,7 @@ mod literal {
                             s += xs[idx];
                         }
                     }
-                }
+                });
                 s
             }
         }
@@ -129,7 +130,8 @@ proptest! {
             ScheduleKind::InOrder,
             ScheduleKind::Reverse,
         ] {
-            let events = s.interleave(&queues, &kind);
+            let mut events = Vec::new();
+            s.interleave(&queues, &kind, |q, i| events.push((q, i)));
             let total: usize = queues.iter().map(|&c| c as usize).sum();
             prop_assert_eq!(events.len(), total);
             let mut next = vec![0u32; queues.len()];
@@ -193,18 +195,19 @@ proptest! {
     #[test]
     fn scatter_order_valid(n in 0usize..5000, seed in any::<u64>()) {
         let device = GpuDevice::new(GpuModel::H100);
-        let order = device.scatter_commit_order(n, &ScheduleKind::Seeded(seed));
+        let mut order = Vec::new();
+        device.for_each_commit_warp(n, &ScheduleKind::Seeded(seed), |warp| order.extend(warp));
         prop_assert_eq!(order.len(), n);
         let mut seen = vec![false; n];
         for &i in &order {
-            prop_assert!(!seen[i as usize]);
-            seen[i as usize] = true;
+            prop_assert!(!seen[i]);
+            seen[i] = true;
         }
         // every *full* warp's items commit consecutively in lane order
         let ww = 32usize;
         let mut pos = vec![0usize; n];
         for (p, &i) in order.iter().enumerate() {
-            pos[i as usize] = p;
+            pos[i] = p;
         }
         for warp_start in (0..n).step_by(ww) {
             if warp_start + ww > n {

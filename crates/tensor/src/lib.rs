@@ -13,14 +13,15 @@
 //!   `conv_transpose1d/2d/3d`, `cumsum`, `index_add`, `index_copy`,
 //!   `index_put`, `scatter`, `scatter_reduce` (sum/mean/prod/amax/amin);
 //! * the **non-deterministic** variant lets the device's wave
-//!   scheduler decide the order its atomic contributions commit in.
-//!   `index_add`, `embedding_bag` and the fused gather → `index_add`
-//!   ([`ops::index::gather_index_add`], GraphSAGE's aggregation) walk
-//!   that order one warp at a time and add each warp's items as
-//!   contiguous row slices
-//!   ([`fpna_gpu_sim::GpuDevice::for_each_commit_warp`]); the other
-//!   kernels commit an explicit `(address, value)` list
-//!   ([`fpna_gpu_sim::GpuDevice::atomic_scatter_add`]);
+//!   scheduler decide the order its atomic contributions commit in,
+//!   streamed one warp at a time
+//!   ([`fpna_gpu_sim::GpuDevice::for_each_commit_warp`]): `index_add`
+//!   and the fused gather → `index_add`
+//!   ([`ops::index::gather_index_add`], GraphSAGE's aggregation) add
+//!   each warp's items as contiguous row slices, the other kernels
+//!   apply each item as it commits, and `cumsum`'s look-back adds block
+//!   partials as the blocks finish
+//!   ([`fpna_gpu_sim::Scheduler::interleave`] over one-item queues);
 //! * the **deterministic** variant (where PyTorch has one) accumulates
 //!   in a fixed order: the same kernel under the in-order schedule
 //!   ([`context::GpuContext::commit_schedule`]), except for `cumsum`

@@ -42,22 +42,18 @@ pub fn cumsum(ctx: &GpuContext, x: &Tensor) -> Result<Tensor> {
         .map(|b| x.data()[b * BLOCK..((b + 1) * BLOCK).min(n)].iter().sum())
         .collect();
     // Stage 2 (non-deterministic): each block's offset is the sum of
-    // its predecessors' partials, accumulated in the order the
-    // scheduler exposed them this run.
-    let finish = ctx
-        .device
-        .scheduler()
-        .block_finish_order(nb as u32, &ctx.schedule);
+    // its predecessors' partials, accumulated in the order the blocks
+    // finish this run (one-item queues): a finished block's partial
+    // joins the offset of every later block.
     let mut offsets = vec![0.0f64; nb];
-    for (b, offset) in offsets.iter_mut().enumerate().skip(1) {
-        let mut acc = 0.0f64;
-        for &fb in &finish {
-            if (fb as usize) < b {
-                acc += partials[fb as usize];
+    ctx.device
+        .scheduler()
+        .interleave(&vec![1; nb], &ctx.schedule, |finished, _| {
+            let p = partials[finished as usize];
+            for offset in &mut offsets[finished as usize + 1..] {
+                *offset += p;
             }
-        }
-        *offset = acc;
-    }
+        });
     // Stage 3 (deterministic): intra-block scan on top of the offset.
     for (b, &offset) in offsets.iter().enumerate() {
         let lo = b * BLOCK;

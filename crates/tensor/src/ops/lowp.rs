@@ -60,18 +60,20 @@ pub fn scatter_reduce_f32(
     }
     check_index(index, dst.len(), "scatter_reduce_f32")?;
     check_no_deterministic(ctx, "scatter_reduce")?;
-    let order = ctx.device.scatter_commit_order(index.len(), &ctx.schedule);
     let mut out = dst.to_vec();
     let mut counts = vec![0u32; dst.len()];
-    for &k in &order {
-        let row = index[k as usize] as usize;
-        if counts[row] == 0 {
-            out[row] = src[k as usize];
-        } else {
-            out[row] += src[k as usize];
-        }
-        counts[row] += 1;
-    }
+    ctx.device
+        .for_each_commit_warp(index.len(), &ctx.schedule, |warp| {
+            for (&row, &x) in index[warp.clone()].iter().zip(&src[warp]) {
+                let row = row as usize;
+                if counts[row] == 0 {
+                    out[row] = x;
+                } else {
+                    out[row] += x;
+                }
+                counts[row] += 1;
+            }
+        });
     if mean {
         for (o, &c) in out.iter_mut().zip(&counts) {
             if c > 1 {

@@ -10,13 +10,16 @@
 //!
 //! For testing and for the self-referenced experiment harness a
 //! deterministic *reference* implementation exists
-//! ([`reference_scatter_reduce`]); it is deliberately not reachable
-//! through the PyTorch-mirror determinism switch.
+//! ([`reference_scatter_reduce`]: the same kernel, walked in ascending
+//! `k`); it is deliberately not reachable through the PyTorch-mirror
+//! determinism switch.
 //!
 //! A detail worth noticing (and tested): `amax`/`amin` reductions are
 //! exactly associative and commutative over floats, so even the
 //! non-deterministic kernel is bitwise reproducible for them — only
 //! `sum`, `mean` and `prod` are FPNA-sensitive.
+
+use std::ops::Range;
 
 use fpna_core::determinism;
 use fpna_core::error::FpnaError;
@@ -99,11 +102,14 @@ pub fn scatter(ctx: &GpuContext, dst: &Tensor, index: &[u32], src: &Tensor) -> R
     validate(dst, index, src, "scatter")?;
     let w = dst.row_len();
     let mut out = dst.clone();
-    let order = ctx.device.scatter_commit_order(index.len(), &ctx.schedule);
-    for &k in &order {
-        let row = index[k as usize] as usize;
-        out.data_mut()[row * w..(row + 1) * w].copy_from_slice(src.row(k as usize));
-    }
+    let data = out.data_mut();
+    ctx.device
+        .for_each_commit_warp(index.len(), &ctx.schedule, |warp| {
+            for k in warp {
+                let row = index[k] as usize;
+                data[row * w..(row + 1) * w].copy_from_slice(src.row(k));
+            }
+        });
     Ok(out)
 }
 
@@ -121,8 +127,10 @@ pub fn scatter_reduce(
 ) -> Result<Tensor> {
     check_no_deterministic(ctx, "scatter_reduce")?;
     validate(dst, index, src, "scatter_reduce")?;
-    let order = ctx.device.scatter_commit_order(index.len(), &ctx.schedule);
-    Ok(apply_scatter_reduce(dst, index, src, op, order.iter().map(|&k| k as usize)))
+    Ok(apply_scatter_reduce(dst, index, src, op, |commit| {
+        ctx.device
+            .for_each_commit_warp(index.len(), &ctx.schedule, commit)
+    }))
 }
 
 /// Deterministic reference implementation (ascending `k`), used by
@@ -136,41 +144,49 @@ pub fn reference_scatter_reduce(
     op: ReduceOp,
 ) -> Result<Tensor> {
     validate(dst, index, src, "scatter_reduce")?;
-    Ok(apply_scatter_reduce(dst, index, src, op, 0..index.len()))
+    Ok(apply_scatter_reduce(dst, index, src, op, |commit| {
+        commit(0..index.len())
+    }))
 }
 
+/// The one `scatter_reduce` kernel: `walk` hands the contributions
+/// `k` to its callback as ranges, in commit order (the device's warps,
+/// or one ascending range for the reference).
 fn apply_scatter_reduce(
     dst: &Tensor,
     index: &[u32],
     src: &Tensor,
     op: ReduceOp,
-    order: impl Iterator<Item = usize>,
+    walk: impl FnOnce(&mut dyn FnMut(Range<usize>)),
 ) -> Tensor {
     let w = dst.row_len();
     let rows = dst.shape().first().copied().unwrap_or(0);
     let mut out = dst.clone();
+    let data = out.data_mut();
     let mut counts = vec![0u32; rows];
     let mut touched = vec![false; rows];
     // include_self=false: first contribution *initialises* the row.
-    for k in order {
-        let row = index[k] as usize;
-        let s = src.row(k);
-        let orow = &mut out.data_mut()[row * w..(row + 1) * w];
-        if !touched[row] {
-            orow.copy_from_slice(s);
-            touched[row] = true;
-        } else {
-            for (o, &v) in orow.iter_mut().zip(s) {
-                *o = op.combine(*o, v);
+    walk(&mut |warp| {
+        for k in warp {
+            let row = index[k] as usize;
+            let s = src.row(k);
+            let orow = &mut data[row * w..(row + 1) * w];
+            if !touched[row] {
+                orow.copy_from_slice(s);
+                touched[row] = true;
+            } else {
+                for (o, &v) in orow.iter_mut().zip(s) {
+                    *o = op.combine(*o, v);
+                }
             }
+            counts[row] += 1;
         }
-        counts[row] += 1;
-    }
+    });
     if op == ReduceOp::Mean {
         for (r, &c) in counts.iter().enumerate() {
             if c > 1 {
                 let inv = 1.0 / c as f64;
-                for o in &mut out.data_mut()[r * w..(r + 1) * w] {
+                for o in &mut data[r * w..(r + 1) * w] {
                     *o *= inv;
                 }
             }
