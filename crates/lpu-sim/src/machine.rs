@@ -114,7 +114,7 @@ fn get(slots: &[Option<Tensor2>], id: crate::program::TensorId) -> &Tensor2 {
 fn exec_inst(inst: &Inst, p: &Program, slots: &mut [Option<Tensor2>]) {
     match inst {
         Inst::MatMul { a, b, out } => {
-            let (ta, tb) = (get(slots, *a).clone(), get(slots, *b).clone());
+            let (ta, tb) = (get(slots, *a), get(slots, *b));
             let (m, k, n) = (ta.shape.rows, ta.shape.cols, tb.shape.cols);
             let mut o = Tensor2::zeros(m, n);
             for i in 0..m {
@@ -188,7 +188,7 @@ fn exec_inst(inst: &Inst, p: &Program, slots: &mut [Option<Tensor2>]) {
             });
         }
         Inst::ScatterAddRows { src, index, out } => {
-            let ts = get(slots, *src).clone();
+            let ts = get(slots, *src);
             let shape = p.shape(*out);
             let cols = shape.cols;
             let mut o = Tensor2::zeros(shape.rows, shape.cols);
