@@ -101,23 +101,6 @@ impl SweepSpec {
         format!("{:016x}", fnv1a64(self.canonical_json().as_bytes()))
     }
 
-    /// Reconstruct the command-line argument vector (excluding the
-    /// binary name) that reproduces this spec: `--runs N` followed by
-    /// each recorded flag in sorted-key order.
-    pub fn argv(&self) -> Vec<String> {
-        let mut out = vec!["--runs".to_string(), self.runs.to_string()];
-        for (k, v) in &self.args {
-            if k == "runs" {
-                continue;
-            }
-            out.push(format!("--{k}"));
-            if !v.is_empty() {
-                out.push(v.clone());
-            }
-        }
-        out
-    }
-
     /// Parse a spec back from its JSON encoding (canonical or not —
     /// key order and whitespace are irrelevant on input).
     pub fn from_json_str(text: &str) -> Result<Self, String> {
@@ -268,15 +251,6 @@ mod tests {
         let back = SweepSpec::from_json_str(&s.canonical_json()).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.base_seed(), 55);
-    }
-
-    #[test]
-    fn argv_reproduces_flags() {
-        let s = SweepSpec::new("t", 7).arg("seed", 9).flag("link-stats");
-        assert_eq!(
-            s.argv(),
-            vec!["--runs", "7", "--link-stats", "--seed", "9"]
-        );
     }
 
     #[test]
