@@ -1,5 +1,6 @@
 //! [`GpuDevice`]: the façade tying profile, scheduler, kernels and cost
 //! model together — the object experiments talk to.
+//!
 //! Reduction replays and [`GpuDevice::for_each_commit_warp`] stream
 //! their commit orders from [`Scheduler::interleave`]; neither builds
 //! an order vector.
