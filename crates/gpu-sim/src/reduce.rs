@@ -335,7 +335,9 @@ impl<'a> Stage<'a> {
             }
             // `Nt = warps · ww`, so event `e` of a block is lanes
             // `e · ww ..` of its chunk. The value is the serial sum in
-            // global commit order, which can never be parallelized.
+            // global commit order, which can never be parallelized; the
+            // fold adds a warp's lanes in order with the running sum
+            // in a register.
             Stage::Atomics {
                 data,
                 bounds,
@@ -345,9 +347,7 @@ impl<'a> Stage<'a> {
                 let mut s = 0.0f64;
                 let chunk = |b: usize| bounds[b];
                 scheduler.for_each_warp(events, *ww, chunk, kind, |lanes| {
-                    for &x in &data[lanes] {
-                        s += x;
-                    }
+                    s = data[lanes].iter().fold(s, |s, &x| s + x);
                 });
                 s
             }

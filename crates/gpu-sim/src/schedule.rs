@@ -187,6 +187,12 @@ impl Scheduler {
     /// issues `events[b]` events of `ww` lanes, event `e` covering
     /// `min(lo + e·ww, hi)..min(lo + (e + 1)·ww, hi)`. AO and
     /// `GpuDevice::for_each_commit_warp` share this one mapping.
+    ///
+    /// Events reach `f` in batches of 64 ranges: the walk's random picks
+    /// run ahead of the kernel's loads, and `f` is inlined into one
+    /// loop. Handed over one at a time, AO over cold data and a
+    /// GraphSAGE-sized scatter measured 5-20% slower than with the
+    /// order materialised; batched, they measured faster.
     pub(crate) fn for_each_warp(
         &self,
         events: &[u32],
@@ -195,11 +201,29 @@ impl Scheduler {
         kind: &ScheduleKind,
         mut f: impl FnMut(Range<usize>),
     ) {
+        let mut batch = [(0, 0); 64];
+        let mut len = 0;
         self.interleave(events, kind, |block, e| {
             let (lo, hi) = bounds(block as usize);
             let start = (lo + e as usize * ww).min(hi);
-            f(start..(start + ww).min(hi));
+            batch[len] = (start, (start + ww).min(hi));
+            len += 1;
+            if len == batch.len() {
+                apply(&batch, &mut f);
+                len = 0;
+            }
         });
+        apply(&batch[..len], &mut f);
+    }
+}
+
+/// Hands each `(start, end)` of `batch` to `f` as a range. Kept out
+/// of line so that the walk's per-commit closure stays small enough
+/// to inline.
+#[inline(never)]
+fn apply(batch: &[(usize, usize)], f: &mut impl FnMut(Range<usize>)) {
+    for &(start, end) in batch {
+        f(start..end);
     }
 }
 
