@@ -2,8 +2,7 @@
 //! model together — the object experiments talk to.
 //!
 //! Reduction replays and [`GpuDevice::for_each_commit_warp`] stream
-//! their commit orders from [`Scheduler::interleave`]; neither builds
-//! an order vector.
+//! their commit orders from [`Scheduler::interleave`].
 
 use std::ops::Range;
 
@@ -139,12 +138,11 @@ impl GpuDevice {
     /// the whole launch is handed over as one range, `0..n_items`.
     ///
     /// This is the primitive `fpna-tensor`'s atomic-order kernels
-    /// (`index_add`, `scatter`, `scatter_reduce`, `conv_transpose*`, …)
-    /// use to order their accumulations and racy writes; the
-    /// deterministic variant of `index_add` and its kin is the in-order
-    /// walk. Streaming the warps lets a kernel add each range as
-    /// contiguous row slices, with no contribution list or permutation
-    /// in memory.
+    /// (`index_add`, `scatter`, `conv_transpose*`, …) use to order their
+    /// accumulations and racy writes; the deterministic variant of
+    /// `index_add` and its kin is the in-order walk. Streaming the warps
+    /// lets a kernel add each range as contiguous row slices, with no
+    /// contribution list or permutation in memory.
     ///
     /// # Panics
     ///

@@ -43,11 +43,9 @@
 //! warp-event count for AO, which keeps a borrow of the data. A run
 //! replays the rest under its schedule, streamed from
 //! [`Scheduler::interleave`]: SPA folds the partials as one-item
-//! queues finish, AO adds each warp event's lanes as it commits (the
-//! tensor atomics' event → lanes map), and the deterministic kernels
-//! return their value. [`crate::GpuDevice::reduce_runs`] builds the
-//! stage once for a whole sweep, so Fig 1's 10 000 runs per array
-//! compute its block partials once.
+//! queues finish, AO adds each warp event's lanes as it commits, and
+//! the deterministic kernels return their value.
+//! [`crate::GpuDevice::reduce_runs`] builds the stage once per sweep.
 
 use fpna_summation::serial::serial_sum;
 
@@ -335,9 +333,7 @@ impl<'a> Stage<'a> {
             }
             // `Nt = warps · ww`, so event `e` of a block is lanes
             // `e · ww ..` of its chunk. The value is the serial sum in
-            // global commit order, which can never be parallelized; the
-            // fold adds a warp's lanes in order with the running sum
-            // in a register.
+            // global commit order; the fold keeps it in a register.
             Stage::Atomics {
                 data,
                 bounds,

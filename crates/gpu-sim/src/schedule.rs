@@ -28,8 +28,7 @@
 //!
 //! Every simulated order streams through one walk,
 //! [`Scheduler::interleave`]: block finish orders (SPA, `cumsum`) over
-//! one-item queues, warp commit orders (AO, the tensor atomics) over
-//! each block's warp events.
+//! one-item queues, warp commit orders (AO, tensor atomics) over warps.
 
 use std::ops::Range;
 
@@ -142,24 +141,23 @@ impl Scheduler {
             ScheduleKind::Seeded(seed) => {
                 let nq = queues.len();
                 let mut rng = SplitMix64::new(seed);
-                // `active[..len]` holds the resident queues, `cursor[q]`
-                // counts queue q's commits. The loop calls nothing (no
-                // `Vec::push`), so the caller's state can stay in
-                // registers: with a pushed `Vec` of `(queue, remaining)`
-                // pairs, an SPA replay, which is this walk, measured
-                // 1.5-2x slower.
+                // `active[..len]` holds the resident queues; no call in the
+                // loop (a pushed `Vec` made SPA's replay 1.5-2x slower).
                 let mut active = vec![0u32; (self.concurrent_blocks as usize).min(nq)];
-                let mut len = 0;
+                let (mut len, mut next) = (0, 0);
                 let mut cursor = vec![0u32; nq];
-                let mut next = 0usize;
-                while next < nq && len < active.len() {
-                    if queues[next] > 0 {
-                        active[len] = next as u32;
-                        len += 1;
+                loop {
+                    // Admit queues in launch order until the window is full.
+                    while len < active.len() && next < nq {
+                        if queues[next] > 0 {
+                            active[len] = next as u32;
+                            len += 1;
+                        }
+                        next += 1;
                     }
-                    next += 1;
-                }
-                while len > 0 {
+                    if len == 0 {
+                        break;
+                    }
                     let pick = rng.next_below(len as u64) as usize;
                     let q = active[pick] as usize;
                     commit(q as u32, cursor[q]);
@@ -167,15 +165,6 @@ impl Scheduler {
                     if cursor[q] == queues[q] {
                         len -= 1;
                         active[pick] = active[len];
-                        while next < nq {
-                            let admit = next;
-                            next += 1;
-                            if queues[admit] > 0 {
-                                active[len] = admit as u32;
-                                len += 1;
-                                break;
-                            }
-                        }
                     }
                 }
             }
@@ -187,12 +176,8 @@ impl Scheduler {
     /// issues `events[b]` events of `ww` lanes, event `e` covering
     /// `min(lo + e·ww, hi)..min(lo + (e + 1)·ww, hi)`. AO and
     /// `GpuDevice::for_each_commit_warp` share this one mapping.
-    ///
-    /// Events reach `f` in batches of 64 ranges: the walk's random picks
-    /// run ahead of the kernel's loads, and `f` is inlined into one
-    /// loop. Handed over one at a time, AO over cold data and a
-    /// GraphSAGE-sized scatter measured 5-20% slower than with the
-    /// order materialised; batched, they measured faster.
+    /// Events reach `f` in batches of 64, so the picks run ahead of the
+    /// kernel's loads (one by one measured 5-20% slower on AO and GNNs).
     pub(crate) fn for_each_warp(
         &self,
         events: &[u32],
@@ -217,9 +202,7 @@ impl Scheduler {
     }
 }
 
-/// Hands each `(start, end)` of `batch` to `f` as a range. Kept out
-/// of line so that the walk's per-commit closure stays small enough
-/// to inline.
+/// Out of line, so the walk's per-commit closure stays small enough to inline.
 #[inline(never)]
 fn apply(batch: &[(usize, usize)], f: &mut impl FnMut(Range<usize>)) {
     for &(start, end) in batch {
