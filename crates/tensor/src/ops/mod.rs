@@ -15,11 +15,9 @@
 //! `gather_index_add`, `embedding_bag`, `bincount`, `histc` and
 //! `index_add_f32` follow the `index_add` row: one kernel walks
 //! [`crate::context::GpuContext::commit_schedule`] in both modes.
-//! `scatter_reduce_f32` follows the `scatter_reduce` row. Every ND
-//! kernel but `cumsum` streams its order from
-//! [`fpna_gpu_sim::GpuDevice::for_each_commit_warp`], and
-//! `reference_scatter_reduce` runs `scatter_reduce`'s kernel over the
-//! one range `0..n`.
+//! `scatter_reduce_f32` follows the `scatter_reduce` row, and
+//! `reference_scatter_reduce` is `scatter_reduce`'s kernel walked in
+//! ascending order.
 //!
 //! `scatter`/`scatter_reduce` erroring under
 //! `use_deterministic_algorithms(Deterministic)` reproduces the

@@ -19,8 +19,6 @@
 //! non-deterministic kernel is bitwise reproducible for them — only
 //! `sum`, `mean` and `prod` are FPNA-sensitive.
 
-use std::ops::Range;
-
 use fpna_core::determinism;
 use fpna_core::error::FpnaError;
 use fpna_core::Result;
@@ -157,7 +155,7 @@ fn apply_scatter_reduce(
     index: &[u32],
     src: &Tensor,
     op: ReduceOp,
-    walk: impl FnOnce(&mut dyn FnMut(Range<usize>)),
+    walk: impl FnOnce(&mut dyn FnMut(std::ops::Range<usize>)),
 ) -> Tensor {
     let w = dst.row_len();
     let rows = dst.shape().first().copied().unwrap_or(0);
