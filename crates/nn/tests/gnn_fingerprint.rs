@@ -8,7 +8,10 @@
 //! order, a reordered sum, a dropped or added scatter that shifts a
 //! later draw — fails here. Cases cover a warp-multiple feature width
 //! (32, `CoraParams::tiny()`) and a ragged one (45), both
-//! aggregations, and warp widths 32 (H100) and 64 (MI250X).
+//! aggregations, and warp widths 32 (H100) and 64 (MI250X). A second
+//! test trains at perfbench's `gnn_train` geometry (Cora's nodes and
+//! links, 128 features, 7 classes) with hidden widths 16 and 12, so
+//! the layer products run at the widths the benchmark times.
 
 use fpna_gpu_sim::GpuModel;
 use fpna_nn::graph::{synthetic_cora, CoraParams};
@@ -83,6 +86,55 @@ fn training_and_inference_bits_are_pinned() {
             mismatches.push(format!(
                 "({model:?}, {features}, {aggregation:?}, {det}, {got:#018x})"
             ));
+        }
+    }
+    assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:#?}");
+}
+
+/// Two epochs on Cora's nodes and links at 128 features, hashed over
+/// the losses, the final `flat_params` and the D predictions.
+fn cora_fingerprint(hidden: usize, aggregation: Aggregation, deterministic_training: bool) -> u64 {
+    let ds = synthetic_cora(
+        CoraParams {
+            features: 128,
+            ..CoraParams::cora()
+        },
+        42,
+    );
+    let cfg = TrainConfig {
+        hidden,
+        lr: 0.5,
+        epochs: 2,
+        init_seed: 7,
+        aggregation,
+    };
+    let train = GpuContext::new(GpuModel::H100, 11).with_determinism(Some(deterministic_training));
+    let (net, losses) = train_model(&ds, &cfg, &train).expect("valid shapes");
+    let d_infer = GpuContext::new(GpuModel::H100, 12).with_determinism(Some(true));
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    hash_into(&mut hash, &losses);
+    hash_into(&mut hash, &net.flat_params());
+    hash_into(
+        &mut hash,
+        net.predict(&d_infer, &ds).expect("valid shapes").data(),
+    );
+    hash
+}
+
+#[test]
+fn benchmark_geometry_bits_are_pinned() {
+    use Aggregation::{Mean, Sum};
+    let cases = [
+        (16, Mean, true, 0x95bc_90d5_b2be_4ecd),
+        (16, Mean, false, 0x63b6_8172_713c_26ee),
+        (12, Mean, false, 0x0d50_16b3_3af4_a2e5),
+        (16, Sum, false, 0xe8b7_3427_472f_283c),
+    ];
+    let mut mismatches = Vec::new();
+    for (hidden, aggregation, det, expected) in cases {
+        let got = cora_fingerprint(hidden, aggregation, det);
+        if got != expected {
+            mismatches.push(format!("({hidden}, {aggregation:?}, {det}, {got:#018x})"));
         }
     }
     assert!(mismatches.is_empty(), "fingerprints moved: {mismatches:#?}");
