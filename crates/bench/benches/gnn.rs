@@ -1,14 +1,18 @@
 //! Criterion benchmarks of the GraphSAGE pipeline: one training epoch
 //! and one inference pass, deterministic vs non-deterministic, plus the
-//! LPU inference execution.
+//! LPU inference execution, and the three dense products at the shapes
+//! of layer 2 in perfbench's `gnn_train` (2708 nodes, hidden 16, 7
+//! classes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fpna_gpu_sim::GpuModel;
 use fpna_nn::cost::lpu_inference;
 use fpna_nn::graph::{synthetic_cora, CoraParams};
+use fpna_nn::linalg::{matmul, matmul_nt, matmul_tn};
 use fpna_nn::model::{GraphSage, TrainConfig};
 use fpna_nn::sage::Aggregation;
 use fpna_tensor::context::GpuContext;
+use fpna_tensor::Tensor;
 
 fn bench_gnn(c: &mut Criterion) {
     let mut p = CoraParams::tiny();
@@ -58,6 +62,15 @@ fn bench_gnn(c: &mut Criterion) {
     group.bench_function("inference/lpu", |b| {
         b.iter(|| lpu_inference(&ds, &model).unwrap())
     });
+
+    // Layer 2's operands: the ReLU'd hidden activations (about half
+    // zeros), the 16×7 weight and a 2708×7 gradient.
+    let hidden = Tensor::randn(vec![2708, 16], 6).map(|v| v.max(0.0));
+    let weight = Tensor::randn(vec![16, 7], 7);
+    let grad = Tensor::randn(vec![2708, 7], 8);
+    group.bench_function("layer2/matmul", |b| b.iter(|| matmul(&hidden, &weight)));
+    group.bench_function("layer2/matmul_tn", |b| b.iter(|| matmul_tn(&hidden, &grad)));
+    group.bench_function("layer2/matmul_nt", |b| b.iter(|| matmul_nt(&grad, &weight)));
     group.finish();
 }
 
