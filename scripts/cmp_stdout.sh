@@ -24,7 +24,9 @@
 #     trace file trace_allreduce writes (its seeded-ECMP run is the one
 #     trace whose messages take route slots above 0).
 # Every pair of outputs is compared with cmp. The script prints one line
-# per comparison and exits 1 if any pair differs.
+# per comparison. When every pair is the same it deletes its output
+# directory (a run leaves ~425 MB there) and exits 0; when any pair
+# differs it keeps the directory, prints its path and exits 1.
 #
 # table8's "training wall time (..., host simulation)" line is host wall
 # time, so it differs from run to run. It is masked before comparing.
@@ -111,5 +113,9 @@ for f in "$out"/parent/*; do
         status=1
     fi
 done
-echo "outputs kept in $out"
+if [[ $status -eq 0 ]]; then
+    rm -rf "$out"
+else
+    echo "outputs kept in $out"
+fi
 exit $status
