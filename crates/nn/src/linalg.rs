@@ -192,20 +192,19 @@ pub(crate) struct Csr {
 }
 
 impl Csr {
-    /// The nonzero entries of a `[rows, cols]` tensor.
+    /// The nonzero entries of a `[rows, cols]` tensor, kept by the
+    /// same test as the dense products' terms.
     pub(crate) fn from_dense(a: &Tensor) -> Self {
         let (rows, cols) = (a.shape()[0], a.shape()[1]);
         assert!(rows.max(cols) <= u32::MAX as usize, "Csr indices are u32");
         let mut start = Vec::with_capacity(rows + 1);
         let (mut col, mut val) = (Vec::new(), Vec::new());
+        let (mut coef, mut at) = (vec![0.0; cols], vec![0u32; cols]);
         start.push(0);
         for i in 0..rows {
-            for (j, &v) in a.data()[i * cols..(i + 1) * cols].iter().enumerate() {
-                if v != 0.0 {
-                    col.push(j as u32);
-                    val.push(v);
-                }
-            }
+            let len = compact(&a.data()[i * cols..(i + 1) * cols], &mut coef, &mut at);
+            val.extend_from_slice(&coef[..len]);
+            col.extend_from_slice(&at[..len]);
             start.push(col.len());
         }
         Csr {
