@@ -312,9 +312,9 @@ mod tests {
     use fpna_core::rng::SplitMix64;
     use proptest::prelude::*;
 
-    // The i-k-j loops the blocked kernel replaced, kept as its
-    // reference: every output element starts at `+0.0` and adds its
-    // terms in ascending `k`. All but `ref_matmul_nt` skip zero terms.
+    // Reference i-k-j loops: every output element starts at `+0.0`
+    // and adds its terms in ascending `k` through memory, one term at
+    // a time. All but `ref_matmul_nt` skip zero terms.
 
     fn ref_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape()[0], a.shape()[1]);
